@@ -325,8 +325,8 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
     Intended for slope fitting: with a gap the in-window leak is slaved
     to the bound state and collapses after the window, so the probe
     values fall faster than any tested power while the in-window
-    supremum keeps the 1/tau rate. Returns (tau, probe leak, window sup)
-    records ordered by tau.
+    supremum keeps the 1/tau rate. All taus run as one batch. Returns
+    (tau, probe leak, window sup) records ordered by tau.
     """
     tau_list = sorted(float(t) for t in tau_list)
     if model.gap_shift <= 0.0:
@@ -335,10 +335,8 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
         raise ConfigurationError(
             "gap times smallest tau must reach 50 for the probe to be "
             f"meaningful; got {model.gap_shift * tau_list[0]:.1f}")
-    records = []
-    for tau in tau_list:
-        cfg = IntegratorConfig(scheme="interaction_magnus", max_step=max_step,
-                               s_end=s_probe, record_times=(s_probe,))
-        tr = evolve_true(model, tau, cfg)
-        records.append((tau, tr.leak_at(s_probe), tr.sup_leak_window))
-    return records
+    cfg = IntegratorConfig(scheme="interaction_magnus", max_step=max_step,
+                           s_end=s_probe, record_times=(s_probe,))
+    trajectories = evolve_true(model, tau_list, cfg).trajectories()
+    return [(tau, tr.leak_at(s_probe), tr.sup_leak_window)
+            for tau, tr in zip(tau_list, trajectories)]

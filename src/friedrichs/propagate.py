@@ -14,6 +14,30 @@ substeps of cost O(N):
   int gdot(t) exp(i tau omega t) dt evaluated by the Filon machinery.
   The step is limited by the smoothness of gdot alone, not by tau.
 
+Both schemes step by rank-two rotations exp(-i r (|u><e0| + |e0><u|)),
+so one loop serves both; strang_split wraps each rotation in half free
+phases. The loop evolves a batch of T states at once, one per tau:
+`evolve_true` takes one tau or a sequence of them, and a single tau is
+the batch T = 1. Every operation acts on each row alone, so a row's
+result does not depend on which other taus share its batch.
+
+The interaction generators are prepared in blocks of _RESEED_STEPS (64)
+steps, for all T rows together: one real matrix product contracts the
+Filon moments, shape (T, N, deg + 1), with the per-step Legendre
+coefficients of gdot, so the (T, N, n_steps) array of generators never
+exists at once. Within a block the free phases exp(i tau omega t) at
+the step midpoints advance by powers of a fixed rotor exp(i tau omega h);
+each block re-seeds them with a direct exp, which bounds the rounding
+the rotor accumulates to about 64 ulps. The wave-operator evolution
+applies the same blocks to a (dim, dim) matrix.
+
+Each step takes one sum of squares of the continuum amplitudes over all
+rows; the square root is the leak, and with the bound amplitude, also
+kept per step, it gives the norm drift |sqrt(|b0|^2 + cont) - 1|. Drift
+and finiteness are evaluated for every step of every row. A row that
+goes non-finite or exceeds the drift tolerance fails alone; the other
+rows of its batch are unaffected.
+
 For s >= 1 the driving vanishes and the remaining evolution is a single
 exact diagonal phase.
 """
@@ -21,12 +45,12 @@ exact diagonal phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, ContractViolation, IntegrationFailure,
-                     NumericalOverflow)
+from .errors import (ConfigurationError, ContractViolation, FriedrichsError,
+                     IntegrationFailure, NumericalOverflow)
 from .model import FriedrichsModel, RotatingState, apply_rotation, rotation_dense
 from .numutil import legendre_projection
 from .oscint import fourier_legendre_moments
@@ -34,6 +58,7 @@ from .oscint import fourier_legendre_moments
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
+    "TrajectoryBatch",
     "GeneratorCheck",
     "evolve_true",
     "evolve_wave_operator",
@@ -46,6 +71,7 @@ __all__ = [
 
 _MAGNUS_DEGREE = 8
 _SCHEMES = ("strang_split", "interaction_magnus")
+_RESEED_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -73,7 +99,11 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled states and leak values from one integration run."""
+    """Sampled states and leak values from one integration run.
+
+    In-window samples sit on the step grid: a record time s <= 1 is
+    stored at the snapped time round(s * n) / n.
+    """
 
     samples: list[tuple[float, RotatingState, float]]
     tau: float
@@ -88,10 +118,40 @@ class Trajectory:
         return float(np.max(self.window_leaks))
 
     def leak_at(self, s: float) -> float:
+        """Leak recorded at s; an in-window s is looked up at its grid step."""
+        if s <= 1.0:
+            s = round(s * self.n_window_steps) / self.n_window_steps
         for sv, _, lv in self.samples:
             if abs(sv - s) <= 1e-12:
                 return lv
         raise KeyError(f"s={s} was not recorded")
+
+
+@dataclass
+class TrajectoryBatch:
+    """One batched run: an entry per tau, in the order the taus were given.
+
+    An entry is the column's Trajectory, or the FriedrichsError that
+    rejected that column alone.
+    """
+
+    taus: tuple[float, ...]
+    results: list
+    scheme: str
+    n_window_steps: int
+
+    @property
+    def unitarity_drift(self) -> float:
+        """Largest drift among the columns that completed."""
+        return max((r.unitarity_drift for r in self.results
+                    if isinstance(r, Trajectory)), default=0.0)
+
+    def trajectories(self) -> list[Trajectory]:
+        """Every column's trajectory; raises the first column error instead."""
+        for r in self.results:
+            if isinstance(r, FriedrichsError):
+                raise r
+        return list(self.results)
 
 
 def _strang_h(model: FriedrichsModel, tau: float, config: IntegratorConfig) -> float:
@@ -127,93 +187,159 @@ def _window_steps(model: FriedrichsModel, tau: float, config: IntegratorConfig,
     return max(n, config.window_samples)
 
 
-def _apply_exchange_rotation(coupling: np.ndarray, theta: float, state: np.ndarray):
-    """In-place exp(-i theta A) on packed state array (dim,) or (dim, M)."""
-    b0 = state[0].copy()
-    cc = coupling @ state[1:]
-    cos_m1 = np.cos(theta) - 1.0
-    isin = 1j * np.sin(theta)
-    state[0] += cos_m1 * b0 - isin * cc
-    state[1:] += np.multiply.outer(coupling, cos_m1 * cc - isin * b0)
+def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
+    """Rank-two rotations of the interaction scheme, _RESEED_STEPS steps at a time.
+
+    Yields (first step, u, cos r - 1, i sin r) with u of shape
+    (steps, T, N) and the others (steps, T). Step m of row t rotates by
+    d = coupling * exp(i tau_t omega t_m) * mu_t[:, m]: mu is the Filon
+    moment of gdot against the free phase over the step, taken relative
+    to the midpoint t_m. Then r = |d| and u = d / r (zero when r is).
+    The phase at the first step of a block is a direct exp; step k of
+    the block multiplies it by the rotor power exp(i tau omega h)^k.
+    """
+    h = 1.0 / n_steps
+    deg = _MAGNUS_DEGREE
+    x, _, analysis = legendre_projection(deg + 1)
+    mids = (np.arange(n_steps) + 0.5) * h
+    t_nodes = mids[:, None] + 0.5 * h * x[None, :]
+    # (n_steps, deg + 1): Legendre coefficients of gdot on each step
+    coeffs = (0.5 * h) * (model.switching.gdot(t_nodes) @ analysis.T)
+    freqs = np.multiply.outer(taus, model.diag_energies[1:])
+    # (deg + 1, T, N), with the coupling folded in
+    moments = np.moveaxis(fourier_legendre_moments(freqs * 0.5 * h, deg), -1, 0)
+    moments = np.ascontiguousarray(moments) * model.coupling
+    powers = np.empty((_RESEED_STEPS,) + freqs.shape, dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.exp(1j * freqs * h)
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    for start in range(0, n_steps, _RESEED_STEPS):
+        stop = min(start + _RESEED_STEPS, n_steps)
+        seeded = moments * np.exp(1j * freqs * mids[start])
+        # one real product over all rows: (steps, deg + 1) @ (deg + 1, 2 T N)
+        d = coeffs[start:stop] @ seeded.view(float).reshape(deg + 1, -1)
+        d = d.view(complex).reshape((stop - start,) + freqs.shape)
+        d *= powers[:stop - start]
+        dr = d.view(float)
+        r = np.sqrt(np.vecdot(dr, dr))
+        d /= np.where(r > 0.0, r, 1.0)[..., None]
+        yield start, d, np.cos(r) - 1.0, 1j * np.sin(r)
 
 
-def _apply_rank2_exp(u: np.ndarray, r: float, state: np.ndarray):
-    """In-place exp(-i M) with M = |d><e0| + |e0><d|, d = r u, u unit."""
-    if r == 0.0:
-        return
-    b0 = state[0].copy()
-    uc = u.conj() @ state[1:]
-    cos_m1 = np.cos(r) - 1.0
-    isin = 1j * np.sin(r)
-    state[0] += cos_m1 * b0 - isin * uc
-    state[1:] += np.multiply.outer(u, cos_m1 * uc - isin * b0)
+def _steps(model: FriedrichsModel, taus: np.ndarray, n_steps: int, scheme: str):
+    """(rotation blocks, half free phases or None) of a scheme.
+
+    A strang step rotates by the exchange generator: u is the coupling
+    and r = h gdot, the same for every tau, so one block row serves all.
+    """
+    if scheme != "strang_split":
+        return _interaction_blocks(model, taus, n_steps), None
+    h = 1.0 / n_steps
+    theta = h * model.switching.gdot((np.arange(n_steps) + 0.5) * h)
+    u = np.broadcast_to(model.coupling, (n_steps, 1, model.dim - 1))
+    block = (0, u, (np.cos(theta) - 1.0)[:, None], (1j * np.sin(theta))[:, None])
+    half = np.exp(np.multiply.outer(-0.5j * h * taus, model.diag_energies))
+    return [block], half
 
 
-class _Runner:
-    """Shared stepping loop; state is a packed array (dim,) or (dim, M)."""
+def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int, scheme: str,
+                 config: IntegratorConfig, initial: RotatingState) -> list:
+    """The stepping loop: row t of the state evolves with taus[t].
 
-    def __init__(self, model: FriedrichsModel, tau: float, n_steps: int,
-                 scheme: str):
-        self.model = model
-        self.tau = tau
-        self.n = n_steps
-        self.h = 1.0 / n_steps
-        self.scheme = scheme
-        sw = model.switching
-        if scheme == "strang_split":
-            self.half_phase = np.exp(-0.5j * self.h * tau * model.diag_energies)
-            mids = (np.arange(n_steps) + 0.5) * self.h
-            self.theta_steps = self.h * sw.gdot(mids)
+    Returns one Trajectory or FriedrichsError per row.
+    """
+    frame = "rotating" if scheme == "strang_split" else "interaction"
+    record_idx, late_times = set(), []
+    for t in sorted(set(config.record_times) | {min(config.s_end, 1.0)}):
+        if t <= 1.0:
+            record_idx.add(round(t * n))
         else:
-            deg = _MAGNUS_DEGREE
-            x, _, analysis = legendre_projection(deg + 1)
-            mids = (np.arange(n_steps) + 0.5) * self.h
-            t_nodes = mids[:, None] + 0.5 * self.h * x[None, :]
-            coeffs = analysis @ sw.gdot(t_nodes.ravel()).reshape(t_nodes.shape).T
-            freqs = tau * model.diag_energies[1:]
-            moments = fourier_legendre_moments(freqs * 0.5 * self.h, deg)
-            # mu[:, step] = int_step gdot(t) e^{i tau omega t} dt / phase(mid)
-            self.mu = 0.5 * self.h * (moments @ coeffs)
-            self.freqs = freqs
-            self.mids = mids
+            late_times.append(t)
 
-    def step(self, m: int, state: np.ndarray):
-        if self.scheme == "strang_split":
-            state *= self.half_phase[(...,) + (None,) * (state.ndim - 1)]
-            _apply_exchange_rotation(self.model.coupling, self.theta_steps[m], state)
-            state *= self.half_phase[(...,) + (None,) * (state.ndim - 1)]
-        else:
-            d = self.model.coupling * (np.exp(1j * self.freqs * self.mids[m])
-                                       * self.mu[:, m])
-            r = np.linalg.norm(d)
-            if r > 0.0:
-                _apply_rank2_exp(d / r, r, state)
+    vec0 = initial.as_vector()
+    bound = np.empty((n + 1, len(taus)), dtype=complex)  # b0 after each step
+    sq = np.empty((n + 1, len(taus)))    # continuum sum of squares, likewise
+    cont = np.tile(vec0[1:], (len(taus), 1))
+    cont_r = cont.view(float)
+    bound[0] = vec0[0]
+    np.vecdot(cont_r, cont_r, out=sq[0])
+    kept = {0: np.column_stack((bound[0], cont))} if 0 in record_idx else {}
 
-    def free_flight_phase(self, ds: float) -> np.ndarray:
-        """Diagonal phases advancing a rotating-frame state by ds past s=1."""
-        return np.exp(-1j * self.tau * ds * self.model.diag_energies)
+    blocks, half = _steps(model, taus, n, scheme)
+    for start, u, cos_m1, isin in blocks:
+        for j in range(len(cos_m1)):
+            m = start + j
+            b0, nb = bound[m], bound[m + 1]
+            if half is not None:
+                b0 = b0 * half[:, 0]
+                cont *= half[:, 1:]
+            uc = np.vecdot(u[j], cont)
+            np.multiply(cos_m1[j], b0, out=nb)
+            nb -= isin[j] * uc
+            nb += b0
+            coef = cos_m1[j] * uc
+            coef -= isin[j] * b0
+            cont += u[j] * coef[:, None]
+            if half is not None:
+                nb *= half[:, 0]
+                cont *= half[:, 1:]
+            np.vecdot(cont_r, cont_r, out=sq[m + 1])
+            if m + 1 in record_idx:
+                kept[m + 1] = np.column_stack((nb, cont))
+
+    leaks = np.sqrt(sq)
+    dev = np.abs(np.sqrt(np.abs(bound) ** 2 + sq) - 1.0)
+    finite = np.isfinite(bound) & np.isfinite(sq)
+    window_s = np.arange(n + 1) / n
+    final = np.column_stack((bound[n], cont))
+    results = []
+    for t, tau in enumerate(taus.tolist()):
+        if not finite[:, t].all():
+            step = int(np.argmin(finite[:, t]))
+            results.append(NumericalOverflow(
+                f"non-finite state at step {step} (tau={tau})"))
+            continue
+        drift = float(np.max(dev[:, t]))
+        if drift > config.drift_tolerance:
+            results.append(IntegrationFailure(
+                f"unitarity drift {drift:.3e} exceeds tolerance "
+                f"{config.drift_tolerance:.1e} (tau={tau}, scheme={scheme})",
+                drift))
+            continue
+        samples = [(idx / n, RotatingState.from_vector(kept[idx][t], frame, idx / n),
+                    float(leaks[idx, t])) for idx in sorted(kept)]
+        for s in late_times:
+            vec = final[t]
+            if frame == "rotating":
+                vec = vec * np.exp(-1j * tau * (s - 1.0) * model.diag_energies)
+            samples.append((s, RotatingState.from_vector(vec, frame, s),
+                            float(leaks[n, t])))
+        results.append(Trajectory(samples=samples, tau=tau, unitarity_drift=drift,
+                                  scheme=scheme, n_window_steps=n,
+                                  window_s=window_s,
+                                  window_leaks=np.ascontiguousarray(leaks[:, t])))
+    return results
 
 
-def _continuum_norms(state: np.ndarray) -> float | np.ndarray:
-    sq = np.sum(np.abs(state[1:]) ** 2, axis=0)
-    return np.sqrt(sq)
-
-
-def _total_norm_dev(state: np.ndarray) -> float:
-    sq = np.abs(state[0]) ** 2 + np.sum(np.abs(state[1:]) ** 2, axis=0)
-    return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
-
-
-def evolve_true(model: FriedrichsModel, tau: float, config: IntegratorConfig,
-                initial: RotatingState | None = None) -> Trajectory:
+def evolve_true(model: FriedrichsModel, tau, config: IntegratorConfig,
+                initial: RotatingState | None = None):
     """Integrate the driven dynamics from s = 0 and sample the leak.
 
     The window [0, 1] is covered by uniform steps (at least
     window_samples of them, so the in-window supremum is tracked
     densely); record_times inside the window are snapped to the step
     grid, times past the window are reached by one exact phase step.
+
+    With a single tau, returns its Trajectory or raises its failure.
+    With a sequence of taus, which must share one scheme and step count,
+    integrates them in one batch and returns a TrajectoryBatch in which
+    a failed column holds its error; the other columns are unaffected,
+    and each equals its single-tau run bit for bit.
     """
-    if tau <= 0.0:
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    if taus.ndim != 1 or taus.size == 0:
+        raise ConfigurationError("tau must be a number or a nonempty sequence")
+    if np.any(~(taus > 0.0)):
         raise ConfigurationError(f"tau must be positive, got {tau}")
     if initial is None:
         initial = model.bound_state()
@@ -222,57 +348,23 @@ def evolve_true(model: FriedrichsModel, tau: float, config: IntegratorConfig,
     if initial.time_s != 0.0:
         raise ConfigurationError("evolution must start at s = 0")
 
-    scheme = resolve_scheme(model, tau, config)
-    n = _window_steps(model, tau, config, scheme)
-    runner = _Runner(model, tau, n, scheme)
-    frame = "rotating" if scheme == "strang_split" else "interaction"
+    plans = set()
+    for t in taus.tolist():
+        scheme = resolve_scheme(model, t, config)
+        plans.add((scheme, _window_steps(model, t, config, scheme)))
+    if len(plans) > 1:
+        raise ConfigurationError(
+            f"a batch must share one scheme and step count; got {sorted(plans)}")
+    (scheme, n), = plans
+    results = _evolve_rows(model, taus, n, scheme, config, initial)
+    if np.ndim(tau) == 0:
+        return TrajectoryBatch((float(tau),), results, scheme, n).trajectories()[0]
+    return TrajectoryBatch(tuple(taus.tolist()), results, scheme, n)
 
-    state = initial.as_vector()
-    record_idx: dict[int, float] = {}
-    late_times: list[float] = []
-    times = set(config.record_times) | {min(config.s_end, 1.0)}
-    for t in sorted(times):
-        if t <= 1.0:
-            record_idx[round(t * n)] = t
-        else:
-            late_times.append(t)
 
-    window_leaks = np.empty(n + 1)
-    window_leaks[0] = _continuum_norms(state)
-    samples: list[tuple[float, RotatingState, float]] = []
-    if 0 in record_idx:
-        samples.append((0.0, RotatingState.from_vector(state, frame, 0.0),
-                        float(window_leaks[0])))
-    drift = _total_norm_dev(state)
-
-    for m in range(n):
-        runner.step(m, state)
-        lv = _continuum_norms(state)
-        window_leaks[m + 1] = lv
-        if not np.isfinite(lv):
-            raise NumericalOverflow(f"non-finite state at step {m + 1} (tau={tau})")
-        drift = max(drift, _total_norm_dev(state))
-        if (m + 1) in record_idx:
-            s_here = (m + 1) / n
-            samples.append((s_here, RotatingState.from_vector(state, frame, s_here),
-                            float(lv)))
-
-    leak_end = float(window_leaks[-1])
-    for t in late_times:
-        if frame == "interaction":
-            vec = state
-        else:
-            vec = state * runner.free_flight_phase(t - 1.0)
-        samples.append((t, RotatingState.from_vector(vec, frame, t), leak_end))
-
-    if drift > config.drift_tolerance:
-        raise IntegrationFailure(
-            f"unitarity drift {drift:.3e} exceeds tolerance "
-            f"{config.drift_tolerance:.1e} (tau={tau}, scheme={scheme})", drift)
-
-    return Trajectory(samples=samples, tau=tau, unitarity_drift=drift,
-                      scheme=scheme, n_window_steps=n,
-                      window_s=np.arange(n + 1) / n, window_leaks=window_leaks)
+def _total_norm_dev(state: np.ndarray) -> float:
+    sq = np.abs(state[0]) ** 2 + np.sum(np.abs(state[1:]) ** 2, axis=0)
+    return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
 
 
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
@@ -282,31 +374,43 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     """Evolve the full basis; in the interaction frame the matrix at time s
     is the wave operator comparing true and frame dynamics.
 
-    Returns (actual record times snapped to the grid, list of matrices,
-    drift). With scheme='strang_split' the matrices are rotating-frame
-    propagators instead.
+    Takes the same rotations as evolve_true, applied to the (dim, dim)
+    matrix by matrix-vector products. Returns (actual record times
+    snapped to the grid, list of matrices, drift). With
+    scheme='strang_split' the matrices are rotating-frame propagators
+    instead.
     """
     n = int(n_steps)
-    runner = _Runner(model, tau, n, scheme)
+    blocks, half = _steps(model, np.array([float(tau)]), n, scheme)
+    if half is not None:
+        half = half[0][:, None]
     record_idx = sorted({min(round(float(t) * n), n) for t in record_s})
     mat = np.eye(model.dim, dtype=complex)
     out, s_out = [], []
     drift = 0.0
-    pos = 0
     targets = set(record_idx)
     if 0 in targets:
         out.append(mat.copy())
         s_out.append(0.0)
-    for m in range(n):
-        runner.step(m, mat)
-        if (m + 1) in targets:
-            out.append(mat.copy())
-            s_out.append((m + 1) / n)
-        if (m + 1) % 64 == 0 or m == n - 1:
-            dev = _total_norm_dev(mat)
-            if not np.isfinite(dev):
-                raise NumericalOverflow(f"non-finite propagator at step {m + 1}")
-            drift = max(drift, dev)
+    for start, u, cos_m1, isin in blocks:
+        for j in range(len(cos_m1)):
+            m = start + j
+            if half is not None:
+                mat *= half
+            b0 = mat[0].copy()
+            uc = u[j, 0].conj() @ mat[1:]
+            mat[0] += cos_m1[j, 0] * b0 - isin[j, 0] * uc
+            mat[1:] += np.multiply.outer(u[j, 0], cos_m1[j, 0] * uc - isin[j, 0] * b0)
+            if half is not None:
+                mat *= half
+            if (m + 1) in targets:
+                out.append(mat.copy())
+                s_out.append((m + 1) / n)
+            if (m + 1) % 64 == 0 or m == n - 1:
+                dev = _total_norm_dev(mat)
+                if not np.isfinite(dev):
+                    raise NumericalOverflow(f"non-finite propagator at step {m + 1}")
+                drift = max(drift, dev)
     if drift > drift_tolerance:
         raise IntegrationFailure(
             f"propagator drift {drift:.3e} exceeds {drift_tolerance:.1e}", drift)

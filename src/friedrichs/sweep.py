@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -294,10 +294,16 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     return SweepConfig(**values)
 
 
+#: run and output settings: they change no result, so they are not hashed
+_RUN_SETTINGS = ("directory", "formats", "jobs", "reproducible_timings")
+
+
 def canonical_config_text(cfg: SweepConfig) -> str:
-    """Stable one-line-per-field rendering used for hashing and manifests."""
+    """Stable one-line-per-field rendering of the hashed (physics) fields."""
     lines = []
     for key, value in sorted(asdict(cfg).items()):
+        if key in _RUN_SETTINGS:
+            continue
         if isinstance(value, float):
             value = format_float17(value)
         elif isinstance(value, tuple):
@@ -326,34 +332,69 @@ def _integrator_config(cfg: SweepConfig, max_step: float | None) -> IntegratorCo
                             strang_step_budget=cfg.strang_step_budget)
 
 
-def _run_one(cfg: SweepConfig, tau: float, max_step: float | None) -> SweepRecord:
-    """Worker body: rebuild the model locally, evolve one trajectory."""
-    model = build_model_from_config(cfg)
-    icfg = _integrator_config(cfg, max_step)
-    start = time.perf_counter()
-    try:
-        tr = evolve_true(model, tau, icfg)
-    except FriedrichsError as exc:
-        drift = exc.drift if isinstance(exc, IntegrationFailure) else math.nan
+def _record(tau: float, result, wall_s: float, s_probe: float) -> SweepRecord:
+    if isinstance(result, FriedrichsError):
+        drift = result.drift if isinstance(result, IntegrationFailure) else math.nan
         return SweepRecord(tau=tau, leak_probe=math.nan, sup_leak_window=math.nan,
                            unitarity_drift=drift, wall_time_s=0.0, scheme="",
-                           n_steps=0, error=f"{type(exc).__name__}: {exc}")
-    elapsed = time.perf_counter() - start
-    return SweepRecord(tau=tau, leak_probe=tr.leak_at(cfg.s_probe),
-                       sup_leak_window=tr.sup_leak_window,
-                       unitarity_drift=tr.unitarity_drift,
-                       wall_time_s=elapsed, scheme=tr.scheme,
-                       n_steps=tr.n_window_steps)
+                           n_steps=0, error=f"{type(result).__name__}: {result}")
+    return SweepRecord(tau=tau, leak_probe=result.leak_at(s_probe),
+                       sup_leak_window=result.sup_leak_window,
+                       unitarity_drift=result.unitarity_drift, wall_time_s=wall_s,
+                       scheme=result.scheme, n_steps=result.n_window_steps)
 
 
-def _calibrate_steps(cfg: SweepConfig, model: FriedrichsModel) -> tuple[float | None, dict]:
+def _run_batch(cfg: SweepConfig, taus: list[float], max_step: float | None,
+               model: FriedrichsModel | None = None) -> list[SweepRecord]:
+    """Evolve taus as one batch and make a record of each column.
+
+    Also the pool worker body, which rebuilds the model locally. Each
+    record is credited with the batch's wall time divided by its width.
+    """
+    if model is None:
+        model = build_model_from_config(cfg)
+    start = time.perf_counter()
+    try:
+        results = evolve_true(model, taus, _integrator_config(cfg, max_step)).results
+    except FriedrichsError as exc:
+        results = [exc] * len(taus)
+    wall_s = (time.perf_counter() - start) / len(taus)
+    return [_record(t, r, wall_s, cfg.s_probe) for t, r in zip(taus, results)]
+
+
+def _batch_entry(taus, records) -> dict:
+    return {"taus": list(taus), "n_steps": max(r.n_steps for r in records)}
+
+
+@dataclass
+class _TrajectoryCache:
+    """Records by (n_steps, tau), shared by step calibration and production."""
+
+    cfg: SweepConfig
+    model: FriedrichsModel
+    records: dict = field(default_factory=dict)
+    batches: list = field(default_factory=list)
+
+    def get(self, n_steps: int, taus) -> list[SweepRecord]:
+        """Records at n_steps, running the missing taus as one batch."""
+        missing = [t for t in dict.fromkeys(taus) if (n_steps, t) not in self.records]
+        if missing:
+            recs = _run_batch(self.cfg, missing, 1.0 / n_steps, self.model)
+            self.records.update(((n_steps, t), r) for t, r in zip(missing, recs))
+            self.batches.append(_batch_entry(missing, recs))
+        return [self.records[(n_steps, t)] for t in taus]
+
+
+def _calibrate_steps(cfg: SweepConfig, model: FriedrichsModel,
+                     cache: _TrajectoryCache) -> tuple[float | None, dict]:
     """Refine the step count until halving moves probe leaks below tolerance.
 
     Checked at both ends of the tau range (the smallest leak is the most
     demanding); applies only when the resolved scheme is the interaction
-    integrator, whose step is tau-independent.
+    integrator, whose step is tau-independent. The first candidate step
+    count runs every tau, so that production finds its records in the
+    cache when that count is accepted; the halved steps run the two ends.
     """
-    probe = {}
     base_steps = max(cfg.window_samples, 2048)
     if cfg.max_step is not None:
         base_steps = max(base_steps, math.ceil(1.0 / cfg.max_step))
@@ -362,19 +403,20 @@ def _calibrate_steps(cfg: SweepConfig, model: FriedrichsModel) -> tuple[float | 
     if not cfg.calibrate or schemes != {"interaction_magnus"}:
         return cfg.max_step, {"calibrated": False, "n_steps": None}
 
-    def probe_leaks(n):
-        icfg = _integrator_config(cfg, 1.0 / n)
-        out = []
+    def probe_leaks(n, run_taus):
+        by_tau = dict(zip(run_taus, cache.get(n, run_taus)))
         for t in taus:
-            icfg_t = replace(icfg, scheme="interaction_magnus")
-            out.append(evolve_true(model, t, icfg_t).leak_at(cfg.s_probe))
-        return np.array(out)
+            if by_tau[t].error is not None:
+                raise IntegrationFailure(
+                    f"step calibration at tau={t} with {n} steps failed: "
+                    f"{by_tau[t].error}", by_tau[t].unitarity_drift)
+        return np.array([by_tau[t].leak_probe for t in taus])
 
     n = base_steps
-    coarse = probe_leaks(n)
+    coarse = probe_leaks(n, cfg.tau_values)
     history = []
     for _ in range(3):
-        fine = probe_leaks(2 * n)
+        fine = probe_leaks(2 * n, taus)
         rel = float(np.max(np.abs(coarse - fine) /
                            np.maximum(np.abs(fine), 1e-300)))
         history.append({"n_steps": n, "rel_change": rel})
@@ -385,24 +427,52 @@ def _calibrate_steps(cfg: SweepConfig, model: FriedrichsModel) -> tuple[float | 
     return 1.0 / n, {"calibrated": True, "n_steps": n, "history": history}
 
 
+def _plan_batches(model: FriedrichsModel, cfg: SweepConfig, taus,
+                  max_step: float | None) -> list[list[float]]:
+    """Split taus into batches, at most cfg.jobs of interaction-scheme taus.
+
+    Interaction taus share a step count, so they batch together, dealt
+    round-robin; a strang_split tau's step count depends on tau, so it
+    runs alone.
+    """
+    icfg = _integrator_config(cfg, max_step)
+    inter = [t for t in taus if resolve_scheme(model, t, icfg) == "interaction_magnus"]
+    width = min(cfg.jobs, len(inter))
+    return ([inter[i::width] for i in range(width)]
+            + [[t] for t in taus if t not in inter])
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evolve every tau, fit the tails, and evaluate configured checks.
 
-    Trajectories for distinct tau are independent; with jobs > 1 they run
-    on a process pool. Records are collected in tau order regardless of
-    completion order, and an integration failure taints only its own tau.
+    Step calibration and production share a cache of records by step
+    count and tau; production runs only the taus the cache lacks, in one
+    batch, or with jobs > 1 in up to jobs batches on a process pool. A
+    column's result does not depend on its batch, records are collected
+    in tau order, and an integration failure taints only its own tau.
     """
     model = build_model_from_config(cfg)
-    max_step, calibration = _calibrate_steps(cfg, model)
+    cache = _TrajectoryCache(cfg, model)
+    max_step, calibration = _calibrate_steps(cfg, model, cache)
 
-    if cfg.jobs > 1 and len(cfg.tau_values) > 1:
+    n = calibration["n_steps"]
+    records = [cache.records[(n, t)] for t in cfg.tau_values
+               if (n, t) in cache.records]
+    reused = len(records)
+    missing = [t for t in cfg.tau_values if (n, t) not in cache.records]
+    batches = _plan_batches(model, cfg, missing, max_step)
+    if cfg.jobs > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_one, cfg, t, max_step)
-                       for t in cfg.tau_values]
-            records = [f.result() for f in futures]
+            futures = [pool.submit(_run_batch, cfg, b, max_step) for b in batches]
+            done = [f.result() for f in futures]
     else:
-        records = [_run_one(cfg, t, max_step) for t in cfg.tau_values]
+        done = [_run_batch(cfg, b, max_step, model) for b in batches]
+    for batch, recs in zip(batches, done):
+        cache.batches.append(_batch_entry(batch, recs))
+        records += recs
     records.sort(key=lambda r: r.tau)
+    calibration["batches"] = cache.batches
+    calibration["reused_trajectories"] = reused
 
     wall_measured = [r.wall_time_s for r in records]
     if cfg.reproducible_timings:

@@ -43,3 +43,22 @@ def model_b15_small(grid128, switching):
 def model_gapped_small(switching):
     grid = build_grid(1.0, 8, 4, 1e-3)
     return assemble_model(grid, build_form_factor(grid, 1.5), switching, 1.0)
+
+
+@pytest.fixture
+def spoil_column(monkeypatch):
+    """spoil(tau, factor) scales one tau's interaction rotations by factor."""
+    from friedrichs import propagate
+
+    blocks = propagate._interaction_blocks
+
+    def spoil(tau, factor):
+        def spoiled(model, taus, n_steps):
+            for start, u, cos_m1, isin in blocks(model, taus, n_steps):
+                if tau in taus:
+                    u[:, list(taus).index(tau)] *= factor
+                yield start, u, cos_m1, isin
+
+        monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
+
+    return spoil

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from friedrichs.errors import (ConfigurationError, ContractViolation,
-                               IntegrationFailure)
+                               IntegrationFailure, NumericalOverflow)
 from friedrichs.model import RotatingState, SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
 from friedrichs.propagate import (IntegratorConfig, adiabatic_state,
                                   evolve_true, evolve_wave_operator, leak,
                                   resolve_scheme, to_frame, verify_generators)
 
-from oracles import dense_reference_evolve, single_mode_model
+from oracles import PerStepExpRunner, dense_reference_evolve, single_mode_model
+
+SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
+SWEEP_CFG = IntegratorConfig(scheme="interaction_magnus", max_step=1 / 2048.,
+                             record_times=(1.5,))
 
 
 def _state_at(tr, s):
@@ -109,6 +113,81 @@ class TestEvolveTrue:
         tr = evolve_true(model_b15_small, 100.0, cfg)
         assert len(tr.window_s) >= 201
         assert tr.sup_leak_window >= tr.leak_at(1.0)
+
+
+    def test_in_window_record_time_is_snapped(self, model_b15_small):
+        cfg = IntegratorConfig(scheme="interaction_magnus", record_times=(0.3,))
+        tr = evolve_true(model_b15_small, 200.0, cfg)
+        assert tr.n_window_steps == 512
+        snapped = round(0.3 * 512) / 512
+        assert snapped == 0.30078125
+        assert [s for s, _, _ in tr.samples] == [snapped, 1.0]
+        assert tr.leak_at(0.3) == tr.leak_at(snapped) == tr.window_leaks[154]
+        with pytest.raises(KeyError):
+            tr.leak_at(0.5)
+
+
+def _same_trajectory(a, b):
+    return (np.array_equal(a.window_leaks, b.window_leaks)
+            and a.unitarity_drift == b.unitarity_drift
+            and all(sa == sb and np.array_equal(xa.as_vector(), xb.as_vector())
+                    for (sa, xa, _), (sb, xb, _) in zip(a.samples, b.samples)))
+
+
+class TestBatchedLoop:
+    @pytest.fixture(scope="class")
+    def batch(self, model_b15):
+        return evolve_true(model_b15, SWEEP_TAUS, SWEEP_CFG)
+
+    def test_matches_per_step_exp_oracle(self, model_b15, batch):
+        for tau, tr in zip(SWEEP_TAUS, batch.trajectories()):
+            ref = PerStepExpRunner(model_b15, tau, 2048).window_leaks()
+            assert abs(tr.leak_at(1.5) - ref[-1]) <= 1e-13 * ref[-1]
+            assert abs(tr.sup_leak_window - ref.max()) <= 1e-13 * ref.max()
+            assert tr.unitarity_drift <= 1e-13
+
+    def test_columns_independent_of_batch(self, model_b15, batch):
+        full = batch.trajectories()
+        for i, tau in enumerate(SWEEP_TAUS):
+            assert _same_trajectory(evolve_true(model_b15, tau, SWEEP_CFG), full[i])
+        ends = evolve_true(model_b15, SWEEP_TAUS[::4], SWEEP_CFG).trajectories()
+        assert _same_trajectory(ends[0], full[0])
+        assert _same_trajectory(ends[1], full[4])
+
+    def test_non_finite_column_fails_alone(self, model_b15_small, spoil_column):
+        taus = (100.0, 300.0, 1000.0)
+        clean = evolve_true(model_b15_small, taus, SWEEP_CFG).trajectories()
+        spoil_column(300.0, np.nan)
+        out = evolve_true(model_b15_small, taus, SWEEP_CFG)
+        assert isinstance(out.results[1], NumericalOverflow)
+        assert "step 1 " in str(out.results[1])
+        assert _same_trajectory(out.results[0], clean[0])
+        assert _same_trajectory(out.results[2], clean[2])
+        with pytest.raises(NumericalOverflow):
+            out.trajectories()
+        with pytest.raises(NumericalOverflow):
+            evolve_true(model_b15_small, 300.0, SWEEP_CFG)
+
+    def test_drifting_column_fails_alone(self, model_b15_small, spoil_column):
+        taus = (100.0, 300.0, 1000.0)
+        clean = evolve_true(model_b15_small, taus, SWEEP_CFG).trajectories()
+        spoil_column(1000.0, 2.0)
+        out = evolve_true(model_b15_small, taus, SWEEP_CFG)
+        assert isinstance(out.results[2], IntegrationFailure)
+        assert out.results[2].drift > SWEEP_CFG.drift_tolerance
+        assert _same_trajectory(out.results[0], clean[0])
+        assert _same_trajectory(out.results[1], clean[1])
+        assert out.unitarity_drift == max(clean[0].unitarity_drift,
+                                          clean[1].unitarity_drift)
+
+    def test_batch_must_share_scheme(self, model_b15_small):
+        cfg = IntegratorConfig(scheme="auto", strang_step_budget=1000)
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, (10.0, 1e4), cfg)
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, (), cfg)
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, (100.0, -1.0), SWEEP_CFG)
 
 
 class TestAdiabaticState:

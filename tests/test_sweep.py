@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -110,6 +111,13 @@ class TestConfig:
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(resolve_config({}, beta=1.5))
 
+    def test_hash_ignores_run_settings(self):
+        base = config_hash(resolve_config({}, jobs=1))
+        assert config_hash(resolve_config({}, jobs=2)) == base
+        assert config_hash(resolve_config({}, directory="elsewhere",
+                                          formats=("svg",),
+                                          reproducible_timings=False)) == base
+
 
 class TestOutputs:
     def test_csv_round_trip_bit_exact(self, quick_result):
@@ -183,3 +191,41 @@ class TestRunSweep:
         for a, b in zip(res1.records, res2.records):
             assert a.leak_probe == b.leak_probe
             assert a.sup_leak_window == b.sup_leak_window
+
+    def test_calibration_batches_feed_production(self, quick_result):
+        cal = quick_result.calibration
+        assert cal["n_steps"] == 2048
+        assert cal["batches"] == [
+            {"taus": list(QUICK_TAUS), "n_steps": 2048},
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 4096}]
+        assert cal["reused_trajectories"] == len(QUICK_TAUS)
+        # each record carries its batch's wall time over the batch width
+        walls = quick_result.wall_times_measured
+        assert len(set(walls)) == 1 and walls[0] > 0.0
+
+    def test_pool_runs_missing_taus_in_batches(self):
+        cfg1 = resolve_config({}, tau_values=QUICK_TAUS, calibrate=False,
+                              max_step=1 / 2048., jobs=1)
+        res1, res2 = run_sweep(cfg1), run_sweep(replace(cfg1, jobs=2))
+        assert res1.calibration["batches"] == [
+            {"taus": list(QUICK_TAUS), "n_steps": 2048}]
+        assert res2.calibration["batches"] == [
+            {"taus": list(QUICK_TAUS[0::2]), "n_steps": 2048},
+            {"taus": list(QUICK_TAUS[1::2]), "n_steps": 2048}]
+        assert res2.calibration["reused_trajectories"] == 0
+        assert render_csv(res1) == render_csv(res2)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_failed_column_taints_only_its_record(self, quick_result,
+                                                 spoil_column):
+        bad_tau = QUICK_TAUS[1]
+        spoil_column(bad_tau, np.inf)
+        result = run_sweep(quick_result.config)
+        bad = [r for r in result.records if r.error is not None]
+        assert [r.tau for r in bad] == [bad_tau]
+        assert bad[0].error.startswith("NumericalOverflow")
+        for got, want in zip(result.records, quick_result.records):
+            if got.tau != bad_tau:
+                assert (got.leak_probe, got.sup_leak_window, got.unitarity_drift) \
+                    == (want.leak_probe, want.sup_leak_window, want.unitarity_drift)
+        assert len(render_csv(result).splitlines()) == len(QUICK_TAUS)

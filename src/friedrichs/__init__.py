@@ -11,9 +11,10 @@ superpolynomial decay of the gapped control case.
 __version__ = "0.1.0"
 
 from .errors import (AssemblyError, ConfigurationError, ContractViolation,
-                     FitDomainError, FriedrichsError, IntegrationFailure,
-                     NumericalOverflow, PrecisionLimitError,
-                     ResourceBudgetError, SpectralSeparationError)
+                     ConvergenceFailure, FitDomainError, FriedrichsError,
+                     IntegrationFailure, NumericalOverflow,
+                     PrecisionLimitError, ResourceBudgetError,
+                     SpectralSeparationError)
 from .model import (DiscretizedMeasure, FormFactor, FriedrichsModel,
                     RotatingState, SwitchingProfile, apply_rotation,
                     assemble_model, build_form_factor, build_grid,

@@ -16,14 +16,12 @@ independent quadratures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (ConfigurationError, ResourceBudgetError,
                      SpectralSeparationError)
-from .model import (DiscretizedMeasure, FormFactor, FriedrichsModel, PanelLayout,
-                    SwitchingProfile, FriedrichsModel as _Model, rotation_dense)
+from .model import FriedrichsModel
 from .numutil import gauss_panel
 from .propagate import IntegratorConfig, evolve_true
 
@@ -130,7 +128,11 @@ def _tilde_static(model: FriedrichsModel, x: np.ndarray) -> np.ndarray:
 
 
 class PolyMatrixProfile:
-    """Matrix polynomial in s with an analytic derivative."""
+    """Matrix polynomial in s with an analytic derivative.
+
+    value and derivative take a time or an array of times; an array gives
+    the matrices stacked along its leading axes.
+    """
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -143,29 +145,33 @@ class PolyMatrixProfile:
         c /= (1.0 + np.arange(degree + 1))[:, None, None]
         return cls(c)
 
-    def value(self, s: float) -> np.ndarray:
-        powers = float(s) ** np.arange(len(self.coeffs))
-        return np.einsum("m,mjk->jk", powers, self.coeffs)
+    def value(self, s) -> np.ndarray:
+        powers = np.asarray(s, dtype=float)[..., None] ** np.arange(len(self.coeffs))
+        return np.tensordot(powers, self.coeffs, axes=1)
 
-    def derivative(self, s: float) -> np.ndarray:
+    def derivative(self, s) -> np.ndarray:
         m = np.arange(len(self.coeffs), dtype=float)
-        powers = np.zeros_like(m)
-        powers[1:] = m[1:] * float(s) ** (m[1:] - 1.0)
-        return np.einsum("m,mjk->jk", powers, self.coeffs)
+        s = np.asarray(s, dtype=float)[..., None]
+        powers = np.zeros(s.shape[:-1] + m.shape)
+        powers[..., 1:] = m[1:] * s ** (m[1:] - 1.0)
+        return np.tensordot(powers, self.coeffs, axes=1)
 
 
 class ExchangeRateProfile:
-    """The driving commutator profile i gdot(s) A with analytic derivative."""
+    """The driving commutator profile i gdot(s) A with analytic derivative.
+
+    Takes a time or an array of times, like PolyMatrixProfile.
+    """
 
     def __init__(self, model: FriedrichsModel):
         self._a = model.exchange_dense()
         self._sw = model.switching
 
-    def value(self, s: float) -> np.ndarray:
-        return 1j * float(self._sw.gdot(s)) * self._a
+    def value(self, s) -> np.ndarray:
+        return 1j * np.multiply.outer(self._sw.gdot(s), self._a)
 
-    def derivative(self, s: float) -> np.ndarray:
-        return 1j * float(self._sw.gddot(s)) * self._a
+    def derivative(self, s) -> np.ndarray:
+        return 1j * np.multiply.outer(self._sw.gddot(s), self._a)
 
 
 @dataclass
@@ -181,99 +187,96 @@ class IbpReport:
     profile_tag: str
 
 
-@lru_cache(maxsize=1)
-def _calibrated_sign() -> int:
-    """Fix the global sign of the boundary side on a 2-by-2 probe."""
-    measure = DiscretizedMeasure(
-        nodes=np.array([1.0]), weights=np.array([1.0]), k_min=0.5, k_max=1.5,
-        panel_layout=PanelLayout(edges=np.array([0.5, 1.5]), nodes_per_panel=1))
-    ff = FormFactor(beta=1.0, values=np.array([1.0]), cutoff_fraction=0.5,
-                    norm_constant=1.0)
-    tiny = _Model(measure=measure, form_factor=ff,
-                  switching=SwitchingProfile(np.pi / 4), gap_shift=1.0)
-    lhs, rhs = _ibp_sides(tiny, tau=40.0, x_profile=ExchangeRateProfile(tiny),
-                          y_profile=PolyMatrixProfile.random(2, 2, seed=7),
-                          s=1.25, quad_order=160)
-    plus = np.linalg.norm(lhs - rhs)
-    minus = np.linalg.norm(lhs + rhs)
-    if not (plus < 1e-3 * minus or minus < 1e-3 * plus):
-        raise SpectralSeparationError(
-            "sign calibration probe was inconclusive; "
-            f"residuals {plus:.3e} / {minus:.3e}")
-    return 1 if plus < minus else -1
+# Sign of the identity Left = _IBP_SIGN * Right, as _ibp_sides defines
+# the two sides. With U = V exp(-i tau t H0) and Gamma = Vdot V^dag,
+# dU/dt = (Gamma - i tau H) U, so for any Z(t)
+#     d/dt (U^dag Z U) = U^dag (Zdot - [Gamma, Z] + i tau [H, Z]) U.
+# Take Z = tilde(X): then Zdot - [Gamma, Z] = D, and the cross-block
+# division gives Pperp [H, tilde(X)] P = Pperp X P. Since U^dag P U is the
+# fixed bound projector P0,
+#     i tau Pperp0 U^dag X U P0 = Pperp0 (d/dt (U^dag tilde(X) U) - U^dag D U) P0.
+# Multiplying by Y on the right and integrating the derivative term by
+# parts gives Left = (1 / (i tau)) Pperp0 (...) = -Right.
+_IBP_SIGN = -1
+
+
+def _unrotate(model: FriedrichsModel, theta: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """V(theta_m)^dag vecs[m] for each row m; exp(-i theta A) in O(N)."""
+    c = model.coupling
+    b0 = vecs[:, 0]
+    cc = vecs[:, 1:] @ c
+    cos_m1 = np.cos(theta) - 1.0
+    isin = 1j * np.sin(theta)
+    out = vecs.copy()
+    out[:, 0] += cos_m1 * b0 - isin * cc
+    out[:, 1:] += np.multiply.outer(cos_m1 * cc - isin * b0, c)
+    return out
 
 
 def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
                s: float, quad_order: int):
-    """Both sides of the identity, each by its own Gauss quadrature.
+    """Both sides of the identity Left = -Right, each by Gauss quadrature.
 
     Left: Pperp int_0^s U^dag X U P Y dt.
     Right: (i/tau) Pperp ( [U^dag tilde(X) U P Y]_0^s
                            - int U^dag D U P Y dt
                            - int U^dag tilde(X) U P Ydot dt ),
-    where D is the transport derivative of the tilde'd profile,
+    where U = V exp(-i tau t H0), P projects on the bound direction e0
+    and D is the transport derivative of the tilde'd profile,
     D(t) = V tilde_0( d/dt (V^dag X V) ) V^dag; written out,
     d/dt (V^dag X V) = V^dag Xdot V - i gdot [A, V^dag X V]. The tilde
     reduces to the static cross-block division in the rotated basis.
+    The derivation is at _IBP_SIGN.
+
+    Every term is Pperp (U^dag M U e0) (x) Y[0, :], and U e0 = V e0 since
+    the bound energy is zero. With m = V^dag X V e0, U^dag X U e0 =
+    phase * m for phase = exp(i tau t H0), and U^dag tilde(X) U e0 =
+    phase * (0, m[1:] / gaps); D's column is the same division of
+    V^dag Xdot V e0 - i gdot (A m - V^dag X V A e0). So each side takes
+    three profile matvecs per node and the rotations in O(N), and the
+    nodes, stacked, contract in one (dim, q) @ (q, dim) product.
     """
-    dim = model.dim
     sw = model.switching
-    a_dense = model.exchange_dense()
-    energies = model.diag_energies
-
-    def u_ad(t):
-        v = rotation_dense(model, float(sw.g(t)))
-        return v * np.exp(-1j * tau * t * energies)[None, :]
-
-    def rotated(t, m):
-        v = rotation_dense(model, float(sw.g(t)))
-        return v.conj().T @ m @ v, v
-
-    def tilde_of_x(t):
-        xv, v = rotated(t, x_profile.value(t))
-        return v @ _tilde_static(model, xv) @ v.conj().T
-
-    def transport_derivative(t):
-        xv, v = rotated(t, x_profile.value(t))
-        xdv = v.conj().T @ x_profile.derivative(t) @ v
-        gd = float(sw.gdot(t))
-        inner = xdv - 1j * gd * (a_dense @ xv - xv @ a_dense)
-        return v @ _tilde_static(model, inner) @ v.conj().T
-
-    pperp = np.eye(dim, dtype=complex)
-    pperp[0, 0] = 0.0
-
-    def project(m):
-        out = m.copy()
-        out[0, :] = 0.0       # Pperp on the left
-        return out
-
-    def bound_column_only(m):
-        out = np.zeros_like(m)
-        out[:, 0] = m[:, 0]   # P on the right of U^dag X U
-        return out
-
+    c = model.coupling
+    gaps = model.diag_energies[1:]
     nodes, weights = gauss_panel(0.0, s, quad_order)
-    lhs = np.zeros((dim, dim), dtype=complex)
-    int_d = np.zeros((dim, dim), dtype=complex)
-    int_y = np.zeros((dim, dim), dtype=complex)
-    for t, w in zip(nodes, weights):
-        u = u_ad(t)
-        y = y_profile.value(t)
-        yd = y_profile.derivative(t)
-        core = u.conj().T @ x_profile.value(t) @ u
-        lhs += w * project(bound_column_only(core) @ y)
-        core_d = u.conj().T @ transport_derivative(t) @ u
-        int_d += w * project(bound_column_only(core_d) @ y)
-        core_t = u.conj().T @ tilde_of_x(t) @ u
-        int_y += w * project(bound_column_only(core_t) @ yd)
+    # the quadrature nodes, then the two boundary times
+    t = np.concatenate((nodes, [s, 0.0]))
+    theta = sw.g(t)
+    gd = sw.gdot(t)
+    cos, isin = np.cos(theta), 1j * np.sin(theta)
+    ve0 = np.empty((len(t), model.dim), dtype=complex)     # V e0
+    ve0[:, 0] = cos
+    ve0[:, 1:] = np.multiply.outer(isin, c)
+    va0 = np.empty_like(ve0)                               # V A e0
+    va0[:, 0] = isin
+    va0[:, 1:] = np.multiply.outer(cos, c)
+    x_vals = x_profile.value(t)
+    xv = _unrotate(model, theta, (x_vals @ ve0[:, :, None])[..., 0])
+    xva = _unrotate(model, theta, (x_vals @ va0[:, :, None])[..., 0])
+    xdv = _unrotate(model, theta,
+                    (x_profile.derivative(t) @ ve0[:, :, None])[..., 0])
+    a_xv = np.empty_like(xv)                               # A m
+    a_xv[:, 0] = xv[:, 1:] @ c
+    a_xv[:, 1:] = np.multiply.outer(xv[:, 0], c)
+    inner = xdv - 1j * gd[:, None] * (a_xv - xva)
+    phase = np.exp(1j * tau * t[:, None] * model.diag_energies)
+    col_x = phase * xv
+    col_x[:, 0] = 0.0
+    col_d = np.zeros_like(col_x)
+    col_d[:, 1:] = phase[:, 1:] * inner[:, 1:] / gaps
+    col_t = np.zeros_like(col_x)
+    col_t[:, 1:] = phase[:, 1:] * xv[:, 1:] / gaps
+    y_rows = y_profile.value(t)[:, 0]
+    yd_rows = y_profile.derivative(nodes)[:, 0]
 
-    def boundary(t):
-        u = u_ad(t)
-        core = u.conj().T @ tilde_of_x(t) @ u
-        return project(bound_column_only(core) @ y_profile.value(t))
-
-    rhs = (1j / tau) * (boundary(s) - boundary(0.0) - int_d - int_y)
+    q = quad_order
+    lhs = (col_x[:q].T * weights) @ y_rows[:q]
+    int_d = (col_d[:q].T * weights) @ y_rows[:q]
+    int_y = (col_t[:q].T * weights) @ yd_rows
+    boundary = (np.outer(col_t[q], y_rows[q])
+                - np.outer(col_t[q + 1], y_rows[q + 1]))
+    rhs = (1j / tau) * (boundary - int_d - int_y)
     return lhs, rhs
 
 
@@ -284,9 +287,10 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
 
     The identity moves the in-window leak integral onto boundary terms of
     order 1/tau; it holds exactly, so the residual is pure quadrature
-    error and shrinks superalgebraically as quad_order grows. The overall
-    sign of the boundary side is fixed once by a 2-by-2 probe and
-    recorded in the report.
+    error and shrinks superalgebraically as quad_order grows. The sign
+    of the boundary side is derived (see _IBP_SIGN) and recorded in the
+    report. The profiles must map an array of times to the stacked
+    matrices, as PolyMatrixProfile and ExchangeRateProfile do.
     """
     if model.gap_shift <= 0.0:
         raise ConfigurationError("the identity check needs gap_shift > 0")
@@ -297,11 +301,10 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
         x_profile = ExchangeRateProfile(model)
     if y_profile is None:
         y_profile = PolyMatrixProfile.random(model.dim, 2, seed=11)
-    sign = _calibrated_sign()
     lhs, rhs = _ibp_sides(model, tau, x_profile, y_profile, s, quad_order)
-    residual = float(np.linalg.norm(lhs - sign * rhs, 2))
+    residual = float(np.linalg.norm(lhs - _IBP_SIGN * rhs, 2))
     return IbpReport(residual=residual, lhs_norm=float(np.linalg.norm(lhs, 2)),
-                     sign=sign, quad_order=quad_order, tau=tau, s=s,
+                     sign=_IBP_SIGN, quad_order=quad_order, tau=tau, s=s,
                      profile_tag=profile_tag)
 
 

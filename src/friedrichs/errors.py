@@ -33,6 +33,10 @@ class NumericalOverflow(FriedrichsError):
     """Non-finite values appeared during a computation."""
 
 
+class ConvergenceFailure(FriedrichsError):
+    """An iteration reached its cap before meeting its tolerance."""
+
+
 class ResourceBudgetError(FriedrichsError):
     """A computation would exceed its size or memory budget."""
 

@@ -28,8 +28,7 @@ coefficients of gdot, so the (T, N, n_steps) array of generators never
 exists at once. Within a block the free phases exp(i tau omega t) at
 the step midpoints advance by powers of a fixed rotor exp(i tau omega h);
 each block re-seeds them with a direct exp, which bounds the rounding
-the rotor accumulates to about 64 ulps. The wave-operator evolution
-applies the same blocks to a (dim, dim) matrix.
+the rotor accumulates to about 64 ulps.
 
 Each step takes one sum of squares of the continuum amplitudes over all
 rows; the square root is the leak, and with the bound amplitude, also
@@ -37,6 +36,9 @@ kept per step, it gives the norm drift |sqrt(|b0|^2 + cont) - 1|. Drift
 and finiteness are evaluated for every step of every row. A row that
 goes non-finite or exceeds the drift tolerance fails alone; the other
 rows of its batch are unaffected.
+
+The wave-operator evolution applies the interaction rotations to a
+(dim, dim) matrix, a block of steps at a time (see _apply_rotations).
 
 For s >= 1 the driving vanishes and the remaining evolution is a single
 exact diagonal phase.
@@ -367,50 +369,74 @@ def _total_norm_dev(state: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
 
 
+def _apply_rotations(mat: np.ndarray, u: np.ndarray, cos_m1: np.ndarray,
+                     isin: np.ndarray) -> None:
+    """mat <- R_k ... R_1 mat in place, for the rank-two rotations of k steps.
+
+    R_j = 1 + X_j M_j X_j^dagger with X_j = [e0, u_j] and M_j =
+    [[cos r - 1, -i sin r], [-i sin r, cos r - 1]], so the product is the
+    identity off the span of Q = [e0, basis], basis an orthonormal basis
+    of the u_j. With W the product in Q's coordinates, it equals
+    1 + Q (W - 1) Q^dagger: the rotations act on the small W - 1, and
+    the matrix takes one BLAS-3 update instead of k rank-one passes.
+    """
+    basis, coords = np.linalg.qr(u.T)    # u_j = basis @ coords[:, j]
+    k, r = len(cos_m1), len(coords)
+    x = np.zeros((k, r + 1, 2), dtype=complex)
+    x[:, 0, 0] = 1.0
+    x[:, 1:, 1] = coords.T
+    m = np.empty((k, 2, 2), dtype=complex)
+    m[:, 0, 0] = m[:, 1, 1] = cos_m1
+    m[:, 0, 1] = m[:, 1, 0] = -isin
+    xm = x @ m
+    xh = x.conj().transpose(0, 2, 1)
+    d = np.zeros((r + 1, r + 1), dtype=complex)     # W - 1
+    for j in range(k):
+        d += xm[j] @ (xh[j] + xh[j] @ d)
+    t = d[:, 1:] @ (basis.conj().T @ mat[1:])
+    t += np.multiply.outer(d[:, 0], mat[0])
+    mat[0] += t[0]
+    mat[1:] += basis @ t[1:]
+
+
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
-                         record_s: np.ndarray,
-                         scheme: str = "interaction_magnus",
-                         drift_tolerance: float = 1e-9):
-    """Evolve the full basis; in the interaction frame the matrix at time s
+                         record_s: np.ndarray, drift_tolerance: float = 1e-9):
+    """Evolve the full basis in the interaction frame; the matrix at time s
     is the wave operator comparing true and frame dynamics.
 
     Takes the same rotations as evolve_true, applied to the (dim, dim)
-    matrix by matrix-vector products. Returns (actual record times
-    snapped to the grid, list of matrices, drift). With
-    scheme='strang_split' the matrices are rotating-frame propagators
-    instead.
+    matrix in blocks: the steps between consecutive stops (record steps
+    and the end of each _RESEED_STEPS-step block) go in as one update of
+    compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
+    1989), see _apply_rotations. Drift and finiteness are checked at
+    every block end, so at least every 64 steps and at the last step.
+    Returns (actual record times snapped to the grid, list of matrices,
+    drift).
     """
     n = int(n_steps)
-    blocks, half = _steps(model, np.array([float(tau)]), n, scheme)
-    if half is not None:
-        half = half[0][:, None]
-    record_idx = sorted({min(round(float(t) * n), n) for t in record_s})
+    record_idx = {min(round(float(t) * n), n) for t in record_s}
     mat = np.eye(model.dim, dtype=complex)
     out, s_out = [], []
     drift = 0.0
-    targets = set(record_idx)
-    if 0 in targets:
+    if 0 in record_idx:
         out.append(mat.copy())
         s_out.append(0.0)
-    for start, u, cos_m1, isin in blocks:
-        for j in range(len(cos_m1)):
-            m = start + j
-            if half is not None:
-                mat *= half
-            b0 = mat[0].copy()
-            uc = u[j, 0].conj() @ mat[1:]
-            mat[0] += cos_m1[j, 0] * b0 - isin[j, 0] * uc
-            mat[1:] += np.multiply.outer(u[j, 0], cos_m1[j, 0] * uc - isin[j, 0] * b0)
-            if half is not None:
-                mat *= half
-            if (m + 1) in targets:
+    for start, u, cos_m1, isin in _interaction_blocks(
+            model, np.array([float(tau)]), n):
+        stop = start + len(cos_m1)
+        a = start
+        for b in sorted({i for i in record_idx if start < i < stop} | {stop}):
+            _apply_rotations(mat, u[a - start:b - start, 0],
+                             cos_m1[a - start:b - start, 0],
+                             isin[a - start:b - start, 0])
+            a = b
+            if b in record_idx:
                 out.append(mat.copy())
-                s_out.append((m + 1) / n)
-            if (m + 1) % 64 == 0 or m == n - 1:
-                dev = _total_norm_dev(mat)
-                if not np.isfinite(dev):
-                    raise NumericalOverflow(f"non-finite propagator at step {m + 1}")
-                drift = max(drift, dev)
+                s_out.append(b / n)
+        dev = _total_norm_dev(mat)
+        if not np.isfinite(dev):
+            raise NumericalOverflow(f"non-finite propagator at step {stop}")
+        drift = max(drift, dev)
     if drift > drift_tolerance:
         raise IntegrationFailure(
             f"propagator drift {drift:.3e} exceeds {drift_tolerance:.1e}", drift)

@@ -1,10 +1,18 @@
 """Independent reference computations the tests check the package against.
 
 Everything here is deliberately brute force and shares no code with the
-integration or quadrature paths under test. The one exception is
-PerStepExpRunner, the interaction-picture step as it stood before the
-stepping loop was batched over tau: it reuses the package's Filon
-moments, and cross-checks only how the loop lays out its work.
+integration or quadrature paths under test. The exceptions cross-check
+only how the package lays out its work, and reuse the pieces they do not
+check:
+
+* PerStepExpRunner, the interaction-picture step as it stood before the
+  stepping loop was batched over tau, reuses the package's Filon moments;
+* PerStepWaveOperator, the wave-operator loop as it stood before its
+  steps were blocked, reuses the package's rotations;
+* per_node_series_terms and per_node_ibp_sides, the series collocation
+  and the identity's quadratures as they stood before the rank-two
+  kernel was exploited, reuse the kernel, the rotations and the static
+  tilde.
 """
 
 import numpy as np
@@ -95,16 +103,19 @@ def single_mode_model(k=1.0, theta_total=np.pi / 4, gap_shift=0.0):
                            gap_shift=float(gap_shift))
 
 
+def _apply_rank2_exp_parts(u, cos_m1, isin, state):
+    """In-place rotation by cos r - 1 and i sin r in span{e0, u}."""
+    b0 = state[0].copy()
+    uc = u.conj() @ state[1:]
+    state[0] += cos_m1 * b0 - isin * uc
+    state[1:] += np.multiply.outer(u, cos_m1 * uc - isin * b0)
+
+
 def _apply_rank2_exp(u, r, state):
     """In-place exp(-i M) with M = |d><e0| + |e0><d|, d = r u, u unit."""
     if r == 0.0:
         return
-    b0 = state[0].copy()
-    uc = u.conj() @ state[1:]
-    cos_m1 = np.cos(r) - 1.0
-    isin = 1j * np.sin(r)
-    state[0] += cos_m1 * b0 - isin * uc
-    state[1:] += np.multiply.outer(u, cos_m1 * uc - isin * b0)
+    _apply_rank2_exp_parts(u, np.cos(r) - 1.0, 1j * np.sin(r), state)
 
 
 class PerStepExpRunner:
@@ -152,3 +163,150 @@ class PerStepExpRunner:
             self.step(m, state)
             leaks[m + 1] = np.linalg.norm(state[1:])
         return leaks
+
+
+class PerStepWaveOperator:
+    """Full-basis evolution, one rank-two rotation of the matrix per step.
+
+    With scheme='interaction_magnus' the matrices are wave operators, as
+    from friedrichs.propagate.evolve_wave_operator; with 'strang_split'
+    each exchange rotation sits between half free phases, and the
+    matrices are rotating-frame propagators, an independent check of
+    the interaction frame.
+    """
+
+    def __init__(self, model, tau, n_steps, scheme="interaction_magnus"):
+        self.model = model
+        self.tau = float(tau)
+        self.n = int(n_steps)
+        self.scheme = scheme
+
+    def run(self, record_s, drift_tolerance=1e-9):
+        """(record times snapped to the grid, matrices, drift)."""
+        from friedrichs.errors import IntegrationFailure, NumericalOverflow
+        from friedrichs.propagate import _steps
+
+        n = self.n
+        blocks, half = _steps(self.model, np.array([self.tau]), n, self.scheme)
+        if half is not None:
+            half = half[0][:, None]
+        targets = {min(round(float(t) * n), n) for t in record_s}
+        mat = np.eye(self.model.dim, dtype=complex)
+        out, s_out = [], []
+        drift = 0.0
+        if 0 in targets:
+            out.append(mat.copy())
+            s_out.append(0.0)
+        for start, u, cos_m1, isin in blocks:
+            for j in range(len(cos_m1)):
+                m = start + j
+                if half is not None:
+                    mat *= half
+                _apply_rank2_exp_parts(u[j, 0], cos_m1[j, 0], isin[j, 0], mat)
+                if half is not None:
+                    mat *= half
+                if (m + 1) in targets:
+                    out.append(mat.copy())
+                    s_out.append((m + 1) / n)
+                if (m + 1) % 64 == 0 or m == n - 1:
+                    sq = np.abs(mat[0]) ** 2 + np.sum(np.abs(mat[1:]) ** 2, axis=0)
+                    dev = float(np.max(np.abs(np.sqrt(sq) - 1.0)))
+                    if not np.isfinite(dev):
+                        raise NumericalOverflow(
+                            f"non-finite propagator at step {m + 1}")
+                    drift = max(drift, dev)
+        if drift > drift_tolerance:
+            raise IntegrationFailure(f"propagator drift {drift:.3e}", drift)
+        return np.array(s_out), out, drift
+
+
+def per_node_series_terms(model, tau, max_order=4, quad_order=64, s_eval=1.0):
+    """Wave-operator series terms with the level stacked at every node.
+
+    Each level applies the kernel to the full (dim, dim) level value at
+    each of the quad_order nodes of a panel and integrates through the
+    cumulative matrix, O(q^2 dim^2) per panel and level. Same panels as
+    friedrichs.volterra.wave_operator_series; returns the terms.
+    """
+    import math
+
+    from friedrichs.numutil import cumulative_integration_matrix, gauss_rule
+    from friedrichs.volterra import interaction_kernel
+
+    u = min(float(s_eval), 1.0)
+    e_max = float(np.max(model.diag_energies))
+    n_panels = max(4, math.ceil(tau * e_max * u / quad_order))
+    x, w = gauss_rule(quad_order)
+    cum = cumulative_integration_matrix(quad_order)
+    dim = model.dim
+    edges = np.linspace(0.0, u, n_panels + 1)
+    eye = np.eye(dim, dtype=complex)
+    starts = [eye.copy()] + [np.zeros((dim, dim), dtype=complex)
+                             for _ in range(max_order)]
+    for p in range(n_panels):
+        a, b = edges[p], edges[p + 1]
+        half = 0.5 * (b - a)
+        kernels = [interaction_kernel(model, tau, t)
+                   for t in 0.5 * (a + b) + half * x]
+        level_nodes = np.broadcast_to(eye, (quad_order, dim, dim))
+        for i in range(1, max_order + 1):
+            g = np.array([k(level_nodes[m]) for m, k in enumerate(kernels)])
+            flat = g.reshape(quad_order, dim * dim)
+            new_nodes = starts[i][None, :, :] \
+                + half * (cum @ flat).reshape(quad_order, dim, dim)
+            starts[i] = starts[i] + half * (w @ flat).reshape(dim, dim)
+            level_nodes = new_nodes
+    return starts
+
+
+def per_node_ibp_sides(model, tau, x_profile, y_profile, s, quad_order):
+    """Both sides of the identity as dense triple products, node by node.
+
+    The sides as friedrichs.contour._ibp_sides defines them, each term
+    formed as the full matrix Pperp U^dag M U P Y at every Gauss node.
+    """
+    from friedrichs.contour import _tilde_static
+    from friedrichs.model import rotation_dense
+    from friedrichs.numutil import gauss_panel
+
+    dim = model.dim
+    sw = model.switching
+    a_dense = model.exchange_dense()
+    energies = model.diag_energies
+
+    def frame(t):
+        v = rotation_dense(model, float(sw.g(t)))
+        return v, v * np.exp(-1j * tau * t * energies)[None, :]
+
+    def term(u, m, y):
+        out = np.outer((u.conj().T @ m @ u)[:, 0], y[0])
+        out[0, :] = 0.0
+        return out
+
+    def tilde_of(v, m):
+        return v @ _tilde_static(model, v.conj().T @ m @ v) @ v.conj().T
+
+    def transport_derivative(t, v):
+        xv = v.conj().T @ x_profile.value(t) @ v
+        xdv = v.conj().T @ x_profile.derivative(t) @ v
+        inner = xdv - 1j * float(sw.gdot(t)) * (a_dense @ xv - xv @ a_dense)
+        return v @ _tilde_static(model, inner) @ v.conj().T
+
+    nodes, weights = gauss_panel(0.0, s, quad_order)
+    lhs = np.zeros((dim, dim), dtype=complex)
+    int_d = np.zeros((dim, dim), dtype=complex)
+    int_y = np.zeros((dim, dim), dtype=complex)
+    for t, w in zip(nodes, weights):
+        v, u = frame(t)
+        y = y_profile.value(t)
+        lhs += w * term(u, x_profile.value(t), y)
+        int_d += w * term(u, transport_derivative(t, v), y)
+        int_y += w * term(u, tilde_of(v, x_profile.value(t)),
+                          y_profile.derivative(t))
+
+    def boundary(t):
+        v, u = frame(t)
+        return term(u, tilde_of(v, x_profile.value(t)), y_profile.value(t))
+
+    rhs = (1j / tau) * (boundary(s) - boundary(0.0) - int_d - int_y)
+    return lhs, rhs

@@ -21,7 +21,7 @@ from friedrichs.sweep import fit_powerlaw, render_csv, resolve_config, run_sweep
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
-from oracles import eigen_tilde
+from oracles import PerStepWaveOperator, eigen_tilde
 
 ACCEPTANCE_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 GAPPED_TAUS = (100.0, 158.489, 251.189, 398.107, 630.957, 1000.0)
@@ -185,8 +185,8 @@ def test_criterion_9_structural_identities():
     gen = verify_generators(model, tau)
     gen_ok = gen.max_had_vs_hr <= 1e-12
 
-    _, om_s, _ = evolve_wave_operator(model, tau, 20000, np.array([1.0]),
-                                      scheme="strang_split")
+    _, om_s, _ = PerStepWaveOperator(model, tau, 20000,
+                                     scheme="strang_split").run([1.0])
     phases = np.exp(-1j * tau * model.diag_energies)
     wave_ok = np.linalg.norm(phases[:, None] * omegas[1] - om_s[0], 2) <= 1e-6
 

@@ -7,7 +7,9 @@ from friedrichs.contour import (ContourSpec, ExchangeRateProfile,
 from friedrichs.errors import (ConfigurationError, ResourceBudgetError,
                                SpectralSeparationError)
 
-from oracles import eigen_tilde
+from friedrichs import contour
+
+from oracles import eigen_tilde, per_node_ibp_sides, single_mode_model
 
 
 def _gapped_eight(seed=3):
@@ -121,6 +123,35 @@ class TestIbp:
             "default", "random-101", "random-102", "random-103"}
         assert all(r.residual <= 1e-6 for r in reports)
         assert len({r.sign for r in reports}) == 1
+
+    def test_derived_sign_holds_on_two_level_probe(self):
+        # Left = -Right, as derived at contour._IBP_SIGN; with the opposite
+        # sign the residual would be of the size of the sides themselves
+        model = single_mode_model(k=1.0, theta_total=np.pi / 4, gap_shift=1.0)
+        lhs, rhs = contour._ibp_sides(
+            model, tau=40.0, x_profile=ExchangeRateProfile(model),
+            y_profile=PolyMatrixProfile.random(2, 2, seed=7), s=1.25,
+            quad_order=160)
+        assert contour._IBP_SIGN == -1
+        assert np.linalg.norm(lhs + rhs) < 1e-3 * np.linalg.norm(lhs - rhs)
+
+    def test_stacked_sides_match_per_node_quadrature(self, model_gapped_small):
+        profiles = [("default", ExchangeRateProfile(model_gapped_small),
+                     PolyMatrixProfile.random(model_gapped_small.dim, 2, seed=11))]
+        for seed in (101, 102, 103):
+            profiles.append((f"random-{seed}",
+                             PolyMatrixProfile.random(model_gapped_small.dim, 3, seed=seed),
+                             PolyMatrixProfile.random(model_gapped_small.dim, 2,
+                                                      seed=seed + 5000)))
+        for tag, xp, yp in profiles:
+            got = contour._ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
+            want = per_node_ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
+            for side, (g, w) in enumerate(zip(got, want)):
+                # the default left side, 2.2e-4, cancels O(1) summands (a
+                # condition of ~3.6e3), which puts either quadrature
+                # about 1e-12 from the exact sum
+                tol = 2e-12 if (tag, side) == ("default", 0) else 1e-12
+                assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w), (tag, side)
 
     def test_gapless_model_rejected(self, model_b15_small):
         with pytest.raises(ConfigurationError):

@@ -9,7 +9,8 @@ from friedrichs.propagate import (IntegratorConfig, adiabatic_state,
                                   evolve_true, evolve_wave_operator, leak,
                                   resolve_scheme, to_frame, verify_generators)
 
-from oracles import PerStepExpRunner, dense_reference_evolve, single_mode_model
+from oracles import (PerStepExpRunner, PerStepWaveOperator,
+                     dense_reference_evolve, single_mode_model)
 
 SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 SWEEP_CFG = IntegratorConfig(scheme="interaction_magnus", max_step=1 / 2048.,
@@ -190,6 +191,58 @@ class TestBatchedLoop:
             evolve_true(model_b15_small, (100.0, -1.0), SWEEP_CFG)
 
 
+DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
+
+
+class TestBlockedWaveOperator:
+    @pytest.fixture(scope="class")
+    def model_defect(self, switching):
+        grid = build_grid(1.0, 20, 8, 2.0 ** -20)  # N = 160, criterion 3's grid
+        return assemble_model(grid, build_form_factor(grid, 0.5), switching)
+
+    def test_matches_per_step_oracle(self, model_defect):
+        # 1024 / 150 steps between records: the blocks end off the record grid
+        grid = np.linspace(0.0, 1.0, 151)
+        for tau in DEFECT_TAUS:
+            s, mats, drift = evolve_wave_operator(model_defect, tau, 1024, grid)
+            s_ref, ref, drift_ref = PerStepWaveOperator(
+                model_defect, tau, 1024).run(grid)
+            np.testing.assert_array_equal(s, s_ref)
+            assert s[0] == 0.0 and s[-1] == 1.0 and len(mats) == 151
+            assert max(np.abs(a - b).max() for a, b in zip(mats, ref)) <= 1e-13
+            assert abs(drift - drift_ref) <= 1e-13
+
+    @pytest.fixture
+    def spoil_step(self, monkeypatch):
+        """spoil(step, factor) scales the rotation vector of one step."""
+        from friedrichs import propagate
+
+        blocks = propagate._interaction_blocks
+
+        def spoil(step, factor):
+            def spoiled(model, taus, n_steps):
+                for start, u, cos_m1, isin in blocks(model, taus, n_steps):
+                    if start <= step < start + len(cos_m1):
+                        u[step - start] *= factor
+                    yield start, u, cos_m1, isin
+
+            monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
+
+        return spoil
+
+    def test_spoiled_step_inside_a_block_fails(self, model_b15_small, spoil_step):
+        # step 600 lies between records (steps 512, 614) and inside the
+        # block of steps 576-639: the check at the block's end must catch it
+        grid = np.linspace(0.0, 1.0, 11)
+        spoil_step(600, np.nan)
+        with pytest.raises(NumericalOverflow, match="step 640"):
+            evolve_wave_operator(model_b15_small, 200.0, 1024, grid)
+        spoil_step(600, 2.0)
+        with pytest.raises(IntegrationFailure) as err:
+            evolve_wave_operator(model_b15_small, 200.0, 1024, grid)
+        assert err.value.drift > 1e-9
+
+
 class TestAdiabaticState:
     def test_starts_at_bound_state(self, model_b15_small):
         st = adiabatic_state(model_b15_small, 100.0, 0.0)
@@ -287,10 +340,9 @@ class TestProjectorComparison:
         model = assemble_model(grid, build_form_factor(grid, 1.5), switching)
         tau = 50.0
         s_grid = np.array([1.0])
-        _, om_m, _ = evolve_wave_operator(model, tau, 8192, s_grid,
-                                          scheme="interaction_magnus")
-        _, om_s, _ = evolve_wave_operator(model, tau, 20000, s_grid,
-                                          scheme="strang_split")
+        _, om_m, _ = evolve_wave_operator(model, tau, 8192, s_grid)
+        _, om_s, _ = PerStepWaveOperator(model, tau, 20000,
+                                         scheme="strang_split").run(s_grid)
         phases = np.exp(-1j * tau * 1.0 * model.diag_energies)
         recon = phases[:, None] * om_m[0]
         assert np.linalg.norm(recon - om_s[0], 2) <= 1e-6

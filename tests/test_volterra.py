@@ -9,6 +9,8 @@ from friedrichs.propagate import IntegratorConfig, evolve_true
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  interaction_kernel, wave_operator_series)
 
+from oracles import per_node_series_terms
+
 
 class TestKernel:
     def test_vanishes_outside_window(self, model_b15_small):
@@ -66,6 +68,15 @@ class TestSeries:
         sups = series128.term_sup_norms
         for i in (0, 1, 2):
             assert operator_norm(series128.terms[i + 2]) <= c * f * sups[i]
+
+    @pytest.mark.parametrize("tau", [100.0, 1000.0])
+    def test_matches_per_node_collocation(self, series128, model_b15_small, tau):
+        ser = series128 if tau == 100.0 else wave_operator_series(
+            model_b15_small, tau, max_order=4, quad_order=64, s_eval=1.5)
+        ref = per_node_series_terms(model_b15_small, tau, max_order=4,
+                                    quad_order=64, s_eval=1.5)
+        for term, want in zip(ser.terms, ref):
+            assert np.linalg.norm(term - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_series_reproduces_evolution(self, model_b15_small):
         tau = 1000.0

@@ -69,7 +69,7 @@ def _cmd_simulate(args) -> int:
     record = tuple(np.linspace(0.0, 1.0, 11)) + (cfg.s_probe,)
     icfg = replace(icfg, record_times=record)
     tr = evolve_true(model, tau, icfg)
-    print(f"# tau={tau} scheme={tr.scheme} steps={tr.n_window_steps} "
+    print(f"# tau={tau} steps={tr.n_window_steps} "
           f"drift={tr.unitarity_drift:.3e}")
     print("# s leak")
     for s, _, lv in tr.samples:

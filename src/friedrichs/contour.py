@@ -338,8 +338,8 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
         raise ConfigurationError(
             "gap times smallest tau must reach 50 for the probe to be "
             f"meaningful; got {model.gap_shift * tau_list[0]:.1f}")
-    cfg = IntegratorConfig(scheme="interaction_magnus", max_step=max_step,
-                           s_end=s_probe, record_times=(s_probe,))
+    cfg = IntegratorConfig(max_step=max_step, s_end=s_probe,
+                           record_times=(s_probe,))
     trajectories = evolve_true(model, tau_list, cfg).trajectories()
     return [(tau, tr.leak_at(s_probe), tr.sup_leak_window)
             for tau, tr in zip(tau_list, trajectories)]

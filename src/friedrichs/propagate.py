@@ -1,34 +1,28 @@
 """Time evolution at large adiabaticity parameter tau, and the leak metric.
 
-The true dynamics is integrated in the co-rotating frame, where the
-generator is tau * H + gdot(s) * A with H fixed diagonal and A the fixed
-exchange generator. Two schemes are provided, both with closed-form
-substeps of cost O(N):
+The true dynamics is integrated in the interaction picture. In the
+co-rotating frame the generator is tau * H + gdot(s) * A, with H fixed
+diagonal and A the fixed exchange generator; taking out the free phases
+exp(-i tau s H) leaves a rank-two coupling with oscillating phases. Each
+step exponentiates the exactly integrated coupling, with the oscillatory
+moments int gdot(t) exp(i tau omega t) dt evaluated by the Filon
+machinery, so the step is limited by the smoothness of gdot alone, not
+by tau (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 1999). A step is
+a rank-two rotation exp(-i r (|u><e0| + |e0><u|)) of cost O(N).
 
-* strang_split: diagonal free phase, exact exchange rotation at the
-  midpoint rate, diagonal free phase. Second order; the step must
-  resolve the free phases, so cost grows linearly with tau.
-* interaction_magnus: in the interaction picture the generator is a
-  rank-two coupling with oscillating phases. Each step exponentiates the
-  exactly integrated generator, with the oscillatory moments
-  int gdot(t) exp(i tau omega t) dt evaluated by the Filon machinery.
-  The step is limited by the smoothness of gdot alone, not by tau.
-
-Both schemes step by rank-two rotations exp(-i r (|u><e0| + |e0><u|)),
-so one loop serves both; strang_split wraps each rotation in half free
-phases. The loop evolves a batch of T states at once, one per tau:
+The loop evolves a batch of T states at once, one per tau:
 `evolve_true` takes one tau or a sequence of them, and a single tau is
 the batch T = 1. Every operation acts on each row alone, so a row's
 result does not depend on which other taus share its batch.
 
-The interaction generators are prepared in blocks of _RESEED_STEPS (64)
-steps, for all T rows together: one real matrix product contracts the
-Filon moments, shape (T, N, deg + 1), with the per-step Legendre
-coefficients of gdot, so the (T, N, n_steps) array of generators never
-exists at once. Within a block the free phases exp(i tau omega t) at
-the step midpoints advance by powers of a fixed rotor exp(i tau omega h);
-each block re-seeds them with a direct exp, which bounds the rounding
-the rotor accumulates to about 64 ulps.
+The generators are prepared in blocks of _RESEED_STEPS (64) steps, for
+all T rows together: one real matrix product contracts the Filon
+moments, shape (T, N, deg + 1), with the per-step Legendre coefficients
+of gdot, so the (T, N, n_steps) array of generators never exists at
+once. Within a block the free phases exp(i tau omega t) at the step
+midpoints advance by powers of a fixed rotor exp(i tau omega h); each
+block re-seeds them with a direct exp, which bounds the rounding the
+rotor accumulates to about 64 ulps.
 
 Each step takes one sum of squares of the continuum amplitudes over all
 rows; the square root is the leak, and with the bound amplitude, also
@@ -37,11 +31,11 @@ and finiteness are evaluated for every step of every row. A row that
 goes non-finite or exceeds the drift tolerance fails alone; the other
 rows of its batch are unaffected.
 
-The wave-operator evolution applies the interaction rotations to a
-(dim, dim) matrix, a block of steps at a time (see _apply_rotations).
+The wave-operator evolution applies the same rotations to a (dim, dim)
+matrix, a block of steps at a time (see _apply_rotations).
 
-For s >= 1 the driving vanishes and the remaining evolution is a single
-exact diagonal phase.
+For s >= 1 the driving vanishes, so the interaction-frame state stays
+as it was at the end of the window.
 """
 
 from __future__ import annotations
@@ -68,29 +62,23 @@ __all__ = [
     "leak",
     "to_frame",
     "verify_generators",
-    "resolve_scheme",
 ]
 
 _MAGNUS_DEGREE = 8
-_SCHEMES = ("strang_split", "interaction_magnus")
 _RESEED_STEPS = 64
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Scheme selection and step control for one trajectory."""
+    """Step control and sampling for one batch of trajectories."""
 
-    scheme: str = "strang_split"
     max_step: float | None = None
     s_end: float = 1.5
     record_times: tuple[float, ...] = ()
     window_samples: int = 256
     drift_tolerance: float = 1e-9
-    strang_step_budget: int = 1000
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES + ("auto",):
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.max_step is not None and self.max_step <= 0.0:
             raise ConfigurationError("max_step must be positive")
         if self.record_times and self.s_end < max(self.record_times):
@@ -110,7 +98,6 @@ class Trajectory:
     samples: list[tuple[float, RotatingState, float]]
     tau: float
     unitarity_drift: float
-    scheme: str
     n_window_steps: int
     window_s: np.ndarray
     window_leaks: np.ndarray
@@ -139,7 +126,6 @@ class TrajectoryBatch:
 
     taus: tuple[float, ...]
     results: list
-    scheme: str
     n_window_steps: int
 
     @property
@@ -156,41 +142,13 @@ class TrajectoryBatch:
         return list(self.results)
 
 
-def _strang_h(model: FriedrichsModel, tau: float, config: IntegratorConfig) -> float:
-    """Step bound: resolve the driving and keep the free phase per step small."""
-    e_max = float(np.max(model.diag_energies))
-    h = 0.05 / max(tau * e_max, 1e-12)
-    gd = model.switching.gdot_max
-    if gd > 0.0:
-        h = min(h, 0.05 / gd)
-    if config.max_step is not None:
-        h = min(h, config.max_step)
-    return h
-
-
-def resolve_scheme(model: FriedrichsModel, tau: float,
-                   config: IntegratorConfig) -> str:
-    """Pick a concrete scheme for 'auto': strang until its step count
-    exceeds the configured budget, the interaction integrator beyond."""
-    if config.scheme != "auto":
-        return config.scheme
-    n_strang = math.ceil(1.0 / _strang_h(model, tau, config))
-    return "strang_split" if n_strang <= config.strang_step_budget else "interaction_magnus"
-
-
-def _window_steps(model: FriedrichsModel, tau: float, config: IntegratorConfig,
-                  scheme: str) -> int:
-    if scheme == "strang_split":
-        n = math.ceil(1.0 / _strang_h(model, tau, config))
-    elif config.max_step is not None:
-        n = math.ceil(1.0 / config.max_step)
-    else:
-        n = 512
+def _window_steps(config: IntegratorConfig) -> int:
+    n = 512 if config.max_step is None else math.ceil(1.0 / config.max_step)
     return max(n, config.window_samples)
 
 
 def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
-    """Rank-two rotations of the interaction scheme, _RESEED_STEPS steps at a time.
+    """Rank-two rotations of the interaction steps, _RESEED_STEPS at a time.
 
     Yields (first step, u, cos r - 1, i sin r) with u of shape
     (steps, T, N) and the others (steps, T). Step m of row t rotates by
@@ -228,29 +186,12 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
         yield start, d, np.cos(r) - 1.0, 1j * np.sin(r)
 
 
-def _steps(model: FriedrichsModel, taus: np.ndarray, n_steps: int, scheme: str):
-    """(rotation blocks, half free phases or None) of a scheme.
-
-    A strang step rotates by the exchange generator: u is the coupling
-    and r = h gdot, the same for every tau, so one block row serves all.
-    """
-    if scheme != "strang_split":
-        return _interaction_blocks(model, taus, n_steps), None
-    h = 1.0 / n_steps
-    theta = h * model.switching.gdot((np.arange(n_steps) + 0.5) * h)
-    u = np.broadcast_to(model.coupling, (n_steps, 1, model.dim - 1))
-    block = (0, u, (np.cos(theta) - 1.0)[:, None], (1j * np.sin(theta))[:, None])
-    half = np.exp(np.multiply.outer(-0.5j * h * taus, model.diag_energies))
-    return [block], half
-
-
-def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int, scheme: str,
+def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
                  config: IntegratorConfig, initial: RotatingState) -> list:
     """The stepping loop: row t of the state evolves with taus[t].
 
     Returns one Trajectory or FriedrichsError per row.
     """
-    frame = "rotating" if scheme == "strang_split" else "interaction"
     record_idx, late_times = set(), []
     for t in sorted(set(config.record_times) | {min(config.s_end, 1.0)}):
         if t <= 1.0:
@@ -267,14 +208,10 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int, scheme: str,
     np.vecdot(cont_r, cont_r, out=sq[0])
     kept = {0: np.column_stack((bound[0], cont))} if 0 in record_idx else {}
 
-    blocks, half = _steps(model, taus, n, scheme)
-    for start, u, cos_m1, isin in blocks:
+    for start, u, cos_m1, isin in _interaction_blocks(model, taus, n):
         for j in range(len(cos_m1)):
             m = start + j
             b0, nb = bound[m], bound[m + 1]
-            if half is not None:
-                b0 = b0 * half[:, 0]
-                cont *= half[:, 1:]
             uc = np.vecdot(u[j], cont)
             np.multiply(cos_m1[j], b0, out=nb)
             nb -= isin[j] * uc
@@ -282,9 +219,6 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int, scheme: str,
             coef = cos_m1[j] * uc
             coef -= isin[j] * b0
             cont += u[j] * coef[:, None]
-            if half is not None:
-                nb *= half[:, 0]
-                cont *= half[:, 1:]
             np.vecdot(cont_r, cont_r, out=sq[m + 1])
             if m + 1 in record_idx:
                 kept[m + 1] = np.column_stack((nb, cont))
@@ -293,7 +227,8 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int, scheme: str,
     dev = np.abs(np.sqrt(np.abs(bound) ** 2 + sq) - 1.0)
     finite = np.isfinite(bound) & np.isfinite(sq)
     window_s = np.arange(n + 1) / n
-    final = np.column_stack((bound[n], cont))
+    # a time past the window shows the state at step n, kept since s_end > 1
+    points = [(idx / n, idx) for idx in sorted(kept)] + [(s, n) for s in late_times]
     results = []
     for t, tau in enumerate(taus.tolist()):
         if not finite[:, t].all():
@@ -305,20 +240,12 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int, scheme: str,
         if drift > config.drift_tolerance:
             results.append(IntegrationFailure(
                 f"unitarity drift {drift:.3e} exceeds tolerance "
-                f"{config.drift_tolerance:.1e} (tau={tau}, scheme={scheme})",
-                drift))
+                f"{config.drift_tolerance:.1e} (tau={tau})", drift))
             continue
-        samples = [(idx / n, RotatingState.from_vector(kept[idx][t], frame, idx / n),
-                    float(leaks[idx, t])) for idx in sorted(kept)]
-        for s in late_times:
-            vec = final[t]
-            if frame == "rotating":
-                vec = vec * np.exp(-1j * tau * (s - 1.0) * model.diag_energies)
-            samples.append((s, RotatingState.from_vector(vec, frame, s),
-                            float(leaks[n, t])))
+        samples = [(s, RotatingState.from_vector(kept[idx][t], "interaction", s),
+                    float(leaks[idx, t])) for s, idx in points]
         results.append(Trajectory(samples=samples, tau=tau, unitarity_drift=drift,
-                                  scheme=scheme, n_window_steps=n,
-                                  window_s=window_s,
+                                  n_window_steps=n, window_s=window_s,
                                   window_leaks=np.ascontiguousarray(leaks[:, t])))
     return results
 
@@ -330,13 +257,14 @@ def evolve_true(model: FriedrichsModel, tau, config: IntegratorConfig,
     The window [0, 1] is covered by uniform steps (at least
     window_samples of them, so the in-window supremum is tracked
     densely); record_times inside the window are snapped to the step
-    grid, times past the window are reached by one exact phase step.
+    grid; past the window the interaction-frame state is constant. The
+    step count depends on the config alone, not on tau.
 
     With a single tau, returns its Trajectory or raises its failure.
-    With a sequence of taus, which must share one scheme and step count,
-    integrates them in one batch and returns a TrajectoryBatch in which
-    a failed column holds its error; the other columns are unaffected,
-    and each equals its single-tau run bit for bit.
+    With a sequence of taus, integrates them in one batch and returns a
+    TrajectoryBatch in which a failed column holds its error; the other
+    columns are unaffected, and each equals its single-tau run bit for
+    bit.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if taus.ndim != 1 or taus.size == 0:
@@ -350,18 +278,11 @@ def evolve_true(model: FriedrichsModel, tau, config: IntegratorConfig,
     if initial.time_s != 0.0:
         raise ConfigurationError("evolution must start at s = 0")
 
-    plans = set()
-    for t in taus.tolist():
-        scheme = resolve_scheme(model, t, config)
-        plans.add((scheme, _window_steps(model, t, config, scheme)))
-    if len(plans) > 1:
-        raise ConfigurationError(
-            f"a batch must share one scheme and step count; got {sorted(plans)}")
-    (scheme, n), = plans
-    results = _evolve_rows(model, taus, n, scheme, config, initial)
+    n = _window_steps(config)
+    results = _evolve_rows(model, taus, n, config, initial)
     if np.ndim(tau) == 0:
-        return TrajectoryBatch((float(tau),), results, scheme, n).trajectories()[0]
-    return TrajectoryBatch(tuple(taus.tolist()), results, scheme, n)
+        return TrajectoryBatch((float(tau),), results, n).trajectories()[0]
+    return TrajectoryBatch(tuple(taus.tolist()), results, n)
 
 
 def _total_norm_dev(state: np.ndarray) -> float:

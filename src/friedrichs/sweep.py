@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, FitDomainError, FriedrichsError,
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
                     build_grid, build_switching)
 from .numutil import format_float17
-from .propagate import IntegratorConfig, evolve_true, resolve_scheme
+from .propagate import IntegratorConfig, evolve_true
 
 __all__ = [
     "SweepConfig",
@@ -66,9 +66,7 @@ _SCHEMA = {
         "window_samples": ("int", 256),
     },
     "integrate": {
-        "scheme": ("choice:auto,strang_split,interaction_magnus", "auto"),
         "max_step": ("float_or_auto", "auto"),
-        "strang_step_budget": ("int", 1000),
         "calibrate": ("bool", True),
         "calibrate_rel_tol": ("float", 0.005),
         "drift_tolerance": ("float", 1e-9),
@@ -104,9 +102,7 @@ class SweepConfig:
     tau_values: tuple[float, ...]
     s_probe: float
     window_samples: int
-    scheme: str
     max_step: float | None
-    strang_step_budget: int
     calibrate: bool
     calibrate_rel_tol: float
     drift_tolerance: float
@@ -120,10 +116,6 @@ class SweepConfig:
     window_slope: float | None
     window_tol: float
 
-    @property
-    def content_hash(self) -> str:
-        return config_hash(self)
-
 
 @dataclass
 class SweepRecord:
@@ -132,7 +124,6 @@ class SweepRecord:
     sup_leak_window: float
     unitarity_drift: float
     wall_time_s: float
-    scheme: str
     n_steps: int
     error: str | None = None
 
@@ -190,11 +181,6 @@ def _parse_value(tag: str, raw, where: str):
             return tuple(float(v) for v in text.replace(",", " ").split())
         if tag == "str_list":
             return tuple(v.strip() for v in text.replace(",", " ").split())
-        if tag.startswith("choice:"):
-            allowed = tag.split(":", 1)[1].split(",")
-            if text not in allowed:
-                raise ValueError(f"must be one of {allowed}")
-            return text
     except ValueError as exc:
         raise ConfigurationError(f"bad value for {where}: {raw!r} ({exc})") from exc
     raise ConfigurationError(f"unhandled schema tag {tag}")
@@ -325,23 +311,22 @@ def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
 
 
 def _integrator_config(cfg: SweepConfig, max_step: float | None) -> IntegratorConfig:
-    return IntegratorConfig(scheme=cfg.scheme, max_step=max_step,
-                            s_end=cfg.s_probe, record_times=(cfg.s_probe,),
+    return IntegratorConfig(max_step=max_step, s_end=cfg.s_probe,
+                            record_times=(cfg.s_probe,),
                             window_samples=cfg.window_samples,
-                            drift_tolerance=cfg.drift_tolerance,
-                            strang_step_budget=cfg.strang_step_budget)
+                            drift_tolerance=cfg.drift_tolerance)
 
 
 def _record(tau: float, result, wall_s: float, s_probe: float) -> SweepRecord:
     if isinstance(result, FriedrichsError):
         drift = result.drift if isinstance(result, IntegrationFailure) else math.nan
         return SweepRecord(tau=tau, leak_probe=math.nan, sup_leak_window=math.nan,
-                           unitarity_drift=drift, wall_time_s=0.0, scheme="",
-                           n_steps=0, error=f"{type(result).__name__}: {result}")
+                           unitarity_drift=drift, wall_time_s=0.0, n_steps=0,
+                           error=f"{type(result).__name__}: {result}")
     return SweepRecord(tau=tau, leak_probe=result.leak_at(s_probe),
                        sup_leak_window=result.sup_leak_window,
                        unitarity_drift=result.unitarity_drift, wall_time_s=wall_s,
-                       scheme=result.scheme, n_steps=result.n_window_steps)
+                       n_steps=result.n_window_steps)
 
 
 def _run_batch(cfg: SweepConfig, taus: list[float], max_step: float | None,
@@ -385,22 +370,21 @@ class _TrajectoryCache:
         return [self.records[(n_steps, t)] for t in taus]
 
 
-def _calibrate_steps(cfg: SweepConfig, model: FriedrichsModel,
+def _calibrate_steps(cfg: SweepConfig,
                      cache: _TrajectoryCache) -> tuple[float | None, dict]:
     """Refine the step count until halving moves probe leaks below tolerance.
 
     Checked at both ends of the tau range (the smallest leak is the most
-    demanding); applies only when the resolved scheme is the interaction
-    integrator, whose step is tau-independent. The first candidate step
-    count runs every tau, so that production finds its records in the
-    cache when that count is accepted; the halved steps run the two ends.
+    demanding); the step does not depend on tau, so the accepted count
+    serves every tau. The first candidate step count runs every tau, so
+    that production finds its records in the cache when that count is
+    accepted; the halved steps run the two ends.
     """
     base_steps = max(cfg.window_samples, 2048)
     if cfg.max_step is not None:
         base_steps = max(base_steps, math.ceil(1.0 / cfg.max_step))
     taus = (cfg.tau_values[0], cfg.tau_values[-1])
-    schemes = {resolve_scheme(model, t, _integrator_config(cfg, None)) for t in taus}
-    if not cfg.calibrate or schemes != {"interaction_magnus"}:
+    if not cfg.calibrate:
         return cfg.max_step, {"calibrated": False, "n_steps": None}
 
     def probe_leaks(n, run_taus):
@@ -427,40 +411,27 @@ def _calibrate_steps(cfg: SweepConfig, model: FriedrichsModel,
     return 1.0 / n, {"calibrated": True, "n_steps": n, "history": history}
 
 
-def _plan_batches(model: FriedrichsModel, cfg: SweepConfig, taus,
-                  max_step: float | None) -> list[list[float]]:
-    """Split taus into batches, at most cfg.jobs of interaction-scheme taus.
-
-    Interaction taus share a step count, so they batch together, dealt
-    round-robin; a strang_split tau's step count depends on tau, so it
-    runs alone.
-    """
-    icfg = _integrator_config(cfg, max_step)
-    inter = [t for t in taus if resolve_scheme(model, t, icfg) == "interaction_magnus"]
-    width = min(cfg.jobs, len(inter))
-    return ([inter[i::width] for i in range(width)]
-            + [[t] for t in taus if t not in inter])
-
-
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evolve every tau, fit the tails, and evaluate configured checks.
 
     Step calibration and production share a cache of records by step
     count and tau; production runs only the taus the cache lacks, in one
-    batch, or with jobs > 1 in up to jobs batches on a process pool. A
-    column's result does not depend on its batch, records are collected
-    in tau order, and an integration failure taints only its own tau.
+    batch, or with jobs > 1 dealt round-robin into up to jobs batches on
+    a process pool. A column's result does not depend on its batch,
+    records are collected in tau order, and an integration failure
+    taints only its own tau.
     """
     model = build_model_from_config(cfg)
     cache = _TrajectoryCache(cfg, model)
-    max_step, calibration = _calibrate_steps(cfg, model, cache)
+    max_step, calibration = _calibrate_steps(cfg, cache)
 
     n = calibration["n_steps"]
     records = [cache.records[(n, t)] for t in cfg.tau_values
                if (n, t) in cache.records]
     reused = len(records)
     missing = [t for t in cfg.tau_values if (n, t) not in cache.records]
-    batches = _plan_batches(model, cfg, missing, max_step)
+    width = min(cfg.jobs, len(missing))
+    batches = [missing[i::width] for i in range(width)]
     if cfg.jobs > 1 and len(batches) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             futures = [pool.submit(_run_batch, cfg, b, max_step) for b in batches]
@@ -662,20 +633,37 @@ def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -
     return paths
 
 
+def _checked(cls, data: dict, where: str) -> dict:
+    """data, if its keys are exactly cls's fields; else a ConfigurationError
+    naming the unknown and the missing keys."""
+    names = {f.name for f in fields(cls)}
+    problems = {"unknown keys": set(data) - names, "missing keys": names - set(data)}
+    if any(problems.values()):
+        raise ConfigurationError(f"{where}: " + "; ".join(
+            f"{k} {', '.join(sorted(v))}" for k, v in problems.items() if v))
+    return data
+
+
 def load_manifest(path: str) -> SweepResult:
-    """Rebuild a SweepResult from a stored manifest for re-emission."""
+    """Rebuild a SweepResult from a stored manifest for re-emission.
+
+    The manifest must hold exactly the fields this version writes.
+    """
+    where = f"manifest {path}"
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = _checked(SweepResult, json.load(fh), where)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot load manifest {path}: {exc}") from exc
-    cfg_dict = dict(payload["config"])
+        raise ConfigurationError(f"cannot load {where}: {exc}") from exc
+    cfg_dict = dict(_checked(SweepConfig, payload["config"], f"{where} config"))
     for key in ("tau_values", "formats"):
         cfg_dict[key] = tuple(cfg_dict[key])
     cfg = SweepConfig(**cfg_dict)
-    fits = {k: (None if v is None else FitResult(**v))
+    fits = {k: None if v is None else
+            FitResult(**_checked(FitResult, v, f"{where} fit {k}"))
             for k, v in payload["fits"].items()}
-    records = [SweepRecord(**r) for r in payload["records"]]
+    records = [SweepRecord(**_checked(SweepRecord, r, f"{where} record {i}"))
+               for i, r in enumerate(payload["records"])]
     return SweepResult(config=cfg, config_hash=payload["config_hash"],
                        n_nodes=payload["n_nodes"], records=records, fits=fits,
                        checks=payload["checks"],

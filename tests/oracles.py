@@ -8,7 +8,8 @@ check:
 * PerStepExpRunner, the interaction-picture step as it stood before the
   stepping loop was batched over tau, reuses the package's Filon moments;
 * PerStepWaveOperator, the wave-operator loop as it stood before its
-  steps were blocked, reuses the package's rotations;
+  steps were blocked, reuses the package's interaction rotations; its
+  strang steps share no code with the package;
 * per_node_series_terms and per_node_ibp_sides, the series collocation
   and the identity's quadratures as they stood before the rank-two
   kernel was exploited, reuse the kernel, the rotations and the static
@@ -168,35 +169,63 @@ class PerStepExpRunner:
 class PerStepWaveOperator:
     """Full-basis evolution, one rank-two rotation of the matrix per step.
 
-    With scheme='interaction_magnus' the matrices are wave operators, as
-    from friedrichs.propagate.evolve_wave_operator; with 'strang_split'
-    each exchange rotation sits between half free phases, and the
-    matrices are rotating-frame propagators, an independent check of
-    the interaction frame.
+    With scheme='interaction_magnus' the steps are the package's
+    interaction rotations and the matrices are wave operators, as from
+    friedrichs.propagate.evolve_wave_operator. With 'strang_split' each
+    step splits the co-rotating generator tau H + gdot A: a half free
+    phase exp(-i tau h H / 2), the exact exchange rotation
+    exp(-i h gdot(t_mid) A), and another half free phase. That scheme is
+    second order, its step must resolve the free phases, and its
+    matrices are rotating-frame propagators, an independent check of the
+    interaction frame.
+
+    Given an initial vector, the same steps evolve that one state, and
+    run returns states in place of matrices.
     """
 
-    def __init__(self, model, tau, n_steps, scheme="interaction_magnus"):
+    def __init__(self, model, tau, n_steps, scheme="interaction_magnus",
+                 initial=None):
+        if scheme not in ("interaction_magnus", "strang_split"):
+            raise ValueError(f"unknown scheme {scheme!r}")
         self.model = model
         self.tau = float(tau)
         self.n = int(n_steps)
         self.scheme = scheme
+        self.initial = initial
+
+    def _steps(self):
+        """(rotation blocks as from _interaction_blocks, half phases or None)."""
+        n, model = self.n, self.model
+        if self.scheme == "interaction_magnus":
+            from friedrichs.propagate import _interaction_blocks
+            return _interaction_blocks(model, np.array([self.tau]), n), None
+        h = 1.0 / n
+        theta = h * model.switching.gdot((np.arange(n) + 0.5) * h)
+        u = np.broadcast_to(model.coupling, (n, 1, model.dim - 1))
+        block = (0, u, (np.cos(theta) - 1.0)[:, None], (1j * np.sin(theta))[:, None])
+        half = np.exp(-0.5j * h * self.tau * model.diag_energies)
+        return [block], half[:, None]
 
     def run(self, record_s, drift_tolerance=1e-9):
-        """(record times snapped to the grid, matrices, drift)."""
+        """(record times snapped to the grid, matrices or states, drift)."""
         from friedrichs.errors import IntegrationFailure, NumericalOverflow
-        from friedrichs.propagate import _steps
 
         n = self.n
-        blocks, half = _steps(self.model, np.array([self.tau]), n, self.scheme)
-        if half is not None:
-            half = half[0][:, None]
+        blocks, half = self._steps()
         targets = {min(round(float(t) * n), n) for t in record_s}
-        mat = np.eye(self.model.dim, dtype=complex)
+        if self.initial is None:
+            mat = np.eye(self.model.dim, dtype=complex)
+        else:
+            mat = np.array(self.initial, dtype=complex)[:, None]
         out, s_out = [], []
         drift = 0.0
+
+        def keep(m):
+            out.append(mat.copy() if self.initial is None else mat[:, 0].copy())
+            s_out.append(m / n)
+
         if 0 in targets:
-            out.append(mat.copy())
-            s_out.append(0.0)
+            keep(0)
         for start, u, cos_m1, isin in blocks:
             for j in range(len(cos_m1)):
                 m = start + j
@@ -206,8 +235,7 @@ class PerStepWaveOperator:
                 if half is not None:
                     mat *= half
                 if (m + 1) in targets:
-                    out.append(mat.copy())
-                    s_out.append((m + 1) / n)
+                    keep(m + 1)
                 if (m + 1) % 64 == 0 or m == n - 1:
                     sq = np.abs(mat[0]) ** 2 + np.sum(np.abs(mat[1:]) ** 2, axis=0)
                     dev = float(np.max(np.abs(np.sqrt(sq) - 1.0)))

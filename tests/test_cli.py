@@ -1,4 +1,8 @@
+import copy
+import json
 import os
+
+import pytest
 
 from friedrichs.cli import main
 
@@ -64,3 +68,27 @@ def test_report_reemits(tmp_path):
     assert main(["report", "--manifest", str(out / "manifest.json"),
                  "--out", str(again), "--format", "csv"]) == 0
     assert (out / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def manifest_payload(tmp_path_factory):
+    out = tmp_path_factory.mktemp("manifest")
+    assert main(["sweep", "--tau", QUICK, "--out", str(out), "--format", "json"]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+def _drop_n_steps(payload):
+    del payload["records"][1]["n_steps"]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda p: p["config"].update(scheme="auto"), "config: unknown keys scheme"),
+    (_drop_n_steps, "record 1: missing keys n_steps")], ids=["unknown", "missing"])
+def test_report_rejects_manifest_keys(tmp_path, capsys, manifest_payload, spoil,
+                                      message):
+    payload = copy.deepcopy(manifest_payload)
+    spoil(payload)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--manifest", str(path), "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err

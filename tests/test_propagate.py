@@ -7,14 +7,13 @@ from friedrichs.model import RotatingState, SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
 from friedrichs.propagate import (IntegratorConfig, adiabatic_state,
                                   evolve_true, evolve_wave_operator, leak,
-                                  resolve_scheme, to_frame, verify_generators)
+                                  to_frame, verify_generators)
 
 from oracles import (PerStepExpRunner, PerStepWaveOperator,
                      dense_reference_evolve, single_mode_model)
 
 SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
-SWEEP_CFG = IntegratorConfig(scheme="interaction_magnus", max_step=1 / 2048.,
-                             record_times=(1.5,))
+SWEEP_CFG = IntegratorConfig(max_step=1 / 2048., record_times=(1.5,))
 
 
 def _state_at(tr, s):
@@ -24,33 +23,33 @@ def _state_at(tr, s):
     raise KeyError(s)
 
 
+def _strang_state(model, tau, n_steps):
+    """The bound state evolved to s = 1 by the strang oracle, rotating frame."""
+    _, states, _ = PerStepWaveOperator(
+        model, tau, n_steps, scheme="strang_split",
+        initial=model.bound_state().as_vector()).run([1.0])
+    return states[0]
+
+
 class TestEvolveTrue:
     def test_no_driving_means_no_leak(self, grid128):
         ff = build_form_factor(grid128, 1.5)
         model = assemble_model(grid128, ff, SwitchingProfile.zero())
-        for scheme in ("strang_split", "interaction_magnus"):
-            cfg = IntegratorConfig(scheme=scheme, record_times=(0.5, 1.0, 1.5),
-                                   window_samples=200)
-            tr = evolve_true(model, 300.0, cfg)
-            assert tr.sup_leak_window == 0.0
-            st = _state_at(tr, 1.5)
-            assert abs(abs(st.bound_amp) - 1.0) <= 1e-12
-            assert np.linalg.norm(st.continuum_amps) == 0.0
+        cfg = IntegratorConfig(record_times=(0.5, 1.0, 1.5), window_samples=200)
+        tr = evolve_true(model, 300.0, cfg)
+        assert tr.sup_leak_window == 0.0
+        st = _state_at(tr, 1.5)
+        assert abs(abs(st.bound_amp) - 1.0) <= 1e-12
+        assert np.linalg.norm(st.continuum_amps) == 0.0
 
     def test_strang_order_two_self_convergence(self, switching):
         grid = build_grid(1.0, 16, 16, 1e-4)  # N = 256
         model = assemble_model(grid, build_form_factor(grid, 1.5), switching)
         tau = 100.0
-
-        def state(n):
-            cfg = IntegratorConfig(scheme="strang_split", max_step=1.0 / n,
-                                   record_times=(1.0,), window_samples=200)
-            return _state_at(evolve_true(model, tau, cfg), 1.0).as_vector()
-
         n0 = 4000
-        ref = state(16 * n0)
-        e1 = np.linalg.norm(state(n0) - ref)
-        e2 = np.linalg.norm(state(2 * n0) - ref)
+        ref = _strang_state(model, tau, 16 * n0)
+        e1 = np.linalg.norm(_strang_state(model, tau, n0) - ref)
+        e2 = np.linalg.norm(_strang_state(model, tau, 2 * n0) - ref)
         assert 3.5 <= e1 / e2 <= 4.5
 
     def test_single_mode_against_dense_reference(self):
@@ -58,38 +57,33 @@ class TestEvolveTrue:
         tau = 50.0
         ref = dense_reference_evolve(model, tau, s_end=2.0, h=1e-5)
         ref_leak = float(np.linalg.norm(ref[1:]))
-        for scheme, n in (("strang_split", 20000), ("interaction_magnus", 2048)):
-            cfg = IntegratorConfig(scheme=scheme, max_step=1.0 / n,
-                                   record_times=(2.0,), s_end=2.0,
-                                   window_samples=200)
-            tr = evolve_true(model, tau, cfg)
-            assert abs(tr.leak_at(2.0) - ref_leak) <= 1e-6
+        cfg = IntegratorConfig(max_step=1.0 / 2048, record_times=(2.0,), s_end=2.0,
+                               window_samples=200)
+        assert abs(evolve_true(model, tau, cfg).leak_at(2.0) - ref_leak) <= 1e-6
+        # no driving past s = 1, so the strang leak there is the leak at 2
+        strang_leak = np.linalg.norm(_strang_state(model, tau, 20000)[1:])
+        assert abs(strang_leak - ref_leak) <= 1e-6
 
     def test_schemes_agree(self, model_b15_small):
-        tau = 100.0
-        cfg_s = IntegratorConfig(scheme="strang_split", max_step=2e-5,
-                                 record_times=(1.5,))
-        cfg_m = IntegratorConfig(scheme="interaction_magnus", max_step=1 / 4096.,
-                                 record_times=(1.5,))
-        leak_s = evolve_true(model_b15_small, tau, cfg_s).leak_at(1.5)
-        leak_m = evolve_true(model_b15_small, tau, cfg_m).leak_at(1.5)
-        assert abs(leak_s - leak_m) <= 1e-7
+        # tau = 10 lies below the tau range of every sweep
+        cfg = IntegratorConfig(max_step=1 / 4096., record_times=(1.5,))
+        for tau in (100.0, 10.0):
+            leak_s = np.linalg.norm(_strang_state(model_b15_small, tau, 50000)[1:])
+            leak_m = evolve_true(model_b15_small, tau, cfg).leak_at(1.5)
+            assert abs(leak_s - leak_m) <= 1e-7
 
     def test_leak_frozen_after_window(self, model_b15_small):
-        cfg = IntegratorConfig(scheme="interaction_magnus",
-                               record_times=(1.0, 1.2, 1.5))
+        cfg = IntegratorConfig(record_times=(1.0, 1.2, 1.5))
         tr = evolve_true(model_b15_small, 200.0, cfg)
         assert tr.leak_at(1.2) == tr.leak_at(1.0)
         assert tr.leak_at(1.5) == tr.leak_at(1.0)
 
     def test_unitarity_drift_small_and_enforced(self, model_b15_small):
-        cfg = IntegratorConfig(scheme="interaction_magnus")
-        tr = evolve_true(model_b15_small, 500.0, cfg)
+        tr = evolve_true(model_b15_small, 500.0, IntegratorConfig())
         assert tr.unitarity_drift <= 1e-12
         with pytest.raises(IntegrationFailure) as err:
             evolve_true(model_b15_small, 500.0,
-                        IntegratorConfig(scheme="interaction_magnus",
-                                         drift_tolerance=1e-22))
+                        IntegratorConfig(drift_tolerance=1e-22))
         assert err.value.drift > 1e-22
 
     def test_rejects_bad_inputs(self, model_b15_small):
@@ -100,24 +94,17 @@ class TestEvolveTrue:
         with pytest.raises(ContractViolation):
             evolve_true(model_b15_small, 10.0, IntegratorConfig(), initial=bad)
         with pytest.raises(ConfigurationError):
-            IntegratorConfig(scheme="rk4")
-        with pytest.raises(ConfigurationError):
             IntegratorConfig(s_end=1.0, record_times=(1.5,))
 
-    def test_auto_scheme_switches_on_budget(self, model_b15_small):
-        cfg = IntegratorConfig(scheme="auto", strang_step_budget=1000)
-        assert resolve_scheme(model_b15_small, 10.0, cfg) == "strang_split"
-        assert resolve_scheme(model_b15_small, 1e4, cfg) == "interaction_magnus"
-
     def test_dense_window_sampling(self, model_b15_small):
-        cfg = IntegratorConfig(scheme="interaction_magnus", window_samples=256)
+        cfg = IntegratorConfig(window_samples=256)
         tr = evolve_true(model_b15_small, 100.0, cfg)
         assert len(tr.window_s) >= 201
         assert tr.sup_leak_window >= tr.leak_at(1.0)
 
 
     def test_in_window_record_time_is_snapped(self, model_b15_small):
-        cfg = IntegratorConfig(scheme="interaction_magnus", record_times=(0.3,))
+        cfg = IntegratorConfig(record_times=(0.3,))
         tr = evolve_true(model_b15_small, 200.0, cfg)
         assert tr.n_window_steps == 512
         snapped = round(0.3 * 512) / 512
@@ -181,12 +168,9 @@ class TestBatchedLoop:
         assert out.unitarity_drift == max(clean[0].unitarity_drift,
                                           clean[1].unitarity_drift)
 
-    def test_batch_must_share_scheme(self, model_b15_small):
-        cfg = IntegratorConfig(scheme="auto", strang_step_budget=1000)
+    def test_batch_rejects_empty_or_nonpositive_taus(self, model_b15_small):
         with pytest.raises(ConfigurationError):
-            evolve_true(model_b15_small, (10.0, 1e4), cfg)
-        with pytest.raises(ConfigurationError):
-            evolve_true(model_b15_small, (), cfg)
+            evolve_true(model_b15_small, (), SWEEP_CFG)
         with pytest.raises(ConfigurationError):
             evolve_true(model_b15_small, (100.0, -1.0), SWEEP_CFG)
 

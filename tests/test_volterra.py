@@ -82,8 +82,7 @@ class TestSeries:
         tau = 1000.0
         ser = wave_operator_series(model_b15_small, tau, max_order=3,
                                    quad_order=64, s_eval=1.5)
-        cfg = IntegratorConfig(scheme="interaction_magnus", max_step=1 / 4096.,
-                               record_times=(1.5,))
+        cfg = IntegratorConfig(max_step=1 / 4096., record_times=(1.5,))
         tr = evolve_true(model_b15_small, tau, cfg)
         f = adiabatic_defect(model_b15_small, tau, n_steps=2048)
         total = ser.partial_sum(3)

@@ -61,11 +61,11 @@ def _config_from_args(args) -> sweep_mod.SweepConfig:
 
 
 def _cmd_simulate(args) -> int:
-    from .propagate import evolve_true
+    from .propagate import evolve_true, steps_for
     cfg = _config_from_args(args)
     model = build_model_from_config(cfg)
     tau = cfg.tau_values[0] if args.single_tau is None else args.single_tau
-    icfg = sweep_mod._integrator_config(cfg, cfg.max_step)
+    icfg = sweep_mod._integrator_config(cfg, steps_for(cfg.max_step))
     record = tuple(np.linspace(0.0, 1.0, 11)) + (cfg.s_probe,)
     icfg = replace(icfg, record_times=record)
     tr = evolve_true(model, tau, icfg)

@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, ResourceBudgetError,
                      SpectralSeparationError)
 from .model import FriedrichsModel
 from .numutil import gauss_panel
-from .propagate import IntegratorConfig, evolve_true
+from .propagate import IntegratorConfig, evolve_true, steps_for
 
 __all__ = [
     "ContourSpec",
@@ -116,15 +116,6 @@ def tilde_eigenbasis(h: np.ndarray, p: np.ndarray, x: np.ndarray,
             lam_in, lam_out = (lam[a], lam[b]) if inside[a] else (lam[b], lam[a])
             out[a, b] = xe[a, b] / (lam_out - lam_in)
     return vecs @ out @ vecs.conj().T
-
-
-def _tilde_static(model: FriedrichsModel, x: np.ndarray) -> np.ndarray:
-    """Tilde w.r.t. the static diagonal Hamiltonian, in closed form."""
-    out = np.zeros_like(x, dtype=complex)
-    gaps = model.diag_energies[1:]  # lambda_out - lambda_in = k + gap_shift
-    out[0, 1:] = x[0, 1:] / gaps
-    out[1:, 0] = x[1:, 0] / gaps
-    return out
 
 
 class PolyMatrixProfile:
@@ -338,7 +329,7 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
         raise ConfigurationError(
             "gap times smallest tau must reach 50 for the probe to be "
             f"meaningful; got {model.gap_shift * tau_list[0]:.1f}")
-    cfg = IntegratorConfig(max_step=max_step, s_end=s_probe,
+    cfg = IntegratorConfig(n_steps=steps_for(max_step), s_end=s_probe,
                            record_times=(s_probe,))
     trajectories = evolve_true(model, tau_list, cfg).trajectories()
     return [(tau, tr.leak_at(s_probe), tr.sup_leak_window)

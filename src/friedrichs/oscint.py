@@ -60,7 +60,7 @@ def fourier_legendre_moments(w, degree: int) -> np.ndarray:
 
 def filon_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                    p: float, n_panels: int = _DEFAULT_PANELS,
-                   degree: int = _DEFAULT_DEGREE, graded: bool = True) -> complex:
+                   degree: int = _DEFAULT_DEGREE) -> complex:
     """int_a^b f(t) exp(i p t) dt with f smooth and p arbitrary.
 
     Cosine-graded panels cluster near both endpoints, which suits factors
@@ -68,10 +68,7 @@ def filon_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     """
     if b <= a:
         return 0.0 + 0.0j
-    if graded:
-        edges = cosine_graded_edges(a, b, n_panels)
-    else:
-        edges = np.linspace(a, b, n_panels + 1)
+    edges = cosine_graded_edges(a, b, n_panels)
     x, _, analysis = legendre_projection(degree + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -119,8 +116,8 @@ class AsymptoticForm:
     """Large-p form of the canonical bump transform, factor by factor.
 
     amplitude * decay(p) * power(p) * cos(phase(p)) approximates the
-    transform with a relative correction of order correction_scale/sqrt(p)
-    away from the cosine zeros.
+    transform with a relative correction of order 2/sqrt(p) (an empirical
+    coefficient on p in [50, 400]) away from the cosine zeros.
     """
 
     amplitude: float = 2.0 * np.sqrt(np.pi) / (2.0 * np.e) ** 0.25
@@ -128,7 +125,6 @@ class AsymptoticForm:
     power: Callable[[float], float] = field(default=lambda p: p ** -0.75)
     phase: Callable[[float], float] = field(
         default=lambda p: p - np.sqrt(p) - 3.0 * np.pi / 8.0)
-    correction_scale: float = 2.0  # empirical bound coefficient on [50, 400]
 
     def envelope(self, p: float) -> float:
         return self.amplitude * self.decay(p) * self.power(p)

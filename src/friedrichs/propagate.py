@@ -53,6 +53,7 @@ from .oscint import fourier_legendre_moments
 
 __all__ = [
     "IntegratorConfig",
+    "steps_for",
     "Trajectory",
     "TrajectoryBatch",
     "GeneratorCheck",
@@ -66,21 +67,31 @@ __all__ = [
 
 _MAGNUS_DEGREE = 8
 _RESEED_STEPS = 64
+_AUTO_STEPS = 512
+
+
+def steps_for(max_step: float | None) -> int:
+    """Step count in the window [0, 1] for a cap on the step; auto is 512."""
+    if max_step is None:
+        return _AUTO_STEPS
+    if max_step <= 0.0:
+        raise ConfigurationError("max_step must be positive")
+    return math.ceil(1.0 / max_step)
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step control and sampling for one batch of trajectories."""
 
-    max_step: float | None = None
+    n_steps: int = _AUTO_STEPS
     s_end: float = 1.5
     record_times: tuple[float, ...] = ()
     window_samples: int = 256
     drift_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if self.max_step is not None and self.max_step <= 0.0:
-            raise ConfigurationError("max_step must be positive")
+        if self.n_steps < 1:
+            raise ConfigurationError("n_steps must be at least 1")
         if self.record_times and self.s_end < max(self.record_times):
             raise ConfigurationError("s_end must cover all record_times")
         if self.window_samples < 2:
@@ -143,8 +154,7 @@ class TrajectoryBatch:
 
 
 def _window_steps(config: IntegratorConfig) -> int:
-    n = 512 if config.max_step is None else math.ceil(1.0 / config.max_step)
-    return max(n, config.window_samples)
+    return max(config.n_steps, config.window_samples)
 
 
 def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):

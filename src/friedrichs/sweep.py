@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, FitDomainError, FriedrichsError,
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
                     build_grid, build_switching)
 from .numutil import format_float17
-from .propagate import IntegratorConfig, evolve_true
+from .propagate import IntegratorConfig, evolve_true, steps_for
 
 __all__ = [
     "SweepConfig",
@@ -75,7 +75,6 @@ _SCHEMA = {
         "directory": ("str", "out"),
         "formats": ("str_list", ("csv", "json")),
         "jobs": ("int", 1),
-        "reproducible_timings": ("bool", True),
     },
     "check": {
         "probe_slope": ("float_or_auto_or_none", "auto"),
@@ -109,7 +108,6 @@ class SweepConfig:
     directory: str
     formats: tuple[str, ...]
     jobs: int
-    reproducible_timings: bool
     probe_slope: float | None
     probe_tol: float
     probe_slope_max: float | None
@@ -146,7 +144,6 @@ class SweepResult:
     fits: dict
     checks: dict
     calibration: dict
-    wall_times_measured: list[float]
     code_version: str = __version__
 
 
@@ -281,7 +278,7 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
 
 
 #: run and output settings: they change no result, so they are not hashed
-_RUN_SETTINGS = ("directory", "formats", "jobs", "reproducible_timings")
+_RUN_SETTINGS = ("directory", "formats", "jobs")
 
 
 def canonical_config_text(cfg: SweepConfig) -> str:
@@ -310,8 +307,8 @@ def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
     return assemble_model(grid, ff, sw, cfg.gap_shift)
 
 
-def _integrator_config(cfg: SweepConfig, max_step: float | None) -> IntegratorConfig:
-    return IntegratorConfig(max_step=max_step, s_end=cfg.s_probe,
+def _integrator_config(cfg: SweepConfig, n_steps: int) -> IntegratorConfig:
+    return IntegratorConfig(n_steps=n_steps, s_end=cfg.s_probe,
                             record_times=(cfg.s_probe,),
                             window_samples=cfg.window_samples,
                             drift_tolerance=cfg.drift_tolerance)
@@ -329,7 +326,7 @@ def _record(tau: float, result, wall_s: float, s_probe: float) -> SweepRecord:
                        n_steps=result.n_window_steps)
 
 
-def _run_batch(cfg: SweepConfig, taus: list[float], max_step: float | None,
+def _run_batch(cfg: SweepConfig, taus: list[float], n_steps: int,
                model: FriedrichsModel | None = None) -> list[SweepRecord]:
     """Evolve taus as one batch and make a record of each column.
 
@@ -340,20 +337,19 @@ def _run_batch(cfg: SweepConfig, taus: list[float], max_step: float | None,
         model = build_model_from_config(cfg)
     start = time.perf_counter()
     try:
-        results = evolve_true(model, taus, _integrator_config(cfg, max_step)).results
+        results = evolve_true(model, taus, _integrator_config(cfg, n_steps)).results
     except FriedrichsError as exc:
         results = [exc] * len(taus)
     wall_s = (time.perf_counter() - start) / len(taus)
     return [_record(t, r, wall_s, cfg.s_probe) for t, r in zip(taus, results)]
 
 
-def _batch_entry(taus, records) -> dict:
-    return {"taus": list(taus), "n_steps": max(r.n_steps for r in records)}
-
-
 @dataclass
 class _TrajectoryCache:
-    """Records by (n_steps, tau), shared by step calibration and production."""
+    """Records by (n_steps, tau), shared by step calibration and production.
+
+    The only place a sweep integrates.
+    """
 
     cfg: SweepConfig
     model: FriedrichsModel
@@ -361,31 +357,43 @@ class _TrajectoryCache:
     batches: list = field(default_factory=list)
 
     def get(self, n_steps: int, taus) -> list[SweepRecord]:
-        """Records at n_steps, running the missing taus as one batch."""
+        """Records at n_steps, running the missing taus first.
+
+        The missing taus are dealt round-robin into up to jobs batches.
+        With more than one, this process runs the first while a process
+        pool runs the others, one worker each.
+        """
         missing = [t for t in dict.fromkeys(taus) if (n_steps, t) not in self.records]
-        if missing:
-            recs = _run_batch(self.cfg, missing, 1.0 / n_steps, self.model)
-            self.records.update(((n_steps, t), r) for t, r in zip(missing, recs))
-            self.batches.append(_batch_entry(missing, recs))
+        width = min(self.cfg.jobs, len(missing))
+        batches = [missing[i::width] for i in range(width)]
+        if len(batches) > 1:
+            with ProcessPoolExecutor(max_workers=width - 1) as pool:
+                futures = [pool.submit(_run_batch, self.cfg, b, n_steps)
+                           for b in batches[1:]]
+                done = [_run_batch(self.cfg, batches[0], n_steps, self.model)]
+                done += [f.result() for f in futures]
+        else:
+            done = [_run_batch(self.cfg, b, n_steps, self.model) for b in batches]
+        for batch, recs in zip(batches, done):
+            self.records.update(((n_steps, t), r) for t, r in zip(batch, recs))
+            self.batches.append({"taus": batch, "n_steps": n_steps})
         return [self.records[(n_steps, t)] for t in taus]
 
 
-def _calibrate_steps(cfg: SweepConfig,
-                     cache: _TrajectoryCache) -> tuple[float | None, dict]:
+def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, dict]:
     """Refine the step count until halving moves probe leaks below tolerance.
 
     Checked at both ends of the tau range (the smallest leak is the most
     demanding); the step does not depend on tau, so the accepted count
     serves every tau. The first candidate step count runs every tau, so
     that production finds its records in the cache when that count is
-    accepted; the halved steps run the two ends.
+    accepted; the halved steps run the two ends. Uncalibrated, the step
+    count is max_step's (512 when auto), at least window_samples.
     """
-    base_steps = max(cfg.window_samples, 2048)
-    if cfg.max_step is not None:
-        base_steps = max(base_steps, math.ceil(1.0 / cfg.max_step))
-    taus = (cfg.tau_values[0], cfg.tau_values[-1])
+    steps = max(cfg.window_samples, steps_for(cfg.max_step))
     if not cfg.calibrate:
-        return cfg.max_step, {"calibrated": False, "n_steps": None}
+        return steps, {"calibrated": False, "n_steps": steps}
+    taus = (cfg.tau_values[0], cfg.tau_values[-1])
 
     def probe_leaks(n, run_taus):
         by_tau = dict(zip(run_taus, cache.get(n, run_taus)))
@@ -396,7 +404,7 @@ def _calibrate_steps(cfg: SweepConfig,
                     f"{by_tau[t].error}", by_tau[t].unitarity_drift)
         return np.array([by_tau[t].leak_probe for t in taus])
 
-    n = base_steps
+    n = max(steps, 2048)
     coarse = probe_leaks(n, cfg.tau_values)
     history = []
     for _ in range(3):
@@ -408,47 +416,25 @@ def _calibrate_steps(cfg: SweepConfig,
             break
         n *= 2
         coarse = fine
-    return 1.0 / n, {"calibrated": True, "n_steps": n, "history": history}
+    return n, {"calibrated": True, "n_steps": n, "history": history}
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Evolve every tau, fit the tails, and evaluate configured checks.
 
-    Step calibration and production share a cache of records by step
-    count and tau; production runs only the taus the cache lacks, in one
-    batch, or with jobs > 1 dealt round-robin into up to jobs batches on
-    a process pool. A column's result does not depend on its batch,
-    records are collected in tau order, and an integration failure
+    Step calibration and production draw their records from one cache
+    by step count and tau (_TrajectoryCache.get), so production runs
+    only the taus calibration did not. A column's result does not depend
+    on its batch, records come in tau order, and an integration failure
     taints only its own tau.
     """
     model = build_model_from_config(cfg)
     cache = _TrajectoryCache(cfg, model)
-    max_step, calibration = _calibrate_steps(cfg, cache)
-
-    n = calibration["n_steps"]
-    records = [cache.records[(n, t)] for t in cfg.tau_values
-               if (n, t) in cache.records]
-    reused = len(records)
-    missing = [t for t in cfg.tau_values if (n, t) not in cache.records]
-    width = min(cfg.jobs, len(missing))
-    batches = [missing[i::width] for i in range(width)]
-    if cfg.jobs > 1 and len(batches) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_batch, cfg, b, max_step) for b in batches]
-            done = [f.result() for f in futures]
-    else:
-        done = [_run_batch(cfg, b, max_step, model) for b in batches]
-    for batch, recs in zip(batches, done):
-        cache.batches.append(_batch_entry(batch, recs))
-        records += recs
-    records.sort(key=lambda r: r.tau)
+    n, calibration = _calibrate_steps(cfg, cache)
+    reused = sum((n, t) in cache.records for t in cfg.tau_values)
+    records = cache.get(n, cfg.tau_values)
     calibration["batches"] = cache.batches
     calibration["reused_trajectories"] = reused
-
-    wall_measured = [r.wall_time_s for r in records]
-    if cfg.reproducible_timings:
-        for r in records:
-            r.wall_time_s = 0.0
 
     fits = {}
     good = [r for r in records if r.error is None]
@@ -472,8 +458,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             "pass": bool(ratios and max(ratios) <= 0.5)}
     return SweepResult(config=cfg, config_hash=config_hash(cfg),
                        n_nodes=model.measure.n_nodes, records=records,
-                       fits=fits, checks=checks, calibration=calibration,
-                       wall_times_measured=wall_measured)
+                       fits=fits, checks=checks, calibration=calibration)
 
 
 def fit_powerlaw(points) -> FitResult:
@@ -525,7 +510,11 @@ def evaluate_checks(cfg: SweepConfig, fits: dict) -> dict:
 
 
 def render_csv(result: SweepResult) -> str:
-    """Fixed column order, 17-digit floats; errored rows are omitted."""
+    """Fixed column order, 17-digit floats; errored rows are omitted.
+
+    wall_time_s is written as 0.0, so that the bytes do not depend on
+    timing; the measured times are in the manifest's records.
+    """
     cfg = result.config
     lines = [",".join(CSV_COLUMNS)]
     for r in result.records:
@@ -533,7 +522,7 @@ def render_csv(result: SweepResult) -> str:
             continue
         row = (r.tau, cfg.s_probe, r.leak_probe, r.sup_leak_window, cfg.beta,
                cfg.gap_shift, result.n_nodes, cfg.theta_total,
-               r.unitarity_drift, r.wall_time_s)
+               r.unitarity_drift, 0.0)
         lines.append(",".join(str(v) if isinstance(v, int) else format_float17(v)
                               for v in row))
     return "\n".join(lines) + "\n"
@@ -553,7 +542,6 @@ def render_manifest(result: SweepResult) -> str:
         "fits": {k: _fit_to_dict(v) for k, v in result.fits.items()},
         "checks": result.checks,
         "calibration": result.calibration,
-        "wall_times_measured": result.wall_times_measured,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -668,5 +656,4 @@ def load_manifest(path: str) -> SweepResult:
                        n_nodes=payload["n_nodes"], records=records, fits=fits,
                        checks=payload["checks"],
                        calibration=payload["calibration"],
-                       wall_times_measured=payload["wall_times_measured"],
                        code_version=payload["code_version"])

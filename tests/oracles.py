@@ -287,13 +287,21 @@ def per_node_series_terms(model, tau, max_order=4, quad_order=64, s_eval=1.0):
     return starts
 
 
+def tilde_static(model, x):
+    """Tilde w.r.t. the static diagonal Hamiltonian, in closed form."""
+    out = np.zeros_like(x, dtype=complex)
+    gaps = model.diag_energies[1:]  # lambda_out - lambda_in = k + gap_shift
+    out[0, 1:] = x[0, 1:] / gaps
+    out[1:, 0] = x[1:, 0] / gaps
+    return out
+
+
 def per_node_ibp_sides(model, tau, x_profile, y_profile, s, quad_order):
     """Both sides of the identity as dense triple products, node by node.
 
     The sides as friedrichs.contour._ibp_sides defines them, each term
     formed as the full matrix Pperp U^dag M U P Y at every Gauss node.
     """
-    from friedrichs.contour import _tilde_static
     from friedrichs.model import rotation_dense
     from friedrichs.numutil import gauss_panel
 
@@ -312,13 +320,13 @@ def per_node_ibp_sides(model, tau, x_profile, y_profile, s, quad_order):
         return out
 
     def tilde_of(v, m):
-        return v @ _tilde_static(model, v.conj().T @ m @ v) @ v.conj().T
+        return v @ tilde_static(model, v.conj().T @ m @ v) @ v.conj().T
 
     def transport_derivative(t, v):
         xv = v.conj().T @ x_profile.value(t) @ v
         xdv = v.conj().T @ x_profile.derivative(t) @ v
         inner = xdv - 1j * float(sw.gdot(t)) * (a_dense @ xv - xv @ a_dense)
-        return v @ _tilde_static(model, inner) @ v.conj().T
+        return v @ tilde_static(model, inner) @ v.conj().T
 
     nodes, weights = gauss_panel(0.0, s, quad_order)
     lhs = np.zeros((dim, dim), dtype=complex)

@@ -239,14 +239,17 @@ def test_criterion_11_robustness_and_determinism():
     rerun = run_sweep(base.config)
     bytes_ok = (render_csv(base) == render_csv(parallel)
                 == render_csv(rerun))
+    # jobs=2 splits the batches, so the pool ran
+    pooled = len(parallel.calibration["batches"]) > len(base.calibration["batches"])
 
     fit_full = base.fits["leak_probe"].slope
     trimmed = fit_powerlaw([(r.tau, r.leak_probe)
                             for r in base.records[1:]]).slope
     fit_ok = abs(trimmed - fit_full) <= 0.05
 
-    ok = grid_ok and bytes_ok and fit_ok
+    ok = grid_ok and bytes_ok and pooled and fit_ok
     _report(11, ok, f"node doubling moves leaks by {max(rels):.2e} (<1%); "
-                    f"CSV byte-identical across jobs/reruns={bytes_ok}; "
+                    f"CSV byte-identical across jobs/reruns={bytes_ok} "
+                    f"(pool ran={pooled}); "
                     f"fit stable without smallest tau "
                     f"({abs(trimmed - fit_full):.3f}<=0.05)")

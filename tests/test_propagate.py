@@ -13,7 +13,7 @@ from oracles import (PerStepExpRunner, PerStepWaveOperator,
                      dense_reference_evolve, single_mode_model)
 
 SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
-SWEEP_CFG = IntegratorConfig(max_step=1 / 2048., record_times=(1.5,))
+SWEEP_CFG = IntegratorConfig(n_steps=2048, record_times=(1.5,))
 
 
 def _state_at(tr, s):
@@ -57,7 +57,7 @@ class TestEvolveTrue:
         tau = 50.0
         ref = dense_reference_evolve(model, tau, s_end=2.0, h=1e-5)
         ref_leak = float(np.linalg.norm(ref[1:]))
-        cfg = IntegratorConfig(max_step=1.0 / 2048, record_times=(2.0,), s_end=2.0,
+        cfg = IntegratorConfig(n_steps=2048, record_times=(2.0,), s_end=2.0,
                                window_samples=200)
         assert abs(evolve_true(model, tau, cfg).leak_at(2.0) - ref_leak) <= 1e-6
         # no driving past s = 1, so the strang leak there is the leak at 2
@@ -66,7 +66,7 @@ class TestEvolveTrue:
 
     def test_schemes_agree(self, model_b15_small):
         # tau = 10 lies below the tau range of every sweep
-        cfg = IntegratorConfig(max_step=1 / 4096., record_times=(1.5,))
+        cfg = IntegratorConfig(n_steps=4096, record_times=(1.5,))
         for tau in (100.0, 10.0):
             leak_s = np.linalg.norm(_strang_state(model_b15_small, tau, 50000)[1:])
             leak_m = evolve_true(model_b15_small, tau, cfg).leak_at(1.5)
@@ -95,6 +95,8 @@ class TestEvolveTrue:
             evolve_true(model_b15_small, 10.0, IntegratorConfig(), initial=bad)
         with pytest.raises(ConfigurationError):
             IntegratorConfig(s_end=1.0, record_times=(1.5,))
+        with pytest.raises(ConfigurationError):
+            IntegratorConfig(n_steps=0)
 
     def test_dense_window_sampling(self, model_b15_small):
         cfg = IntegratorConfig(window_samples=256)

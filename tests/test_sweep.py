@@ -115,8 +115,7 @@ class TestConfig:
         base = config_hash(resolve_config({}, jobs=1))
         assert config_hash(resolve_config({}, jobs=2)) == base
         assert config_hash(resolve_config({}, directory="elsewhere",
-                                          formats=("svg",),
-                                          reproducible_timings=False)) == base
+                                          formats=("svg",))) == base
 
 
 class TestOutputs:
@@ -191,6 +190,14 @@ class TestRunSweep:
         for a, b in zip(res1.records, res2.records):
             assert a.leak_probe == b.leak_probe
             assert a.sup_leak_window == b.sup_leak_window
+        # the calibration batches were split, so they ran on the pool
+        t = QUICK_TAUS
+        assert res2.calibration["batches"] == [
+            {"taus": [t[0], t[3]], "n_steps": 2048},
+            {"taus": [t[1]], "n_steps": 2048},
+            {"taus": [t[2]], "n_steps": 2048},
+            {"taus": [t[0]], "n_steps": 4096},
+            {"taus": [t[3]], "n_steps": 4096}]
 
     def test_calibration_batches_feed_production(self, quick_result):
         cal = quick_result.calibration
@@ -200,8 +207,10 @@ class TestRunSweep:
             {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 4096}]
         assert cal["reused_trajectories"] == len(QUICK_TAUS)
         # each record carries its batch's wall time over the batch width
-        walls = quick_result.wall_times_measured
+        walls = [r.wall_time_s for r in quick_result.records]
         assert len(set(walls)) == 1 and walls[0] > 0.0
+        assert all(line.endswith(",0.0000000000000000e+00")
+                   for line in render_csv(quick_result).splitlines()[1:])
 
     def test_pool_runs_missing_taus_in_batches(self):
         cfg1 = resolve_config({}, tau_values=QUICK_TAUS, calibrate=False,
@@ -214,6 +223,22 @@ class TestRunSweep:
             {"taus": list(QUICK_TAUS[1::2]), "n_steps": 2048}]
         assert res2.calibration["reused_trajectories"] == 0
         assert render_csv(res1) == render_csv(res2)
+
+    def test_step_counts_are_integers_end_to_end(self):
+        # 2915 steps is not an exact reciprocal: 1 / (1 / 2915) > 2915
+        cfg = resolve_config({}, tau_values=QUICK_TAUS, window_samples=2915)
+        result = run_sweep(cfg)
+        assert result.calibration["n_steps"] == 2915
+        assert result.calibration["batches"] == [
+            {"taus": list(QUICK_TAUS), "n_steps": 2915},
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 5830}]
+        assert [r.n_steps for r in result.records] == [2915] * len(QUICK_TAUS)
+
+    def test_uncalibrated_manifest_names_its_step_count(self):
+        cfg = resolve_config({}, tau_values=QUICK_TAUS, calibrate=False)
+        result = run_sweep(cfg)
+        assert result.calibration["n_steps"] == 512
+        assert [r.n_steps for r in result.records] == [512] * len(QUICK_TAUS)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_column_taints_only_its_record(self, quick_result,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,22 @@ class TestSeries:
         assert len(defects) == 4
         assert max(defects) <= 1e-9
 
+    @pytest.mark.parametrize("order, entry", [
+        (1, (0, 0)),    # odd term, bound-bound block
+        (1, (3, 5)),    # odd term, continuum-continuum block
+        (2, (0, 4)),    # even term, bound row into the continuum
+        (2, (4, 0)),    # even term, continuum column from the bound state
+    ])
+    def test_parity_check_registers_planted_defect(self, series128, order, entry):
+        # the blocks are exactly zero by construction; a wrong-parity
+        # entry of relative size 1e-8 must show in the <= 1e-9 check
+        assert series128.parity_defects()[order - 1] == 0.0
+        terms = [m.copy() for m in series128.terms]
+        terms[order][entry] += 1e-8 * operator_norm(terms[order])
+        defects = replace(series128, terms=terms).parity_defects()
+        assert 0.5e-8 <= defects[order - 1] <= 2e-8
+        assert max(defects) > 1e-9
+
     def test_first_order_column_matches_closed_form(self, series128,
                                                     model_b15_small):
         vec, nrm = first_order_tail(model_b15_small, 100.0)
@@ -82,7 +100,7 @@ class TestSeries:
         tau = 1000.0
         ser = wave_operator_series(model_b15_small, tau, max_order=3,
                                    quad_order=64, s_eval=1.5)
-        cfg = IntegratorConfig(max_step=1 / 4096., record_times=(1.5,))
+        cfg = IntegratorConfig(n_steps=4096, record_times=(1.5,))
         tr = evolve_true(model_b15_small, tau, cfg)
         f = adiabatic_defect(model_b15_small, tau, n_steps=2048)
         total = ser.partial_sum(3)

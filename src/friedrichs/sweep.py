@@ -14,7 +14,9 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -253,8 +255,11 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     for fmt in values["formats"]:
         if fmt not in ("csv", "json", "svg"):
             raise ConfigurationError(f"unknown output format {fmt!r}")
+    if values["window_samples"] < 2:
+        raise ConfigurationError("window_samples must be at least 2")
     if values["max_step"] == "auto":
         values["max_step"] = None
+    steps_for(values["max_step"])   # rejects max_step <= 0
 
     beta, gap = values["beta"], values["gap_shift"]
     if values["probe_slope"] == "auto":
@@ -307,6 +312,10 @@ def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
     return assemble_model(grid, ff, sw, cfg.gap_shift)
 
 
+#: a pool worker's model, built at its first batch
+_worker_model = lru_cache(maxsize=1)(build_model_from_config)
+
+
 def _integrator_config(cfg: SweepConfig, n_steps: int) -> IntegratorConfig:
     return IntegratorConfig(n_steps=n_steps, s_end=cfg.s_probe,
                             record_times=(cfg.s_probe,),
@@ -330,11 +339,11 @@ def _run_batch(cfg: SweepConfig, taus: list[float], n_steps: int,
                model: FriedrichsModel | None = None) -> list[SweepRecord]:
     """Evolve taus as one batch and make a record of each column.
 
-    Also the pool worker body, which rebuilds the model locally. Each
+    Also the pool worker body, which uses the worker's model. Each
     record is credited with the batch's wall time divided by its width.
     """
     if model is None:
-        model = build_model_from_config(cfg)
+        model = _worker_model(cfg)
     start = time.perf_counter()
     try:
         results = evolve_true(model, taus, _integrator_config(cfg, n_steps)).results
@@ -348,32 +357,37 @@ def _run_batch(cfg: SweepConfig, taus: list[float], n_steps: int,
 class _TrajectoryCache:
     """Records by (n_steps, tau), shared by step calibration and production.
 
-    The only place a sweep integrates.
+    The only place a sweep integrates. A process pool it opens serves
+    every later call, and exits closes it.
     """
 
     cfg: SweepConfig
     model: FriedrichsModel
+    exits: ExitStack
     records: dict = field(default_factory=dict)
     batches: list = field(default_factory=list)
+    _pool: ProcessPoolExecutor | None = None
 
     def get(self, n_steps: int, taus) -> list[SweepRecord]:
         """Records at n_steps, running the missing taus first.
 
         The missing taus are dealt round-robin into up to jobs batches.
-        With more than one, this process runs the first while a process
-        pool runs the others, one worker each.
+        With more than one, this process runs the first while the pool's
+        workers run the others; it opens at the first such call, with
+        jobs - 1 workers.
         """
         missing = [t for t in dict.fromkeys(taus) if (n_steps, t) not in self.records]
         width = min(self.cfg.jobs, len(missing))
         batches = [missing[i::width] for i in range(width)]
+        futures = []
         if len(batches) > 1:
-            with ProcessPoolExecutor(max_workers=width - 1) as pool:
-                futures = [pool.submit(_run_batch, self.cfg, b, n_steps)
-                           for b in batches[1:]]
-                done = [_run_batch(self.cfg, batches[0], n_steps, self.model)]
-                done += [f.result() for f in futures]
-        else:
-            done = [_run_batch(self.cfg, b, n_steps, self.model) for b in batches]
+            if self._pool is None:
+                self._pool = self.exits.enter_context(
+                    ProcessPoolExecutor(max_workers=self.cfg.jobs - 1))
+            futures = [self._pool.submit(_run_batch, self.cfg, b, n_steps)
+                       for b in batches[1:]]
+        done = [_run_batch(self.cfg, b, n_steps, self.model) for b in batches[:1]]
+        done += [f.result() for f in futures]
         for batch, recs in zip(batches, done):
             self.records.update(((n_steps, t), r) for t, r in zip(batch, recs))
             self.batches.append({"taus": batch, "n_steps": n_steps})
@@ -429,23 +443,20 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     taints only its own tau.
     """
     model = build_model_from_config(cfg)
-    cache = _TrajectoryCache(cfg, model)
-    n, calibration = _calibrate_steps(cfg, cache)
-    reused = sum((n, t) in cache.records for t in cfg.tau_values)
-    records = cache.get(n, cfg.tau_values)
+    with ExitStack() as exits:
+        cache = _TrajectoryCache(cfg, model, exits)
+        n, calibration = _calibrate_steps(cfg, cache)
+        reused = sum((n, t) in cache.records for t in cfg.tau_values)
+        records = cache.get(n, cfg.tau_values)
     calibration["batches"] = cache.batches
     calibration["reused_trajectories"] = reused
 
     fits = {}
     good = [r for r in records if r.error is None]
-    for name, getter in (("leak_probe", lambda r: r.leak_probe),
-                         ("sup_leak_window", lambda r: r.sup_leak_window)):
-        pts = [(r.tau, getter(r)) for r in good if getter(r) > 0.0]
+    for name in ("leak_probe", "sup_leak_window"):
+        pts = [(r.tau, getattr(r, name)) for r in good if getattr(r, name) > 0.0]
         span = (math.log10(pts[-1][0] / pts[0][0]) if len(pts) >= 2 else 0.0)
-        if len(pts) >= 4 and span >= 1.5:
-            fits[name] = fit_powerlaw(pts)
-        else:
-            fits[name] = None
+        fits[name] = fit_powerlaw(pts) if len(pts) >= 4 and span >= 1.5 else None
 
     checks = evaluate_checks(cfg, fits)
     if cfg.gap_shift == 0.0 and good:

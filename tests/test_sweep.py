@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from friedrichs import sweep
 from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
 from friedrichs.sweep import (CSV_COLUMNS, config_hash, emit_report,
@@ -105,6 +106,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             resolve_config({"sweep": {"s_probe": "0.9"}})
 
+    @pytest.mark.parametrize("raw, key", [
+        ({"integrate": {"max_step": "0"}}, "max_step"),
+        ({"integrate": {"max_step": "-0.5"}}, "max_step"),
+        ({"sweep": {"window_samples": "1"}}, "window_samples")])
+    def test_step_settings_checked_on_resolve(self, raw, key):
+        with pytest.raises(ConfigurationError, match=key):
+            resolve_config(raw)
+
     def test_hash_changes_with_content(self):
         a = resolve_config({}, beta=1.5)
         b = resolve_config({}, beta=1.25)
@@ -182,10 +191,15 @@ class TestRunSweep:
         probes = [r.leak_probe for r in quick_result.records]
         assert all(a > b for a, b in zip(probes, probes[1:]))
 
-    def test_parallel_execution_matches_serial_bytes(self):
+    def test_parallel_execution_matches_serial_bytes(self, monkeypatch):
+        opened, real = [], sweep.ProcessPoolExecutor
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor",
+                            lambda **kw: opened.append(kw) or real(**kw))
         cfg1 = resolve_config({}, tau_values=QUICK_TAUS, jobs=1)
         cfg2 = resolve_config({}, tau_values=QUICK_TAUS, jobs=3)
         res1, res2 = run_sweep(cfg1), run_sweep(cfg2)
+        # one pool serves both split calls of the jobs = 3 sweep
+        assert opened == [{"max_workers": 2}]
         assert render_csv(res1) == render_csv(res2)
         for a, b in zip(res1.records, res2.records):
             assert a.leak_probe == b.leak_probe

@@ -31,7 +31,6 @@ def _add_common(parser, with_out=True):
     parser.add_argument("--tau", help="comma-separated tau list override")
     parser.add_argument("--beta", type=float, help="coupling exponent override")
     parser.add_argument("--gap", type=float, help="gap shift override")
-    parser.add_argument("--jobs", type=int, help="worker processes")
     if with_out:
         parser.add_argument("--out", help="output directory override")
         parser.add_argument("--format", dest="formats",
@@ -51,8 +50,6 @@ def _config_from_args(args) -> sweep_mod.SweepConfig:
         overrides["beta"] = args.beta
     if getattr(args, "gap", None) is not None:
         overrides["gap_shift"] = args.gap
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
     if getattr(args, "out", None):
         overrides["directory"] = args.out
     if getattr(args, "formats", None):

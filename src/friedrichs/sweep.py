@@ -3,8 +3,8 @@
 A sweep evolves the bound state once per tau, records the leak at a
 post-window probe time and the in-window supremum, fits log-log slopes,
 and emits CSV/JSON/SVG outputs. Runs are deterministic: fixed float
-formatting, records ordered by tau, and results independent of the
-worker-pool degree.
+formatting, records ordered by tau, and results independent of how the
+taus are batched.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -109,7 +106,7 @@ class SweepConfig:
     drift_tolerance: float
     directory: str
     formats: tuple[str, ...]
-    jobs: int
+    jobs: int    # accepted for compatibility; has no effect
     probe_slope: float | None
     probe_tol: float
     probe_slope_max: float | None
@@ -236,6 +233,9 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError("tau_values must be positive")
     values["tau_values"] = taus
     tau_max = max(taus)
+    for key in ("k_max", "calibrate_rel_tol", "drift_tolerance"):
+        if not values[key] > 0.0:
+            raise ConfigurationError(f"{key} must be positive")
 
     if values["n_panels"] == "auto" or values["k_min"] == "auto":
         if not (values["k_min"] == "auto" and values["n_panels"] == "auto"):
@@ -312,10 +312,6 @@ def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
     return assemble_model(grid, ff, sw, cfg.gap_shift)
 
 
-#: a pool worker's model, built at its first batch
-_worker_model = lru_cache(maxsize=1)(build_model_from_config)
-
-
 def _integrator_config(cfg: SweepConfig, n_steps: int) -> IntegratorConfig:
     return IntegratorConfig(n_steps=n_steps, s_end=cfg.s_probe,
                             record_times=(cfg.s_probe,),
@@ -335,62 +331,36 @@ def _record(tau: float, result, wall_s: float, s_probe: float) -> SweepRecord:
                        n_steps=result.n_window_steps)
 
 
-def _run_batch(cfg: SweepConfig, taus: list[float], n_steps: int,
-               model: FriedrichsModel | None = None) -> list[SweepRecord]:
-    """Evolve taus as one batch and make a record of each column.
-
-    Also the pool worker body, which uses the worker's model. Each
-    record is credited with the batch's wall time divided by its width.
-    """
-    if model is None:
-        model = _worker_model(cfg)
-    start = time.perf_counter()
-    try:
-        results = evolve_true(model, taus, _integrator_config(cfg, n_steps)).results
-    except FriedrichsError as exc:
-        results = [exc] * len(taus)
-    wall_s = (time.perf_counter() - start) / len(taus)
-    return [_record(t, r, wall_s, cfg.s_probe) for t, r in zip(taus, results)]
-
-
 @dataclass
 class _TrajectoryCache:
     """Records by (n_steps, tau), shared by step calibration and production.
 
-    The only place a sweep integrates. A process pool it opens serves
-    every later call, and exits closes it.
+    The only place a sweep integrates.
     """
 
     cfg: SweepConfig
     model: FriedrichsModel
-    exits: ExitStack
     records: dict = field(default_factory=dict)
     batches: list = field(default_factory=list)
-    _pool: ProcessPoolExecutor | None = None
 
     def get(self, n_steps: int, taus) -> list[SweepRecord]:
-        """Records at n_steps, running the missing taus first.
+        """Records at n_steps, running the missing taus first as one batch.
 
-        The missing taus are dealt round-robin into up to jobs batches.
-        With more than one, this process runs the first while the pool's
-        workers run the others; it opens at the first such call, with
-        jobs - 1 workers.
+        Each new record is credited with the batch's wall time divided by
+        its width.
         """
         missing = [t for t in dict.fromkeys(taus) if (n_steps, t) not in self.records]
-        width = min(self.cfg.jobs, len(missing))
-        batches = [missing[i::width] for i in range(width)]
-        futures = []
-        if len(batches) > 1:
-            if self._pool is None:
-                self._pool = self.exits.enter_context(
-                    ProcessPoolExecutor(max_workers=self.cfg.jobs - 1))
-            futures = [self._pool.submit(_run_batch, self.cfg, b, n_steps)
-                       for b in batches[1:]]
-        done = [_run_batch(self.cfg, b, n_steps, self.model) for b in batches[:1]]
-        done += [f.result() for f in futures]
-        for batch, recs in zip(batches, done):
-            self.records.update(((n_steps, t), r) for t, r in zip(batch, recs))
-            self.batches.append({"taus": batch, "n_steps": n_steps})
+        if missing:
+            start = time.perf_counter()
+            try:
+                results = evolve_true(self.model, missing,
+                                      _integrator_config(self.cfg, n_steps)).results
+            except FriedrichsError as exc:
+                results = [exc] * len(missing)
+            wall_s = (time.perf_counter() - start) / len(missing)
+            for t, r in zip(missing, results):
+                self.records[(n_steps, t)] = _record(t, r, wall_s, self.cfg.s_probe)
+            self.batches.append({"taus": missing, "n_steps": n_steps})
         return [self.records[(n_steps, t)] for t in taus]
 
 
@@ -440,14 +410,15 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     by step count and tau (_TrajectoryCache.get), so production runs
     only the taus calibration did not. A column's result does not depend
     on its batch, records come in tau order, and an integration failure
-    taints only its own tau.
+    taints only its own tau. A calibration whose last halving still
+    moved the leaks by more than calibrate_rel_tol fails the
+    step_calibration check.
     """
     model = build_model_from_config(cfg)
-    with ExitStack() as exits:
-        cache = _TrajectoryCache(cfg, model, exits)
-        n, calibration = _calibrate_steps(cfg, cache)
-        reused = sum((n, t) in cache.records for t in cfg.tau_values)
-        records = cache.get(n, cfg.tau_values)
+    cache = _TrajectoryCache(cfg, model)
+    n, calibration = _calibrate_steps(cfg, cache)
+    reused = sum((n, t) in cache.records for t in cfg.tau_values)
+    records = cache.get(n, cfg.tau_values)
     calibration["batches"] = cache.batches
     calibration["reused_trajectories"] = reused
 
@@ -459,6 +430,10 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         fits[name] = fit_powerlaw(pts) if len(pts) >= 4 and span >= 1.5 else None
 
     checks = evaluate_checks(cfg, fits)
+    if calibration["calibrated"]:
+        rel = calibration["history"][-1]["rel_change"]
+        checks["step_calibration"] = {"value": rel, "tol": cfg.calibrate_rel_tol,
+                                      "pass": rel <= cfg.calibrate_rel_tol}
     if cfg.gap_shift == 0.0 and good:
         # threshold case: the probe leak is a first-order quantity only
         # while the squared in-window amplitude stays subdominant

@@ -30,11 +30,11 @@ GAPPED_FLOOR = 1e-13  # below this the collapsed tail is roundoff, not signal
 _sweep_cache = {}
 
 
-def _sweep(beta, nodes_per_panel=16, jobs=1):
-    key = (beta, nodes_per_panel, jobs)
+def _sweep(beta, nodes_per_panel=16):
+    key = (beta, nodes_per_panel)
     if key not in _sweep_cache:
         cfg = resolve_config({}, beta=beta, tau_values=ACCEPTANCE_TAUS,
-                             nodes_per_panel=nodes_per_panel, jobs=jobs)
+                             nodes_per_panel=nodes_per_panel)
         t0 = time.perf_counter()
         result = run_sweep(cfg)
         result.elapsed = time.perf_counter() - t0
@@ -235,21 +235,16 @@ def test_criterion_11_robustness_and_determinism():
              for a, b in zip(base.records, fine.records)]
     grid_ok = max(rels) < 0.01
 
-    parallel = _sweep(1.5, jobs=2)
     rerun = run_sweep(base.config)
-    bytes_ok = (render_csv(base) == render_csv(parallel)
-                == render_csv(rerun))
-    # jobs=2 splits the batches, so the pool ran
-    pooled = len(parallel.calibration["batches"]) > len(base.calibration["batches"])
+    bytes_ok = render_csv(base) == render_csv(rerun)
 
     fit_full = base.fits["leak_probe"].slope
     trimmed = fit_powerlaw([(r.tau, r.leak_probe)
                             for r in base.records[1:]]).slope
     fit_ok = abs(trimmed - fit_full) <= 0.05
 
-    ok = grid_ok and bytes_ok and pooled and fit_ok
+    ok = grid_ok and bytes_ok and fit_ok
     _report(11, ok, f"node doubling moves leaks by {max(rels):.2e} (<1%); "
-                    f"CSV byte-identical across jobs/reruns={bytes_ok} "
-                    f"(pool ran={pooled}); "
+                    f"CSV byte-identical across reruns={bytes_ok}; "
                     f"fit stable without smallest tau "
                     f"({abs(trimmed - fit_full):.3f}<=0.05)")

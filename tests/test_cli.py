@@ -1,9 +1,12 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import friedrichs
 from friedrichs.cli import main
 
 QUICK = "100,316.2,1000,3163"
@@ -34,6 +37,24 @@ def test_config_error_exits_two(tmp_path):
     cfg.write_text("[model]\nno_such_key = 1\n")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert main(["sweep", "--tau", "not-a-number"]) == 2
+    cfg.write_text("[model]\nk_max = -1\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+
+
+def test_jobs_flag_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_import_loads_no_process_pool():
+    src = os.path.dirname(os.path.dirname(friedrichs.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, friedrichs.cli; print(sorted(m for m in sys.modules if m in "
+            "('multiprocessing', 'concurrent.futures.process')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_simulate_prints_leak_samples(capsys):

@@ -6,7 +6,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from friedrichs import sweep
 from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
 from friedrichs.sweep import (CSV_COLUMNS, config_hash, emit_report,
@@ -109,7 +108,11 @@ class TestConfig:
     @pytest.mark.parametrize("raw, key", [
         ({"integrate": {"max_step": "0"}}, "max_step"),
         ({"integrate": {"max_step": "-0.5"}}, "max_step"),
-        ({"sweep": {"window_samples": "1"}}, "window_samples")])
+        ({"sweep": {"window_samples": "1"}}, "window_samples"),
+        ({"model": {"k_max": "-1"}}, "k_max"),
+        ({"model": {"k_max": "0"}}, "k_max"),
+        ({"integrate": {"calibrate_rel_tol": "0"}}, "calibrate_rel_tol"),
+        ({"integrate": {"drift_tolerance": "-1e-9"}}, "drift_tolerance")])
     def test_step_settings_checked_on_resolve(self, raw, key):
         with pytest.raises(ConfigurationError, match=key):
             resolve_config(raw)
@@ -186,32 +189,37 @@ class TestRunSweep:
         assert abs(fit.slope + 1.5) <= 0.12
         assert quick_result.checks["probe_slope"]["pass"]
 
+    def test_converged_calibration_passes_its_check(self, quick_result):
+        rel = quick_result.calibration["history"][-1]["rel_change"]
+        assert quick_result.checks["step_calibration"] == {
+            "value": rel, "tol": 0.005, "pass": True}
+
+    def test_unconverged_calibration_fails_its_check(self):
+        # three halvings cannot bring the change down to 1e-7
+        cfg = resolve_config({}, tau_values=QUICK_TAUS, nodes_per_panel=4,
+                             calibrate_rel_tol=1e-7)
+        result = run_sweep(cfg)
+        history = result.calibration["history"]
+        assert [h["n_steps"] for h in history] == [2048, 4096, 8192]
+        check = result.checks["step_calibration"]
+        assert check == {"value": history[-1]["rel_change"], "tol": 1e-7,
+                         "pass": False}
+        assert check["value"] > 1e-7
+
     def test_leak_decays_monotonically(self, quick_result):
         # the adiabatic limit is approached: no lower plateau in tau
         probes = [r.leak_probe for r in quick_result.records]
         assert all(a > b for a, b in zip(probes, probes[1:]))
 
-    def test_parallel_execution_matches_serial_bytes(self, monkeypatch):
-        opened, real = [], sweep.ProcessPoolExecutor
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor",
-                            lambda **kw: opened.append(kw) or real(**kw))
-        cfg1 = resolve_config({}, tau_values=QUICK_TAUS, jobs=1)
-        cfg2 = resolve_config({}, tau_values=QUICK_TAUS, jobs=3)
-        res1, res2 = run_sweep(cfg1), run_sweep(cfg2)
-        # one pool serves both split calls of the jobs = 3 sweep
-        assert opened == [{"max_workers": 2}]
-        assert render_csv(res1) == render_csv(res2)
-        for a, b in zip(res1.records, res2.records):
-            assert a.leak_probe == b.leak_probe
-            assert a.sup_leak_window == b.sup_leak_window
-        # the calibration batches were split, so they ran on the pool
-        t = QUICK_TAUS
-        assert res2.calibration["batches"] == [
-            {"taus": [t[0], t[3]], "n_steps": 2048},
-            {"taus": [t[1]], "n_steps": 2048},
-            {"taus": [t[2]], "n_steps": 2048},
-            {"taus": [t[0]], "n_steps": 4096},
-            {"taus": [t[3]], "n_steps": 4096}]
+    def test_jobs_changes_nothing(self, quick_result):
+        # jobs is accepted for compatibility; every missing tau still runs
+        # in one batch in this process
+        result = run_sweep(replace(quick_result.config, jobs=3))
+        assert result.calibration["batches"] == [
+            {"taus": list(QUICK_TAUS), "n_steps": 2048},
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 4096}]
+        assert result.calibration == quick_result.calibration
+        assert render_csv(result) == render_csv(quick_result)
 
     def test_calibration_batches_feed_production(self, quick_result):
         cal = quick_result.calibration
@@ -225,18 +233,6 @@ class TestRunSweep:
         assert len(set(walls)) == 1 and walls[0] > 0.0
         assert all(line.endswith(",0.0000000000000000e+00")
                    for line in render_csv(quick_result).splitlines()[1:])
-
-    def test_pool_runs_missing_taus_in_batches(self):
-        cfg1 = resolve_config({}, tau_values=QUICK_TAUS, calibrate=False,
-                              max_step=1 / 2048., jobs=1)
-        res1, res2 = run_sweep(cfg1), run_sweep(replace(cfg1, jobs=2))
-        assert res1.calibration["batches"] == [
-            {"taus": list(QUICK_TAUS), "n_steps": 2048}]
-        assert res2.calibration["batches"] == [
-            {"taus": list(QUICK_TAUS[0::2]), "n_steps": 2048},
-            {"taus": list(QUICK_TAUS[1::2]), "n_steps": 2048}]
-        assert res2.calibration["reused_trajectories"] == 0
-        assert render_csv(res1) == render_csv(res2)
 
     def test_step_counts_are_integers_end_to_end(self):
         # 2915 steps is not an exact reciprocal: 1 / (1 / 2915) > 2915
@@ -253,6 +249,7 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert result.calibration["n_steps"] == 512
         assert [r.n_steps for r in result.records] == [512] * len(QUICK_TAUS)
+        assert "step_calibration" not in result.checks
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_column_taints_only_its_record(self, quick_result,

@@ -30,6 +30,7 @@ __all__ = [
     "build_form_factor",
     "build_switching",
     "assemble_model",
+    "check_model_inputs",
     "apply_rotation",
     "bump_function",
     "bump_function_derivative",
@@ -265,6 +266,30 @@ class RotatingState:
                              self.frame, self.time_s)
 
 
+#: builder inputs checked on their own: name -> (condition, rule as stated)
+_INPUT_RULES = {
+    "beta": (lambda v: v > 0.0, "must be > 0"),
+    "theta_total": (lambda v: v > 0.0, "must be > 0"),
+    "gap_shift": (lambda v: v >= 0.0, "must be >= 0"),
+    "k_min": (lambda v: v > 0.0, "must be > 0"),
+    "n_panels": (lambda v: v >= 1, "must be >= 1"),
+    "nodes_per_panel": (lambda v: v >= 2, "must be >= 2"),
+    "cutoff_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+}
+
+
+def check_model_inputs(**inputs) -> None:
+    """Raise ConfigurationError for the first input that breaks its rule.
+
+    The builders check their inputs here, and a config can be checked
+    the same way before anything is built. NaN breaks every rule.
+    """
+    for name, value in inputs.items():
+        holds, rule = _INPUT_RULES[name]
+        if not holds(value):
+            raise ConfigurationError(f"{name} {rule}, got {value}")
+
+
 def build_grid(k_max: float, n_panels: int, nodes_per_panel: int,
                k_min: float) -> DiscretizedMeasure:
     """Geometric panels from k_max down to k_min, Gauss-Legendre inside each.
@@ -273,11 +298,11 @@ def build_grid(k_max: float, n_panels: int, nodes_per_panel: int,
     n_panels = log2(k_max/k_min) this is the ratio-2 grading that keeps
     resolving k ~ 1/tau as tau grows.
     """
-    if not (k_max > k_min > 0.0):
+    check_model_inputs(k_min=k_min, n_panels=n_panels,
+                       nodes_per_panel=nodes_per_panel)
+    if not k_max > k_min:
         raise ConfigurationError(
-            f"need k_max > k_min > 0, got k_max={k_max}, k_min={k_min}")
-    if n_panels < 1 or nodes_per_panel < 2:
-        raise ConfigurationError("need n_panels >= 1 and nodes_per_panel >= 2")
+            f"need k_max > k_min, got k_max={k_max}, k_min={k_min}")
     ratio = (k_min / k_max) ** (1.0 / n_panels)
     edges = k_max * ratio ** np.arange(n_panels + 1)  # descending
     edges = edges[::-1].copy()
@@ -305,11 +330,7 @@ def build_form_factor(grid: DiscretizedMeasure, beta: float,
     rescaled to unit norm in L^2(w dk). beta = 0 is rejected: phi^2 dk
     would not be integrable at the origin under this realization.
     """
-    if beta <= 0.0:
-        raise ConfigurationError(f"beta must be > 0, got {beta}")
-    if not (0.0 < cutoff_fraction < 1.0):
-        raise ConfigurationError(
-            f"cutoff_fraction must lie in (0, 1), got {cutoff_fraction}")
+    check_model_inputs(beta=beta, cutoff_fraction=cutoff_fraction)
     k = grid.nodes
     k_on = cutoff_fraction * grid.k_max
     cut = 1.0 - smooth_step((k - k_on) / (grid.k_max - k_on))
@@ -323,8 +344,7 @@ def build_form_factor(grid: DiscretizedMeasure, beta: float,
 
 def build_switching(theta_total: float) -> SwitchingProfile:
     """Smooth switching with total angle theta_total > 0."""
-    if theta_total <= 0.0:
-        raise ConfigurationError(f"theta_total must be > 0, got {theta_total}")
+    check_model_inputs(theta_total=theta_total)
     return SwitchingProfile(theta_total)
 
 
@@ -335,8 +355,7 @@ def assemble_model(grid: DiscretizedMeasure, form_factor: FormFactor,
     gap_shift = 0 puts the bound state at the continuum threshold;
     gap_shift > 0 opens a spectral gap below the continuum (control case).
     """
-    if gap_shift < 0.0:
-        raise ConfigurationError(f"gap_shift must be >= 0, got {gap_shift}")
+    check_model_inputs(gap_shift=gap_shift)
     if len(form_factor.values) != grid.n_nodes:
         raise AssemblyError(
             f"form factor has {len(form_factor.values)} values for "

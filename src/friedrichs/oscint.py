@@ -9,6 +9,12 @@ the Fourier factor is integrated exactly through the moment identity
 with j_q the spherical Bessel function. The rule is therefore exact for
 polynomial factors up to the projection degree at any frequency, and the
 cost per panel is independent of the frequency.
+
+The j_q come from numpy alone, all orders in one pass over w, by the
+direction of recurrence that is stable for each w (DLMF 10.51; Gautschi,
+"Computational aspects of three-term recurrence relations", SIAM Rev. 9,
+1967): a power series in w^2 for |w| <= 2.5, upward recurrence from j_0
+and j_1 for |w| > degree + 1, and Miller's backward recurrence between.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .errors import ConfigurationError, PrecisionLimitError
 from .model import SwitchingProfile, bump_function
@@ -40,22 +45,83 @@ CANCELLATION_FLOOR = 1e-15
 _DEFAULT_PANELS = 64
 _DEFAULT_DEGREE = 10
 
+#: |w| up to here takes the power series; its terms stay below 1.1, so
+#: cancellation costs a few ulps at most
+_SERIES_MAX_W = 2.5
+#: series terms kept: the first one dropped is below 1e-18 of j_q at 2.5
+_SERIES_TERMS = 14
+#: Miller's recurrence starts this many orders above the highest returned
+_MILLER_EXTRA_ORDERS = 25
+
+
+def _spherical_jn_series(w: np.ndarray, degree: int) -> np.ndarray:
+    """j_q(w) = w^q/(2q+1)!! * sum_k (-w^2/2)^k / (k! (2q+3)...(2q+2k+1)).
+
+    Horner's rule on the ratio of consecutive terms; every term keeps its
+    relative accuracy, so tiny high-order moments do too.
+    """
+    q = np.arange(degree + 1)
+    y = (w * w)[:, None]
+    total = np.ones(y.shape[:1] + q.shape)
+    for k in range(_SERIES_TERMS, 0, -1):
+        total = 1.0 - y / (2 * k * (2 * q + 2 * k + 1)) * total
+    odd = np.where(q % 2 == 1, w[:, None], 1.0)   # w^q = odd * y^(q//2), sign-exact
+    return odd * y ** (q // 2) / np.cumprod(2 * q + 1.0) * total
+
+
+def _spherical_jn_upward(w: np.ndarray, degree: int) -> np.ndarray:
+    """j_0 .. j_degree by j_{q+1} = (2q+1)/w j_q - j_{q-1}; stable for |w| > q."""
+    j = [np.sin(w) / w]
+    j.append((j[0] - np.cos(w)) / w)
+    for q in range(1, degree):
+        j.append((2 * q + 1) / w * j[q] - j[q - 1])
+    return np.stack(j[:degree + 1], axis=-1)
+
+
+def _spherical_jn_miller(w: np.ndarray, degree: int) -> np.ndarray:
+    """j_0 .. j_degree by the backward recurrence from a far order.
+
+    The recurrence fixes the ratios; the sum rule sum_q (2q+1) j_q^2 = 1
+    fixes the scale, and whichever of j_0, j_1 is larger fixes the sign.
+    """
+    top = degree + _MILLER_EXTRA_ORDERS
+    rec = np.zeros(w.shape + (top + 2,))
+    rec[:, top] = 1.0
+    for q in range(top, 0, -1):
+        rec[:, q - 1] = (2 * q + 1) / w * rec[:, q] - rec[:, q + 1]
+    rec /= np.abs(rec).max(axis=-1, keepdims=True)   # squares stay finite
+    scale = 1.0 / np.sqrt((2 * np.arange(top + 2) + 1) @ (rec * rec).T)
+    exact = _spherical_jn_upward(w, 1)
+    pick = np.argmax(np.abs(exact), axis=-1)[:, None]
+    flip = np.take_along_axis(exact, pick, -1) * np.take_along_axis(rec, pick, -1)
+    return rec[:, :degree + 1] * np.where(flip[:, 0] < 0.0, -scale, scale)[:, None]
+
+
+def _spherical_jn(w: np.ndarray, degree: int) -> np.ndarray:
+    """j_0(w) .. j_degree(w) on a new last axis, for real w of any sign."""
+    out = np.empty(w.shape + (degree + 1,))
+    aw = np.abs(w)
+    series = aw <= _SERIES_MAX_W
+    upward = aw > degree + 1
+    miller = ~(series | upward)
+    out[series] = _spherical_jn_series(w[series], degree)
+    out[upward] = _spherical_jn_upward(w[upward], degree)
+    out[miller] = _spherical_jn_miller(w[miller], degree)
+    return out
+
 
 def fourier_legendre_moments(w, degree: int) -> np.ndarray:
     """Moments M[..., q] = int_{-1}^{1} P_q(x) exp(i w x) dx, vectorized in w.
 
-    Evaluated as 2 i^q j_q(w); spherical Bessel evaluation is stable for
-    every real w, so no small/large-frequency switching is needed.
+    Evaluated as 2 i^q j_q(w) with j_q from numpy alone: a power series in
+    w^2 for |w| <= 2.5, upward recurrence for |w| > degree + 1, Miller's
+    backward recurrence normalised by sum_q (2q+1) j_q^2 = 1 in between
+    (DLMF 10.51; Gautschi, SIAM Rev. 9, 1967). j_q(-w) = (-1)^q j_q(w)
+    holds exactly, so M(-w) is exactly the conjugate of M(w).
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    aw = np.abs(w)
-    out = np.empty(w.shape + (degree + 1,), dtype=complex)
-    for q in range(degree + 1):
-        out[..., q] = (2.0 * 1j ** q) * spherical_jn(q, aw)
-    neg = w < 0
-    if np.any(neg):
-        out[neg] = np.conj(out[neg])
-    return out
+    two_i_pow = np.array([2.0, 2.0j, -2.0, -2.0j])[np.arange(degree + 1) % 4]
+    return two_i_pow * _spherical_jn(w, degree)
 
 
 def filon_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

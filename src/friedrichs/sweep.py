@@ -21,7 +21,7 @@ from . import __version__
 from .errors import (ConfigurationError, FitDomainError, FriedrichsError,
                      IntegrationFailure)
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
-                    build_grid, build_switching)
+                    build_grid, build_switching, check_model_inputs)
 from .numutil import format_float17
 from .propagate import IntegratorConfig, evolve_true, steps_for
 
@@ -227,11 +227,16 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
             values[key] = val
 
     taus = tuple(sorted(float(t) for t in values["tau_values"]))
+    values["tau_values"] = taus
+    non_finite = [key for key, val in values.items()
+                  if any(isinstance(v, float) and not math.isfinite(v)
+                         for v in (val if isinstance(val, tuple) else (val,)))]
+    if non_finite:
+        raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
     if not taus:
         raise ConfigurationError("tau_values must be nonempty")
     if any(t <= 0 for t in taus):
         raise ConfigurationError("tau_values must be positive")
-    values["tau_values"] = taus
     tau_max = max(taus)
     for key in ("k_max", "calibrate_rel_tol", "drift_tolerance"):
         if not values[key] > 0.0:
@@ -244,6 +249,9 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         n = max(4, math.ceil(math.log2(values["k_max"] * tau_max / 0.01)))
         values["n_panels"] = n
         values["k_min"] = values["k_max"] * 2.0 ** (-n)
+    check_model_inputs(**{key: values[key] for key in (
+        "beta", "theta_total", "gap_shift", "k_min", "n_panels", "nodes_per_panel",
+        "cutoff_fraction")})
     if values["k_min"] > 0.01 / tau_max + 1e-15:
         raise ConfigurationError(
             f"k_min={values['k_min']:.3e} does not resolve k ~ 1/tau for "

@@ -39,6 +39,9 @@ def test_config_error_exits_two(tmp_path):
     assert main(["sweep", "--tau", "not-a-number"]) == 2
     cfg.write_text("[model]\nk_max = -1\n")
     assert main(["sweep", "--config", str(cfg)]) == 2
+    cfg.write_text("[integrate]\nmax_step = nan\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert main(["sweep", "--tau", "100,nan"]) == 2
 
 
 def test_jobs_flag_rejected():
@@ -47,14 +50,23 @@ def test_jobs_flag_rejected():
     assert exc.value.code == 2
 
 
-def test_import_loads_no_process_pool():
+def _modules_after_cli_import(names) -> str:
+    """Which of names a fresh interpreter holds after import friedrichs.cli."""
     src = os.path.dirname(os.path.dirname(friedrichs.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, friedrichs.cli; print(sorted(m for m in sys.modules if m in "
-            "('multiprocessing', 'concurrent.futures.process')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    code = (f"import sys, friedrichs.cli; print(sorted(m for m in sys.modules "
+            f"if m in {tuple(names)!r}))")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_process_pool():
+    assert _modules_after_cli_import(
+        ("multiprocessing", "concurrent.futures.process")) == "[]\n"
+
+
+def test_import_loads_no_scipy():
+    assert _modules_after_cli_import(("scipy",)) == "[]\n"
 
 
 def test_simulate_prints_leak_samples(capsys):

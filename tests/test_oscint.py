@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from friedrichs.errors import ConfigurationError, PrecisionLimitError
-from friedrichs.oscint import (BUMP_ASYMPTOTIC, bump_transform,
+from friedrichs.oscint import (BUMP_ASYMPTOTIC, _spherical_jn, bump_transform,
                                bump_transform_asymptotic, filon_integral,
                                fourier_legendre_moments, rate_transform,
                                windowed_rate_transform)
@@ -39,6 +40,31 @@ class TestMoments:
         m_pos = fourier_legendre_moments(2.3, 8)[0]
         m_neg = fourier_legendre_moments(-2.3, 8)[0]
         np.testing.assert_allclose(m_neg, m_pos.conj(), rtol=0, atol=1e-16)
+
+
+# w = 0 and 2e5 log-spaced |w| in [1e-8, 1e4] of each sign: the series,
+# Miller and upward ranges all lie inside
+_ORACLE_POS = np.geomspace(1e-8, 1e4, 200_000)
+_ORACLE_W = np.concatenate([[0.0], _ORACLE_POS, -_ORACLE_POS])
+
+
+class TestMomentsAgainstScipy:
+    @pytest.mark.parametrize("degree", [8, 10])
+    def test_spherical_bessel_matches_scipy(self, degree):
+        got = _spherical_jn(_ORACLE_W, degree)
+        ref = np.stack([spherical_jn(q, _ORACLE_W) for q in range(degree + 1)],
+                       axis=-1)
+        assert np.max(np.abs(got - ref)) <= 2e-15
+        # relative accuracy down to the tiniest high-order moments
+        small = np.abs(_ORACLE_W) <= 2.5
+        rel = np.abs(got[small] - ref[small]) / np.where(ref[small] == 0.0, 1.0,
+                                                         np.abs(ref[small]))
+        assert np.max(rel) <= 1e-13
+
+    @pytest.mark.parametrize("degree", [8, 10])
+    def test_negative_frequency_is_exact_conjugate(self, degree):
+        m = fourier_legendre_moments(_ORACLE_W, degree)
+        assert np.array_equal(fourier_legendre_moments(-_ORACLE_W, degree), np.conj(m))
 
 
 class TestFilon:

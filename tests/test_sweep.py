@@ -112,10 +112,29 @@ class TestConfig:
         ({"model": {"k_max": "-1"}}, "k_max"),
         ({"model": {"k_max": "0"}}, "k_max"),
         ({"integrate": {"calibrate_rel_tol": "0"}}, "calibrate_rel_tol"),
-        ({"integrate": {"drift_tolerance": "-1e-9"}}, "drift_tolerance")])
+        ({"integrate": {"drift_tolerance": "-1e-9"}}, "drift_tolerance"),
+        ({"sweep": {"tau_values": "100, inf"}}, "tau_values"),
+        ({"sweep": {"tau_values": "100, nan"}}, "tau_values"),
+        ({"model": {"k_max": "inf"}}, "k_max"),
+        ({"integrate": {"max_step": "nan"}}, "max_step"),
+        ({"sweep": {"s_probe": "nan"}}, "s_probe")])
     def test_step_settings_checked_on_resolve(self, raw, key):
         with pytest.raises(ConfigurationError, match=key):
             resolve_config(raw)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"beta": 0.0}, "beta"), ({"beta": -1.5}, "beta"),
+        ({"theta_total": 0.0}, "theta_total"), ({"gap_shift": -0.1}, "gap_shift"),
+        ({"nodes_per_panel": 1}, "nodes_per_panel"),
+        ({"cutoff_fraction": 0.0}, "cutoff_fraction"),
+        ({"cutoff_fraction": 1.0}, "cutoff_fraction"),
+        ({"cutoff_fraction": 1.5}, "cutoff_fraction"),
+        ({"k_min": -1e-6, "n_panels": 14}, "k_min"),
+        ({"k_min": 1e-6, "n_panels": 0}, "n_panels")])
+    def test_model_inputs_checked_on_resolve(self, overrides, key):
+        # the model's own input rules, applied before any model is built
+        with pytest.raises(ConfigurationError, match=f"{key} must"):
+            resolve_config({}, **overrides)
 
     def test_hash_changes_with_content(self):
         a = resolve_config({}, beta=1.5)

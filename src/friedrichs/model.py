@@ -271,6 +271,7 @@ _INPUT_RULES = {
     "beta": (lambda v: v > 0.0, "must be > 0"),
     "theta_total": (lambda v: v > 0.0, "must be > 0"),
     "gap_shift": (lambda v: v >= 0.0, "must be >= 0"),
+    "k_max": (lambda v: v > 0.0, "must be > 0"),
     "k_min": (lambda v: v > 0.0, "must be > 0"),
     "n_panels": (lambda v: v >= 1, "must be >= 1"),
     "nodes_per_panel": (lambda v: v >= 2, "must be >= 2"),
@@ -282,12 +283,16 @@ def check_model_inputs(**inputs) -> None:
     """Raise ConfigurationError for the first input that breaks its rule.
 
     The builders check their inputs here, and a config can be checked
-    the same way before anything is built. NaN breaks every rule.
+    the same way before anything is built. NaN breaks every rule. Given
+    both grid ends, k_max must also exceed k_min.
     """
     for name, value in inputs.items():
         holds, rule = _INPUT_RULES[name]
         if not holds(value):
             raise ConfigurationError(f"{name} {rule}, got {value}")
+    if {"k_max", "k_min"} <= inputs.keys() and not inputs["k_max"] > inputs["k_min"]:
+        raise ConfigurationError(f"k_max must exceed k_min, got k_max="
+                                 f"{inputs['k_max']}, k_min={inputs['k_min']}")
 
 
 def build_grid(k_max: float, n_panels: int, nodes_per_panel: int,
@@ -298,11 +303,8 @@ def build_grid(k_max: float, n_panels: int, nodes_per_panel: int,
     n_panels = log2(k_max/k_min) this is the ratio-2 grading that keeps
     resolving k ~ 1/tau as tau grows.
     """
-    check_model_inputs(k_min=k_min, n_panels=n_panels,
+    check_model_inputs(k_max=k_max, k_min=k_min, n_panels=n_panels,
                        nodes_per_panel=nodes_per_panel)
-    if not k_max > k_min:
-        raise ConfigurationError(
-            f"need k_max > k_min, got k_max={k_max}, k_min={k_min}")
     ratio = (k_min / k_max) ** (1.0 / n_panels)
     edges = k_max * ratio ** np.arange(n_panels + 1)  # descending
     edges = edges[::-1].copy()

@@ -73,6 +73,31 @@ def cumulative_integration_matrix(n_nodes: int) -> np.ndarray:
     return s
 
 
+def _start_block(n: int) -> np.ndarray:
+    """Deterministic orthonormal (n, min(_NORM_BLOCK, n)) start block.
+
+    Non-symmetric in its entries, so it never sits in an invariant
+    subspace of the matrices met here.
+    """
+    j = np.arange(n)[:, None]
+    c = np.arange(1, min(_NORM_BLOCK, n) + 1)[None, :]
+    return np.linalg.qr(np.cos(0.7 * c * j) + 1j * np.sin(0.3 * j + 0.1 * c))[0]
+
+
+def _ritz_round(m: np.ndarray, v: np.ndarray):
+    """One Rayleigh-Ritz round of m^dagger m on the orthonormal block v.
+
+    Returns the Ritz values theta (descending), the Ritz block v y (top
+    vector first) and the rows of (m^dagger m v y)^dagger, whose
+    conjugate transpose spans the next power-iteration block.
+    """
+    b = m @ v
+    theta, y = np.linalg.eigh(b.conj().T @ b)
+    theta, y = theta[::-1], y[:, ::-1]
+    wy = (b @ y).conj().T @ m
+    return theta, v @ y, wy
+
+
 def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
                   start: np.ndarray | None = None,
                   return_vector: bool = False):
@@ -91,23 +116,15 @@ def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
     if not np.all(np.isfinite(m)):
         raise NumericalOverflow("operator_norm of a non-finite matrix")
     n = m.shape[1]
-    k = min(_NORM_BLOCK, n)
-    if start is not None and start.shape == (n, k):
+    if start is not None and start.shape == (n, min(_NORM_BLOCK, n)):
         v = start
     else:
-        # fixed, non-symmetric start so we never sit in an invariant subspace
-        j = np.arange(n)[:, None]
-        c = np.arange(1, k + 1)[None, :]
-        v = np.linalg.qr(np.cos(0.7 * c * j) + 1j * np.sin(0.3 * j + 0.1 * c))[0]
+        v = _start_block(n)
     for _ in range(iters):
-        b = m @ v
-        theta, y = np.linalg.eigh(b.conj().T @ b)
-        theta, y = theta[::-1], y[:, ::-1]
+        theta, ritz, wy = _ritz_round(m, v)
         if theta[0] <= 0.0:
             sigma = 0.0
             break
-        wy = (b @ y).conj().T @ m          # rows: (m^dagger m v y)^dagger
-        ritz = v @ y
         res = np.linalg.norm(wy[0].conj() - theta[0] * ritz[:, 0])
         if res <= tol * theta[0]:
             sigma = float(np.sqrt(theta[0]))
@@ -119,6 +136,30 @@ def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
             f"block power iteration did not reach tol {tol:.1e} in {iters} "
             f"rounds (relative residual {res / theta[0]:.1e})")
     return (sigma, v) if return_vector else sigma
+
+
+def norm_bracket(m: np.ndarray, v: np.ndarray | None = None):
+    """Rigorous bounds lo <= ||m||_2 <= hi from one Rayleigh-Ritz round.
+
+    With theta_1 >= ... >= theta_k the Ritz values of m^dagger m on the
+    orthonormal block v (k = _NORM_BLOCK), Cauchy interlacing gives
+    theta_i <= lambda_i, the eigenvalues of m^dagger m (Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, sec. 11.5). So
+    lo = sqrt(theta_1), and since the lambda_i sum to ||m||_F^2,
+    lambda_1 <= ||m||_F^2 - theta_2 - ... - theta_k; hi is the root of
+    that times (1 + 1e-12) for rounding. For m of numerical rank two or
+    less the bracket is tight once v holds the top singular directions.
+    Returns (lo, hi, v_next), v_next the block after one power step on
+    m (v itself when m v = 0); v defaults to the start of operator_norm.
+    """
+    if v is None:
+        v = _start_block(m.shape[1])
+    theta, _, wy = _ritz_round(m, v)
+    lo = float(np.sqrt(max(theta[0], 0.0)))
+    top = np.vdot(m, m).real - theta[1:].sum()      # >= lambda_1
+    hi = float(np.sqrt(max(top, 0.0))) * (1.0 + 1e-12)
+    v_next = np.linalg.qr(wy.conj().T)[0] if theta[0] > 0.0 else v
+    return lo, hi, v_next
 
 
 def block_norms(m: np.ndarray) -> dict[str, float]:

@@ -41,6 +41,7 @@ as it was at the end of the window.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,7 +332,8 @@ def _apply_rotations(mat: np.ndarray, u: np.ndarray, cos_m1: np.ndarray,
 
 
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
-                         record_s: np.ndarray, drift_tolerance: float = 1e-9):
+                         record_s: np.ndarray, drift_tolerance: float = 1e-9,
+                         on_record: Callable[[float, np.ndarray], None] | None = None):
     """Evolve the full basis in the interaction frame; the matrix at time s
     is the wave operator comparing true and frame dynamics.
 
@@ -343,15 +345,31 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     every block end, so at least every 64 steps and at the last step.
     Returns (actual record times snapped to the grid, list of matrices,
     drift).
+
+    With on_record, each record stop calls on_record(s, mat) instead of
+    keeping a copy, and the list comes back empty: a consumer that
+    reduces each matrix as it comes holds one matrix, not one per
+    record. mat is the evolving matrix itself, to be read and not kept
+    or written; it is checked finite first, so a non-finite stop raises
+    NumericalOverflow before the consumer sees it.
     """
     n = int(n_steps)
     record_idx = {min(round(float(t) * n), n) for t in record_s}
     mat = np.eye(model.dim, dtype=complex)
     out, s_out = [], []
     drift = 0.0
+
+    def record(step):
+        s_out.append(step / n)
+        if on_record is None:
+            out.append(mat.copy())
+        elif np.isfinite(mat).all():
+            on_record(step / n, mat)
+        else:
+            raise NumericalOverflow(f"non-finite propagator at step {step}")
+
     if 0 in record_idx:
-        out.append(mat.copy())
-        s_out.append(0.0)
+        record(0)
     for start, u, cos_m1, isin in _interaction_blocks(
             model, np.array([float(tau)]), n):
         stop = start + len(cos_m1)
@@ -362,8 +380,7 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
                              isin[a - start:b - start, 0])
             a = b
             if b in record_idx:
-                out.append(mat.copy())
-                s_out.append(b / n)
+                record(b)
         dev = _total_norm_dev(mat)
         if not np.isfinite(dev):
             raise NumericalOverflow(f"non-finite propagator at step {stop}")

@@ -238,20 +238,26 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     if any(t <= 0 for t in taus):
         raise ConfigurationError("tau_values must be positive")
     tau_max = max(taus)
-    for key in ("k_max", "calibrate_rel_tol", "drift_tolerance"):
+    for key in ("calibrate_rel_tol", "drift_tolerance"):
         if not values[key] > 0.0:
             raise ConfigurationError(f"{key} must be positive")
+    check_model_inputs(k_max=values["k_max"])    # the auto grid takes its log
 
     if values["n_panels"] == "auto" or values["k_min"] == "auto":
         if not (values["k_min"] == "auto" and values["n_panels"] == "auto"):
             raise ConfigurationError(
                 "k_min and n_panels must both be auto or both explicit")
-        n = max(4, math.ceil(math.log2(values["k_max"] * tau_max / 0.01)))
+        span = values["k_max"] * tau_max / 0.01
+        if not math.isfinite(span):
+            raise ConfigurationError(
+                f"k_max={values['k_max']:.3e} with tau_values up to {tau_max:.3e}: "
+                f"the auto grid's span k_max * tau / 0.01 overflows")
+        n = max(4, math.ceil(math.log2(span)))
         values["n_panels"] = n
         values["k_min"] = values["k_max"] * 2.0 ** (-n)
     check_model_inputs(**{key: values[key] for key in (
-        "beta", "theta_total", "gap_shift", "k_min", "n_panels", "nodes_per_panel",
-        "cutoff_fraction")})
+        "beta", "theta_total", "gap_shift", "k_max", "k_min", "n_panels",
+        "nodes_per_panel", "cutoff_fraction")})
     if values["k_min"] > 0.01 / tau_max + 1e-15:
         raise ConfigurationError(
             f"k_min={values['k_min']:.3e} does not resolve k ~ 1/tau for "

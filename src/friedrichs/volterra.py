@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, ResourceBudgetError
 from .model import FriedrichsModel
 from .numutil import (block_norms, cumulative_integration_matrix, gauss_rule,
-                      operator_norm)
+                      norm_bracket, operator_norm)
 from .oscint import rate_transform
 from .propagate import evolve_wave_operator
 
@@ -36,6 +36,8 @@ __all__ = [
 
 _MAX_N = 512
 _MAX_ORDER = 4
+#: candidate matrices adiabatic_defect holds before it settles one
+_KEEP = 8
 
 
 class InteractionKernel:
@@ -200,13 +202,22 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
                      n_steps: int | None = None) -> float:
     """sup over s of || 1 - wave_operator(s) ||, the uniform error scale.
 
-    Evaluated from a full propagator evolution; the default grid is 200
-    uniform points in the window plus the frozen after-window value. The
-    norms come from block power iteration (numutil.operator_norm), each
-    converged to 1e-12 relative or the call fails. The grid is walked
-    from its end, each norm warm-started from the Ritz block of the last
-    one taken; a grid point whose Frobenius norm, an upper bound of its
-    operator norm, does not exceed the running supremum is skipped.
+    The default grid is 200 uniform points in the window plus the frozen
+    after-window value. The norms are taken while the wave operator
+    evolves (evolve_wave_operator's on_record), so at most _KEEP + 1
+    copies are held, not one matrix per grid point. Each stop's
+    A = 1 - Omega gets a bracket lo <= ||A|| <= hi from one Rayleigh-Ritz
+    round on a warm 4-column block (numutil.norm_bracket; Cauchy
+    interlacing, Parlett, The Symmetric Eigenvalue Problem, sec. 11.5),
+    and the block then advances by one power step. A copy of A is kept only
+    if hi exceeds the best lower bound so far; a kept copy is dropped
+    once its hi falls below that bound, which grows with every bracket
+    and every exact norm. When more than _KEEP are held, the one with
+    the highest hi is settled by block power iteration
+    (numutil.operator_norm, converged to 1e-12 relative or the call
+    fails); the rest are settled at the end, highest hi first. A dropped
+    stop cannot hold the supremum, so the result is the largest exact
+    norm, as if every stop had been settled.
     """
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
@@ -216,14 +227,35 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         s_grid = np.linspace(0.0, 1.0, 201)
     if n_steps is None:
         n_steps = 1024
-    _, mats, _ = evolve_wave_operator(model, tau, n_steps, record_s=s_grid)
-    best = 0.0
+    work = np.empty((model.dim, model.dim), dtype=complex)
+    kept = []                  # (hi, copy of A, warm block) per kept stop
+    floor = 0.0                # the best lower bound of the supremum
+    best = 0.0                 # the largest exact norm
     v = None
-    for omega in reversed(mats):
-        np.negative(omega, out=omega)        # 1 - Omega, in place
-        omega.flat[::model.dim + 1] += 1.0
-        if math.sqrt(np.vdot(omega, omega).real) <= best:
-            continue                         # its Frobenius norm bounds it
-        nrm, v = operator_norm(omega, start=v, return_vector=True)
-        best = max(best, nrm)
+
+    def prune():
+        kept[:] = [c for c in kept if c[0] >= floor]
+
+    def settle_highest():
+        nonlocal floor, best
+        _, a, start = kept.pop(max(range(len(kept)), key=lambda i: kept[i][0]))
+        best = max(best, operator_norm(a, start=start))
+        floor = max(floor, best)
+        prune()
+
+    def take(_s, omega):
+        nonlocal floor, v
+        np.negative(omega, out=work)        # A = 1 - Omega
+        work.flat[::model.dim + 1] += 1.0
+        lo, hi, v = norm_bracket(work, v)
+        floor = max(floor, lo)
+        if hi > floor:
+            kept.append((hi, work.copy(), v))
+        prune()
+        if len(kept) > _KEEP:
+            settle_highest()
+
+    evolve_wave_operator(model, tau, n_steps, record_s=s_grid, on_record=take)
+    while kept:
+        settle_highest()
     return float(best)

@@ -40,6 +40,13 @@ def model_b15_small(grid128, switching):
 
 
 @pytest.fixture(scope="session")
+def model_defect(switching):
+    """Criterion 3's defect model: beta = 0.5, N = 160."""
+    grid = build_grid(1.0, 20, 8, 2.0 ** -20)
+    return assemble_model(grid, build_form_factor(grid, 0.5), switching)
+
+
+@pytest.fixture(scope="session")
 def model_gapped_small(switching):
     grid = build_grid(1.0, 8, 4, 1e-3)
     return assemble_model(grid, build_form_factor(grid, 1.5), switching, 1.0)

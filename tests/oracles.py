@@ -13,7 +13,10 @@ check:
 * per_node_series_terms and per_node_ibp_sides, the series collocation
   and the identity's quadratures as they stood before the rank-two
   kernel was exploited, reuse the kernel, the rotations and the static
-  tilde.
+  tilde;
+* backward_walk_defect, the uniform defect as it stood before its norms
+  were bracketed during the evolution, reuses the wave-operator
+  evolution and the operator norm.
 """
 
 import numpy as np
@@ -285,6 +288,35 @@ def per_node_series_terms(model, tau, max_order=4, quad_order=64, s_eval=1.0):
             starts[i] = starts[i] + half * (w @ flat).reshape(dim, dim)
             level_nodes = new_nodes
     return starts
+
+
+def backward_walk_defect(model, tau, s_grid=None, n_steps=1024):
+    """sup_s ||1 - Omega(s)|| from every record matrix held at once.
+
+    Takes the full list from friedrichs.propagate.evolve_wave_operator
+    and walks it from the end, each norm warm-started from the last one
+    taken; a grid point whose Frobenius norm, an upper bound of its
+    operator norm, does not exceed the running supremum is skipped.
+    Returns (supremum, grid time where it was found).
+    """
+    import math
+
+    from friedrichs.numutil import operator_norm
+    from friedrichs.propagate import evolve_wave_operator
+
+    if s_grid is None:
+        s_grid = np.linspace(0.0, 1.0, 201)
+    s_out, mats, _ = evolve_wave_operator(model, tau, n_steps, record_s=s_grid)
+    best, s_best, v = 0.0, None, None
+    for s, omega in zip(s_out[::-1], reversed(mats)):
+        np.negative(omega, out=omega)        # 1 - Omega, in place
+        omega.flat[::model.dim + 1] += 1.0
+        if math.sqrt(np.vdot(omega, omega).real) <= best:
+            continue
+        nrm, v = operator_norm(omega, start=v, return_vector=True)
+        if nrm > best:
+            best, s_best = nrm, float(s)
+    return best, s_best
 
 
 def tilde_static(model, x):

@@ -41,6 +41,8 @@ def test_config_error_exits_two(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 2
     cfg.write_text("[integrate]\nmax_step = nan\n")
     assert main(["sweep", "--config", str(cfg)]) == 2
+    cfg.write_text("[model]\nk_max = 1e308\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
     assert main(["sweep", "--tau", "100,nan"]) == 2
 
 

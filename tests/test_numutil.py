@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs.errors import ConvergenceFailure, NumericalOverflow
-from friedrichs.numutil import operator_norm
+from friedrichs.numutil import norm_bracket, operator_norm
 
 
 def _with_singular_values(sigma, seed=0):
@@ -42,3 +42,23 @@ class TestOperatorNorm:
         m[1, 2] = np.nan
         with pytest.raises(NumericalOverflow):
             operator_norm(m)
+
+
+class TestNormBracket:
+    def test_brackets_the_norm_from_any_block(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 4, 40):
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            v = None
+            nrm = np.linalg.norm(m, 2)
+            for _ in range(3):
+                lo, hi, v = norm_bracket(m, v)
+                # lo is a Ritz value; with n <= 4 it is the norm itself
+                assert lo <= nrm * (1.0 + 1e-14) and nrm <= hi
+
+    def test_tight_on_rank_two_once_warm(self):
+        # interlacing leaves no slack once the block holds the range
+        m = _with_singular_values(np.concatenate(([1.0, 0.9], np.zeros(38))))
+        lo, hi, v = norm_bracket(m)
+        lo, hi, _ = norm_bracket(m, v)
+        assert 1.0 - 1e-12 <= lo <= 1.0 <= hi <= 1.0 + 1e-11

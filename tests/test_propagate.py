@@ -181,11 +181,6 @@ DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
 
 
 class TestBlockedWaveOperator:
-    @pytest.fixture(scope="class")
-    def model_defect(self, switching):
-        grid = build_grid(1.0, 20, 8, 2.0 ** -20)  # N = 160, criterion 3's grid
-        return assemble_model(grid, build_form_factor(grid, 0.5), switching)
-
     def test_matches_per_step_oracle(self, model_defect):
         # 1024 / 150 steps between records: the blocks end off the record grid
         grid = np.linspace(0.0, 1.0, 151)

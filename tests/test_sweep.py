@@ -117,7 +117,9 @@ class TestConfig:
         ({"sweep": {"tau_values": "100, nan"}}, "tau_values"),
         ({"model": {"k_max": "inf"}}, "k_max"),
         ({"integrate": {"max_step": "nan"}}, "max_step"),
-        ({"sweep": {"s_probe": "nan"}}, "s_probe")])
+        ({"sweep": {"s_probe": "nan"}}, "s_probe"),
+        ({"model": {"k_max": "1e308"}}, "k_max"),
+        ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values")])
     def test_step_settings_checked_on_resolve(self, raw, key):
         with pytest.raises(ConfigurationError, match=key):
             resolve_config(raw)
@@ -130,7 +132,9 @@ class TestConfig:
         ({"cutoff_fraction": 1.0}, "cutoff_fraction"),
         ({"cutoff_fraction": 1.5}, "cutoff_fraction"),
         ({"k_min": -1e-6, "n_panels": 14}, "k_min"),
-        ({"k_min": 1e-6, "n_panels": 0}, "n_panels")])
+        ({"k_min": 1e-6, "n_panels": 0}, "n_panels"),
+        ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-7}, "k_max"),
+        ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-6}, "k_max")])
     def test_model_inputs_checked_on_resolve(self, overrides, key):
         # the model's own input rules, applied before any model is built
         with pytest.raises(ConfigurationError, match=f"{key} must"):

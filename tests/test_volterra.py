@@ -1,17 +1,21 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from friedrichs.errors import ConfigurationError, ResourceBudgetError
+from friedrichs.errors import (ConfigurationError, ConvergenceFailure,
+                               NumericalOverflow, ResourceBudgetError)
 from friedrichs.model import (SwitchingProfile, assemble_model,
                               build_form_factor, build_grid)
-from friedrichs.numutil import operator_norm
+from friedrichs.numutil import cosine_graded_edges, operator_norm
 from friedrichs.propagate import IntegratorConfig, evolve_true
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  interaction_kernel, wave_operator_series)
 
-from oracles import per_node_series_terms
+from oracles import backward_walk_defect, per_node_series_terms
+
+DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
 
 
 class TestKernel:
@@ -162,3 +166,66 @@ class TestAdiabaticDefect:
                                s_grid=np.concatenate([grid_a, [1.0]]),
                                n_steps=1024)
         assert abs(f_a - f_b) <= 1e-12
+
+    @pytest.mark.parametrize("tau", DEFECT_TAUS)
+    def test_matches_backward_walk_at_criterion_3(self, model_defect, tau):
+        want, _ = backward_walk_defect(model_defect, tau, n_steps=1024)
+        got = adiabatic_defect(model_defect, tau, n_steps=1024)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("extra", [[], [1.0]])
+    def test_matches_backward_walk_on_after_window_grids(self, model_b15_small,
+                                                          extra):
+        grid = np.concatenate([np.linspace(0.0, 1.0, 101), extra])
+        want, _ = backward_walk_defect(model_b15_small, 200.0, s_grid=grid)
+        got = adiabatic_defect(model_b15_small, 200.0, s_grid=grid, n_steps=1024)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_matches_backward_walk_with_interior_maximum(self, model_b15_small):
+        # at beta = 1.5 the defect peaks near s = 0.55 and falls by a
+        # third before the window ends; the grid clusters at both ends
+        grid = cosine_graded_edges(0.0, 1.0, 80)
+        want, s_max = backward_walk_defect(model_b15_small, 200.0, s_grid=grid)
+        assert 0.3 < s_max < 0.8
+        got = adiabatic_defect(model_b15_small, 200.0, s_grid=grid, n_steps=1024)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_peak_memory_stays_below_the_record_list(self, model_defect):
+        # the 201 (161, 161) record matrices alone would take 83 MB
+        adiabatic_defect(model_defect, 1000.0, n_steps=1024)   # fill caches
+        tracemalloc.start()
+        try:
+            adiabatic_defect(model_defect, 1000.0, n_steps=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+
+    def test_non_finite_stop_raises_overflow(self, model_b15_small, monkeypatch):
+        # a NaN planted mid-block must stop the evolution at the next
+        # record stop, before the norm bracket sees it
+        from friedrichs import propagate
+
+        apply_rotations = propagate._apply_rotations
+        calls = []
+
+        def planted(mat, *args):
+            apply_rotations(mat, *args)
+            calls.append(None)
+            if len(calls) == 100:
+                mat[3, 5] = np.nan
+
+        monkeypatch.setattr(propagate, "_apply_rotations", planted)
+        with pytest.raises(NumericalOverflow, match="step") as err:
+            adiabatic_defect(model_b15_small, 200.0, n_steps=1024)
+        assert int(str(err.value).rsplit(" ", 1)[1]) % 64 != 0
+
+    def test_norm_failure_propagates(self, model_b15_small, monkeypatch):
+        from friedrichs import volterra
+
+        def failing(*args, **kwargs):
+            raise ConvergenceFailure("planted")
+
+        monkeypatch.setattr(volterra, "operator_norm", failing)
+        with pytest.raises(ConvergenceFailure, match="planted"):
+            adiabatic_defect(model_b15_small, 200.0, n_steps=1024)

@@ -21,9 +21,8 @@ from .model import (DiscretizedMeasure, FormFactor, FriedrichsModel,
                     build_switching)
 from .oscint import (bump_transform, bump_transform_asymptotic, rate_transform,
                      windowed_rate_transform)
-from .propagate import (IntegratorConfig, Trajectory, adiabatic_state,
-                        evolve_true, evolve_wave_operator, leak, to_frame,
-                        verify_generators)
+from .propagate import (Trajectory, adiabatic_state, evolve_true,
+                        evolve_wave_operator, leak, to_frame, verify_generators)
 from .volterra import (adiabatic_defect, first_order_tail, interaction_kernel,
                        wave_operator_series)
 from .contour import (ContourSpec, ibp_suite, slaved_tail_probe, tilde,

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigurationError, FriedrichsError
 from . import sweep as sweep_mod
-from dataclasses import replace
-
 from .sweep import (build_model_from_config, emit_report, load_config_file,
                     load_manifest, resolve_config, run_sweep)
 
@@ -62,15 +61,15 @@ def _cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     model = build_model_from_config(cfg)
     tau = cfg.tau_values[0] if args.single_tau is None else args.single_tau
-    icfg = sweep_mod._integrator_config(cfg, steps_for(cfg.max_step))
-    record = tuple(np.linspace(0.0, 1.0, 11)) + (cfg.s_probe,)
-    icfg = replace(icfg, record_times=record)
-    tr = evolve_true(model, tau, icfg)
+    n = max(cfg.window_samples, steps_for(cfg.max_step))
+    tr = evolve_true(model, tau, n, cfg.drift_tolerance)
     print(f"# tau={tau} steps={tr.n_window_steps} "
           f"drift={tr.unitarity_drift:.3e}")
     print("# s leak")
-    for s, _, lv in tr.samples:
-        print(f"{s:.6f} {lv:.12e}")
+    # eleven window times snapped to the step grid, then the probe
+    snapped = dict.fromkeys(round(s * n) / n for s in np.linspace(0.0, 1.0, 11))
+    for s in (*snapped, cfg.s_probe):
+        print(f"{s:.6f} {tr.leak_at(s):.12e}")
     print(f"# sup leak in window: {tr.sup_leak_window:.12e}")
     return 0
 

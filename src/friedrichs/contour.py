@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, ResourceBudgetError,
                      SpectralSeparationError)
 from .model import FriedrichsModel
 from .numutil import gauss_panel
-from .propagate import IntegratorConfig, evolve_true, steps_for
+from .propagate import evolve_true, steps_for
 
 __all__ = [
     "ContourSpec",
@@ -329,8 +329,6 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
         raise ConfigurationError(
             "gap times smallest tau must reach 50 for the probe to be "
             f"meaningful; got {model.gap_shift * tau_list[0]:.1f}")
-    cfg = IntegratorConfig(n_steps=steps_for(max_step), s_end=s_probe,
-                           record_times=(s_probe,))
-    trajectories = evolve_true(model, tau_list, cfg).trajectories()
+    trajectories = evolve_true(model, tau_list, steps_for(max_step)).trajectories()
     return [(tau, tr.leak_at(s_probe), tr.sup_leak_window)
             for tau, tr in zip(tau_list, trajectories)]

@@ -100,8 +100,7 @@ class SwitchingProfile:
     """Smooth driving pair (g, gdot) with gdot >= 0 supported in [0, 1].
 
     g rises monotonically from 0 to theta_total and is constant afterwards.
-    Instances are immutable and picklable (plain data plus methods), so
-    models can be shipped to worker processes.
+    Instances are immutable: plain data plus methods.
     """
 
     support = (0.0, 1.0)
@@ -217,7 +216,7 @@ class FriedrichsModel:
         out[1:] = vec[0] * self.coupling
         return out
 
-    def hamiltonian_dense(self, s: float | None = None, tau: float = 1.0) -> np.ndarray:
+    def hamiltonian_dense(self, s: float | None = None) -> np.ndarray:
         """Dense H(s) = V(g(s)) H V(g(s))^dagger; s=None gives the static H."""
         h0 = np.diag(self.diag_energies).astype(complex)
         if s is None:

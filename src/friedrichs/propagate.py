@@ -35,7 +35,8 @@ The wave-operator evolution applies the same rotations to a (dim, dim)
 matrix, a block of steps at a time (see _apply_rotations).
 
 For s >= 1 the driving vanishes, so the interaction-frame state stays
-as it was at the end of the window.
+as it was at the end of the window: a run stops at s = 1, and its leak
+at any later s is the leak at s = 1.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .numutil import legendre_projection
 from .oscint import fourier_legendre_moments
 
 __all__ = [
-    "IntegratorConfig",
     "steps_for",
     "Trajectory",
     "TrajectoryBatch",
@@ -80,52 +80,30 @@ def steps_for(max_step: float | None) -> int:
     return math.ceil(1.0 / max_step)
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Step control and sampling for one batch of trajectories."""
-
-    n_steps: int = _AUTO_STEPS
-    s_end: float = 1.5
-    record_times: tuple[float, ...] = ()
-    window_samples: int = 256
-    drift_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ConfigurationError("n_steps must be at least 1")
-        if self.record_times and self.s_end < max(self.record_times):
-            raise ConfigurationError("s_end must cover all record_times")
-        if self.window_samples < 2:
-            raise ConfigurationError("window_samples must be at least 2")
-
-
 @dataclass
 class Trajectory:
-    """Sampled states and leak values from one integration run.
+    """The leak after every step of the window [0, 1], and the final state.
 
-    In-window samples sit on the step grid: a record time s <= 1 is
-    stored at the snapped time round(s * n) / n.
+    window_leaks[m] is the leak at s = m / n_window_steps. final_state is
+    the packed interaction-frame vector at s = 1; past the window the
+    driving vanishes, so it is the state at every s >= 1.
     """
 
-    samples: list[tuple[float, RotatingState, float]]
     tau: float
     unitarity_drift: float
     n_window_steps: int
-    window_s: np.ndarray
     window_leaks: np.ndarray
+    final_state: np.ndarray
 
     @property
     def sup_leak_window(self) -> float:
         return float(np.max(self.window_leaks))
 
     def leak_at(self, s: float) -> float:
-        """Leak recorded at s; an in-window s is looked up at its grid step."""
-        if s <= 1.0:
-            s = round(s * self.n_window_steps) / self.n_window_steps
-        for sv, _, lv in self.samples:
-            if abs(sv - s) <= 1e-12:
-                return lv
-        raise KeyError(f"s={s} was not recorded")
+        """Leak at s >= 0; an in-window s is looked up at its grid step."""
+        if not s >= 0.0:
+            raise ConfigurationError(f"s must be >= 0, got {s}")
+        return float(self.window_leaks[round(min(s, 1.0) * self.n_window_steps)])
 
 
 @dataclass
@@ -136,6 +114,8 @@ class TrajectoryBatch:
     rejected that column alone.
     """
 
+    # perfbench's tracer reads n_window_steps and unitarity_drift of what
+    # evolve_true returns (this or a Trajectory) to count propagate.steps
     taus: tuple[float, ...]
     results: list
     n_window_steps: int
@@ -152,10 +132,6 @@ class TrajectoryBatch:
             if isinstance(r, FriedrichsError):
                 raise r
         return list(self.results)
-
-
-def _window_steps(config: IntegratorConfig) -> int:
-    return max(config.n_steps, config.window_samples)
 
 
 def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
@@ -198,26 +174,17 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
 
 
 def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
-                 config: IntegratorConfig, initial: RotatingState) -> list:
-    """The stepping loop: row t of the state evolves with taus[t].
+                 drift_tolerance: float) -> list:
+    """The stepping loop from e0: row t of the state evolves with taus[t].
 
     Returns one Trajectory or FriedrichsError per row.
     """
-    record_idx, late_times = set(), []
-    for t in sorted(set(config.record_times) | {min(config.s_end, 1.0)}):
-        if t <= 1.0:
-            record_idx.add(round(t * n))
-        else:
-            late_times.append(t)
-
-    vec0 = initial.as_vector()
     bound = np.empty((n + 1, len(taus)), dtype=complex)  # b0 after each step
     sq = np.empty((n + 1, len(taus)))    # continuum sum of squares, likewise
-    cont = np.tile(vec0[1:], (len(taus), 1))
+    cont = np.zeros((len(taus), model.measure.n_nodes), dtype=complex)
     cont_r = cont.view(float)
-    bound[0] = vec0[0]
-    np.vecdot(cont_r, cont_r, out=sq[0])
-    kept = {0: np.column_stack((bound[0], cont))} if 0 in record_idx else {}
+    bound[0] = 1.0
+    sq[0] = 0.0
 
     for start, u, cos_m1, isin in _interaction_blocks(model, taus, n):
         for j in range(len(cos_m1)):
@@ -231,15 +198,10 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
             coef -= isin[j] * b0
             cont += u[j] * coef[:, None]
             np.vecdot(cont_r, cont_r, out=sq[m + 1])
-            if m + 1 in record_idx:
-                kept[m + 1] = np.column_stack((nb, cont))
 
     leaks = np.sqrt(sq)
     dev = np.abs(np.sqrt(np.abs(bound) ** 2 + sq) - 1.0)
     finite = np.isfinite(bound) & np.isfinite(sq)
-    window_s = np.arange(n + 1) / n
-    # a time past the window shows the state at step n, kept since s_end > 1
-    points = [(idx / n, idx) for idx in sorted(kept)] + [(s, n) for s in late_times]
     results = []
     for t, tau in enumerate(taus.tolist()):
         if not finite[:, t].all():
@@ -248,28 +210,25 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
                 f"non-finite state at step {step} (tau={tau})"))
             continue
         drift = float(np.max(dev[:, t]))
-        if drift > config.drift_tolerance:
+        if drift > drift_tolerance:
             results.append(IntegrationFailure(
                 f"unitarity drift {drift:.3e} exceeds tolerance "
-                f"{config.drift_tolerance:.1e} (tau={tau})", drift))
+                f"{drift_tolerance:.1e} (tau={tau})", drift))
             continue
-        samples = [(s, RotatingState.from_vector(kept[idx][t], "interaction", s),
-                    float(leaks[idx, t])) for s, idx in points]
-        results.append(Trajectory(samples=samples, tau=tau, unitarity_drift=drift,
-                                  n_window_steps=n, window_s=window_s,
-                                  window_leaks=np.ascontiguousarray(leaks[:, t])))
+        results.append(Trajectory(tau=tau, unitarity_drift=drift, n_window_steps=n,
+                                  window_leaks=np.ascontiguousarray(leaks[:, t]),
+                                  final_state=np.concatenate((bound[n, t:t + 1],
+                                                              cont[t]))))
     return results
 
 
-def evolve_true(model: FriedrichsModel, tau, config: IntegratorConfig,
-                initial: RotatingState | None = None):
-    """Integrate the driven dynamics from s = 0 and sample the leak.
+def evolve_true(model: FriedrichsModel, tau, n_steps: int,
+                drift_tolerance: float = 1e-9):
+    """Integrate the driven dynamics from the bound state e0 at s = 0.
 
-    The window [0, 1] is covered by uniform steps (at least
-    window_samples of them, so the in-window supremum is tracked
-    densely); record_times inside the window are snapped to the step
-    grid; past the window the interaction-frame state is constant. The
-    step count depends on the config alone, not on tau.
+    The window [0, 1] is covered by n_steps uniform steps, and the leak
+    is kept after every one of them; past the window the
+    interaction-frame state is constant, so the run stops at s = 1.
 
     With a single tau, returns its Trajectory or raises its failure.
     With a sequence of taus, integrates them in one batch and returns a
@@ -282,18 +241,13 @@ def evolve_true(model: FriedrichsModel, tau, config: IntegratorConfig,
         raise ConfigurationError("tau must be a number or a nonempty sequence")
     if np.any(~(taus > 0.0)):
         raise ConfigurationError(f"tau must be positive, got {tau}")
-    if initial is None:
-        initial = model.bound_state()
-    if abs(initial.norm() - 1.0) > 1e-9:
-        raise ContractViolation(f"initial state norm {initial.norm()} is not 1")
-    if initial.time_s != 0.0:
-        raise ConfigurationError("evolution must start at s = 0")
+    if n_steps < 1:
+        raise ConfigurationError("n_steps must be at least 1")
 
-    n = _window_steps(config)
-    results = _evolve_rows(model, taus, n, config, initial)
+    results = _evolve_rows(model, taus, n_steps, drift_tolerance)
     if np.ndim(tau) == 0:
-        return TrajectoryBatch((float(tau),), results, n).trajectories()[0]
-    return TrajectoryBatch(tuple(taus.tolist()), results, n)
+        return TrajectoryBatch((float(tau),), results, n_steps).trajectories()[0]
+    return TrajectoryBatch(tuple(taus.tolist()), results, n_steps)
 
 
 def _total_norm_dev(state: np.ndarray) -> float:
@@ -331,6 +285,8 @@ def _apply_rotations(mat: np.ndarray, u: np.ndarray, cos_m1: np.ndarray,
     mat[1:] += basis @ t[1:]
 
 
+# perfbench's tracer reads n_steps (third argument or keyword) and the drift
+# result[2] to count propagate.wave_steps; keep both where they are
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
                          record_s: np.ndarray, drift_tolerance: float = 1e-9,
                          on_record: Callable[[float, np.ndarray], None] | None = None):

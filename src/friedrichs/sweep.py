@@ -23,7 +23,7 @@ from .errors import (ConfigurationError, FitDomainError, FriedrichsError,
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
                     build_grid, build_switching, check_model_inputs)
 from .numutil import format_float17
-from .propagate import IntegratorConfig, evolve_true, steps_for
+from .propagate import evolve_true, steps_for
 
 __all__ = [
     "SweepConfig",
@@ -237,6 +237,10 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError("tau_values must be nonempty")
     if any(t <= 0 for t in taus):
         raise ConfigurationError("tau_values must be positive")
+    repeated = sorted({a for a, b in zip(taus, taus[1:]) if a == b})
+    if repeated:
+        raise ConfigurationError(
+            f"tau_values must be distinct; repeated: {', '.join(map(repr, repeated))}")
     tau_max = max(taus)
     for key in ("calibrate_rel_tol", "drift_tolerance"):
         if not values[key] > 0.0:
@@ -326,13 +330,6 @@ def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
     return assemble_model(grid, ff, sw, cfg.gap_shift)
 
 
-def _integrator_config(cfg: SweepConfig, n_steps: int) -> IntegratorConfig:
-    return IntegratorConfig(n_steps=n_steps, s_end=cfg.s_probe,
-                            record_times=(cfg.s_probe,),
-                            window_samples=cfg.window_samples,
-                            drift_tolerance=cfg.drift_tolerance)
-
-
 def _record(tau: float, result, wall_s: float, s_probe: float) -> SweepRecord:
     if isinstance(result, FriedrichsError):
         drift = result.drift if isinstance(result, IntegrationFailure) else math.nan
@@ -367,8 +364,8 @@ class _TrajectoryCache:
         if missing:
             start = time.perf_counter()
             try:
-                results = evolve_true(self.model, missing,
-                                      _integrator_config(self.cfg, n_steps)).results
+                results = evolve_true(self.model, missing, n_steps,
+                                      self.cfg.drift_tolerance).results
             except FriedrichsError as exc:
                 results = [exc] * len(missing)
             wall_s = (time.perf_counter() - start) / len(missing)

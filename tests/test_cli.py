@@ -44,6 +44,7 @@ def test_config_error_exits_two(tmp_path):
     cfg.write_text("[model]\nk_max = 1e308\n")
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert main(["sweep", "--tau", "100,nan"]) == 2
+    assert main(["sweep", "--tau", "100,100,1000"]) == 2
 
 
 def test_jobs_flag_rejected():
@@ -74,9 +75,17 @@ def test_import_loads_no_scipy():
 def test_simulate_prints_leak_samples(capsys):
     code = main(["simulate", "--tau", "100", "--single-tau", "100"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "# s leak" in out
-    assert "sup leak in window" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# tau=100.0 steps=512 drift=")
+    assert lines[1] == "# s leak"
+    assert lines[-1].startswith("# sup leak in window: ")
+    rows = [line.split() for line in lines[2:-1]]
+    # eleven window times snapped to the 512-step grid, then the probe
+    assert [s for s, _ in rows] == [
+        "0.000000", "0.099609", "0.199219", "0.300781", "0.400391", "0.500000",
+        "0.599609", "0.699219", "0.800781", "0.900391", "1.000000", "1.500000"]
+    assert rows[0][1] == "0.000000000000e+00"
+    assert rows[-1][1] == rows[-2][1]
 
 
 def test_fourier_check_passes(capsys):

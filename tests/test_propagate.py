@@ -5,22 +5,15 @@ from friedrichs.errors import (ConfigurationError, ContractViolation,
                                IntegrationFailure, NumericalOverflow)
 from friedrichs.model import RotatingState, SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
-from friedrichs.propagate import (IntegratorConfig, adiabatic_state,
-                                  evolve_true, evolve_wave_operator, leak,
-                                  to_frame, verify_generators)
+from friedrichs.propagate import (adiabatic_state, evolve_true,
+                                  evolve_wave_operator, leak, to_frame,
+                                  verify_generators)
 
 from oracles import (PerStepExpRunner, PerStepWaveOperator,
                      dense_reference_evolve, single_mode_model)
 
 SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
-SWEEP_CFG = IntegratorConfig(n_steps=2048, record_times=(1.5,))
-
-
-def _state_at(tr, s):
-    for sv, st, _ in tr.samples:
-        if abs(sv - s) < 1e-12:
-            return st
-    raise KeyError(s)
+SWEEP_STEPS = 2048
 
 
 def _strang_state(model, tau, n_steps):
@@ -35,12 +28,11 @@ class TestEvolveTrue:
     def test_no_driving_means_no_leak(self, grid128):
         ff = build_form_factor(grid128, 1.5)
         model = assemble_model(grid128, ff, SwitchingProfile.zero())
-        cfg = IntegratorConfig(record_times=(0.5, 1.0, 1.5), window_samples=200)
-        tr = evolve_true(model, 300.0, cfg)
+        tr = evolve_true(model, 300.0, 512)
         assert tr.sup_leak_window == 0.0
-        st = _state_at(tr, 1.5)
-        assert abs(abs(st.bound_amp) - 1.0) <= 1e-12
-        assert np.linalg.norm(st.continuum_amps) == 0.0
+        assert tr.leak_at(1.5) == 0.0
+        assert abs(abs(tr.final_state[0]) - 1.0) <= 1e-12
+        assert np.linalg.norm(tr.final_state[1:]) == 0.0
 
     def test_strang_order_two_self_convergence(self, switching):
         grid = build_grid(1.0, 16, 16, 1e-4)  # N = 256
@@ -57,77 +49,66 @@ class TestEvolveTrue:
         tau = 50.0
         ref = dense_reference_evolve(model, tau, s_end=2.0, h=1e-5)
         ref_leak = float(np.linalg.norm(ref[1:]))
-        cfg = IntegratorConfig(n_steps=2048, record_times=(2.0,), s_end=2.0,
-                               window_samples=200)
-        assert abs(evolve_true(model, tau, cfg).leak_at(2.0) - ref_leak) <= 1e-6
+        assert abs(evolve_true(model, tau, 2048).leak_at(2.0) - ref_leak) <= 1e-6
         # no driving past s = 1, so the strang leak there is the leak at 2
         strang_leak = np.linalg.norm(_strang_state(model, tau, 20000)[1:])
         assert abs(strang_leak - ref_leak) <= 1e-6
 
     def test_schemes_agree(self, model_b15_small):
         # tau = 10 lies below the tau range of every sweep
-        cfg = IntegratorConfig(n_steps=4096, record_times=(1.5,))
         for tau in (100.0, 10.0):
             leak_s = np.linalg.norm(_strang_state(model_b15_small, tau, 50000)[1:])
-            leak_m = evolve_true(model_b15_small, tau, cfg).leak_at(1.5)
+            leak_m = evolve_true(model_b15_small, tau, 4096).leak_at(1.5)
             assert abs(leak_s - leak_m) <= 1e-7
 
     def test_leak_frozen_after_window(self, model_b15_small):
-        cfg = IntegratorConfig(record_times=(1.0, 1.2, 1.5))
-        tr = evolve_true(model_b15_small, 200.0, cfg)
-        assert tr.leak_at(1.2) == tr.leak_at(1.0)
+        tr = evolve_true(model_b15_small, 200.0, 512)
+        assert tr.leak_at(1.2) == tr.leak_at(1.0) == tr.window_leaks[-1]
         assert tr.leak_at(1.5) == tr.leak_at(1.0)
+        # the final state carries the same leak
+        assert tr.leak_at(1.5) == pytest.approx(np.linalg.norm(tr.final_state[1:]),
+                                                rel=1e-14)
 
     def test_unitarity_drift_small_and_enforced(self, model_b15_small):
-        tr = evolve_true(model_b15_small, 500.0, IntegratorConfig())
+        tr = evolve_true(model_b15_small, 500.0, 512)
         assert tr.unitarity_drift <= 1e-12
         with pytest.raises(IntegrationFailure) as err:
-            evolve_true(model_b15_small, 500.0,
-                        IntegratorConfig(drift_tolerance=1e-22))
+            evolve_true(model_b15_small, 500.0, 512, drift_tolerance=1e-22)
         assert err.value.drift > 1e-22
 
     def test_rejects_bad_inputs(self, model_b15_small):
         with pytest.raises(ConfigurationError):
-            evolve_true(model_b15_small, -5.0, IntegratorConfig())
-        bad = model_b15_small.bound_state()
-        bad.bound_amp = 0.5
-        with pytest.raises(ContractViolation):
-            evolve_true(model_b15_small, 10.0, IntegratorConfig(), initial=bad)
+            evolve_true(model_b15_small, -5.0, 512)
         with pytest.raises(ConfigurationError):
-            IntegratorConfig(s_end=1.0, record_times=(1.5,))
+            evolve_true(model_b15_small, 10.0, 0)
         with pytest.raises(ConfigurationError):
-            IntegratorConfig(n_steps=0)
+            evolve_true(model_b15_small, 10.0, 16).leak_at(-0.1)
 
     def test_dense_window_sampling(self, model_b15_small):
-        cfg = IntegratorConfig(window_samples=256)
-        tr = evolve_true(model_b15_small, 100.0, cfg)
-        assert len(tr.window_s) >= 201
+        tr = evolve_true(model_b15_small, 100.0, 256)
+        assert len(tr.window_leaks) == 257
         assert tr.sup_leak_window >= tr.leak_at(1.0)
 
 
     def test_in_window_record_time_is_snapped(self, model_b15_small):
-        cfg = IntegratorConfig(record_times=(0.3,))
-        tr = evolve_true(model_b15_small, 200.0, cfg)
+        tr = evolve_true(model_b15_small, 200.0, 512)
         assert tr.n_window_steps == 512
         snapped = round(0.3 * 512) / 512
         assert snapped == 0.30078125
-        assert [s for s, _, _ in tr.samples] == [snapped, 1.0]
         assert tr.leak_at(0.3) == tr.leak_at(snapped) == tr.window_leaks[154]
-        with pytest.raises(KeyError):
-            tr.leak_at(0.5)
+        assert tr.leak_at(0.5) == tr.window_leaks[256]
 
 
 def _same_trajectory(a, b):
     return (np.array_equal(a.window_leaks, b.window_leaks)
             and a.unitarity_drift == b.unitarity_drift
-            and all(sa == sb and np.array_equal(xa.as_vector(), xb.as_vector())
-                    for (sa, xa, _), (sb, xb, _) in zip(a.samples, b.samples)))
+            and np.array_equal(a.final_state, b.final_state))
 
 
 class TestBatchedLoop:
     @pytest.fixture(scope="class")
     def batch(self, model_b15):
-        return evolve_true(model_b15, SWEEP_TAUS, SWEEP_CFG)
+        return evolve_true(model_b15, SWEEP_TAUS, SWEEP_STEPS)
 
     def test_matches_per_step_exp_oracle(self, model_b15, batch):
         for tau, tr in zip(SWEEP_TAUS, batch.trajectories()):
@@ -139,16 +120,16 @@ class TestBatchedLoop:
     def test_columns_independent_of_batch(self, model_b15, batch):
         full = batch.trajectories()
         for i, tau in enumerate(SWEEP_TAUS):
-            assert _same_trajectory(evolve_true(model_b15, tau, SWEEP_CFG), full[i])
-        ends = evolve_true(model_b15, SWEEP_TAUS[::4], SWEEP_CFG).trajectories()
+            assert _same_trajectory(evolve_true(model_b15, tau, SWEEP_STEPS), full[i])
+        ends = evolve_true(model_b15, SWEEP_TAUS[::4], SWEEP_STEPS).trajectories()
         assert _same_trajectory(ends[0], full[0])
         assert _same_trajectory(ends[1], full[4])
 
     def test_non_finite_column_fails_alone(self, model_b15_small, spoil_column):
         taus = (100.0, 300.0, 1000.0)
-        clean = evolve_true(model_b15_small, taus, SWEEP_CFG).trajectories()
+        clean = evolve_true(model_b15_small, taus, SWEEP_STEPS).trajectories()
         spoil_column(300.0, np.nan)
-        out = evolve_true(model_b15_small, taus, SWEEP_CFG)
+        out = evolve_true(model_b15_small, taus, SWEEP_STEPS)
         assert isinstance(out.results[1], NumericalOverflow)
         assert "step 1 " in str(out.results[1])
         assert _same_trajectory(out.results[0], clean[0])
@@ -156,15 +137,15 @@ class TestBatchedLoop:
         with pytest.raises(NumericalOverflow):
             out.trajectories()
         with pytest.raises(NumericalOverflow):
-            evolve_true(model_b15_small, 300.0, SWEEP_CFG)
+            evolve_true(model_b15_small, 300.0, SWEEP_STEPS)
 
     def test_drifting_column_fails_alone(self, model_b15_small, spoil_column):
         taus = (100.0, 300.0, 1000.0)
-        clean = evolve_true(model_b15_small, taus, SWEEP_CFG).trajectories()
+        clean = evolve_true(model_b15_small, taus, SWEEP_STEPS).trajectories()
         spoil_column(1000.0, 2.0)
-        out = evolve_true(model_b15_small, taus, SWEEP_CFG)
+        out = evolve_true(model_b15_small, taus, SWEEP_STEPS)
         assert isinstance(out.results[2], IntegrationFailure)
-        assert out.results[2].drift > SWEEP_CFG.drift_tolerance
+        assert out.results[2].drift > 1e-9
         assert _same_trajectory(out.results[0], clean[0])
         assert _same_trajectory(out.results[1], clean[1])
         assert out.unitarity_drift == max(clean[0].unitarity_drift,
@@ -172,9 +153,9 @@ class TestBatchedLoop:
 
     def test_batch_rejects_empty_or_nonpositive_taus(self, model_b15_small):
         with pytest.raises(ConfigurationError):
-            evolve_true(model_b15_small, (), SWEEP_CFG)
+            evolve_true(model_b15_small, (), SWEEP_STEPS)
         with pytest.raises(ConfigurationError):
-            evolve_true(model_b15_small, (100.0, -1.0), SWEEP_CFG)
+            evolve_true(model_b15_small, (100.0, -1.0), SWEEP_STEPS)
 
 
 DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))

@@ -119,7 +119,8 @@ class TestConfig:
         ({"integrate": {"max_step": "nan"}}, "max_step"),
         ({"sweep": {"s_probe": "nan"}}, "s_probe"),
         ({"model": {"k_max": "1e308"}}, "k_max"),
-        ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values")])
+        ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values"),
+        ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values")])
     def test_step_settings_checked_on_resolve(self, raw, key):
         with pytest.raises(ConfigurationError, match=key):
             resolve_config(raw)

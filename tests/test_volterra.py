@@ -9,7 +9,7 @@ from friedrichs.errors import (ConfigurationError, ConvergenceFailure,
 from friedrichs.model import (SwitchingProfile, assemble_model,
                               build_form_factor, build_grid)
 from friedrichs.numutil import cosine_graded_edges, operator_norm
-from friedrichs.propagate import IntegratorConfig, evolve_true
+from friedrichs.propagate import evolve_true
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  interaction_kernel, wave_operator_series)
 
@@ -104,8 +104,7 @@ class TestSeries:
         tau = 1000.0
         ser = wave_operator_series(model_b15_small, tau, max_order=3,
                                    quad_order=64, s_eval=1.5)
-        cfg = IntegratorConfig(n_steps=4096, record_times=(1.5,))
-        tr = evolve_true(model_b15_small, tau, cfg)
+        tr = evolve_true(model_b15_small, tau, 4096)
         f = adiabatic_defect(model_b15_small, tau, n_steps=2048)
         total = ser.partial_sum(3)
         leak_series = np.linalg.norm(total[1:, 0])

@@ -10,20 +10,17 @@ superpolynomial decay of the gapped control case.
 
 __version__ = "0.1.0"
 
-from .errors import (AssemblyError, ConfigurationError, ContractViolation,
-                     ConvergenceFailure, FitDomainError, FriedrichsError,
-                     IntegrationFailure, NumericalOverflow,
-                     PrecisionLimitError, ResourceBudgetError,
-                     SpectralSeparationError)
+from .errors import (AssemblyError, ConfigurationError, ConvergenceFailure,
+                     FitDomainError, FriedrichsError, IntegrationFailure,
+                     NumericalOverflow, PrecisionLimitError,
+                     ResourceBudgetError, SpectralSeparationError)
 from .model import (DiscretizedMeasure, FormFactor, FriedrichsModel,
-                    RotatingState, SwitchingProfile, apply_rotation,
-                    assemble_model, build_form_factor, build_grid,
-                    build_switching)
+                    SwitchingProfile, assemble_model, build_form_factor,
+                    build_grid, build_switching, rotate)
 from .oscint import (bump_transform, bump_transform_asymptotic, rate_transform,
                      windowed_rate_transform)
-from .propagate import (Trajectory, adiabatic_state, evolve_true,
-                        evolve_wave_operator, leak, to_frame, verify_generators)
-from .volterra import (adiabatic_defect, first_order_tail, interaction_kernel,
+from .propagate import Trajectory, evolve_true, evolve_wave_operator
+from .volterra import (adiabatic_defect, first_order_tail, kernel_columns,
                        wave_operator_series)
 from .contour import (ContourSpec, ibp_suite, slaved_tail_probe, tilde,
                       tilde_eigenbasis, verify_ibp)

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -36,15 +37,24 @@ def _add_common(parser, with_out=True):
                             help="comma list from csv,json,svg")
 
 
+def _float_list(flag: str, text: str) -> tuple[float, ...]:
+    """Finite numbers, comma or space separated, given to flag; at least one."""
+    try:
+        values = tuple(float(v) for v in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigurationError(f"bad {flag} list {text!r}") from exc
+    if not values:
+        raise ConfigurationError(f"{flag} lists no values")
+    if not all(map(math.isfinite, values)):
+        raise ConfigurationError(f"{flag} values must be finite, got {text!r}")
+    return values
+
+
 def _config_from_args(args) -> sweep_mod.SweepConfig:
     raw = load_config_file(args.config) if args.config else {}
     overrides = {}
     if getattr(args, "tau", None):
-        try:
-            overrides["tau_values"] = tuple(
-                float(v) for v in args.tau.replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigurationError(f"bad --tau list {args.tau!r}") from exc
+        overrides["tau_values"] = _float_list("--tau", args.tau)
     if getattr(args, "beta", None) is not None:
         overrides["beta"] = args.beta
     if getattr(args, "gap", None) is not None:
@@ -95,7 +105,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fourier_check(args) -> int:
     from .oscint import BUMP_ASYMPTOTIC, bump_transform, bump_transform_asymptotic
-    ps = [float(v) for v in args.p.replace(",", " ").split()]
+    ps = _float_list("--p", args.p)
     zero = bump_transform(0.0)
     print(f"transform at 0: {zero:.10f} (reference 0.4439938)")
     ok = abs(zero - 0.4439938) <= 1e-6
@@ -127,7 +137,7 @@ def _cmd_volterra_check(args) -> int:
                             k_min=cfg.k_max * 2.0 ** -min(cfg.n_panels, 16),
                             gap_shift=0.0)
     model = build_model_from_config(cfg)
-    tau = args.single_tau or 100.0
+    tau = 100.0 if args.single_tau is None else args.single_tau
     ser = wave_operator_series(model, tau, max_order=4, quad_order=64, s_eval=1.5)
     defects = ser.parity_defects()
     print(f"N={model.measure.n_nodes} tau={tau} panels={ser.n_panels}")

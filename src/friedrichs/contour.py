@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ResourceBudgetError,
                      SpectralSeparationError)
-from .model import FriedrichsModel
+from .model import FriedrichsModel, check_model_inputs, rotate
 from .numutil import gauss_panel
 from .propagate import evolve_true, steps_for
 
@@ -191,19 +191,6 @@ class IbpReport:
 _IBP_SIGN = -1
 
 
-def _unrotate(model: FriedrichsModel, theta: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """V(theta_m)^dag vecs[m] for each row m; exp(-i theta A) in O(N)."""
-    c = model.coupling
-    b0 = vecs[:, 0]
-    cc = vecs[:, 1:] @ c
-    cos_m1 = np.cos(theta) - 1.0
-    isin = 1j * np.sin(theta)
-    out = vecs.copy()
-    out[:, 0] += cos_m1 * b0 - isin * cc
-    out[:, 1:] += np.multiply.outer(cos_m1 * cc - isin * b0, c)
-    return out
-
-
 def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
                s: float, quad_order: int):
     """Both sides of the identity Left = -Right, each by Gauss quadrature.
@@ -243,10 +230,10 @@ def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
     va0[:, 0] = isin
     va0[:, 1:] = np.multiply.outer(cos, c)
     x_vals = x_profile.value(t)
-    xv = _unrotate(model, theta, (x_vals @ ve0[:, :, None])[..., 0])
-    xva = _unrotate(model, theta, (x_vals @ va0[:, :, None])[..., 0])
-    xdv = _unrotate(model, theta,
-                    (x_profile.derivative(t) @ ve0[:, :, None])[..., 0])
+    xv = rotate(model, -theta, (x_vals @ ve0[:, :, None])[..., 0])
+    xva = rotate(model, -theta, (x_vals @ va0[:, :, None])[..., 0])
+    xdv = rotate(model, -theta,
+                 (x_profile.derivative(t) @ ve0[:, :, None])[..., 0])
     a_xv = np.empty_like(xv)                               # A m
     a_xv[:, 0] = xv[:, 1:] @ c
     a_xv[:, 1:] = np.multiply.outer(xv[:, 0], c)
@@ -283,6 +270,7 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
     report. The profiles must map an array of times to the stacked
     matrices, as PolyMatrixProfile and ExchangeRateProfile do.
     """
+    check_model_inputs(tau=tau)
     if model.gap_shift <= 0.0:
         raise ConfigurationError("the identity check needs gap_shift > 0")
     if model.dim - 1 > _IBP_MAX_N:

@@ -17,10 +17,6 @@ class AssemblyError(FriedrichsError):
     """Mismatched components passed to model assembly."""
 
 
-class ContractViolation(FriedrichsError):
-    """An operation received input violating its stated contract."""
-
-
 class IntegrationFailure(FriedrichsError):
     """Time integration exceeded its unitarity drift tolerance."""
 

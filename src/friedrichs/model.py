@@ -12,6 +12,7 @@ direction with the coupling direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +25,13 @@ __all__ = [
     "FormFactor",
     "SwitchingProfile",
     "FriedrichsModel",
-    "RotatingState",
     "PanelLayout",
     "build_grid",
     "build_form_factor",
     "build_switching",
     "assemble_model",
     "check_model_inputs",
-    "apply_rotation",
+    "rotate",
     "bump_function",
     "bump_function_derivative",
 ]
@@ -110,11 +110,6 @@ class SwitchingProfile:
             raise ConfigurationError("theta_total must be nonnegative")
         self.theta_total = float(theta_total)
         self.gdot_max = self.theta_total * bump_function(0.5) / BUMP_NORM
-
-    @classmethod
-    def zero(cls) -> "SwitchingProfile":
-        """Trivial profile with no driving (gdot identically zero)."""
-        return cls(0.0)
 
     def g(self, s):
         """Accumulated rotation angle; g(0) = 0, g(s >= 1) = theta_total."""
@@ -205,26 +200,6 @@ class FriedrichsModel:
     def dim(self) -> int:
         return 1 + self.measure.n_nodes
 
-    def bound_state(self) -> "RotatingState":
-        amps = np.zeros(self.measure.n_nodes, dtype=complex)
-        return RotatingState(1.0 + 0.0j, amps, frame="rotating", time_s=0.0)
-
-    def apply_exchange(self, vec: np.ndarray) -> np.ndarray:
-        """A @ vec for a packed (bound, continuum) vector; O(N)."""
-        out = np.empty_like(vec, dtype=complex)
-        out[0] = self.coupling @ vec[1:]
-        out[1:] = vec[0] * self.coupling
-        return out
-
-    def hamiltonian_dense(self, s: float | None = None) -> np.ndarray:
-        """Dense H(s) = V(g(s)) H V(g(s))^dagger; s=None gives the static H."""
-        h0 = np.diag(self.diag_energies).astype(complex)
-        if s is None:
-            return h0
-        theta = self.switching.g(s)
-        v = rotation_dense(self, theta)
-        return v @ h0 @ v.conj().T
-
     def exchange_dense(self) -> np.ndarray:
         a = np.zeros((self.dim, self.dim), dtype=complex)
         a[0, 1:] = self.coupling
@@ -232,40 +207,7 @@ class FriedrichsModel:
         return a
 
 
-@dataclass
-class RotatingState:
-    """State split into bound amplitude and continuum amplitudes.
-
-    frame is one of 'lab', 'rotating', 'interaction'; time_s is the scaled
-    time the state refers to. The rotating frame removes the driving
-    rotation, the interaction frame additionally removes the free phases.
-    """
-
-    bound_amp: complex
-    continuum_amps: np.ndarray
-    frame: str = "rotating"
-    time_s: float = 0.0
-
-    def as_vector(self) -> np.ndarray:
-        vec = np.empty(1 + len(self.continuum_amps), dtype=complex)
-        vec[0] = self.bound_amp
-        vec[1:] = self.continuum_amps
-        return vec
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, frame: str, time_s: float) -> "RotatingState":
-        return cls(complex(vec[0]), np.array(vec[1:], dtype=complex), frame, time_s)
-
-    def norm(self) -> float:
-        return float(np.sqrt(abs(self.bound_amp) ** 2
-                             + np.vdot(self.continuum_amps, self.continuum_amps).real))
-
-    def copy(self) -> "RotatingState":
-        return RotatingState(self.bound_amp, self.continuum_amps.copy(),
-                             self.frame, self.time_s)
-
-
-#: builder inputs checked on their own: name -> (condition, rule as stated)
+#: inputs checked on their own: name -> (condition, rule as stated)
 _INPUT_RULES = {
     "beta": (lambda v: v > 0.0, "must be > 0"),
     "theta_total": (lambda v: v > 0.0, "must be > 0"),
@@ -275,6 +217,7 @@ _INPUT_RULES = {
     "n_panels": (lambda v: v >= 1, "must be >= 1"),
     "nodes_per_panel": (lambda v: v >= 2, "must be >= 2"),
     "cutoff_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "tau": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
 }
 
 
@@ -282,8 +225,9 @@ def check_model_inputs(**inputs) -> None:
     """Raise ConfigurationError for the first input that breaks its rule.
 
     The builders check their inputs here, and a config can be checked
-    the same way before anything is built. NaN breaks every rule. Given
-    both grid ends, k_max must also exceed k_min.
+    the same way before anything is built; the evolution and
+    verification entry points check their tau here. NaN breaks every
+    rule. Given both grid ends, k_max must also exceed k_min.
     """
     for name, value in inputs.items():
         holds, rule = _INPUT_RULES[name]
@@ -369,34 +313,19 @@ def assemble_model(grid: DiscretizedMeasure, form_factor: FormFactor,
     return model
 
 
-def apply_rotation(model: FriedrichsModel, theta: float,
-                   state: RotatingState) -> RotatingState:
-    """Apply V(theta) = exp(i theta A) to the state; exact and O(N).
+def rotate(model: FriedrichsModel, theta, rows: np.ndarray) -> np.ndarray:
+    """exp(i theta_m A) rows[m] for each row m of a (m, dim) array; O(N) a row.
 
-    A^2 is the orthogonal projector onto span{e0, c}, so
+    theta is one angle for every row or one per row. A^2 is the
+    orthogonal projector Pi onto span{e0, c}, so
     exp(i theta A) = 1 + (cos theta - 1) Pi + i sin theta A.
     """
-    vec = state.as_vector()
     c = model.coupling
-    b0 = vec[0]
-    cc = c @ vec[1:]
+    b0 = rows[:, 0]
+    cc = rows[:, 1:] @ c
     cos_m1 = np.cos(theta) - 1.0
     isin = 1j * np.sin(theta)
-    out = vec.copy()
-    out[0] += cos_m1 * b0 + isin * cc
-    out[1:] += (cos_m1 * cc + isin * b0) * c
-    return RotatingState.from_vector(out, state.frame, state.time_s)
-
-
-def rotation_dense(model: FriedrichsModel, theta: float) -> np.ndarray:
-    """Dense matrix of exp(i theta A); for diagnostics at small N."""
-    n = model.dim
-    c = model.coupling
-    out = np.eye(n, dtype=complex)
-    cos_m1 = np.cos(theta) - 1.0
-    isin = 1j * np.sin(theta)
-    out[0, 0] += cos_m1
-    out[1:, 1:] += cos_m1 * np.outer(c, c)
-    out[0, 1:] += isin * c
-    out[1:, 0] += isin * c
+    out = rows.copy()
+    out[:, 0] += cos_m1 * b0 + isin * cc
+    out[:, 1:] += np.multiply.outer(cos_m1 * cc + isin * b0, c)
     return out

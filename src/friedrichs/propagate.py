@@ -32,7 +32,7 @@ goes non-finite or exceeds the drift tolerance fails alone; the other
 rows of its batch are unaffected.
 
 The wave-operator evolution applies the same rotations to a (dim, dim)
-matrix, a block of steps at a time (see _apply_rotations).
+matrix, a block of steps at a time (see _apply_steps).
 
 For s >= 1 the driving vanishes, so the interaction-frame state stays
 as it was at the end of the window: a run stops at s = 1, and its leak
@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, ContractViolation, FriedrichsError,
-                     IntegrationFailure, NumericalOverflow)
-from .model import FriedrichsModel, RotatingState, apply_rotation, rotation_dense
+from .errors import (ConfigurationError, FriedrichsError, IntegrationFailure,
+                     NumericalOverflow)
+from .model import FriedrichsModel, check_model_inputs
 from .numutil import legendre_projection
 from .oscint import fourier_legendre_moments
 
@@ -57,13 +57,8 @@ __all__ = [
     "steps_for",
     "Trajectory",
     "TrajectoryBatch",
-    "GeneratorCheck",
     "evolve_true",
     "evolve_wave_operator",
-    "adiabatic_state",
-    "leak",
-    "to_frame",
-    "verify_generators",
 ]
 
 _MAGNUS_DEGREE = 8
@@ -239,8 +234,8 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     if taus.ndim != 1 or taus.size == 0:
         raise ConfigurationError("tau must be a number or a nonempty sequence")
-    if np.any(~(taus > 0.0)):
-        raise ConfigurationError(f"tau must be positive, got {tau}")
+    for t in taus.tolist():
+        check_model_inputs(tau=t)
     if n_steps < 1:
         raise ConfigurationError("n_steps must be at least 1")
 
@@ -255,8 +250,8 @@ def _total_norm_dev(state: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
 
 
-def _apply_rotations(mat: np.ndarray, u: np.ndarray, cos_m1: np.ndarray,
-                     isin: np.ndarray) -> None:
+def _apply_steps(mat: np.ndarray, u: np.ndarray, cos_m1: np.ndarray,
+                 isin: np.ndarray) -> None:
     """mat <- R_k ... R_1 mat in place, for the rank-two rotations of k steps.
 
     R_j = 1 + X_j M_j X_j^dagger with X_j = [e0, u_j] and M_j =
@@ -297,7 +292,7 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     matrix in blocks: the steps between consecutive stops (record steps
     and the end of each _RESEED_STEPS-step block) go in as one update of
     compact-WY form (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10,
-    1989), see _apply_rotations. Drift and finiteness are checked at
+    1989), see _apply_steps. Drift and finiteness are checked at
     every block end, so at least every 64 steps and at the last step.
     Returns (actual record times snapped to the grid, list of matrices,
     drift).
@@ -309,6 +304,7 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     or written; it is checked finite first, so a non-finite stop raises
     NumericalOverflow before the consumer sees it.
     """
+    check_model_inputs(tau=tau)
     n = int(n_steps)
     record_idx = {min(round(float(t) * n), n) for t in record_s}
     mat = np.eye(model.dim, dtype=complex)
@@ -331,9 +327,9 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
         stop = start + len(cos_m1)
         a = start
         for b in sorted({i for i in record_idx if start < i < stop} | {stop}):
-            _apply_rotations(mat, u[a - start:b - start, 0],
-                             cos_m1[a - start:b - start, 0],
-                             isin[a - start:b - start, 0])
+            _apply_steps(mat, u[a - start:b - start, 0],
+                         cos_m1[a - start:b - start, 0],
+                         isin[a - start:b - start, 0])
             a = b
             if b in record_idx:
                 record(b)
@@ -345,124 +341,3 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
         raise IntegrationFailure(
             f"propagator drift {drift:.3e} exceeds {drift_tolerance:.1e}", drift)
     return np.array(s_out), out, drift
-
-
-def adiabatic_state(model: FriedrichsModel, tau: float, s: float) -> RotatingState:
-    """Frame-following comparison state V(g(s)) e0 in the lab frame.
-
-    The bound energy is zero, so the dynamical phase drops out and the
-    result does not depend on tau (kept in the signature for symmetry
-    with the true evolution).
-    """
-    if s < 0.0:
-        raise ConfigurationError(f"s must be >= 0, got {s}")
-    st = model.bound_state()
-    st.frame = "lab"
-    st.time_s = float(s)
-    return apply_rotation(model, float(model.switching.g(s)), st)
-
-
-def to_frame(model: FriedrichsModel, tau: float, state: RotatingState,
-             frame: str) -> RotatingState:
-    """Convert a state between lab, rotating and interaction frames."""
-    if frame not in ("lab", "rotating", "interaction"):
-        raise ConfigurationError(f"unknown frame {frame!r}")
-    cur = state.copy()
-    s = cur.time_s
-    if cur.frame == frame:
-        return cur
-    # go through the rotating frame
-    if cur.frame == "lab":
-        cur = apply_rotation(model, -float(model.switching.g(s)), cur)
-        cur.frame = "rotating"
-    elif cur.frame == "interaction":
-        vec = cur.as_vector() * np.exp(-1j * tau * s * model.diag_energies)
-        cur = RotatingState.from_vector(vec, "rotating", s)
-    if frame == "rotating":
-        return cur
-    if frame == "lab":
-        out = apply_rotation(model, float(model.switching.g(s)), cur)
-        out.frame = "lab"
-        return out
-    vec = cur.as_vector() * np.exp(1j * tau * s * model.diag_energies)
-    return RotatingState.from_vector(vec, "interaction", s)
-
-
-def leak(model: FriedrichsModel, state: RotatingState) -> float:
-    """Distance of the state from the followed bound direction, in [0, 1].
-
-    In the rotating or interaction frame the followed projection pulls
-    back to the fixed bound direction, so the leak is the continuum norm;
-    lab-frame states are rotated back first.
-    """
-    nrm = state.norm()
-    if abs(nrm - 1.0) > 1e-6:
-        raise ContractViolation(f"state norm {nrm} deviates from 1 beyond 1e-6")
-    if state.frame == "lab":
-        state = apply_rotation(model, -float(model.switching.g(state.time_s)), state)
-    elif state.frame not in ("rotating", "interaction"):
-        raise ConfigurationError(f"unknown frame {state.frame!r}")
-    return float(np.linalg.norm(state.continuum_amps))
-
-
-@dataclass
-class GeneratorCheck:
-    """Residuals comparing the frame generator with the commutator form."""
-
-    s_samples: np.ndarray
-    had_vs_hr: np.ndarray          # ||H_AD - H_r|| per sample
-    commutator_diag_bound: np.ndarray    # ||P (i[Pdot,P]) P|| per sample
-    commutator_diag_complement: np.ndarray
-    pdot_fd_error: np.ndarray      # FD residual at h
-    pdot_fd_ratio: np.ndarray      # residual(h) / residual(h/2)
-
-    @property
-    def max_had_vs_hr(self) -> float:
-        return float(np.max(self.had_vs_hr))
-
-
-def verify_generators(model: FriedrichsModel, tau: float,
-                      s_samples=(0.25, 0.5, 0.75), fd_h: float = 2e-3) -> GeneratorCheck:
-    """Check H_AD = H_r and the off-diagonality of the commutator generator.
-
-    H_AD adds (i/tau)[Pdot, P] to H(s); H_r adds (i/tau) Vdot V^dagger.
-    For rotations generated by the fixed exchange operator the two agree
-    identically. Pdot is also validated against central differences.
-    """
-    s_samples = np.asarray(s_samples, dtype=float)
-    a = model.exchange_dense()
-    h0 = np.diag(model.diag_energies).astype(complex)
-    sw = model.switching
-    res_hh, res_pb, res_pc, fd_err, fd_ratio = [], [], [], [], []
-
-    def projector(s):
-        v0 = rotation_dense(model, float(sw.g(s)))[:, 0]
-        return np.outer(v0, v0.conj())
-
-    for s in s_samples:
-        v = rotation_dense(model, float(sw.g(s)))
-        hs = v @ h0 @ v.conj().T
-        ps = np.outer(v[:, 0], v[:, 0].conj())
-        gd = float(sw.gdot(s))
-        pdot = 1j * gd * (a @ ps - ps @ a)
-        comm = pdot @ ps - ps @ pdot
-        h_ad = hs + (1j / tau) * comm
-        h_r = hs + (1j / tau) * (1j * gd * a)
-        res_hh.append(np.linalg.norm(h_ad - h_r, 2))
-        comm_gen = 1j * comm
-        res_pb.append(np.linalg.norm(ps @ comm_gen @ ps, 2))
-        pperp = np.eye(model.dim) - ps
-        res_pc.append(np.linalg.norm(pperp @ comm_gen @ pperp, 2))
-        e1 = np.linalg.norm((projector(s + fd_h) - projector(s - fd_h)) / (2 * fd_h)
-                            - pdot, 2)
-        e2 = np.linalg.norm((projector(s + fd_h / 2) - projector(s - fd_h / 2)) / fd_h
-                            - pdot, 2)
-        fd_err.append(e1)
-        fd_ratio.append(e1 / e2 if e2 > 0 else np.nan)
-
-    return GeneratorCheck(s_samples=s_samples,
-                          had_vs_hr=np.array(res_hh),
-                          commutator_diag_bound=np.array(res_pb),
-                          commutator_diag_complement=np.array(res_pc),
-                          pdot_fd_error=np.array(fd_err),
-                          pdot_fd_ratio=np.array(fd_ratio))

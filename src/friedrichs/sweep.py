@@ -235,8 +235,8 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
     if not taus:
         raise ConfigurationError("tau_values must be nonempty")
-    if any(t <= 0 for t in taus):
-        raise ConfigurationError("tau_values must be positive")
+    for t in taus:
+        check_model_inputs(tau=t)
     repeated = sorted({a for a, b in zip(taus, taus[1:]) if a == b})
     if repeated:
         raise ConfigurationError(

@@ -19,16 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ResourceBudgetError
-from .model import FriedrichsModel
+from .model import FriedrichsModel, check_model_inputs
 from .numutil import (block_norms, cumulative_integration_matrix, gauss_rule,
                       norm_bracket, operator_norm)
 from .oscint import rate_transform
 from .propagate import evolve_wave_operator
 
 __all__ = [
-    "InteractionKernel",
     "WaveOperatorSeries",
-    "interaction_kernel",
+    "kernel_columns",
     "wave_operator_series",
     "first_order_tail",
     "adiabatic_defect",
@@ -40,41 +39,16 @@ _MAX_ORDER = 4
 _KEEP = 8
 
 
-class InteractionKernel:
-    """Applies K(t) to packed vectors (or matrices, column-wise); O(N) each.
+def kernel_columns(model: FriedrichsModel, tau: float, t) -> np.ndarray:
+    """Bound-to-continuum columns of K at the times t, shape (len(t), N).
 
-    Anti-Hermitian by construction. The bound-to-continuum column is
-    -i gdot(t) e^{i tau w_j t} c_j; magnitudes are tau-independent.
+    Row m is -i gdot(t_m) e^{i tau w_j t_m} c_j, the whole of K(t_m):
+    K is anti-Hermitian, so its bound row is minus the conjugate of the
+    column, and the other blocks vanish. Magnitudes are tau-independent.
     """
-
-    def __init__(self, model: FriedrichsModel, tau: float, t: float):
-        self.model = model
-        self.tau = float(tau)
-        self.t = float(t)
-        gd = float(model.switching.gdot(t))
-        if gd == 0.0:
-            self.column = np.zeros(model.dim - 1, dtype=complex)
-        else:
-            phases = np.exp(1j * tau * model.diag_energies[1:] * t)
-            self.column = -1j * gd * phases * model.coupling
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(vec, dtype=complex))
-        out[0] = -(self.column.conj() @ vec[1:])
-        out[1:] = np.multiply.outer(self.column, vec[0]) if vec.ndim > 1 \
-            else self.column * vec[0]
-        return out
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.model.dim, self.model.dim), dtype=complex)
-        m[1:, 0] = self.column
-        m[0, 1:] = -self.column.conj()
-        return m
-
-
-def interaction_kernel(model: FriedrichsModel, tau: float, t: float) -> InteractionKernel:
-    """The Volterra kernel at scaled time t as an operator application."""
-    return InteractionKernel(model, tau, t)
+    t = np.asarray(t, dtype=float)
+    phases = np.exp(1j * tau * model.diag_energies[1:] * t[:, None])
+    return -1j * model.switching.gdot(t)[:, None] * phases * model.coupling
 
 
 @dataclass
@@ -130,6 +104,7 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
     the (q, dim, dim) stack of level values is never formed; the terms
     are dense only at the panel ends.
     """
+    check_model_inputs(tau=tau)
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
         raise ResourceBudgetError(
@@ -156,8 +131,7 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
         a, b = edges[p], edges[p + 1]
         half = 0.5 * (b - a)
         t_nodes = 0.5 * (a + b) + half * x
-        col = np.array([interaction_kernel(model, tau, t).column
-                        for t in t_nodes])          # (q, N)
+        col = kernel_columns(model, tau, t_nodes)   # (q, N)
         cum_g = cum * (col.conj() @ col.T)
         col_w = (col * w[:, None]).T                # (N, q)
         # level 0 is the identity at every node
@@ -189,6 +163,7 @@ def first_order_tail(model: FriedrichsModel, tau: float) -> tuple[np.ndarray, fl
     The series term itself carries a further factor -i from the kernel;
     comparisons against series columns align that phase explicitly.
     """
+    check_model_inputs(tau=tau)
     if model.gap_shift != 0.0:
         raise ConfigurationError("first_order_tail requires gap_shift = 0")
     sw = model.switching

@@ -12,12 +12,21 @@ check:
   strang steps share no code with the package;
 * per_node_series_terms and per_node_ibp_sides, the series collocation
   and the identity's quadratures as they stood before the rank-two
-  kernel was exploited, reuse the kernel, the rotations and the static
-  tilde;
+  kernel was exploited, reuse the kernel columns (applied by
+  apply_kernel), the dense rotations below and the static tilde;
 * backward_walk_defect, the uniform defect as it stood before its norms
   were bracketed during the evolution, reuses the wave-operator
   evolution and the operator norm.
+
+Two cross-checks of the frame algebra also live here, since no run of
+the package needs them: rotation_dense, exp(i theta A) as a dense
+matrix, which reuses only the model's dense exchange generator; and
+verify_generators (with its GeneratorCheck), which compares the frame
+generator with the commutator form on dense matrices and reuses
+rotation_dense and the switching profile.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,6 +260,19 @@ class PerStepWaveOperator:
         return np.array(s_out), out, drift
 
 
+def apply_kernel(column, x):
+    """K x for the anti-Hermitian kernel with this bound-to-continuum column.
+
+    K[1:, 0] is column, K[0, 1:] is -conj(column), and every other entry
+    is zero; x is a packed vector, or a matrix taken column by column.
+    """
+    x = np.asarray(x, dtype=complex)
+    out = np.zeros_like(x)
+    out[0] = -(column.conj() @ x[1:])
+    out[1:] = np.multiply.outer(column, x[0])
+    return out
+
+
 def per_node_series_terms(model, tau, max_order=4, quad_order=64, s_eval=1.0):
     """Wave-operator series terms with the level stacked at every node.
 
@@ -262,7 +284,7 @@ def per_node_series_terms(model, tau, max_order=4, quad_order=64, s_eval=1.0):
     import math
 
     from friedrichs.numutil import cumulative_integration_matrix, gauss_rule
-    from friedrichs.volterra import interaction_kernel
+    from friedrichs.volterra import kernel_columns
 
     u = min(float(s_eval), 1.0)
     e_max = float(np.max(model.diag_energies))
@@ -277,11 +299,11 @@ def per_node_series_terms(model, tau, max_order=4, quad_order=64, s_eval=1.0):
     for p in range(n_panels):
         a, b = edges[p], edges[p + 1]
         half = 0.5 * (b - a)
-        kernels = [interaction_kernel(model, tau, t)
-                   for t in 0.5 * (a + b) + half * x]
+        cols = kernel_columns(model, tau, 0.5 * (a + b) + half * x)
         level_nodes = np.broadcast_to(eye, (quad_order, dim, dim))
         for i in range(1, max_order + 1):
-            g = np.array([k(level_nodes[m]) for m, k in enumerate(kernels)])
+            g = np.array([apply_kernel(col, level_nodes[m])
+                          for m, col in enumerate(cols)])
             flat = g.reshape(quad_order, dim * dim)
             new_nodes = starts[i][None, :, :] \
                 + half * (cum @ flat).reshape(quad_order, dim, dim)
@@ -334,7 +356,6 @@ def per_node_ibp_sides(model, tau, x_profile, y_profile, s, quad_order):
     The sides as friedrichs.contour._ibp_sides defines them, each term
     formed as the full matrix Pperp U^dag M U P Y at every Gauss node.
     """
-    from friedrichs.model import rotation_dense
     from friedrichs.numutil import gauss_panel
 
     dim = model.dim
@@ -378,3 +399,76 @@ def per_node_ibp_sides(model, tau, x_profile, y_profile, s, quad_order):
 
     rhs = (1j / tau) * (boundary(s) - boundary(0.0) - int_d - int_y)
     return lhs, rhs
+
+
+def rotation_dense(model, theta):
+    """Dense matrix of exp(i theta A), summed from the projector identity.
+
+    A^2 is the projector Pi onto span{e0, c}, so the exponential series
+    sums to 1 + (cos theta - 1) Pi + i sin theta A.
+    """
+    a = model.exchange_dense()
+    return (np.eye(model.dim, dtype=complex) + (np.cos(theta) - 1.0) * (a @ a)
+            + 1j * np.sin(theta) * a)
+
+
+@dataclass
+class GeneratorCheck:
+    """Residuals comparing the frame generator with the commutator form."""
+
+    s_samples: np.ndarray
+    had_vs_hr: np.ndarray          # ||H_AD - H_r|| per sample
+    commutator_diag_bound: np.ndarray    # ||P (i[Pdot,P]) P|| per sample
+    commutator_diag_complement: np.ndarray
+    pdot_fd_error: np.ndarray      # FD residual at h
+    pdot_fd_ratio: np.ndarray      # residual(h) / residual(h/2)
+
+    @property
+    def max_had_vs_hr(self) -> float:
+        return float(np.max(self.had_vs_hr))
+
+
+def verify_generators(model, tau, s_samples=(0.25, 0.5, 0.75), fd_h=2e-3):
+    """Check H_AD = H_r and the off-diagonality of the commutator generator.
+
+    H_AD adds (i/tau)[Pdot, P] to H(s); H_r adds (i/tau) Vdot V^dagger.
+    For rotations generated by the fixed exchange operator the two agree
+    identically. Pdot is also validated against central differences.
+    """
+    s_samples = np.asarray(s_samples, dtype=float)
+    a = model.exchange_dense()
+    h0 = np.diag(model.diag_energies).astype(complex)
+    sw = model.switching
+    res_hh, res_pb, res_pc, fd_err, fd_ratio = [], [], [], [], []
+
+    def projector(s):
+        v0 = rotation_dense(model, float(sw.g(s)))[:, 0]
+        return np.outer(v0, v0.conj())
+
+    for s in s_samples:
+        v = rotation_dense(model, float(sw.g(s)))
+        hs = v @ h0 @ v.conj().T
+        ps = np.outer(v[:, 0], v[:, 0].conj())
+        gd = float(sw.gdot(s))
+        pdot = 1j * gd * (a @ ps - ps @ a)
+        comm = pdot @ ps - ps @ pdot
+        h_ad = hs + (1j / tau) * comm
+        h_r = hs + (1j / tau) * (1j * gd * a)
+        res_hh.append(np.linalg.norm(h_ad - h_r, 2))
+        comm_gen = 1j * comm
+        res_pb.append(np.linalg.norm(ps @ comm_gen @ ps, 2))
+        pperp = np.eye(model.dim) - ps
+        res_pc.append(np.linalg.norm(pperp @ comm_gen @ pperp, 2))
+        e1 = np.linalg.norm((projector(s + fd_h) - projector(s - fd_h)) / (2 * fd_h)
+                            - pdot, 2)
+        e2 = np.linalg.norm((projector(s + fd_h / 2) - projector(s - fd_h / 2)) / fd_h
+                            - pdot, 2)
+        fd_err.append(e1)
+        fd_ratio.append(e1 / e2 if e2 > 0 else np.nan)
+
+    return GeneratorCheck(s_samples=s_samples,
+                          had_vs_hr=np.array(res_hh),
+                          commutator_diag_bound=np.array(res_pb),
+                          commutator_diag_complement=np.array(res_pc),
+                          pdot_fd_error=np.array(fd_err),
+                          pdot_fd_ratio=np.array(fd_ratio))

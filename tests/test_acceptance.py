@@ -16,12 +16,12 @@ from friedrichs.model import assemble_model, build_form_factor, build_grid, \
     build_switching
 from friedrichs.oscint import (BUMP_ASYMPTOTIC, bump_transform,
                                bump_transform_asymptotic)
-from friedrichs.propagate import evolve_wave_operator, verify_generators
+from friedrichs.propagate import evolve_wave_operator
 from friedrichs.sweep import fit_powerlaw, render_csv, resolve_config, run_sweep
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
-from oracles import PerStepWaveOperator, eigen_tilde
+from oracles import PerStepWaveOperator, eigen_tilde, verify_generators
 
 ACCEPTANCE_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 GAPPED_TAUS = (100.0, 158.489, 251.189, 398.107, 630.957, 1000.0)

@@ -45,6 +45,11 @@ def test_config_error_exits_two(tmp_path):
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert main(["sweep", "--tau", "100,nan"]) == 2
     assert main(["sweep", "--tau", "100,100,1000"]) == 2
+    assert main(["fourier-check", "--p", "abc"]) == 2
+    assert main(["fourier-check", "--p", ","]) == 2
+    assert main(["fourier-check", "--p", "100,nan"]) == 2
+    for tau in ("0", "-5", "nan"):
+        assert main(["volterra-check", "--single-tau", tau]) == 2
 
 
 def test_jobs_flag_rejected():

@@ -3,11 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from friedrichs.errors import AssemblyError, ConfigurationError
-from friedrichs.model import (RotatingState, apply_rotation, assemble_model,
-                              build_form_factor, build_grid, build_switching,
-                              rotation_dense)
+from friedrichs.model import (assemble_model, build_form_factor, build_grid,
+                              build_switching, rotate)
 
-from oracles import two_level_rotation
+from oracles import rotation_dense, two_level_rotation
 
 
 class TestGrid:
@@ -148,16 +147,11 @@ class TestSwitching:
 
 
 class TestAssembly:
-    def test_uncoupled_spectrum_is_diagonal(self, model_b15_small):
-        m = model_b15_small
-        h = m.hamiltonian_dense()
-        np.testing.assert_array_equal(np.diag(h).real, m.diag_energies)
-        assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-
     def test_exchange_expectation(self, model_b15):
         e0 = np.zeros(model_b15.dim, dtype=complex)
         e0[0] = 1.0
-        a2 = model_b15.apply_exchange(model_b15.apply_exchange(e0))
+        a = model_b15.exchange_dense()
+        a2 = a @ (a @ e0)
         assert abs(e0 @ a2 - 1.0) <= 1e-12
 
     def test_gap_shift_moves_continuum(self, grid128, switching):
@@ -193,50 +187,48 @@ class TestAssembly:
             assemble_model(grid128, ff, switching, gap_shift=-0.5)
 
 
+def _unit_rows(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
 class TestRotation:
     def test_zero_angle_is_identity(self, model_b15_small):
-        st = model_b15_small.bound_state()
-        out = apply_rotation(model_b15_small, 0.0, st)
-        np.testing.assert_array_equal(out.as_vector(), st.as_vector())
+        rows = _unit_rows(model_b15_small.dim, 3, 1)
+        np.testing.assert_array_equal(rotate(model_b15_small, 0.0, rows), rows)
 
     def test_quarter_turn_lands_on_coupling(self, model_b15_small):
         # oracle: the rotation restricted to span{e0, c} is a 2x2 block
         m = model_b15_small
-        out = apply_rotation(m, np.pi / 2, m.bound_state())
-        overlap = m.coupling @ out.continuum_amps
+        out = rotate(m, np.pi / 2, np.eye(m.dim, dtype=complex)[:1])[0]
+        overlap = m.coupling @ out[1:]
         block = two_level_rotation(np.pi / 2) @ np.array([1.0, 0.0])
         assert abs(abs(overlap) - 1.0) <= 1e-12
         assert abs(overlap - block[1]) <= 1e-12
-        assert abs(out.bound_amp - block[0]) <= 1e-12
+        assert abs(out[0] - block[0]) <= 1e-12
 
     def test_rotation_round_trip(self, model_b15_small):
-        rng = np.random.default_rng(11)
-        vec = rng.standard_normal(model_b15_small.dim) \
-            + 1j * rng.standard_normal(model_b15_small.dim)
-        vec /= np.linalg.norm(vec)
-        st = RotatingState.from_vector(vec, "rotating", 0.0)
-        back = apply_rotation(model_b15_small, -0.83,
-                              apply_rotation(model_b15_small, 0.83, st))
-        assert np.linalg.norm(back.as_vector() - vec) <= 1e-14
+        rows = _unit_rows(model_b15_small.dim, 1, 11)
+        back = rotate(model_b15_small, -0.83,
+                      rotate(model_b15_small, 0.83, rows))
+        assert np.linalg.norm(back - rows) <= 1e-14
 
     def test_norm_preservation_and_group_law(self, model_b15_small):
+        # one angle pair per row
         rng = np.random.default_rng(5)
         m = model_b15_small
-        for _ in range(6):
-            vec = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-            vec /= np.linalg.norm(vec)
-            st = RotatingState.from_vector(vec, "rotating", 0.0)
-            a, b = rng.uniform(-2, 2, size=2)
-            lhs = apply_rotation(m, a, apply_rotation(m, b, st))
-            rhs = apply_rotation(m, a + b, st)
-            assert abs(lhs.norm() - 1.0) <= 1e-14
-            assert np.linalg.norm(lhs.as_vector() - rhs.as_vector()) <= 1e-12
+        rows = _unit_rows(m.dim, 6, 5)
+        a, b = rng.uniform(-2, 2, size=(2, 6))
+        lhs = rotate(m, a, rotate(m, b, rows))
+        rhs = rotate(m, a + b, rows)
+        assert np.max(np.abs(np.linalg.norm(lhs, axis=1) - 1.0)) <= 1e-14
+        assert np.max(np.linalg.norm(lhs - rhs, axis=1)) <= 1e-12
 
     def test_dense_rotation_matches_apply(self, model_b15_small):
         m = model_b15_small
-        rng = np.random.default_rng(7)
-        vec = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
-        st = RotatingState.from_vector(vec / np.linalg.norm(vec), "rotating", 0.0)
-        dense = rotation_dense(m, 0.37) @ st.as_vector()
-        fast = apply_rotation(m, 0.37, st).as_vector()
-        assert np.linalg.norm(dense - fast) <= 1e-13
+        rows = _unit_rows(m.dim, 4, 7)
+        thetas = np.array([0.37, -1.2, 2.9, 0.0])
+        fast = rotate(m, thetas, rows)
+        for theta, row, got in zip(thetas, rows, fast):
+            assert np.linalg.norm(rotation_dense(m, theta) @ row - got) <= 1e-13

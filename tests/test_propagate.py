@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from friedrichs.errors import (ConfigurationError, ContractViolation,
-                               IntegrationFailure, NumericalOverflow)
-from friedrichs.model import RotatingState, SwitchingProfile, assemble_model, \
+from friedrichs.contour import verify_ibp
+from friedrichs.errors import (ConfigurationError, IntegrationFailure,
+                               NumericalOverflow)
+from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
-from friedrichs.propagate import (adiabatic_state, evolve_true,
-                                  evolve_wave_operator, leak, to_frame,
-                                  verify_generators)
+from friedrichs.propagate import evolve_true, evolve_wave_operator
+from friedrichs.volterra import (adiabatic_defect, first_order_tail,
+                                 wave_operator_series)
 
 from oracles import (PerStepExpRunner, PerStepWaveOperator,
-                     dense_reference_evolve, single_mode_model)
+                     dense_reference_evolve, single_mode_model,
+                     verify_generators)
 
 SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 SWEEP_STEPS = 2048
@@ -20,14 +22,14 @@ def _strang_state(model, tau, n_steps):
     """The bound state evolved to s = 1 by the strang oracle, rotating frame."""
     _, states, _ = PerStepWaveOperator(
         model, tau, n_steps, scheme="strang_split",
-        initial=model.bound_state().as_vector()).run([1.0])
+        initial=np.eye(model.dim)[0]).run([1.0])
     return states[0]
 
 
 class TestEvolveTrue:
     def test_no_driving_means_no_leak(self, grid128):
         ff = build_form_factor(grid128, 1.5)
-        model = assemble_model(grid128, ff, SwitchingProfile.zero())
+        model = assemble_model(grid128, ff, SwitchingProfile(0.0))
         tr = evolve_true(model, 300.0, 512)
         assert tr.sup_leak_window == 0.0
         assert tr.leak_at(1.5) == 0.0
@@ -205,62 +207,6 @@ class TestBlockedWaveOperator:
         assert err.value.drift > 1e-9
 
 
-class TestAdiabaticState:
-    def test_starts_at_bound_state(self, model_b15_small):
-        st = adiabatic_state(model_b15_small, 100.0, 0.0)
-        assert abs(st.bound_amp - 1.0) <= 1e-14
-        assert np.linalg.norm(st.continuum_amps) == 0.0
-
-    def test_zero_leak_at_all_times(self, model_b15_small):
-        for s in (0.0, 0.3, 0.5, 0.9, 1.0, 1.7):
-            st = adiabatic_state(model_b15_small, 123.0, s)
-            assert leak(model_b15_small, st) <= 1e-12
-
-    def test_frozen_past_window(self, model_b15_small):
-        a = adiabatic_state(model_b15_small, 10.0, 1.0).as_vector()
-        b = adiabatic_state(model_b15_small, 10.0, 4.0).as_vector()
-        assert np.linalg.norm(a - b) <= 1e-12
-
-
-class TestLeak:
-    def test_bound_state_leaks_nothing(self, model_b15_small):
-        assert leak(model_b15_small, model_b15_small.bound_state()) == 0.0
-
-    def test_pure_continuum_leaks_everything(self, model_b15_small):
-        n = model_b15_small.measure.n_nodes
-        amps = np.zeros(n, dtype=complex)
-        amps[3] = 1.0
-        st = RotatingState(0.0, amps, "rotating", 0.2)
-        assert abs(leak(model_b15_small, st) - 1.0) <= 1e-14
-
-    def test_pythagorean_split(self, model_b15_small):
-        n = model_b15_small.measure.n_nodes
-        amps = np.zeros(n, dtype=complex)
-        amps[0] = np.sqrt(0.2)
-        st = RotatingState(np.sqrt(0.8), amps, "interaction", 0.4)
-        assert abs(leak(model_b15_small, st) - np.sqrt(0.2)) <= 1e-14
-
-    def test_unnormalized_rejected(self, model_b15_small):
-        st = model_b15_small.bound_state()
-        st.bound_amp = 1.1
-        with pytest.raises(ContractViolation):
-            leak(model_b15_small, st)
-
-    def test_frame_round_trip(self, model_b15_small):
-        rng = np.random.default_rng(2)
-        vec = rng.standard_normal(model_b15_small.dim) \
-            + 1j * rng.standard_normal(model_b15_small.dim)
-        vec /= np.linalg.norm(vec)
-        st = RotatingState.from_vector(vec, "rotating", 0.7)
-        tau = 35.0
-        for frame in ("lab", "interaction"):
-            there = to_frame(model_b15_small, tau, st, frame)
-            back = to_frame(model_b15_small, tau, there, "rotating")
-            assert np.linalg.norm(back.as_vector() - vec) <= 1e-12
-            assert abs(leak(model_b15_small, there)
-                       - leak(model_b15_small, st)) <= 1e-12
-
-
 class TestGeneratorChecks:
     def test_frame_generator_equals_commutator_form(self, model_b15_small):
         chk = verify_generators(model_b15_small, 50.0)
@@ -275,6 +221,27 @@ class TestGeneratorChecks:
         chk = verify_generators(model_b15_small, 50.0, s_samples=(0.3, 0.5, 0.7))
         assert np.all(chk.pdot_fd_error <= 1e-4)
         assert np.all(np.abs(chk.pdot_fd_ratio - 4.0) <= 0.5)
+
+
+# every entry point that takes tau, called on a threshold model m or a
+# gapped model g
+TAU_ENTRY_POINTS = {
+    "evolve_true": lambda m, g, tau: evolve_true(m, tau, 16),
+    "evolve_true_batch": lambda m, g, tau: evolve_true(m, (100.0, tau), 16),
+    "evolve_wave_operator": lambda m, g, tau: evolve_wave_operator(m, tau, 16, [1.0]),
+    "adiabatic_defect": lambda m, g, tau: adiabatic_defect(m, tau, n_steps=16),
+    "wave_operator_series": lambda m, g, tau: wave_operator_series(m, tau),
+    "first_order_tail": lambda m, g, tau: first_order_tail(m, tau),
+    "verify_ibp": lambda m, g, tau: verify_ibp(g, tau),
+}
+
+
+@pytest.mark.parametrize("tau", [0.0, -5.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(TAU_ENTRY_POINTS))
+def test_tau_rule_at_every_entry_point(entry, tau, model_b15_small,
+                                       model_gapped_small):
+    with pytest.raises(ConfigurationError, match="tau must be finite and > 0"):
+        TAU_ENTRY_POINTS[entry](model_b15_small, model_gapped_small, tau)
 
 
 class TestProjectorComparison:

@@ -11,37 +11,51 @@ from friedrichs.model import (SwitchingProfile, assemble_model,
 from friedrichs.numutil import cosine_graded_edges, operator_norm
 from friedrichs.propagate import evolve_true
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
-                                 interaction_kernel, wave_operator_series)
+                                 kernel_columns, wave_operator_series)
 
-from oracles import backward_walk_defect, per_node_series_terms
+from oracles import apply_kernel, backward_walk_defect, per_node_series_terms
 
 DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
 
 
+def _kernel_dense(model, tau, t):
+    """K(t) = -i gdot(t) (|c(t)><e0| + |e0><c(t)|) from its definition."""
+    ct = np.exp(1j * tau * t * model.diag_energies[1:]) * model.coupling
+    k = np.zeros((model.dim, model.dim), dtype=complex)
+    k[1:, 0] = ct
+    k[0, 1:] = ct.conj()
+    return -1j * model.switching.gdot(t) * k
+
+
 class TestKernel:
     def test_vanishes_outside_window(self, model_b15_small):
-        for t in (-0.2, 0.0, 1.0, 1.5):
-            k = interaction_kernel(model_b15_small, 10.0, t)
-            assert np.linalg.norm(k.matrix()) == 0.0
+        cols = kernel_columns(model_b15_small, 10.0, [-0.2, 0.0, 1.0, 1.5])
+        assert cols.shape == (4, model_b15_small.dim - 1)
+        assert np.linalg.norm(cols) == 0.0
 
     def test_anti_hermitian(self, model_b15_small):
-        km = interaction_kernel(model_b15_small, 10.0, 0.37).matrix()
+        col = kernel_columns(model_b15_small, 10.0, [0.37])[0]
+        km = apply_kernel(col, np.eye(model_b15_small.dim))
         assert np.linalg.norm(km + km.conj().T) <= 1e-14
 
     def test_entry_magnitudes_independent_of_tau(self, model_b15_small):
         m = model_b15_small
         gd = m.switching.gdot(0.3)
         for tau in (10.0, 1000.0):
-            k = interaction_kernel(m, tau, 0.3)
-            np.testing.assert_allclose(np.abs(k.column), gd * np.abs(m.coupling),
+            col = kernel_columns(m, tau, [0.3])[0]
+            np.testing.assert_allclose(np.abs(col), gd * np.abs(m.coupling),
                                        rtol=1e-13)
 
     def test_apply_matches_matrix(self, model_b15_small):
+        # each row of the columns, applied as K, is K at that time
         rng = np.random.default_rng(0)
-        k = interaction_kernel(model_b15_small, 25.0, 0.6)
-        vec = rng.standard_normal(model_b15_small.dim) \
-            + 1j * rng.standard_normal(model_b15_small.dim)
-        assert np.linalg.norm(k(vec) - k.matrix() @ vec) <= 1e-14
+        m = model_b15_small
+        times = np.array([0.1, 0.6, 0.93])
+        vec = rng.standard_normal(m.dim) + 1j * rng.standard_normal(m.dim)
+        for t, col in zip(times, kernel_columns(m, 25.0, times)):
+            want = _kernel_dense(m, 25.0, t) @ vec
+            err = np.linalg.norm(apply_kernel(col, vec) - want)
+            assert err <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +157,7 @@ class TestFirstOrderTail:
 class TestAdiabaticDefect:
     def test_zero_driving_gives_zero(self, grid128):
         model = assemble_model(grid128, build_form_factor(grid128, 1.5),
-                               SwitchingProfile.zero())
+                               SwitchingProfile(0.0))
         assert adiabatic_defect(model, 100.0, n_steps=256) <= 1e-12
 
     @pytest.mark.parametrize("beta,expected", [(1.5, -1.0), (0.5, -0.5)])
@@ -205,16 +219,16 @@ class TestAdiabaticDefect:
         # record stop, before the norm bracket sees it
         from friedrichs import propagate
 
-        apply_rotations = propagate._apply_rotations
+        apply_steps = propagate._apply_steps
         calls = []
 
         def planted(mat, *args):
-            apply_rotations(mat, *args)
+            apply_steps(mat, *args)
             calls.append(None)
             if len(calls) == 100:
                 mat[3, 5] = np.nan
 
-        monkeypatch.setattr(propagate, "_apply_rotations", planted)
+        monkeypatch.setattr(propagate, "_apply_steps", planted)
         with pytest.raises(NumericalOverflow, match="step") as err:
             adiabatic_defect(model_b15_small, 200.0, n_steps=1024)
         assert int(str(err.value).rsplit(" ", 1)[1]) % 64 != 0

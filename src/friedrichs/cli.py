@@ -106,6 +106,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_fourier_check(args) -> int:
     from .oscint import BUMP_ASYMPTOTIC, bump_transform, bump_transform_asymptotic
     ps = _float_list("--p", args.p)
+    if min(ps) <= 0.0:
+        raise ConfigurationError(f"--p values must be > 0, got {args.p!r}")
     zero = bump_transform(0.0)
     print(f"transform at 0: {zero:.10f} (reference 0.4439938)")
     ok = abs(zero - 0.4439938) <= 1e-6

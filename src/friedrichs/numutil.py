@@ -151,12 +151,17 @@ def norm_bracket(m: np.ndarray, v: np.ndarray | None = None):
     less the bracket is tight once v holds the top singular directions.
     Returns (lo, hi, v_next), v_next the block after one power step on
     m (v itself when m v = 0); v defaults to the start of operator_norm.
+    Raises NumericalOverflow if m is not finite, which the Frobenius sum
+    shows before the Ritz round reads m.
     """
+    fro = np.vdot(m, m).real
+    if not np.isfinite(fro):
+        raise NumericalOverflow("norm_bracket of a non-finite matrix")
     if v is None:
         v = _start_block(m.shape[1])
     theta, _, wy = _ritz_round(m, v)
     lo = float(np.sqrt(max(theta[0], 0.0)))
-    top = np.vdot(m, m).real - theta[1:].sum()      # >= lambda_1
+    top = fro - theta[1:].sum()                     # >= lambda_1
     hi = float(np.sqrt(max(top, 0.0))) * (1.0 + 1e-12)
     v_next = np.linalg.qr(wy.conj().T)[0] if theta[0] > 0.0 else v
     return lo, hi, v_next

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceBudgetError
+from .errors import ConfigurationError, NumericalOverflow, ResourceBudgetError
 from .model import FriedrichsModel, check_model_inputs
 from .numutil import (block_norms, cumulative_integration_matrix, gauss_rule,
                       norm_bracket, operator_norm)
@@ -180,15 +180,18 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
     The default grid is 200 uniform points in the window plus the frozen
     after-window value. The norms are taken while the wave operator
     evolves (evolve_wave_operator's on_record), so at most _KEEP + 1
-    copies are held, not one matrix per grid point. Each stop's
-    A = 1 - Omega gets a bracket lo <= ||A|| <= hi from one Rayleigh-Ritz
-    round on a warm 4-column block (numutil.norm_bracket; Cauchy
-    interlacing, Parlett, The Symmetric Eigenvalue Problem, sec. 11.5),
-    and the block then advances by one power step. A copy of A is kept only
-    if hi exceeds the best lower bound so far; a kept copy is dropped
-    once its hi falls below that bound, which grows with every bracket
-    and every exact norm. When more than _KEEP are held, the one with
-    the highest hi is settled by block power iteration
+    buffers are held, not one matrix per grid point. Each stop forms
+    A = 1 - Omega once, into a spare buffer, and gets a bracket
+    lo <= ||A|| <= hi from one Rayleigh-Ritz round on a warm 4-column
+    block (numutil.norm_bracket; Cauchy interlacing, Parlett, The
+    Symmetric Eigenvalue Problem, sec. 11.5); the block then advances by
+    one power step. The bracket's Frobenius sum also checks A finite, so
+    a non-finite stop raises NumericalOverflow before the Ritz round
+    reads it. A stop is kept, buffer and all, only if hi exceeds the best
+    lower bound so far; a kept stop is dropped, its buffer back to the
+    spares, once its hi falls below that bound, which grows with every
+    bracket and every exact norm. When more than _KEEP are held, the one
+    with the highest hi is settled by block power iteration
     (numutil.operator_norm, converged to 1e-12 relative or the call
     fails); the rest are settled at the end, highest hi first. A dropped
     stop cannot hold the supremum, so the result is the largest exact
@@ -202,30 +205,41 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         s_grid = np.linspace(0.0, 1.0, 201)
     if n_steps is None:
         n_steps = 1024
-    work = np.empty((model.dim, model.dim), dtype=complex)
-    kept = []                  # (hi, copy of A, warm block) per kept stop
+    kept = []                  # (hi, A, warm block) per kept stop
+    spare = []                 # buffers of dropped stops, for reuse
     floor = 0.0                # the best lower bound of the supremum
     best = 0.0                 # the largest exact norm
     v = None
 
     def prune():
+        spare.extend(c[1] for c in kept if c[0] < floor)
         kept[:] = [c for c in kept if c[0] >= floor]
 
     def settle_highest():
         nonlocal floor, best
         _, a, start = kept.pop(max(range(len(kept)), key=lambda i: kept[i][0]))
         best = max(best, operator_norm(a, start=start))
+        spare.append(a)
         floor = max(floor, best)
         prune()
 
-    def take(_s, omega):
+    def take(s, omega):
         nonlocal floor, v
-        np.negative(omega, out=work)        # A = 1 - Omega
-        work.flat[::model.dim + 1] += 1.0
-        lo, hi, v = norm_bracket(work, v)
+        a = spare.pop() if spare else np.empty_like(omega)
+        # A = 1 - Omega; negating the float view is exact and several
+        # times faster than negating the complex array
+        np.negative(omega.view(float), out=a.view(float))
+        a.flat[::model.dim + 1] += 1.0
+        try:
+            lo, hi, v = norm_bracket(a, v)
+        except NumericalOverflow:
+            raise NumericalOverflow(
+                f"non-finite propagator at step {round(s * n_steps)}") from None
         floor = max(floor, lo)
         if hi > floor:
-            kept.append((hi, work.copy(), v))
+            kept.append((hi, a, v))
+        else:
+            spare.append(a)
         prune()
         if len(kept) > _KEEP:
             settle_highest()

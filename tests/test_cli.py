@@ -52,6 +52,14 @@ def test_config_error_exits_two(tmp_path):
         assert main(["volterra-check", "--single-tau", tau]) == 2
 
 
+@pytest.mark.parametrize("p", ["-5", "0", "100,0"])
+def test_fourier_check_refuses_nonpositive_p_before_output(p, capsys):
+    assert main(["fourier-check", "--p", p]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--p" in out.err
+
+
 def test_jobs_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--jobs", "2"])

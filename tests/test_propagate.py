@@ -176,6 +176,34 @@ class TestBlockedWaveOperator:
             assert max(np.abs(a - b).max() for a, b in zip(mats, ref)) <= 1e-13
             assert abs(drift - drift_ref) <= 1e-13
 
+    @pytest.mark.parametrize("n_steps,stop_steps", [
+        (1024, range(0, 1025, 64)),     # stops exactly on the block ends
+        (1000, range(0, 1001, 100)),    # the last block has 40 steps
+    ], ids=["block_ends", "partial_last_block"])
+    def test_block_edges_match_per_step_oracle(self, model_defect, n_steps,
+                                               stop_steps):
+        grid = np.array(stop_steps) / n_steps
+        for tau in DEFECT_TAUS:
+            s, mats, drift = evolve_wave_operator(model_defect, tau, n_steps, grid)
+            s_ref, ref, drift_ref = PerStepWaveOperator(
+                model_defect, tau, n_steps).run(grid)
+            np.testing.assert_array_equal(s, s_ref)
+            assert max(np.abs(a - b).max() for a, b in zip(mats, ref)) <= 1e-13
+            assert abs(drift - drift_ref) <= 1e-13
+
+    def test_stop_at_every_step_matches_per_step_oracle(self, switching):
+        # every run is one step, a 2 x 2 diagonal block of its factor
+        grid = build_grid(1.0, 8, 8, 1e-3)  # N = 64
+        model = assemble_model(grid, build_form_factor(grid, 1.5), switching)
+        n = 200
+        every = np.arange(n + 1) / n
+        for tau in (100.0, 1e4):
+            s, mats, drift = evolve_wave_operator(model, tau, n, every)
+            _, ref, drift_ref = PerStepWaveOperator(model, tau, n).run(every)
+            assert len(mats) == n + 1
+            assert max(np.abs(a - b).max() for a, b in zip(mats, ref)) <= 1e-13
+            assert abs(drift - drift_ref) <= 1e-13
+
     @pytest.fixture
     def spoil_step(self, monkeypatch):
         """spoil(step, factor) scales the rotation vector of one step."""

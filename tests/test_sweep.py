@@ -289,3 +289,21 @@ class TestRunSweep:
                 assert (got.leak_probe, got.sup_leak_window, got.unitarity_drift) \
                     == (want.leak_probe, want.sup_leak_window, want.unitarity_drift)
         assert len(render_csv(result).splitlines()) == len(QUICK_TAUS)
+
+
+def test_default_sweep_values_pinned():
+    # leak_probe and sup_leak_window of the default sweep to 17 digits,
+    # as the default CSV carries them
+    want = {
+        100.0: (0.0262149329782289, 0.05266409654036156),
+        316.22776601683796: (0.004703530044980283, 0.01597055537376012),
+        1000.0: (0.0008385104185705347, 0.0049765133006192935),
+        3162.2776601683795: (0.00014922738787271958, 0.0015661256114159515),
+        10000.0: (2.6544189192949808e-05, 0.0004944858759678279),
+    }
+    result = run_sweep(resolve_config({}))
+    assert [r.tau for r in result.records] == list(want)
+    for r in result.records:
+        probe, sup = want[r.tau]
+        assert abs(r.leak_probe - probe) <= 1e-12 * probe
+        assert abs(r.sup_leak_window - sup) <= 1e-12 * sup

@@ -186,6 +186,15 @@ class TestAdiabaticDefect:
         got = adiabatic_defect(model_defect, tau, n_steps=1024)
         assert abs(got - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("tau,want", zip(DEFECT_TAUS, (
+        0.24834365482297605, 0.11403320639446554, 0.05181886913164594,
+        0.023558284227092153)))
+    def test_criterion_3_defects_pinned(self, model_defect, tau, want):
+        # criterion 3's four defects to 17 digits, as the per-run QR form
+        # of the wave-operator kernel gave them
+        got = adiabatic_defect(model_defect, tau, n_steps=1024)
+        assert abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("extra", [[], [1.0]])
     def test_matches_backward_walk_on_after_window_grids(self, model_b15_small,
                                                           extra):

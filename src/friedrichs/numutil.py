@@ -138,33 +138,38 @@ def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
     return (sigma, v) if return_vector else sigma
 
 
-def norm_bracket(m: np.ndarray, v: np.ndarray | None = None):
-    """Rigorous bounds lo <= ||m||_2 <= hi from one Rayleigh-Ritz round.
+def rounding_gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u the unit roundoff of doubles.
 
-    With theta_1 >= ... >= theta_k the Ritz values of m^dagger m on the
-    orthonormal block v (k = _NORM_BLOCK), Cauchy interlacing gives
-    theta_i <= lambda_i, the eigenvalues of m^dagger m (Parlett, The
-    Symmetric Eigenvalue Problem, SIAM 1998, sec. 11.5). So
-    lo = sqrt(theta_1), and since the lambda_i sum to ||m||_F^2,
-    lambda_1 <= ||m||_F^2 - theta_2 - ... - theta_k; hi is the root of
-    that times (1 + 1e-12) for rounding. For m of numerical rank two or
-    less the bracket is tight once v holds the top singular directions.
-    Returns (lo, hi, v_next), v_next the block after one power step on
-    m (v itself when m v = 0); v defaults to the start of operator_norm.
-    Raises NumericalOverflow if m is not finite, which the Frobenius sum
-    shows before the Ritz round reads m.
+    A computed sum of n products is within gamma_n times the sum of their
+    moduli of the exact one, whatever the order of summation (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM 2002,
+    sec. 3.1).
     """
-    fro = np.vdot(m, m).real
-    if not np.isfinite(fro):
-        raise NumericalOverflow("norm_bracket of a non-finite matrix")
-    if v is None:
-        v = _start_block(m.shape[1])
-    theta, _, wy = _ritz_round(m, v)
-    lo = float(np.sqrt(max(theta[0], 0.0)))
-    top = fro - theta[1:].sum()                     # >= lambda_1
-    hi = float(np.sqrt(max(top, 0.0))) * (1.0 + 1e-12)
-    v_next = np.linalg.qr(wy.conj().T)[0] if theta[0] > 0.0 else v
-    return lo, hi, v_next
+    nu = n * np.finfo(float).eps / 2.0
+    return nu / (1.0 - nu)
+
+
+def ritz_bounds(grams: np.ndarray, fro_sq, theta_slack, fro_slack):
+    """Bounds lo <= ||A||_2 <= hi from one Rayleigh-Ritz round, batched.
+
+    grams = (A V)^dagger (A V), shape (..., k, k), for an orthonormal
+    (n, k) block V, and fro_sq = ||A||_F^2. With theta_1 >= ... >=
+    theta_k the Ritz values of A^dagger A on V, the eigenvalues of
+    grams, Cauchy interlacing gives theta_i <= lambda_i, the eigenvalues
+    of A^dagger A (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+    sec. 11.5). So lo^2 = theta_1, and since the lambda_i sum to
+    ||A||_F^2, lambda_1 <= ||A||_F^2 - theta_2 - ... - theta_k = hi^2,
+    where theta_2 + ... + theta_k = tr grams - theta_1. The caller
+    derives the rounding allowances: theta_slack bounds the error of one
+    computed Ritz value and comes off lo^2; fro_slack bounds the error
+    of the computed hi^2 and goes onto it.
+    """
+    top = np.linalg.eigvalsh(grams)[..., -1]
+    rest = np.trace(grams, axis1=-2, axis2=-1).real - top
+    lo = np.sqrt(np.maximum(top - theta_slack, 0.0))
+    hi = np.sqrt(np.maximum(fro_sq - rest + fro_slack, 0.0))
+    return lo, hi
 
 
 def block_norms(m: np.ndarray) -> dict[str, float]:

@@ -125,32 +125,40 @@ def fourier_legendre_moments(w, degree: int) -> np.ndarray:
 
 
 def filon_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   p: float, n_panels: int = _DEFAULT_PANELS,
-                   degree: int = _DEFAULT_DEGREE) -> complex:
+                   p, n_panels: int = _DEFAULT_PANELS,
+                   degree: int = _DEFAULT_DEGREE):
     """int_a^b f(t) exp(i p t) dt with f smooth and p arbitrary.
 
     Cosine-graded panels cluster near both endpoints, which suits factors
-    that flatten steeply there (bump functions).
+    that flatten steeply there (bump functions). p may be an array: f's
+    Legendre coefficients do not depend on p, so every p shares them and
+    one moment call covers all (p, panel) pairs. Returns a complex for a
+    scalar p and an array of p's shape otherwise.
     """
-    if b <= a:
-        return 0.0 + 0.0j
-    edges = cosine_graded_edges(a, b, n_panels)
-    x, _, analysis = legendre_projection(degree + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    # nodes for all panels at once: t[m, i] = mid_m + half_m * x_i
-    t = mid[:, None] + half[:, None] * x[None, :]
-    coeffs = analysis @ f(t.ravel()).reshape(t.shape).T  # (degree+1, n_panels)
-    moments = fourier_legendre_moments(p * half, degree)  # (n_panels, degree+1)
-    panel_vals = np.einsum("mq,qm->m", moments, coeffs)
-    return complex(np.sum(half * np.exp(1j * p * mid) * panel_vals))
+    p_arr = np.asarray(p, dtype=float)
+    vals = np.zeros(p_arr.shape, dtype=complex)
+    if b > a:
+        edges = cosine_graded_edges(a, b, n_panels)
+        x, _, analysis = legendre_projection(degree + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * np.diff(edges)
+        # nodes for all panels at once: t[m, i] = mid_m + half_m * x_i
+        t = mid[:, None] + half[:, None] * x[None, :]
+        coeffs = analysis @ f(t.ravel()).reshape(t.shape).T  # (degree+1, n_panels)
+        pv = p_arr.reshape(-1, 1)
+        moments = fourier_legendre_moments(pv * half, degree)  # (len(p), n_panels, degree+1)
+        panel_vals = np.einsum("pmq,qm->pm", moments, coeffs)
+        vals = np.sum(half * np.exp(1j * pv * mid) * panel_vals,
+                      axis=-1).reshape(p_arr.shape)
+    return complex(vals) if vals.ndim == 0 else vals
 
 
-def rate_transform(profile: SwitchingProfile, p: float) -> complex:
+def rate_transform(profile: SwitchingProfile, p):
     """Fourier transform of the switching rate: int_0^1 gdot(t) exp(i p t) dt.
 
-    At p = 0 this is the total angle. Decays faster than any power of
-    1/p since gdot is smooth with compact support.
+    p is a number or an array (one moment call for all of them; see
+    filon_integral). At p = 0 this is the total angle. Decays faster than
+    any power of 1/p since gdot is smooth with compact support.
     """
     return filon_integral(profile.gdot, 0.0, 1.0, p)
 

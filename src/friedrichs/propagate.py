@@ -35,10 +35,14 @@ The wave-operator evolution applies the same rotations to a (dim, dim)
 matrix. The product of a block's steps has the compact-WY form
 1 + X T X^dagger with X = [e0, u_1, e0, u_2, ...] (Schreiber & Van
 Loan, 1989; the T factor of Joffrain et al., 2006): one small triangular
-T per block, built in log2(64) doubling rounds, and the product of any
-run of the block's steps is a diagonal block of that T. So the matrix
-takes two BLAS-3 passes per run between record stops, with no QR and
-no loop over steps (see _block_factor and _apply_steps).
+T per block, built in log2(64) doubling rounds. The product of the
+block's first j steps is 1 + Y C_j Y^dagger, Y = [e0, u_1, ..., u_k],
+with C_j folded from T's leading block; only C_j's first row depends on
+j. So the matrix takes one BLAS-3 update per block, with no QR and no
+loop over steps, and every record stop is a prefix of its block: a
+consumer gets the block once (WaveBlock) and can reduce its stops
+without forming them (see _block_factor, _prefix_cores and
+_prefix_product).
 
 For s >= 1 the driving vanishes, so the interaction-frame state stays
 as it was at the end of the window: a run stops at s = 1, and its leak
@@ -65,6 +69,7 @@ __all__ = [
     "TrajectoryBatch",
     "evolve_true",
     "evolve_wave_operator",
+    "WaveBlock",
 ]
 
 _MAGNUS_DEGREE = 8
@@ -258,7 +263,7 @@ def _total_norm_dev(state: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
 
 
-def _block_factor(u: np.ndarray, cos_m1: np.ndarray,
+def _block_factor(gram: np.ndarray, cos_m1: np.ndarray,
                   isin: np.ndarray) -> np.ndarray:
     """T of the compact-WY form R_k ... R_1 = 1 + X T X^dagger of k steps.
 
@@ -267,24 +272,26 @@ def _block_factor(u: np.ndarray, cos_m1: np.ndarray,
     and T = (1 - M L)^-1 M, (2 k, 2 k), with M block diagonal and L the
     strictly lower block part of X^dagger X (Schreiber & Van Loan, SIAM
     J. Sci. Stat. Comput. 10, 1989; Joffrain et al., ACM TOMS 32, 2006).
-    Built in doubling rounds: two adjacent factors T1, T2 merge into
-    [[T1, 0], [T2 G21 T1, T2]], G21 the Gram block of the later steps
-    against the earlier ones. The steps are padded to a power of two
-    with identity steps (M = 0), whose rows and columns of T are zero.
+    gram is u^dagger u, the (k, k) Gram matrix of the directions; e0 is
+    orthogonal to every u. Built in doubling rounds: two adjacent factors
+    T1, T2 merge into [[T1, 0], [T2 G21 T1, T2]], G21 the Gram block of
+    the later steps against the earlier ones. The steps are padded to a
+    power of two with identity steps (M = 0), whose rows and columns of T
+    are zero.
     """
     k = len(cos_m1)
     p = 1 << (k - 1).bit_length()
     t = np.zeros((p, 2, 2), dtype=complex)
     t[:k, 0, 0] = t[:k, 1, 1] = cos_m1
     t[:k, 0, 1] = t[:k, 1, 0] = -isin
-    gram = np.zeros((p, 2, p, 2), dtype=complex)   # X^dagger X
-    gram[:, 0, :, 0] = 1.0                         # e0 is orthogonal to every u
-    gram[:k, 1, :k, 1] = u.conj() @ u.T
-    gram = gram.reshape(2 * p, 2 * p)
+    full = np.zeros((p, 2, p, 2), dtype=complex)   # X^dagger X
+    full[:, 0, :, 0] = 1.0
+    full[:k, 1, :k, 1] = gram
+    full = full.reshape(2 * p, 2 * p)
     w = 2                                          # columns per factor
     while len(t) > 1:
         pair = np.arange(0, len(t), 2)             # the earlier factor of each pair
-        g21 = gram.reshape(len(t), w, len(t), w)[pair + 1, :, pair]
+        g21 = full.reshape(len(t), w, len(t), w)[pair + 1, :, pair]
         merged = np.zeros((len(t) // 2, 2 * w, 2 * w), dtype=complex)
         merged[:, :w, :w] = t[0::2]
         merged[:, w:, w:] = t[1::2]
@@ -293,86 +300,148 @@ def _block_factor(u: np.ndarray, cos_m1: np.ndarray,
     return t[0, :2 * k, :2 * k]
 
 
-def _apply_steps(mat: np.ndarray, u: np.ndarray, t: np.ndarray) -> None:
-    """mat <- R_b ... R_a mat in place for a run of steps a..b.
+def _prefix_cores(t: np.ndarray, offsets: np.ndarray):
+    """Folded cores of the block's prefixes: (rows, lower).
 
-    t is the run's diagonal block of its block's factor T, which is the
-    run's own factor: a diagonal block of a block-triangular inverse is
-    the inverse of that block. Its e0 rows and columns fold onto one, so
-    the product is 1 + Y C Y^dagger with Y = [e0, u_a, ..., u_b] and a
-    (k + 1, k + 1) core C, and the matrix takes two BLAS-3 passes.
+    The first j steps of a block multiply to 1 + Y C_j Y^dagger with
+    Y = [e0, u_1, ..., u_k] (only its first j + 1 columns enter). T's
+    leading (2 j, 2 j) block is their factor: T is block lower
+    triangular, and a leading block of a triangular inverse is the
+    inverse of that block. Folding its e0 rows and columns onto one
+    gives the (j + 1, j + 1) core C_j. Row 1 + a of C_j (a < j) is step
+    a's row of T, summed over the e0 columns; by triangularity it is the
+    same for every j > a, so `lower`, (k, k + 1), holds those rows for
+    all prefixes at once. Only row 0 depends on j: it sums T's e0 rows
+    over the first j steps. rows[i] is that row for offsets[i] steps,
+    zero from column offsets[i] + 1 on.
+    """
+    k = len(t) // 2
+    t = t.reshape(k, 2, k, 2)
+    lower = np.empty((k, k + 1), dtype=complex)
+    lower[:, 0] = t[:, 1, :, 0].sum(axis=1)
+    lower[:, 1:] = t[:, 1, :, 1]
+    top = np.zeros((k + 1, k, 2), dtype=complex)   # e0 rows summed over j steps
+    np.cumsum(t[:, 0], axis=0, out=top[1:])
+    top = top[offsets]
+    rows = np.empty((len(offsets), k + 1), dtype=complex)
+    rows[:, 0] = top[:, :, 0].sum(axis=1)
+    rows[:, 1:] = top[:, :, 1]
+    return rows, lower
+
+
+def _prefix_product(mat: np.ndarray, u: np.ndarray, z: np.ndarray,
+                    x: np.ndarray, row: np.ndarray, j: int) -> None:
+    """mat <- mat + Y C_j z, in place: R_j ... R_1 omega when mat holds omega.
+
+    For the first j steps of a block, with z = Y^dagger omega: row 0 of
+    C_j is `row`, its rows 1..j are the first j rows of lower (see
+    _prefix_cores), and lower @ z = x, so the update takes one GEMM.
+    """
+    mat[0] += row[:j + 1] @ z[:j + 1]
+    mat[1:] += u[:j].T @ x[:j]
+
+
+@dataclass
+class WaveBlock:
+    """One block of the wave-operator evolution and the record stops in it.
+
+    omega is the matrix at step `start`; the block's k steps take it to
+    R_k ... R_1 omega. The stop offsets[i] steps in is omega + Y C_j z
+    with j = offsets[i], Y = [e0, u_1, ..., u_k] and z = Y^dagger omega
+    (see _prefix_cores for C_j: rows[i] is its row 0, lower the rest).
+    omega is the evolving matrix itself: read it during the call, do not
+    keep or write it.
+    """
+
+    start: int
+    omega: np.ndarray     # (dim, dim)
+    u: np.ndarray         # (k, N) the steps' directions
+    gram: np.ndarray      # (k, k) u^dagger u
+    z: np.ndarray         # (k + 1, dim) Y^dagger omega
+    lower: np.ndarray     # (k, k + 1) rows 1.. of every prefix core
+    x: np.ndarray         # (k, dim) lower @ z
+    offsets: np.ndarray   # (m,) steps into the block of each stop
+    rows: np.ndarray      # (m, k + 1) row 0 of each stop's core
+
+    def stop_matrix(self, i: int, out: np.ndarray) -> np.ndarray:
+        """The matrix at stop i, formed into out with one GEMM."""
+        np.copyto(out, self.omega)
+        _prefix_product(out, self.u, self.z, self.x, self.rows[i],
+                        int(self.offsets[i]))
+        return out
+
+
+def _evolve_block(mat: np.ndarray, start: int, u: np.ndarray, cos_m1: np.ndarray,
+                  isin: np.ndarray, offsets: np.ndarray,
+                  on_block: Callable[[WaveBlock], None]) -> None:
+    """Take mat through one block of steps, in place.
+
+    A block with record stops (offsets) goes to on_block first. The
+    block's arrays are released on return, before the next block's
+    factor is built.
     """
     k = len(u)
-    t = t.reshape(k, 2, k, 2)
-    core = np.empty((k + 1, k + 1), dtype=complex)
-    core[0, 0] = t[:, 0, :, 0].sum()
-    core[0, 1:] = t[:, 0, :, 1].sum(axis=0)
-    core[1:, 0] = t[:, 1, :, 0].sum(axis=1)
-    core[1:, 1:] = t[:, 1, :, 1]
-    y = np.empty((k + 1, mat.shape[1]), dtype=complex)    # Y^dagger mat
-    y[0] = mat[0]
-    np.matmul(u.conj(), mat[1:], out=y[1:])
-    z = core @ y
-    mat[0] += z[0]
-    mat[1:] += u.T @ z[1:]
+    gram = u.conj() @ u.T
+    rows, lower = _prefix_cores(_block_factor(gram, cos_m1, isin),
+                                np.append(offsets, k))
+    z = np.empty((k + 1, len(mat)), dtype=complex)
+    z[0] = mat[0]
+    np.matmul(u.conj(), mat[1:], out=z[1:])
+    x = lower @ z
+    if len(offsets):
+        on_block(WaveBlock(start, mat, u, gram, z, lower, x, offsets, rows[:-1]))
+    _prefix_product(mat, u, z, x, rows[-1], k)
 
 
 # perfbench's tracer reads n_steps (third argument or keyword) and the drift
 # result[2] to count propagate.wave_steps; keep both where they are
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
                          record_s: np.ndarray, drift_tolerance: float = 1e-9,
-                         on_record: Callable[[float, np.ndarray], None] | None = None):
+                         on_block: Callable[[WaveBlock], None] | None = None):
     """Evolve the full basis in the interaction frame; the matrix at time s
     is the wave operator comparing true and frame dynamics.
 
     Takes the same rotations as evolve_true, applied to the (dim, dim)
-    matrix a run at a time: each _RESEED_STEPS-step block gets one
-    compact-WY factor (_block_factor), and the steps between consecutive
-    stops (record steps and the block's end) go in as one update built
-    from that factor's diagonal block (_apply_steps). A non-finite
-    rotation makes its block's whole factor non-finite. Drift and
-    finiteness are checked at every block end, so at least every 64
-    steps and at the last step. Returns (actual record times snapped to
+    matrix a block at a time: each _RESEED_STEPS-step block gets one
+    compact-WY factor (_block_factor), and the matrix takes the whole
+    block's product as one update (_prefix_product). A record stop is a prefix
+    of its block, so its matrix is the block's start matrix plus the
+    prefix's update (_prefix_cores, WaveBlock.stop_matrix). A non-finite
+    rotation makes its block's factor non-finite. Drift and finiteness
+    are checked at every block end, so at least every 64 steps and at
+    the last step. Returns (actual record times snapped to
     the grid, list of matrices, drift).
 
-    With on_record, each record stop calls on_record(s, mat) instead of
-    keeping a copy, and the list comes back empty: a consumer that
-    reduces each matrix as it comes holds one matrix, not one per
-    record. mat is the evolving matrix itself, to be read and not kept
-    or written. It is not checked at the stop, so a consumer checks
-    finiteness itself before it relies on mat (adiabatic_defect takes it
-    from the Frobenius sum its norm bracket needs anyway).
+    With on_block, each block that holds record stops is handed over
+    once, as a WaveBlock, before the matrix moves past it, and the list
+    comes back empty: a consumer that reduces the stops as they come
+    holds no matrix per record, and can reduce a block's stops together
+    without forming them. The stops are not checked, so a consumer checks
+    finiteness itself before it relies on one (adiabatic_defect takes it
+    from the Frobenius norms it needs anyway).
     """
     check_model_inputs(tau=tau)
     n = int(n_steps)
-    record_idx = {min(round(float(t) * n), n) for t in record_s}
+    record_idx = sorted({min(round(float(t) * n), n) for t in record_s})
     mat = np.eye(model.dim, dtype=complex)
     out, s_out = [], []
     drift = 0.0
 
-    def record(step):
-        s_out.append(step / n)
-        if on_record is None:
-            out.append(mat.copy())
-        else:
-            on_record(step / n, mat)
+    def keep_all(blk):
+        out.extend(blk.stop_matrix(i, np.empty_like(mat))
+                   for i in range(len(blk.offsets)))
 
-    if 0 in record_idx:
-        record(0)
     for start, u, cos_m1, isin in _interaction_blocks(
             model, np.array([float(tau)]), n):
-        stop = start + len(cos_m1)
-        t = _block_factor(u[:, 0], cos_m1[:, 0], isin[:, 0])
-        a = 0
-        for b in sorted({i - start for i in record_idx if start < i < stop}
-                        | {stop - start}):
-            _apply_steps(mat, u[a:b, 0], t[2 * a:2 * b, 2 * a:2 * b])
-            a = b
-            if b + start in record_idx:
-                record(b + start)
+        k = len(cos_m1)
+        offsets = np.array([i - start for i in record_idx
+                            if start < i <= start + k or i == start == 0], dtype=int)
+        s_out.extend(((start + offsets) / n).tolist())
+        _evolve_block(mat, start, u[:, 0], cos_m1[:, 0], isin[:, 0], offsets,
+                      keep_all if on_block is None else on_block)
         dev = _total_norm_dev(mat)
         if not np.isfinite(dev):
-            raise NumericalOverflow(f"non-finite propagator at step {stop}")
+            raise NumericalOverflow(f"non-finite propagator at step {start + k}")
         drift = max(drift, dev)
     if drift > drift_tolerance:
         raise IntegrationFailure(

@@ -9,6 +9,13 @@ which vanishes outside the switching window. Iterated integrals of K
 give the series terms; parity is exact term by term (even terms preserve
 the bound/continuum split, odd terms exchange it), so only odd terms
 feed the leak.
+
+The uniform defect sup_s ||1 - Omega(s)|| takes the wave operator a
+block of steps at a time (propagate.WaveBlock). Each stop of a block is
+bracketed by the Rayleigh-Ritz values of an 8-column block and its
+Frobenius norm, both from products with the block's compact-WY factors,
+so a stop is formed only when its bracket keeps it as a candidate for
+the supremum.
 """
 
 from __future__ import annotations
@@ -20,10 +27,10 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalOverflow, ResourceBudgetError
 from .model import FriedrichsModel, check_model_inputs
-from .numutil import (block_norms, cumulative_integration_matrix, gauss_rule,
-                      norm_bracket, operator_norm)
+from .numutil import (_start_block, block_norms, cumulative_integration_matrix,
+                      gauss_rule, operator_norm, ritz_bounds, rounding_gamma)
 from .oscint import rate_transform
-from .propagate import evolve_wave_operator
+from .propagate import WaveBlock, evolve_wave_operator
 
 __all__ = [
     "WaveOperatorSeries",
@@ -166,10 +173,135 @@ def first_order_tail(model: FriedrichsModel, tau: float) -> tuple[np.ndarray, fl
     check_model_inputs(tau=tau)
     if model.gap_shift != 0.0:
         raise ConfigurationError("first_order_tail requires gap_shift = 0")
-    sw = model.switching
-    vals = np.array([rate_transform(sw, tau * k) for k in model.measure.nodes])
-    vec = vals * model.coupling
+    vec = rate_transform(model.switching, tau * model.measure.nodes) * model.coupling
     return vec, float(np.linalg.norm(vec))
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """[0, x_0, x_0 + x_1, ...]: entry j sums the first j entries."""
+    return np.concatenate((np.zeros(1, dtype=x.dtype), np.cumsum(x)))
+
+
+def _stop_products(blk: WaveBlock, a0: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A_j V = A_0 V - Y C_j (z V) at every stop of the block, (m, dim, c).
+
+    Row 0 of Y C_j (z V) is row 0 of C_j times z V; the other rows sum
+    u_a (x V)[a] over the prefix's steps, accumulated stop by stop, so a
+    step after the last stop enters no product.
+    """
+    xv = blk.x @ v
+    b = np.empty((len(blk.offsets), len(a0), v.shape[1]), dtype=complex)
+    b[:] = a0 @ v
+    b[:, 0] -= blk.rows @ (blk.z @ v)
+    acc = np.zeros((len(a0) - 1, v.shape[1]), dtype=complex)
+    a = 0
+    for bj, j in zip(b, blk.offsets):
+        acc += blk.u[a:j].T @ xv[a:j]
+        bj[1:] -= acc
+        a = j
+    return b
+
+
+def _ritz_block(gram: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The top four Ritz vectors of a stop, from its Gram matrix on basis."""
+    return basis @ np.linalg.eigh(gram)[1][:, :-5:-1]
+
+
+def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
+    """Bounds lo_i <= ||A_i||_2 <= hi_i at every stop of a block, unformed.
+
+    a0 = 1 - blk.omega, formed. With z = Y^dagger omega, the stop j steps
+    into the block is A_j = A_0 - Y C_j z (propagate.WaveBlock). The
+    Frobenius norms come from products no larger than (k + 1) x dim:
+
+        ||A_j||_F^2 = ||A_0||_F^2 - 2 Re tr(C_j P) + ||Y C_j z||_F^2,
+
+    P = z A_0^dagger Y, taken through Y^dagger A_0 = Y^dagger - z. Only
+    row 0 of C_j changes with j (propagate._prefix_cores) and e0 is
+    orthogonal to every u, so tr(C_j P) is row 0 of C_j times P[:, 0]
+    plus a prefix sum over the steps, and ||Y C_j z||_F^2 is the norm of
+    row 0 of C_j z plus the sum of gram * (x x^dagger)^T over its
+    leading j x j block.
+
+    The Ritz basis V is v, the 4-column block carried from block to
+    block (the start block when None), and one power step of the last
+    stop's A^dagger A on it: 8 orthonormal columns, a block Krylov space
+    that follows the stops' top singular directions through the block.
+    All the stops' A_j V come from one pass (_stop_products). Their Gram
+    matrices G_j give the Ritz values theta_1 >= ... of numutil's
+    bracket; since these sum to tr G_j, one batched eigvalsh for the top
+    one suffices. The last stop's top four Ritz vectors are carried on.
+
+    Rounding allowance, first order in the unit roundoff. Let a =
+    ||A_0||_F, b_j = sqrt(j + 1) ||C_j||_F ||z_j||_F (z_j the first j + 1
+    rows), which bounds ||Y C_j z||_F also with every entry replaced by
+    its modulus (Y's columns are unit vectors), and s_j = a + b_j >=
+    ||A_j||_F. No sum here is longer than N = dim^2 + 2, so every
+    computed product X Y is within gamma_N |X| |Y| of the exact one
+    (numutil.rounding_gamma). Then the computed ||A_0||_F^2 is off by at
+    most gamma_N a^2; the trace term by 2 gamma_N b_j (sqrt(dim) + 3 a),
+    which includes the rounding of z that Y^dagger A_0 = Y^dagger - z
+    takes as exact (||omega||_F <= sqrt(dim) + a); and ||Y C_j z||_F^2
+    by gamma_N b_j^2: together at most gamma_N (2 s_j^2 + 2 b_j
+    sqrt(dim)). A_j V is off by gamma_N s_j ||V||_F = gamma_N s_j
+    sqrt(c) for c columns, so each Ritz value is off by at most
+    r = (2 sqrt(c) + 3) gamma_N s_j^2, the 3 for its Gram matrix, the
+    eigensolver and V's departure from orthonormality. So theta_slack =
+    r and fro_slack = (c - 1) r + gamma_N (3 s_j^2 + 2 b_j sqrt(dim)),
+    one spare s_j^2 covering the subtraction and the root.
+
+    Raises NumericalOverflow, naming the step, at the first stop whose
+    Frobenius sum is not finite, before a Ritz value is read. Returns
+    (lo, hi, grams, basis, v): each stop's Gram matrix on basis, for its
+    Ritz block (_ritz_block), and v the block to carry.
+    """
+    js = blk.offsets
+    u, z, x, rows = blk.u, blk.z, blk.x, blk.rows
+    dim = len(a0)
+    if v is None:
+        v = _start_block(dim)
+    flat = a0.view(float).ravel()
+    fa = float(flat @ flat)
+    rz = rows @ z                                      # row 0 of each C_j z
+    d = np.einsum("ai,ai->a", x[:, 1:], u) - np.vecdot(z[1:], x)
+    trace = (rows @ (z @ a0[0].conj())).real + _prefix_sums(d.real)[js]
+    # gram * (x x^dagger)^T is Hermitian: its real part is symmetric, and
+    # a leading j x j block sums to the first j entries of w
+    e = (blk.gram * (x @ x.conj().T).T).real
+    w = 2.0 * np.tril(e, -1).sum(axis=1) + np.diagonal(e)
+    fro = fa - 2.0 * trace + np.vecdot(rz, rz).real + _prefix_sums(w)[js]
+    if not np.all(np.isfinite(fro)):
+        step = blk.start + js[np.argmin(np.isfinite(fro))]
+        raise NumericalOverflow(f"non-finite propagator at step {step}")
+
+    # one power step of the last stop's A^dagger A on v: A^dagger (A v) =
+    # A_0^dagger (A v) - z^dagger C^dagger (Y^dagger A v), each product
+    # conjugating its small side; the step's scale is divided out so that
+    # it enters the QR on a par with v
+    j = js[-1]
+    av = a0 @ v
+    av[0] -= rows[-1] @ (z @ v)
+    av[1:] -= u[:j].T @ (x[:j] @ v)
+    yav = (av[1:].conj().T @ u.T).conj().T             # rows 1.. of Y^dagger A v
+    cyav = np.outer(rows[-1].conj(), av[0]) + (yav[:j].conj().T @ blk.lower[:j]).conj().T
+    power = (av.conj().T @ a0).conj().T - (cyav.conj().T @ z).conj().T
+    scale = np.abs(power).max()
+    basis = np.linalg.qr(np.concatenate((v, power / scale if scale > 0.0 else power),
+                                        axis=1))[0]
+    c = basis.shape[1]
+
+    b = _stop_products(blk, a0, basis)
+    grams = b.conj().swapaxes(-1, -2) @ b
+    core_sq = _prefix_sums(np.vecdot(blk.lower, blk.lower).real)[js] \
+        + np.vecdot(rows, rows).real
+    z_sq = np.cumsum(np.vecdot(z, z).real)[js]
+    bj = np.sqrt((js + 1) * core_sq * z_sq)
+    s_sq = (math.sqrt(fa) + bj) ** 2
+    gamma = rounding_gamma(dim * dim + 2)
+    r = (2.0 * math.sqrt(c) + 3.0) * gamma * s_sq
+    lo, hi = ritz_bounds(grams, fro, r,
+                         (c - 1) * r + gamma * (3.0 * s_sq + 2.0 * bj * math.sqrt(dim)))
+    return lo, hi, grams, basis, _ritz_block(grams[-1], basis)
 
 
 def adiabatic_defect(model: FriedrichsModel, tau: float,
@@ -179,23 +311,24 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
 
     The default grid is 200 uniform points in the window plus the frozen
     after-window value. The norms are taken while the wave operator
-    evolves (evolve_wave_operator's on_record), so at most _KEEP + 1
-    buffers are held, not one matrix per grid point. Each stop forms
-    A = 1 - Omega once, into a spare buffer, and gets a bracket
-    lo <= ||A|| <= hi from one Rayleigh-Ritz round on a warm 4-column
-    block (numutil.norm_bracket; Cauchy interlacing, Parlett, The
-    Symmetric Eigenvalue Problem, sec. 11.5); the block then advances by
-    one power step. The bracket's Frobenius sum also checks A finite, so
-    a non-finite stop raises NumericalOverflow before the Ritz round
-    reads it. A stop is kept, buffer and all, only if hi exceeds the best
-    lower bound so far; a kept stop is dropped, its buffer back to the
-    spares, once its hi falls below that bound, which grows with every
-    bracket and every exact norm. When more than _KEEP are held, the one
+    evolves, a block at a time (evolve_wave_operator's on_block), so at
+    most _KEEP + 1 matrices are held, not one per grid point. A block's
+    stops are bracketed together, lo <= ||1 - Omega|| <= hi, without
+    forming them (_block_brackets). The brackets' Frobenius sums also
+    check each stop finite, so a non-finite stop raises NumericalOverflow
+    before a Ritz value is read. Every lower bound of the block raises
+    the best lower bound of the supremum first; then a stop is kept, its
+    matrix formed into a spare buffer with one GEMM
+    (WaveBlock.stop_matrix), only if its hi exceeds that bound. A_0 =
+    1 - Omega at the block's start holds a spare buffer only while the
+    block is bracketed. A kept stop is dropped, its buffer back to the
+    spares, once its hi falls below the bound, which grows with every
+    block and every exact norm. When more than _KEEP are held, the one
     with the highest hi is settled by block power iteration
-    (numutil.operator_norm, converged to 1e-12 relative or the call
-    fails); the rest are settled at the end, highest hi first. A dropped
-    stop cannot hold the supremum, so the result is the largest exact
-    norm, as if every stop had been settled.
+    (numutil.operator_norm from the stop's Ritz block, converged to
+    1e-12 relative or the call fails); the rest are settled at the end,
+    highest hi first. A dropped stop cannot hold the supremum, so the
+    result is the largest exact norm, as if every stop had been settled.
     """
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
@@ -205,11 +338,18 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         s_grid = np.linspace(0.0, 1.0, 201)
     if n_steps is None:
         n_steps = 1024
+    dim = model.dim
     kept = []                  # (hi, A, warm block) per kept stop
     spare = []                 # buffers of dropped stops, for reuse
     floor = 0.0                # the best lower bound of the supremum
     best = 0.0                 # the largest exact norm
     v = None
+
+    def one_minus(omega, out):
+        # negating the float view is exact and several times faster than
+        # negating the complex array
+        np.negative(omega.view(float), out=out.view(float))
+        out.flat[::dim + 1] += 1.0
 
     def prune():
         spare.extend(c[1] for c in kept if c[0] < floor)
@@ -223,28 +363,24 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         floor = max(floor, best)
         prune()
 
-    def take(s, omega):
+    def take(blk):
         nonlocal floor, v
-        a = spare.pop() if spare else np.empty_like(omega)
-        # A = 1 - Omega; negating the float view is exact and several
-        # times faster than negating the complex array
-        np.negative(omega.view(float), out=a.view(float))
-        a.flat[::model.dim + 1] += 1.0
-        try:
-            lo, hi, v = norm_bracket(a, v)
-        except NumericalOverflow:
-            raise NumericalOverflow(
-                f"non-finite propagator at step {round(s * n_steps)}") from None
-        floor = max(floor, lo)
-        if hi > floor:
-            kept.append((hi, a, v))
-        else:
-            spare.append(a)
+        a0 = spare.pop() if spare else np.empty_like(blk.omega)
+        one_minus(blk.omega, a0)
+        lo, hi, grams, basis, v = _block_brackets(blk, a0, v)
+        spare.append(a0)
+        floor = max(floor, float(lo.max()))
         prune()
-        if len(kept) > _KEEP:
-            settle_highest()
+        for i in range(len(hi)):
+            if hi[i] <= floor:
+                continue
+            a = spare.pop() if spare else np.empty_like(blk.omega)
+            one_minus(blk.stop_matrix(i, a), a)
+            kept.append((float(hi[i]), a, _ritz_block(grams[i], basis)))
+            if len(kept) > _KEEP:
+                settle_highest()
 
-    evolve_wave_operator(model, tau, n_steps, record_s=s_grid, on_record=take)
+    evolve_wave_operator(model, tau, n_steps, record_s=s_grid, on_block=take)
     while kept:
         settle_highest()
     return float(best)

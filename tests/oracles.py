@@ -16,7 +16,13 @@ check:
   apply_kernel), the dense rotations below and the static tilde;
 * backward_walk_defect, the uniform defect as it stood before its norms
   were bracketed during the evolution, reuses the wave-operator
-  evolution and the operator norm.
+  evolution and the operator norm;
+* norm_bracket, the defect's bracket of one formed matrix as it stood
+  before a block's stops were bracketed together unformed, reuses the
+  Ritz bounds, the start block and the rounding allowance;
+* per_node_first_order_tail, the closed-form first-order tail as it
+  stood before the switching rate's transform took all nodes at once,
+  reuses the transform one node at a time.
 
 Two cross-checks of the frame algebra also live here, since no run of
 the package needs them: rotation_dense, exp(i theta A) as a dense
@@ -339,6 +345,45 @@ def backward_walk_defect(model, tau, s_grid=None, n_steps=1024):
         if nrm > best:
             best, s_best = nrm, float(s)
     return best, s_best
+
+
+def norm_bracket(m, v=None):
+    """Bounds lo <= ||m||_2 <= hi from one Rayleigh-Ritz round on m itself.
+
+    The Ritz values of m^dagger m on the orthonormal 4-column block v
+    (numutil's start block when None) and the Frobenius norm of m, put
+    together by numutil.ritz_bounds. lo carries no allowance; hi^2
+    carries 24 gamma_N ||m||_F^2, N = n^2 + 2, the allowance of
+    volterra._block_brackets for a stop that has no update (b = 0).
+    Returns (lo, hi, v_next), v_next the block after one power step on
+    m (v itself when m v = 0). Raises NumericalOverflow if m is not
+    finite, which the Frobenius sum shows before the Ritz round reads m.
+    """
+    from friedrichs.errors import NumericalOverflow
+    from friedrichs.numutil import _start_block, ritz_bounds, rounding_gamma
+
+    fro = np.vdot(m, m).real
+    if not np.isfinite(fro):
+        raise NumericalOverflow("norm_bracket of a non-finite matrix")
+    if v is None:
+        v = _start_block(m.shape[1])
+    b = m @ v
+    gram = b.conj().T @ b
+    lo, hi = ritz_bounds(gram, fro, 0.0, 24.0 * rounding_gamma(m.size + 2) * fro)
+    theta, y = np.linalg.eigh(gram)
+    if theta[-1] > 0.0:
+        v = np.linalg.qr(((b @ y[:, ::-1]).conj().T @ m).conj().T)[0]
+    return float(lo), float(hi), v
+
+
+def per_node_first_order_tail(model, tau):
+    """first_order_tail's column with the rate transform taken node by node."""
+    from friedrichs.oscint import rate_transform
+
+    vals = np.array([rate_transform(model.switching, tau * k)
+                     for k in model.measure.nodes])
+    vec = vals * model.coupling
+    return vec, float(np.linalg.norm(vec))
 
 
 def tilde_static(model, x):

@@ -117,6 +117,25 @@ def test_tilde_check_passes(capsys):
     assert "PASS" in out and "sign=-1" in out
 
 
+def test_tilde_check_seed_moves_only_the_eigenbasis_check(capsys):
+    # --seed draws the 8x8 eigenbasis-rule problem; the identity checks run
+    # ibp_suite's fixed profile seeds, so their lines must not change or
+    # name a seed
+    runs = []
+    for seed in ("3", "11"):
+        assert main(["tilde-check", "--seed", seed]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cut = next(i for i, line in enumerate(lines)
+                   if line.startswith("identity checks"))
+        runs.append((lines[:cut], lines[cut:]))
+    assert runs[0][0] != runs[1][0]
+    assert runs[0][1] == runs[1][1]
+    assert not any("seed" in line for line in runs[0][1])
+    with pytest.raises(SystemExit):
+        main(["tilde-check", "--help"])
+    assert "eigenbasis" in capsys.readouterr().out
+
+
 def test_report_reemits(tmp_path):
     out = tmp_path / "first"
     assert main(["sweep", "--tau", QUICK, "--out", str(out),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from friedrichs.errors import ConvergenceFailure, NumericalOverflow
-from friedrichs.numutil import norm_bracket, operator_norm
+from friedrichs.numutil import operator_norm
+
+from oracles import norm_bracket
 
 
 def _with_singular_values(sigma, seed=0):

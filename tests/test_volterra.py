@@ -9,11 +9,12 @@ from friedrichs.errors import (ConfigurationError, ConvergenceFailure,
 from friedrichs.model import (SwitchingProfile, assemble_model,
                               build_form_factor, build_grid)
 from friedrichs.numutil import cosine_graded_edges, operator_norm
-from friedrichs.propagate import evolve_true
+from friedrichs.propagate import evolve_true, evolve_wave_operator
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  kernel_columns, wave_operator_series)
 
-from oracles import apply_kernel, backward_walk_defect, per_node_series_terms
+from oracles import (apply_kernel, backward_walk_defect,
+                     per_node_first_order_tail, per_node_series_terms)
 
 DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
 
@@ -138,6 +139,14 @@ class TestSeries:
 
 
 class TestFirstOrderTail:
+    @pytest.mark.parametrize("tau", [1e-9, 1.0, 100.0, 1e4])
+    def test_matches_per_node_transforms(self, model_defect, tau):
+        # one moment call over (nodes x panels) against a Filon call per node
+        vec, nrm = first_order_tail(model_defect, tau)
+        want, want_nrm = per_node_first_order_tail(model_defect, tau)
+        assert np.linalg.norm(vec - want) <= 1e-14 * want_nrm
+        assert abs(nrm - want_nrm) <= 1e-14 * want_nrm
+
     def test_small_tau_limit_is_total_angle(self, model_b15_small):
         _, nrm = first_order_tail(model_b15_small, 1e-9)
         assert abs(nrm - model_b15_small.switching.theta_total) <= 1e-9
@@ -152,6 +161,61 @@ class TestFirstOrderTail:
     def test_requires_threshold_case(self, model_gapped_small):
         with pytest.raises(ConfigurationError):
             first_order_tail(model_gapped_small, 100.0)
+
+
+class TestImplicitBrackets:
+    """lo <= ||A_j||_2 <= hi at every stop, against A_j formed explicitly.
+
+    The brackets come from volterra._block_brackets, which never forms a
+    stop: it takes the Frobenius norm and the Ritz values of A_j = A_0 -
+    Y C_j z from products with the block's factors. Its hi^2 carries a
+    rounding allowance derived there, not tuned: gamma_N (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5),
+    N = dim^2 + 2 the longest sum taken, times the moduli each computed
+    term can reach, ((c - 1)(2 sqrt(c) + 3) + 3) s_j^2 + 2 b_j sqrt(dim)
+    for c = 8 Ritz columns, s_j = ||A_0||_F + b_j and b_j =
+    sqrt(j + 1) ||C_j||_F ||z_j||_F; lo^2 gives up (2 sqrt(c) + 3)
+    gamma_N s_j^2. A_j is formed here by the list mode of
+    evolve_wave_operator, and its norm taken by an SVD; their own
+    rounding is far below those allowances at these stops.
+    """
+
+    @staticmethod
+    def _check_every_stop(model, tau, grid, n_steps, monkeypatch):
+        from friedrichs import volterra
+
+        seen = []
+        brackets = volterra._block_brackets
+
+        def recording(blk, a0, v):
+            out = brackets(blk, a0, v)
+            seen.extend(zip((blk.start + blk.offsets).tolist(), out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(volterra, "_block_brackets", recording)
+        adiabatic_defect(model, tau, s_grid=grid, n_steps=n_steps)
+        s, omegas, _ = evolve_wave_operator(model, tau, n_steps, grid)
+        assert [step for step, _, _ in seen] == [round(t * n_steps) for t in s]
+        eye = np.eye(model.dim)
+        for (step, lo, hi), omega in zip(seen, omegas):
+            assert lo <= np.linalg.norm(eye - omega, 2) <= hi, step
+
+    @pytest.mark.parametrize("tau", DEFECT_TAUS)
+    def test_criterion_3_stops(self, model_defect, tau, monkeypatch):
+        self._check_every_stop(model_defect, tau, np.linspace(0.0, 1.0, 201),
+                               1024, monkeypatch)
+
+    def test_interior_maximum_grid(self, model_b15_small, monkeypatch):
+        self._check_every_stop(model_b15_small, 200.0,
+                               cosine_graded_edges(0.0, 1.0, 80), 1024,
+                               monkeypatch)
+
+    @pytest.mark.parametrize("tau", [100.0, 1e4])
+    def test_stop_at_every_step(self, switching, tau, monkeypatch):
+        grid = build_grid(1.0, 8, 8, 1e-3)  # N = 64
+        model = assemble_model(grid, build_form_factor(grid, 1.5), switching)
+        self._check_every_stop(model, tau, np.arange(201) / 200, 200,
+                               monkeypatch)
 
 
 class TestAdiabaticDefect:
@@ -224,23 +288,30 @@ class TestAdiabaticDefect:
         assert peak < 10e6
 
     def test_non_finite_stop_raises_overflow(self, model_b15_small, monkeypatch):
-        # a NaN planted mid-block must stop the evolution at the next
-        # record stop, before the norm bracket sees it
-        from friedrichs import propagate
+        # a NaN planted in the rotation of step 600 (0-based, inside the
+        # block of steps 576-639) first reaches the record stop at step
+        # 604; the error must name that stop, and come from the block's
+        # Frobenius sums before any Ritz round reads a non-finite stop
+        from friedrichs import propagate, volterra
 
-        apply_steps = propagate._apply_steps
-        calls = []
+        blocks = propagate._interaction_blocks
 
-        def planted(mat, *args):
-            apply_steps(mat, *args)
-            calls.append(None)
-            if len(calls) == 100:
-                mat[3, 5] = np.nan
+        def planted(model, taus, n_steps):
+            for start, u, cos_m1, isin in blocks(model, taus, n_steps):
+                if start <= 600 < start + len(cos_m1):
+                    isin[600 - start] = np.nan
+                yield start, u, cos_m1, isin
 
-        monkeypatch.setattr(propagate, "_apply_steps", planted)
-        with pytest.raises(NumericalOverflow, match="step") as err:
+        bounds = volterra.ritz_bounds
+
+        def finite_only(grams, *args):
+            assert np.all(np.isfinite(grams))
+            return bounds(grams, *args)
+
+        monkeypatch.setattr(propagate, "_interaction_blocks", planted)
+        monkeypatch.setattr(volterra, "ritz_bounds", finite_only)
+        with pytest.raises(NumericalOverflow, match="at step 604$"):
             adiabatic_defect(model_b15_small, 200.0, n_steps=1024)
-        assert int(str(err.value).rsplit(" ", 1)[1]) % 64 != 0
 
     def test_norm_failure_propagates(self, model_b15_small, monkeypatch):
         from friedrichs import volterra

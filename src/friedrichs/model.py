@@ -13,12 +13,14 @@ direction with the coupling direction.
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AssemblyError, ConfigurationError
-from .numutil import cosine_graded_edges, gauss_panel
+from .numutil import cosine_graded_edges, gauss_panel, gauss_rule
 
 __all__ = [
     "DiscretizedMeasure",
@@ -74,19 +76,21 @@ BUMP_NORM = float(_BUMP_CUM[-1])
 
 
 def _bump_cumulative(s):
-    """Integral of the bump from 0 to s, spectrally accurate, vectorized."""
+    """Integral of the bump from 0 to s, spectrally accurate, vectorized.
+
+    Each point adds a 24-node Gauss rule on [panel edge, s] to the table
+    value at its panel's edge; the nodes and weights of all points are
+    built at once.
+    """
     s = np.asarray(s, dtype=float)
     flat = np.clip(s.ravel(), 0.0, 1.0)
     idx = np.minimum(np.searchsorted(_BUMP_EDGES, flat, side="right") - 1,
                      len(_BUMP_EDGES) - 2)
-    out = np.empty_like(flat)
-    for i, (sv, m) in enumerate(zip(flat, idx)):
-        a = _BUMP_EDGES[m]
-        if sv <= a:
-            out[i] = _BUMP_CUM[m]
-            continue
-        x, w = gauss_panel(a, sv, 24)
-        out[i] = _BUMP_CUM[m] + float(w @ bump_function(x))
+    a = _BUMP_EDGES[idx]
+    x, w = gauss_rule(24)
+    half = 0.5 * (flat - a)
+    nodes = a[:, None] + half[:, None] * (x + 1.0)
+    out = _BUMP_CUM[idx] + np.vecdot(half[:, None] * w, bump_function(nodes))
     out = out.reshape(s.shape)
     return out if out.ndim else float(out)
 
@@ -207,6 +211,20 @@ class FriedrichsModel:
         return a
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
+def _is_time_grid(v) -> bool:
+    try:
+        t = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return t.ndim == 1 and t.size > 0 and bool(np.all(np.isfinite(t) & (t >= 0.0)))
+
+
+_TIME_GRID = (_is_time_grid, "must be a nonempty sequence of finite times >= 0")
+
 #: inputs checked on their own: name -> (condition, rule as stated)
 _INPUT_RULES = {
     "beta": (lambda v: v > 0.0, "must be > 0"),
@@ -218,6 +236,9 @@ _INPUT_RULES = {
     "nodes_per_panel": (lambda v: v >= 2, "must be >= 2"),
     "cutoff_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "tau": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
+    "n_steps": (_is_count, "must be an integer >= 1"),
+    "record_s": _TIME_GRID,
+    "s_grid": _TIME_GRID,
 }
 
 
@@ -226,13 +247,15 @@ def check_model_inputs(**inputs) -> None:
 
     The builders check their inputs here, and a config can be checked
     the same way before anything is built; the evolution and
-    verification entry points check their tau here. NaN breaks every
-    rule. Given both grid ends, k_max must also exceed k_min.
+    verification entry points check their tau, step count and record
+    times here. NaN breaks every rule, and a step count is an integer,
+    not a bool. Given both grid ends, k_max must also exceed k_min.
     """
     for name, value in inputs.items():
         holds, rule = _INPUT_RULES[name]
         if not holds(value):
-            raise ConfigurationError(f"{name} {rule}, got {value}")
+            shown = value if np.isscalar(value) else reprlib.repr(value)
+            raise ConfigurationError(f"{name} {rule}, got {shown}")
     if {"k_max", "k_min"} <= inputs.keys() and not inputs["k_max"] > inputs["k_min"]:
         raise ConfigurationError(f"k_max must exceed k_min, got k_max="
                                  f"{inputs['k_max']}, k_min={inputs['k_min']}")

@@ -24,12 +24,23 @@ midpoints advance by powers of a fixed rotor exp(i tau omega h); each
 block re-seeds them with a direct exp, which bounds the rounding the
 rotor accumulates to about 64 ulps.
 
-Each step takes one sum of squares of the continuum amplitudes over all
-rows; the square root is the leak, and with the bound amplitude, also
-kept per step, it gives the norm drift |sqrt(|b0|^2 + cont) - 1|. Drift
-and finiteness are evaluated for every step of every row. A row that
-goes non-finite or exceeds the drift tolerance fails alone; the other
-rows of its batch are unaffected.
+The loop takes two steps per iteration. The product of two rotations
+is the k = 2 case of the compact-WY form below; from the bound
+amplitude b0 and the overlaps w_a = <u_a, psi>, w_b = <u_b, psi> of the
+continuum state psi, one 4 x 3 map per pair and row (_pair_maps, built
+a block at a time) gives the bound amplitudes after both steps and the
+coefficients of the continuum updates psi + x_a u_a and
+psi + x_a u_a + x_b u_b. An iteration makes one overlap call, one map
+product, one scaled copy and two adds for both states, so numpy's
+per-call overhead is paid once for two steps. An odd count ends with an
+identity step.
+
+Every step's sum of squares of the continuum amplitudes is kept (a
+pair's two in one call); the square root is the leak, and with the
+bound amplitude, also kept per step, it gives the norm drift
+|sqrt(|b0|^2 + cont) - 1|. Drift and finiteness are evaluated for every
+step of every row. A row that goes non-finite or exceeds the drift
+tolerance fails alone; the other rows of its batch are unaffected.
 
 The wave-operator evolution applies the same rotations to a (dim, dim)
 matrix. The product of a block's steps has the compact-WY form
@@ -56,6 +67,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, FriedrichsError, IntegrationFailure,
                      NumericalOverflow)
@@ -181,32 +193,86 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
         yield start, d, np.cos(r) - 1.0, 1j * np.sin(r)
 
 
+def _pair_maps(u: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray) -> np.ndarray:
+    """Each pair of steps (a, b) as one linear map, (pairs, T, 4, 3).
+
+    A state (b0, psi) with overlaps w_a = <u_a, psi>, w_b = <u_b, psi>
+    goes through step a to (b1, psi + x_a u_a) and through step b to
+    (b2, psi + x_a u_a + x_b u_b). The map takes z = (b0, w_a, w_b) to
+    (b1, x_a, x_b, b2). With c = cos r - 1, s = -i sin r and
+    g = <u_b, u_a>: b1 = (1 + c_a) b0 + s_a w_a and
+    x_a = s_a b0 + c_a w_a; step b sees the overlap w_b + g x_a, so
+    x_b = c_b (w_b + g x_a) + s_b b1 and
+    b2 = (1 + c_b) b1 + s_b (w_b + g x_a). This is the k = 2 case of the
+    compact-WY product (_block_factor, _prefix_cores): the rows are
+    e0 + row 0 of C_1, the two rows of lower, and e0 + row 0 of C_2.
+    """
+    ca, cb = cos_m1[0::2], cos_m1[1::2]
+    sa, sb = -isin[0::2], -isin[1::2]
+    maps = np.zeros(ca.shape + (4, 3), dtype=complex)
+    b1, x_a, x_b, b2 = np.moveaxis(maps, -2, 0)   # the rows, z's coefficients
+    b1[..., 0], b1[..., 1] = ca + 1.0, sa
+    x_a[..., 0], x_a[..., 1] = sa, ca
+    seen_b = np.vecdot(u[1::2], u[0::2])[..., None] * x_a   # w_b + g x_a
+    seen_b[..., 2] += 1.0
+    np.add(cb[..., None] * seen_b, sb[..., None] * b1, out=x_b)
+    np.add((cb + 1.0)[..., None] * b1, sb[..., None] * seen_b, out=b2)
+    return maps
+
+
 def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
                  drift_tolerance: float) -> list:
     """The stepping loop from e0: row t of the state evolves with taus[t].
 
-    Returns one Trajectory or FriedrichsError per row.
+    Each iteration takes a pair of steps (see _pair_maps); an odd count
+    ends with an identity step (u = 0, c = s = 0). Returns one Trajectory
+    or FriedrichsError per row.
     """
-    bound = np.empty((n + 1, len(taus)), dtype=complex)  # b0 after each step
-    sq = np.empty((n + 1, len(taus)))    # continuum sum of squares, likewise
-    cont = np.zeros((len(taus), model.measure.n_nodes), dtype=complex)
-    cont_r = cont.view(float)
-    bound[0] = 1.0
+    rows, n_cont = len(taus), model.measure.n_nodes
+    pairs = (n + 1) // 2
+    # per row, pair p's z = (b0, w_a, w_b) and map output (b1, x_a, x_b, b2)
+    # at columns 6p..6p + 6: its b2 is the next pair's b0, so column 3m
+    # holds the bound amplitude after step m
+    hist = np.empty((rows, 6 * pairs + 1), dtype=complex)
+    hist[:, 0] = 1.0
+    slots = hist[:, :-1].reshape(rows, pairs, 6).transpose(1, 0, 2)
+    z = slots[..., :3, None]                          # (pairs, T, 3, 1)
+    w = slots[..., 1:3].transpose(0, 2, 1)            # (pairs, 2, T)
+    x = slots[..., 4:6].transpose(0, 2, 1)[..., None]  # (pairs, 2, T, 1)
+    y = sliding_window_view(hist, 4, axis=1, writeable=True)[:, 3::6]
+    y = y.transpose(1, 0, 2)[..., None]               # (pairs, T, 4, 1)
+    sq = np.empty((2 * pairs + 1, rows))   # continuum sum of squares per step
     sq[0] = 0.0
+    pair_sq = sq[1:].reshape(pairs, 2, rows)
+    first_ok = np.empty((pairs, rows), dtype=bool)   # step a's c and s finite
+    # the two continuum states of a pair; iterations alternate buffers, so
+    # the previous pair's last state is read while this pair's are written
+    bufs = [(b, b.view(float), b[0], b[1])
+            for b in np.zeros((2, 2, rows, n_cont), dtype=complex)]
+    cont = bufs[1][3]
 
     for start, u, cos_m1, isin in _interaction_blocks(model, taus, n):
-        for j in range(len(cos_m1)):
-            m = start + j
-            b0, nb = bound[m], bound[m + 1]
-            uc = np.vecdot(u[j], cont)
-            np.multiply(cos_m1[j], b0, out=nb)
-            nb -= isin[j] * uc
-            nb += b0
-            coef = cos_m1[j] * uc
-            coef -= isin[j] * b0
-            cont += u[j] * coef[:, None]
-            np.vecdot(cont_r, cont_r, out=sq[m + 1])
+        if len(u) % 2:
+            u, cos_m1, isin = (np.concatenate((a, np.zeros_like(a[:1])))
+                               for a in (u, cos_m1, isin))
+        maps = _pair_maps(u, cos_m1, isin)
+        first = start // 2
+        first_ok[first:first + len(maps)] = (np.isfinite(cos_m1[0::2])
+                                             & np.isfinite(isin[0::2]))
+        u = u.reshape(len(maps), 2, rows, n_cont)
+        for j in range(len(maps)):
+            p = first + j
+            buf, buf_r, after_a, after_b = bufs[p % 2]
+            np.vecdot(u[j], cont, out=w[p])
+            np.matmul(maps[j], z[p], out=y[p])
+            np.multiply(u[j], x[p], out=buf)
+            after_a += cont
+            after_b += after_a
+            np.vecdot(buf_r, buf_r, out=pair_sq[p])
+            cont = after_b
 
+    bound = hist[:, 0:3 * n + 1:3].T
+    sq = sq[:n + 1]
     leaks = np.sqrt(sq)
     dev = np.abs(np.sqrt(np.abs(bound) ** 2 + sq) - 1.0)
     finite = np.isfinite(bound) & np.isfinite(sq)
@@ -214,6 +280,11 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
     for t, tau in enumerate(taus.tolist()):
         if not finite[:, t].all():
             step = int(np.argmin(finite[:, t]))
+            # the map also reads w_b into a pair's first state, as 0 * w_b:
+            # if step a's c, s and w_a are finite, the fault is step b's
+            if (step % 2 and first_ok[step // 2, t]
+                    and np.isfinite(hist[t, 3 * step - 2])):
+                step += 1
             results.append(NumericalOverflow(
                 f"non-finite state at step {step} (tau={tau})"))
             continue
@@ -249,8 +320,7 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
         raise ConfigurationError("tau must be a number or a nonempty sequence")
     for t in taus.tolist():
         check_model_inputs(tau=t)
-    if n_steps < 1:
-        raise ConfigurationError("n_steps must be at least 1")
+    check_model_inputs(n_steps=n_steps)
 
     results = _evolve_rows(model, taus, n_steps, drift_tolerance)
     if np.ndim(tau) == 0:
@@ -420,7 +490,7 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     finiteness itself before it relies on one (adiabatic_defect takes it
     from the Frobenius norms it needs anyway).
     """
-    check_model_inputs(tau=tau)
+    check_model_inputs(tau=tau, n_steps=n_steps, record_s=record_s)
     n = int(n_steps)
     record_idx = sorted({min(round(float(t) * n), n) for t in record_s})
     mat = np.eye(model.dim, dtype=complex)

@@ -338,6 +338,7 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         s_grid = np.linspace(0.0, 1.0, 201)
     if n_steps is None:
         n_steps = 1024
+    check_model_inputs(s_grid=s_grid)
     dim = model.dim
     kept = []                  # (hi, A, warm block) per kept stop
     spare = []                 # buffers of dropped stops, for reuse

@@ -23,6 +23,10 @@ check:
 * per_node_first_order_tail, the closed-form first-order tail as it
   stood before the switching rate's transform took all nodes at once,
   reuses the transform one node at a time.
+* per_point_bump_cumulative, the switching's cumulative bump as it
+  stood before its Gauss rules were built for all points at once,
+  reuses the panel table, the Gauss panels and the bump one point at a
+  time.
 
 Two cross-checks of the frame algebra also live here, since no run of
 the package needs them: rotation_dense, exp(i theta A) as a dense
@@ -384,6 +388,26 @@ def per_node_first_order_tail(model, tau):
                      for k in model.measure.nodes])
     vec = vals * model.coupling
     return vec, float(np.linalg.norm(vec))
+
+
+def per_point_bump_cumulative(s):
+    """model._bump_cumulative with one Gauss panel and one dot per point."""
+    from friedrichs.model import _BUMP_CUM, _BUMP_EDGES, bump_function
+    from friedrichs.numutil import gauss_panel
+
+    s = np.asarray(s, dtype=float)
+    flat = np.clip(s.ravel(), 0.0, 1.0)
+    idx = np.minimum(np.searchsorted(_BUMP_EDGES, flat, side="right") - 1,
+                     len(_BUMP_EDGES) - 2)
+    out = np.empty_like(flat)
+    for i, (sv, m) in enumerate(zip(flat, idx)):
+        a = _BUMP_EDGES[m]
+        if sv <= a:
+            out[i] = _BUMP_CUM[m]
+            continue
+        x, w = gauss_panel(a, sv, 24)
+        out[i] = _BUMP_CUM[m] + float(w @ bump_function(x))
+    return out.reshape(s.shape)
 
 
 def tilde_static(model, x):

@@ -3,10 +3,11 @@ import pytest
 from scipy.integrate import quad
 
 from friedrichs.errors import AssemblyError, ConfigurationError
-from friedrichs.model import (assemble_model, build_form_factor, build_grid,
-                              build_switching, rotate)
+from friedrichs.model import (_BUMP_EDGES, _bump_cumulative, assemble_model,
+                              build_form_factor, build_grid, build_switching,
+                              rotate)
 
-from oracles import rotation_dense, two_level_rotation
+from oracles import per_point_bump_cumulative, rotation_dense, two_level_rotation
 
 
 class TestGrid:
@@ -138,6 +139,20 @@ class TestSwitching:
         for s in (0.3, 0.5, 0.7):
             fd = (switching.gdot(s + h) - switching.gdot(s - h)) / (2 * h)
             assert abs(fd - switching.gddot(s)) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_cumulative_bump_matches_per_point_loop(self):
+        # random points in and around the window, every panel edge and its
+        # neighbours; the Gauss rules and dots are the loop's, bit for bit
+        s = np.concatenate((np.random.default_rng(3).uniform(-0.2, 1.2, 2000),
+                            _BUMP_EDGES, np.nextafter(_BUMP_EDGES, -1.0),
+                            np.nextafter(_BUMP_EDGES, 2.0)))
+        np.testing.assert_array_equal(_bump_cumulative(s),
+                                      per_point_bump_cumulative(s))
+        grid = s[:2000].reshape(40, 50)
+        np.testing.assert_array_equal(_bump_cumulative(grid),
+                                      per_point_bump_cumulative(grid))
+        assert _bump_cumulative(0.3) == per_point_bump_cumulative(0.3)
+        assert isinstance(_bump_cumulative(0.3), float)
 
     def test_rejects_nonpositive_angle(self):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,8 @@ from friedrichs.errors import (ConfigurationError, IntegrationFailure,
                                NumericalOverflow)
 from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
-from friedrichs.propagate import evolve_true, evolve_wave_operator
+from friedrichs.propagate import (_block_factor, _interaction_blocks, _pair_maps,
+                                  _prefix_cores, evolve_true, evolve_wave_operator)
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
@@ -160,7 +161,71 @@ class TestBatchedLoop:
             evolve_true(model_b15_small, (100.0, -1.0), SWEEP_STEPS)
 
 
+class TestPairedSteps:
+    def test_pair_map_is_the_two_step_compact_wy_product(self, model_b15_small):
+        taus = np.array([100.0, 1e4])
+        _, u, cos_m1, isin = next(_interaction_blocks(model_b15_small, taus, 256))
+        maps = _pair_maps(u, cos_m1, isin)
+        e0 = np.eye(1, 3)[0]
+        for p in range(len(maps)):
+            for t in range(len(taus)):
+                steps = slice(2 * p, 2 * p + 2)
+                pair = u[steps, t]
+                wy = _block_factor(pair.conj() @ pair.T, cos_m1[steps, t],
+                                   isin[steps, t])
+                rows, lower = _prefix_cores(wy, np.array([1, 2]))
+                ref = np.array([e0 + rows[0], lower[0], lower[1], e0 + rows[1]])
+                assert np.abs(maps[p, t] - ref).max() <= 1e-15
+
+    @pytest.mark.parametrize("n_steps", [1, 3, 65, 2915])
+    def test_odd_counts_match_per_step_exp_oracle(self, model_b15, n_steps):
+        # an odd count ends with an identity step of the last pair
+        taus = (100.0, 1e4)
+        for tau, tr in zip(taus, evolve_true(model_b15, taus, n_steps).trajectories()):
+            ref = PerStepExpRunner(model_b15, tau, n_steps).window_leaks()
+            assert len(tr.window_leaks) == n_steps + 1
+            # leaks of a unit state: every one within 1e-13 absolute
+            assert np.abs(tr.window_leaks - ref).max() <= 1e-13
+            assert abs(tr.leak_at(1.0) - ref[-1]) <= 1e-13 * ref[-1]
+            assert abs(tr.sup_leak_window - ref.max()) <= 1e-13 * ref.max()
+            assert tr.unitarity_drift <= 1e-13
+
+    @pytest.mark.parametrize("step", [600, 601], ids=["first_of_pair",
+                                                      "second_of_pair"])
+    @pytest.mark.parametrize("part", [1, 2], ids=["u", "cos_m1"])
+    def test_fault_is_named_at_its_own_step(self, model_b15_small, spoil_step,
+                                            step, part):
+        # the pair's map reads step b's overlap into its first state as
+        # 0 * w_b, so a fault in step b must still be named at step b
+        spoil_step(step, np.nan, part)
+        with pytest.raises(NumericalOverflow,
+                           match=f"non-finite state at step {step + 1} "):
+            evolve_true(model_b15_small, 300.0, 1024)
+        out = evolve_true(model_b15_small, (100.0, 300.0), 1024)
+        assert all(f"step {step + 1} " in str(r) for r in out.results)
+
+
 DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
+
+
+@pytest.fixture
+def spoil_step(monkeypatch):
+    """spoil(step, factor, part) scales one step's u, cos_m1 or isin."""
+    from friedrichs import propagate
+
+    blocks = propagate._interaction_blocks
+
+    def spoil(step, factor, part=1):
+        def spoiled(model, taus, n_steps):
+            for block in blocks(model, taus, n_steps):
+                start, n_block = block[0], len(block[1])
+                if start <= step < start + n_block:
+                    block[part][step - start] *= factor
+                yield block
+
+        monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
+
+    return spoil
 
 
 class TestBlockedWaveOperator:
@@ -203,24 +268,6 @@ class TestBlockedWaveOperator:
             assert len(mats) == n + 1
             assert max(np.abs(a - b).max() for a, b in zip(mats, ref)) <= 1e-13
             assert abs(drift - drift_ref) <= 1e-13
-
-    @pytest.fixture
-    def spoil_step(self, monkeypatch):
-        """spoil(step, factor) scales the rotation vector of one step."""
-        from friedrichs import propagate
-
-        blocks = propagate._interaction_blocks
-
-        def spoil(step, factor):
-            def spoiled(model, taus, n_steps):
-                for start, u, cos_m1, isin in blocks(model, taus, n_steps):
-                    if start <= step < start + len(cos_m1):
-                        u[step - start] *= factor
-                    yield start, u, cos_m1, isin
-
-            monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
-
-        return spoil
 
     def test_spoiled_step_inside_a_block_fails(self, model_b15_small, spoil_step):
         # step 600 lies between records (steps 512, 614) and inside the
@@ -270,6 +317,47 @@ def test_tau_rule_at_every_entry_point(entry, tau, model_b15_small,
                                        model_gapped_small):
     with pytest.raises(ConfigurationError, match="tau must be finite and > 0"):
         TAU_ENTRY_POINTS[entry](model_b15_small, model_gapped_small, tau)
+
+
+# every entry point that takes a step count, called on a threshold model m
+STEP_ENTRY_POINTS = {
+    "evolve_true": lambda m, n: evolve_true(m, 100.0, n),
+    "evolve_true_batch": lambda m, n: evolve_true(m, (100.0, 300.0), n),
+    "evolve_wave_operator": lambda m, n: evolve_wave_operator(m, 100.0, n, [0.5]),
+    "adiabatic_defect": lambda m, n: adiabatic_defect(m, 100.0, n_steps=n),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, -5, 64.9, 64.5, True, np.nan])
+@pytest.mark.parametrize("entry", list(STEP_ENTRY_POINTS))
+def test_step_count_rule_at_every_entry_point(entry, n_steps, model_b15_small):
+    with pytest.raises(ConfigurationError, match="n_steps must be an integer >= 1"):
+        STEP_ENTRY_POINTS[entry](model_b15_small, n_steps)
+
+
+def test_numpy_integer_step_count_accepted(model_b15_small):
+    assert evolve_true(model_b15_small, 100.0, np.int64(16)).n_window_steps == 16
+    s, _, _ = evolve_wave_operator(model_b15_small, 100.0, np.int32(16), [1.0])
+    assert list(s) == [1.0]
+
+
+# every entry point that takes record times, and the name of that argument
+GRID_ENTRY_POINTS = {
+    "evolve_wave_operator": (
+        lambda m, grid: evolve_wave_operator(m, 100.0, 16, grid), "record_s"),
+    "adiabatic_defect": (
+        lambda m, grid: adiabatic_defect(m, 100.0, s_grid=grid, n_steps=16), "s_grid"),
+}
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.inf], [-0.25, 0.5], [], 0.5],
+                         ids=["nan", "inf", "negative", "empty", "scalar"])
+@pytest.mark.parametrize("entry", list(GRID_ENTRY_POINTS))
+def test_record_time_rule_at_every_entry_point(entry, grid, model_b15_small):
+    call, name = GRID_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError,
+                       match=f"{name} must be a nonempty sequence of finite times >= 0"):
+        call(model_b15_small, grid)
 
 
 class TestProjectorComparison:

@@ -50,19 +50,33 @@ def _float_list(flag: str, text: str) -> tuple[float, ...]:
     return values
 
 
+def _given(flag: str, text: str | None) -> str | None:
+    """The value given to flag, None when it was not given; refuses ''."""
+    if text is not None and not text.strip():
+        raise ConfigurationError(f"{flag} is empty")
+    return text
+
+
+def _formats(text: str | None) -> tuple[str, ...] | None:
+    text = _given("--format", text)
+    return None if text is None else tuple(text.split(","))
+
+
 def _config_from_args(args) -> sweep_mod.SweepConfig:
-    raw = load_config_file(args.config) if args.config else {}
+    config = _given("--config", args.config)
+    raw = {} if config is None else load_config_file(config)
     overrides = {}
-    if getattr(args, "tau", None):
+    if args.tau is not None:
         overrides["tau_values"] = _float_list("--tau", args.tau)
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         overrides["beta"] = args.beta
-    if getattr(args, "gap", None) is not None:
+    if args.gap is not None:
         overrides["gap_shift"] = args.gap
-    if getattr(args, "out", None):
+    if _given("--out", getattr(args, "out", None)) is not None:
         overrides["directory"] = args.out
-    if getattr(args, "formats", None):
-        overrides["formats"] = tuple(args.formats.split(","))
+    formats = _formats(getattr(args, "formats", None))
+    if formats is not None:
+        overrides["formats"] = formats
     return resolve_config(raw, **overrides)
 
 
@@ -200,8 +214,8 @@ def _cmd_tilde_check(args) -> int:
 
 def _cmd_report(args) -> int:
     result = load_manifest(args.manifest)
-    formats = tuple(args.formats.split(",")) if args.formats else None
-    paths = emit_report(result, formats=formats, out_dir=args.out)
+    paths = emit_report(result, formats=_formats(args.formats),
+                        out_dir=_given("--out", args.out))
     print("wrote: " + " ".join(sorted(paths.values())))
     return 0
 

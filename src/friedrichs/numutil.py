@@ -84,34 +84,60 @@ def _start_block(n: int) -> np.ndarray:
     return np.linalg.qr(np.cos(0.7 * c * j) + 1j * np.sin(0.3 * j + 0.1 * c))[0]
 
 
-def _ritz_round(m: np.ndarray, v: np.ndarray):
-    """One Rayleigh-Ritz round of m^dagger m on the orthonormal block v.
+def block_power_norms(product, adjoint, start: np.ndarray, iters: int = 300,
+                      tol: float = 1e-12, labels=None):
+    """Spectral norms of a batch of operators by block power iteration.
 
-    Returns the Ritz values theta (descending), the Ritz block v y (top
-    vector first) and the rows of (m^dagger m v y)^dagger, whose
-    conjugate transpose spans the next power-iteration block.
+    Operator i is given only by its two products: product(active, v)
+    returns A_i v_i stacked over the batch indices `active`, v of shape
+    (len(active), n, c), and adjoint(active, w) returns A_i^dagger w_i.
+    start holds one orthonormal (n, c) block per operator. Each round
+    takes the Rayleigh-Ritz values of every A_i^dagger A_i on its block
+    with stacked eigh, so the top value converges like
+    (sigma_{c+1} / sigma_1)^(2 k) after k rounds however close sigma_2
+    sits to sigma_1. Operator i leaves the batch once its top Ritz pair
+    (theta, x) has || A^dagger A x - theta x || <= tol * theta, which
+    puts theta within tol * theta of an eigenvalue; the rest move on to
+    the stacked QR of their next power step. Raises ConvergenceFailure,
+    naming labels[i] when given, if an operator is still in the batch
+    after iters rounds. Returns (sigma, blocks): the norms and the Ritz
+    blocks they converged on, top vector first.
     """
-    b = m @ v
-    theta, y = np.linalg.eigh(b.conj().T @ b)
-    theta, y = theta[::-1], y[:, ::-1]
-    wy = (b @ y).conj().T @ m
-    return theta, v @ y, wy
+    sigma = np.empty(len(start))
+    blocks = np.empty(start.shape, dtype=complex)
+    active = np.arange(len(start))
+    v = start
+    for _ in range(iters):
+        b = product(active, v)
+        theta, y = np.linalg.eigh(b.conj().swapaxes(-1, -2) @ b)
+        theta, y = theta[:, ::-1], y[:, :, ::-1]
+        ritz = v @ y
+        w = adjoint(active, b @ y)           # A^dagger A on the Ritz block
+        top = theta[:, 0]
+        res = np.linalg.norm(w[:, :, 0] - top[:, None] * ritz[:, :, 0], axis=1)
+        done = (top <= 0.0) | (res <= tol * top)
+        sigma[active[done]] = np.sqrt(np.maximum(top[done], 0.0))
+        blocks[active[done]] = ritz[done]
+        if done.all():
+            return sigma, blocks
+        active, v = active[~done], np.linalg.qr(w[~done])[0]
+        rel = res[~done] / top[~done]
+    where = "" if labels is None else f" for {labels[active[0]]}"
+    raise ConvergenceFailure(
+        f"block power iteration did not reach tol {tol:.1e} in {iters} rounds"
+        f"{where} (relative residual {rel[0]:.1e})")
 
 
 def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
                   start: np.ndarray | None = None,
                   return_vector: bool = False):
-    """Spectral norm of m by block power iteration on m^dagger m.
+    """Spectral norm of a formed matrix m, block_power_norms' batch of one.
 
-    Iterates a block of _NORM_BLOCK (4) orthonormal columns and takes the
-    Rayleigh-Ritz values of m^dagger m on it each round, so the top value
-    converges like (sigma_5 / sigma_1)^(2 k) after k rounds however close
-    sigma_2 sits to sigma_1. Converged once the top Ritz pair (theta, x)
-    has || m^dagger m x - theta x || <= tol * theta, which puts theta
-    within tol * theta of an eigenvalue; raises ConvergenceFailure if
-    that takes more than iters rounds. The deterministic start block can
-    be replaced by a warm start for sequences of nearby matrices: with
-    return_vector the Ritz block, top vector first, comes back for that.
+    Iterates a block of _NORM_BLOCK (4) orthonormal columns on
+    m^dagger m; converged to tol relative or ConvergenceFailure after
+    iters rounds. The deterministic start block can be replaced by a
+    warm start for sequences of nearby matrices: with return_vector the
+    Ritz block, top vector first, comes back for that.
     """
     if not np.all(np.isfinite(m)):
         raise NumericalOverflow("operator_norm of a non-finite matrix")
@@ -120,22 +146,12 @@ def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
         v = start
     else:
         v = _start_block(n)
-    for _ in range(iters):
-        theta, ritz, wy = _ritz_round(m, v)
-        if theta[0] <= 0.0:
-            sigma = 0.0
-            break
-        res = np.linalg.norm(wy[0].conj() - theta[0] * ritz[:, 0])
-        if res <= tol * theta[0]:
-            sigma = float(np.sqrt(theta[0]))
-            v = ritz
-            break
-        v = np.linalg.qr(wy.conj().T)[0]
-    else:
-        raise ConvergenceFailure(
-            f"block power iteration did not reach tol {tol:.1e} in {iters} "
-            f"rounds (relative residual {res / theta[0]:.1e})")
-    return (sigma, v) if return_vector else sigma
+    # m^dagger w through (w^dagger m)^dagger: only the thin side is conjugated
+    sigma, blocks = block_power_norms(
+        lambda active, v: m @ v,
+        lambda active, w: (w.conj().swapaxes(-1, -2) @ m).conj().swapaxes(-1, -2),
+        v[None], iters, tol)
+    return (float(sigma[0]), blocks[0]) if return_vector else float(sigma[0])
 
 
 def rounding_gamma(n: int) -> float:

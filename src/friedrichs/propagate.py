@@ -420,7 +420,8 @@ class WaveBlock:
     with j = offsets[i], Y = [e0, u_1, ..., u_k] and z = Y^dagger omega
     (see _prefix_cores for C_j: rows[i] is its row 0, lower the rest).
     omega is the evolving matrix itself: read it during the call, do not
-    keep or write it.
+    keep or write it. Every other field is the block's own, made for
+    this block alone, and may be kept after the call.
     """
 
     start: int

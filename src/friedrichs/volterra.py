@@ -13,9 +13,10 @@ feed the leak.
 The uniform defect sup_s ||1 - Omega(s)|| takes the wave operator a
 block of steps at a time (propagate.WaveBlock). Each stop of a block is
 bracketed by the Rayleigh-Ritz values of an 8-column block and its
-Frobenius norm, both from products with the block's compact-WY factors,
-so a stop is formed only when its bracket keeps it as a candidate for
-the supremum.
+Frobenius norm, both from products with the block's compact-WY factors.
+The stops whose bracket keeps them as candidates for the supremum are
+settled one block later, together, by block power iteration on the
+same factors, so no stop is ever formed.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalOverflow, ResourceBudgetError
 from .model import FriedrichsModel, check_model_inputs
-from .numutil import (_start_block, block_norms, cumulative_integration_matrix,
-                      gauss_rule, operator_norm, ritz_bounds, rounding_gamma)
+from .numutil import (_start_block, block_norms, block_power_norms,
+                      cumulative_integration_matrix, gauss_rule, operator_norm,
+                      ritz_bounds, rounding_gamma)
 from .oscint import rate_transform
 from .propagate import WaveBlock, evolve_wave_operator
 
@@ -42,8 +44,6 @@ __all__ = [
 
 _MAX_N = 512
 _MAX_ORDER = 4
-#: candidate matrices adiabatic_defect holds before it settles one
-_KEEP = 8
 
 
 def kernel_columns(model: FriedrichsModel, tau: float, t) -> np.ndarray:
@@ -203,8 +203,11 @@ def _stop_products(blk: WaveBlock, a0: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _ritz_block(gram: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The top four Ritz vectors of a stop, from its Gram matrix on basis."""
-    return basis @ np.linalg.eigh(gram)[1][:, :-5:-1]
+    """The top four Ritz vectors of a stop, from its Gram matrix on basis.
+
+    Stacked grams (m, c, c) give the stops' blocks stacked, (m, dim, 4).
+    """
+    return basis @ np.linalg.eigh(gram)[1][..., :-5:-1]
 
 
 def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
@@ -304,6 +307,64 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     return lo, hi, grams, basis, _ritz_block(grams[-1], basis)
 
 
+def _stop_norms(blk: WaveBlock, a0: np.ndarray, stops: np.ndarray,
+                start: np.ndarray) -> np.ndarray:
+    """Exact ||A_j||_2 of some stops of a block, settled together, unformed.
+
+    a0 = 1 - omega at the block's start, stops indexes blk.offsets and
+    start holds each stop's Ritz block (_ritz_block), (len(stops), dim,
+    4). The stops go to numutil.block_power_norms as one batch, each
+    applied from the block's factors:
+
+        A_j V = A_0 V - Y C_j (z V),
+        A_j^dagger W = A_0^dagger W - z^dagger C_j^dagger (Y^dagger W).
+
+    Row 0 of C_j is rows[i]; its rows 1 + a are lower's, kept for the
+    steps a < j and zero after (propagate._prefix_cores), so a (k, m)
+    mask stands in for a stack of cores. With the batch's blocks side by
+    side as (dim, m c) columns, a round takes one GEMM each with A_0,
+    A_0^dagger, z, z^dagger, lower, lower^dagger, u^T and u^*; row 0 of
+    C_j, the one row that differs per stop, enters through a stacked
+    product. Raises ConvergenceFailure naming the stop's step.
+    """
+    js = blk.offsets[stops]
+    rows = blk.rows[stops]
+    u, z, lower = blk.u, blk.z, blk.lower
+    dim, k = len(a0), len(u)
+    before = np.arange(k)[:, None] < js        # (k, m): step a precedes stop i
+    u_conj = u.conj()
+    lower_h = lower.conj().T
+    z_h = z.conj().T
+
+    def side_by_side(v):
+        return np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(dim, -1)
+
+    def product(active, v):
+        m, _, c = v.shape
+        flat = side_by_side(v)
+        zv = (z @ flat).reshape(k + 1, m, c)
+        out = (a0 @ flat).reshape(dim, m, c)
+        out[0] -= (rows[active][:, None, :] @ zv.transpose(1, 0, 2))[:, 0]
+        xv = (lower @ zv.reshape(k + 1, -1)).reshape(k, m, c)
+        xv *= before[:, active, None]
+        out[1:] -= (u.T @ xv.reshape(k, -1)).reshape(dim - 1, m, c)
+        return out.transpose(1, 0, 2)
+
+    def adjoint(active, w):
+        m, _, c = w.shape
+        flat = side_by_side(w)
+        out = (flat.conj().T @ a0).conj().T
+        yw = (u_conj @ flat[1:]).reshape(k, m, c)
+        yw *= before[:, active, None]
+        cyw = (lower_h @ yw.reshape(k, -1)).reshape(k + 1, m, c)
+        cyw += rows[active].conj().T[:, :, None] * flat[0].reshape(m, c)
+        out -= z_h @ cyw.reshape(k + 1, -1)
+        return out.reshape(dim, m, c).transpose(1, 0, 2)
+
+    labels = [f"the stop at step {blk.start + j}" for j in js]
+    return block_power_norms(product, adjoint, start, labels=labels)[0]
+
+
 def adiabatic_defect(model: FriedrichsModel, tau: float,
                      s_grid: np.ndarray | None = None,
                      n_steps: int | None = None) -> float:
@@ -311,24 +372,23 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
 
     The default grid is 200 uniform points in the window plus the frozen
     after-window value. The norms are taken while the wave operator
-    evolves, a block at a time (evolve_wave_operator's on_block), so at
-    most _KEEP + 1 matrices are held, not one per grid point. A block's
-    stops are bracketed together, lo <= ||1 - Omega|| <= hi, without
-    forming them (_block_brackets). The brackets' Frobenius sums also
-    check each stop finite, so a non-finite stop raises NumericalOverflow
-    before a Ritz value is read. Every lower bound of the block raises
-    the best lower bound of the supremum first; then a stop is kept, its
-    matrix formed into a spare buffer with one GEMM
-    (WaveBlock.stop_matrix), only if its hi exceeds that bound. A_0 =
-    1 - Omega at the block's start holds a spare buffer only while the
-    block is bracketed. A kept stop is dropped, its buffer back to the
-    spares, once its hi falls below the bound, which grows with every
-    block and every exact norm. When more than _KEEP are held, the one
-    with the highest hi is settled by block power iteration
-    (numutil.operator_norm from the stop's Ritz block, converged to
-    1e-12 relative or the call fails); the rest are settled at the end,
-    highest hi first. A dropped stop cannot hold the supremum, so the
-    result is the largest exact norm, as if every stop had been settled.
+    evolves, a block at a time (evolve_wave_operator's on_block), and no
+    stop is ever formed. A block's stops are bracketed together, lo <=
+    ||1 - Omega|| <= hi, from the block's factors (_block_brackets). The
+    brackets' Frobenius sums also check each stop finite, so a
+    non-finite stop raises NumericalOverflow before a Ritz value is
+    read. Every lower bound of the block raises the floor, the best
+    lower bound of the supremum. The block's candidates, its stops with
+    hi above the floor, wait one block: A_0 = 1 - Omega at their block's
+    start stays in one of two alternating (dim, dim) buffers, beside the
+    block's own factors. Once the next block's lower bounds have raised
+    the floor, the waiting stops whose hi still exceeds it are settled
+    in one batch (_stop_norms: block power iteration from each stop's
+    Ritz block, converged to 1e-12 relative or the call fails), and
+    their largest norm raises the floor in turn; the last block's
+    candidates are settled after the evolution. A stop left out cannot
+    hold the supremum, so the result is the largest exact norm, as if
+    every stop had been settled.
     """
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
@@ -340,48 +400,40 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         n_steps = 1024
     check_model_inputs(s_grid=s_grid)
     dim = model.dim
-    kept = []                  # (hi, A, warm block) per kept stop
-    spare = []                 # buffers of dropped stops, for reuse
+    buffers = [np.empty((dim, dim), dtype=complex) for _ in range(2)]
     floor = 0.0                # the best lower bound of the supremum
     best = 0.0                 # the largest exact norm
     v = None
+    waiting = None             # (block, A_0, stops, their hi, Ritz blocks)
 
-    def one_minus(omega, out):
-        # negating the float view is exact and several times faster than
-        # negating the complex array
-        np.negative(omega.view(float), out=out.view(float))
-        out.flat[::dim + 1] += 1.0
-
-    def prune():
-        spare.extend(c[1] for c in kept if c[0] < floor)
-        kept[:] = [c for c in kept if c[0] >= floor]
-
-    def settle_highest():
+    def settle():
         nonlocal floor, best
-        _, a, start = kept.pop(max(range(len(kept)), key=lambda i: kept[i][0]))
-        best = max(best, operator_norm(a, start=start))
-        spare.append(a)
-        floor = max(floor, best)
-        prune()
+        blk, a0, stops, hi, start = waiting
+        keep = hi > floor
+        if keep.any():
+            best = max(best, float(_stop_norms(blk, a0, stops[keep],
+                                               start[keep]).max()))
+            floor = max(floor, best)
 
     def take(blk):
-        nonlocal floor, v
-        a0 = spare.pop() if spare else np.empty_like(blk.omega)
-        one_minus(blk.omega, a0)
+        nonlocal floor, v, waiting
+        a0 = buffers[0]
+        buffers.reverse()
+        # negating the float view is exact and several times faster than
+        # negating the complex array
+        np.negative(blk.omega.view(float), out=a0.view(float))
+        a0.flat[::dim + 1] += 1.0
         lo, hi, grams, basis, v = _block_brackets(blk, a0, v)
-        spare.append(a0)
         floor = max(floor, float(lo.max()))
-        prune()
-        for i in range(len(hi)):
-            if hi[i] <= floor:
-                continue
-            a = spare.pop() if spare else np.empty_like(blk.omega)
-            one_minus(blk.stop_matrix(i, a), a)
-            kept.append((float(hi[i]), a, _ritz_block(grams[i], basis)))
-            if len(kept) > _KEEP:
-                settle_highest()
+        if waiting is not None:
+            settle()
+        stops = np.flatnonzero(hi > floor)
+        if len(stops):
+            waiting = (blk, a0, stops, hi[stops], _ritz_block(grams[stops], basis))
+        else:
+            waiting = None
 
     evolve_wave_operator(model, tau, n_steps, record_s=s_grid, on_block=take)
-    while kept:
-        settle_highest()
+    if waiting is not None:
+        settle()
     return float(best)

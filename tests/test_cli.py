@@ -52,6 +52,29 @@ def test_config_error_exits_two(tmp_path):
         assert main(["volterra-check", "--single-tau", tau]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--tau="], "--tau lists no values"),
+    (["sweep", "--tau", " "], "--tau lists no values"),
+    (["sweep", "--tau", QUICK, "--format="], "--format is empty"),
+    (["sweep", "--tau", QUICK, "--out="], "--out is empty"),
+    (["sweep", "--config="], "--config is empty"),
+    (["report", "--manifest", "m.json", "--format="], "--format is empty"),
+    (["report", "--manifest", "m.json", "--out="], "--out is empty"),
+], ids=["simulate-tau", "sweep-tau", "sweep-format", "sweep-out", "sweep-config",
+        "report-format", "report-out"])
+def test_empty_flag_refused_by_name(argv, message, tmp_path, monkeypatch, capsys,
+                                    manifest_payload):
+    # an empty value is an error, not the flag left out: nothing runs and
+    # nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(manifest_payload))
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["m.json"]
+
+
 @pytest.mark.parametrize("p", ["-5", "0", "100,0"])
 def test_fourier_check_refuses_nonpositive_p_before_output(p, capsys):
     assert main(["fourier-check", "--p", p]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from friedrichs.errors import ConvergenceFailure, NumericalOverflow
-from friedrichs.numutil import operator_norm
+from friedrichs.numutil import _start_block, block_power_norms, operator_norm
 
 from oracles import norm_bracket
 
@@ -44,6 +44,35 @@ class TestOperatorNorm:
         m[1, 2] = np.nan
         with pytest.raises(NumericalOverflow):
             operator_norm(m)
+
+
+class TestBlockPowerNorms:
+    @staticmethod
+    def _products(mats):
+        return (lambda active, v: mats[active] @ v,
+                lambda active, w: mats[active].conj().swapaxes(-1, -2) @ w)
+
+    def test_batch_matches_svd(self):
+        # operators leave the batch at different rounds; each norm and
+        # Ritz block lands in its own slot
+        tops = ([1.0, 0.96, 0.3, 0.25], [2.0, 0.1, 0.1, 0.1], [1.0, 0.5, 0.5, 0.5])
+        tail = np.linspace(0.2, 0.01, 36)
+        mats = np.stack([_with_singular_values(np.concatenate((top, tail)), seed=i)
+                         for i, top in enumerate(tops)])
+        start = np.stack([_start_block(40)] * 3)
+        sigma, blocks = block_power_norms(*self._products(mats), start)
+        np.testing.assert_allclose(sigma, [top[0] for top in tops], rtol=1e-12)
+        for m, nrm, v in zip(mats, sigma, blocks):
+            assert abs(np.linalg.norm(m @ v[:, 0]) - nrm) <= 1e-12 * nrm
+
+    def test_failure_names_the_unconverged_operator(self):
+        slow = _with_singular_values(np.concatenate(
+            ([1.0, 0.999, 0.998, 0.997, 0.996], np.full(20, 0.995))))
+        mats = np.stack([np.diag(np.arange(25.0, 0.0, -1.0)), slow])
+        start = np.stack([np.eye(25, 4)] * 2)
+        with pytest.raises(ConvergenceFailure, match="in 3 rounds for second "):
+            block_power_norms(*self._products(mats), start, iters=3,
+                              labels=["first", "second"])
 
 
 class TestNormBracket:

@@ -319,6 +319,89 @@ class TestAdiabaticDefect:
         def failing(*args, **kwargs):
             raise ConvergenceFailure("planted")
 
-        monkeypatch.setattr(volterra, "operator_norm", failing)
+        monkeypatch.setattr(volterra, "block_power_norms", failing)
         with pytest.raises(ConvergenceFailure, match="planted"):
             adiabatic_defect(model_b15_small, 200.0, n_steps=1024)
+
+
+class TestBatchedSettle:
+    """The defect settles a block's candidates together, one block late.
+
+    volterra._stop_norms applies each stop from its block's factors and
+    hands the batch to numutil.block_power_norms; no stop is formed.
+    """
+
+    @staticmethod
+    def _record_settled(monkeypatch):
+        from friedrichs import volterra
+
+        settled, batches = {}, []
+        stop_norms = volterra._stop_norms
+
+        def recording(blk, a0, stops, start):
+            steps = (blk.start + blk.offsets[stops]).tolist()
+            batches.append(steps)
+            out = stop_norms(blk, a0, stops, start)
+            settled.update(zip(steps, out))
+            return out
+
+        monkeypatch.setattr(volterra, "_stop_norms", recording)
+        return settled, batches
+
+    @pytest.mark.parametrize("model_name,tau,grid", [
+        ("model_defect", DEFECT_TAUS[0], None),
+        ("model_defect", DEFECT_TAUS[-1], None),
+        ("model_b15_small", 200.0, cosine_graded_edges(0.0, 1.0, 80)),
+    ])
+    def test_matches_list_mode_norms(self, request, model_name, tau, grid,
+                                     monkeypatch):
+        model = request.getfixturevalue(model_name)
+        grid = np.linspace(0.0, 1.0, 201) if grid is None else grid
+        settled, _ = self._record_settled(monkeypatch)
+        got = adiabatic_defect(model, tau, s_grid=grid, n_steps=1024)
+        assert got == max(settled.values())
+        s, omegas, _ = evolve_wave_operator(model, tau, 1024, grid)
+        want = {round(t * 1024): np.linalg.norm(np.eye(model.dim) - omega, 2)
+                for t, omega in zip(s, omegas)}
+        assert settled
+        for step, nrm in settled.items():
+            assert abs(nrm - want[step]) <= 1e-13 * want[step], step
+
+    @pytest.mark.parametrize("tau,most_norms", zip(DEFECT_TAUS, (35, 36, 34, 31)))
+    def test_streaming_forms_no_stop(self, model_defect, tau, most_norms,
+                                     monkeypatch):
+        from friedrichs import propagate
+
+        formed = []
+        stop_matrix = propagate.WaveBlock.stop_matrix
+
+        def counting(self, i, out):
+            formed.append(i)
+            return stop_matrix(self, i, out)
+
+        monkeypatch.setattr(propagate.WaveBlock, "stop_matrix", counting)
+        settled, batches = self._record_settled(monkeypatch)
+        adiabatic_defect(model_defect, tau, n_steps=1024)
+        assert formed == []
+        assert len(settled) <= most_norms
+        assert len(batches) <= 3
+        # the list mode still forms every stop through stop_matrix
+        evolve_wave_operator(model_defect, tau, 1024, np.linspace(0.0, 1.0, 201))
+        assert len(formed) == 201
+
+    def test_non_convergence_names_the_stop(self, model_b15_small, monkeypatch):
+        # one round cannot settle every stop of the first batch; the
+        # failure names a stop of that batch by its step, and no later
+        # batch is started
+        from functools import partial
+
+        from friedrichs import numutil, volterra
+
+        _, batches = self._record_settled(monkeypatch)
+        monkeypatch.setattr(volterra, "block_power_norms",
+                            partial(numutil.block_power_norms, iters=1))
+        with pytest.raises(ConvergenceFailure,
+                           match=r"in 1 rounds for the stop at step (\d+) ") as err:
+            adiabatic_defect(model_b15_small, 200.0, n_steps=1024)
+        step = int(err.value.args[0].split("at step ")[1].split()[0])
+        assert len(batches) == 1 and step in batches[0]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigurationError, FriedrichsError
 from . import sweep as sweep_mod
 from .sweep import (build_model_from_config, emit_report, load_config_file,
-                    load_manifest, resolve_config, run_sweep)
+                    load_manifest, resolve_config, run_sweep, uncalibrated_steps)
 
 _CHECK_FAIL = 4
 
@@ -81,11 +81,11 @@ def _config_from_args(args) -> sweep_mod.SweepConfig:
 
 
 def _cmd_simulate(args) -> int:
-    from .propagate import evolve_true, steps_for
+    from .propagate import evolve_true
     cfg = _config_from_args(args)
     model = build_model_from_config(cfg)
     tau = cfg.tau_values[0] if args.single_tau is None else args.single_tau
-    n = max(cfg.window_samples, steps_for(cfg.max_step))
+    n = uncalibrated_steps(cfg)
     tr = evolve_true(model, tau, n, cfg.drift_tolerance)
     print(f"# tau={tau} steps={tr.n_window_steps} "
           f"drift={tr.unitarity_drift:.3e}")
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="full tau sweep with slope fits")
     _add_common(p)
     p.add_argument("--check", action="store_true",
-                   help="exit 4 unless all configured checks pass")
+                   help="exit 4 unless every check passes")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fourier-check", help="bump transform vs asymptotics")

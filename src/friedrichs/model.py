@@ -107,8 +107,6 @@ class SwitchingProfile:
     Instances are immutable: plain data plus methods.
     """
 
-    support = (0.0, 1.0)
-
     def __init__(self, theta_total: float):
         if theta_total < 0.0:
             raise ConfigurationError("theta_total must be nonnegative")

@@ -10,6 +10,9 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .errors import ConvergenceFailure, NumericalOverflow
 
 _NORM_BLOCK = 4
+#: block power iteration: relative residual to converge to, and round cap
+_POWER_TOL = 1e-12
+_POWER_ROUNDS = 300
 
 
 @lru_cache(maxsize=32)
@@ -84,8 +87,7 @@ def _start_block(n: int) -> np.ndarray:
     return np.linalg.qr(np.cos(0.7 * c * j) + 1j * np.sin(0.3 * j + 0.1 * c))[0]
 
 
-def block_power_norms(product, adjoint, start: np.ndarray, iters: int = 300,
-                      tol: float = 1e-12, labels=None):
+def block_power_norms(product, adjoint, start: np.ndarray, labels=None):
     """Spectral norms of a batch of operators by block power iteration.
 
     Operator i is given only by its two products: product(active, v)
@@ -96,18 +98,19 @@ def block_power_norms(product, adjoint, start: np.ndarray, iters: int = 300,
     with stacked eigh, so the top value converges like
     (sigma_{c+1} / sigma_1)^(2 k) after k rounds however close sigma_2
     sits to sigma_1. Operator i leaves the batch once its top Ritz pair
-    (theta, x) has || A^dagger A x - theta x || <= tol * theta, which
-    puts theta within tol * theta of an eigenvalue; the rest move on to
-    the stacked QR of their next power step. Raises ConvergenceFailure,
-    naming labels[i] when given, if an operator is still in the batch
-    after iters rounds. Returns (sigma, blocks): the norms and the Ritz
-    blocks they converged on, top vector first.
+    (theta, x) has || A^dagger A x - theta x || <= tol * theta, tol =
+    _POWER_TOL (1e-12), which puts theta within tol * theta of an
+    eigenvalue; the rest move on to the stacked QR of their next power
+    step. Raises ConvergenceFailure, naming labels[i] when given, if an
+    operator is still in the batch after _POWER_ROUNDS (300) rounds.
+    Returns (sigma, blocks): the norms and the Ritz blocks they
+    converged on, top vector first.
     """
     sigma = np.empty(len(start))
     blocks = np.empty(start.shape, dtype=complex)
     active = np.arange(len(start))
     v = start
-    for _ in range(iters):
+    for _ in range(_POWER_ROUNDS):
         b = product(active, v)
         theta, y = np.linalg.eigh(b.conj().swapaxes(-1, -2) @ b)
         theta, y = theta[:, ::-1], y[:, :, ::-1]
@@ -115,7 +118,7 @@ def block_power_norms(product, adjoint, start: np.ndarray, iters: int = 300,
         w = adjoint(active, b @ y)           # A^dagger A on the Ritz block
         top = theta[:, 0]
         res = np.linalg.norm(w[:, :, 0] - top[:, None] * ritz[:, :, 0], axis=1)
-        done = (top <= 0.0) | (res <= tol * top)
+        done = (top <= 0.0) | (res <= _POWER_TOL * top)
         sigma[active[done]] = np.sqrt(np.maximum(top[done], 0.0))
         blocks[active[done]] = ritz[done]
         if done.all():
@@ -124,34 +127,25 @@ def block_power_norms(product, adjoint, start: np.ndarray, iters: int = 300,
         rel = res[~done] / top[~done]
     where = "" if labels is None else f" for {labels[active[0]]}"
     raise ConvergenceFailure(
-        f"block power iteration did not reach tol {tol:.1e} in {iters} rounds"
+        f"block power iteration did not reach tol {_POWER_TOL:.1e} in "
+        f"{_POWER_ROUNDS} rounds"
         f"{where} (relative residual {rel[0]:.1e})")
 
 
-def operator_norm(m: np.ndarray, iters: int = 300, tol: float = 1e-12,
-                  start: np.ndarray | None = None,
-                  return_vector: bool = False):
+def operator_norm(m: np.ndarray) -> float:
     """Spectral norm of a formed matrix m, block_power_norms' batch of one.
 
     Iterates a block of _NORM_BLOCK (4) orthonormal columns on
-    m^dagger m; converged to tol relative or ConvergenceFailure after
-    iters rounds. The deterministic start block can be replaced by a
-    warm start for sequences of nearby matrices: with return_vector the
-    Ritz block, top vector first, comes back for that.
+    m^dagger m from the deterministic start block.
     """
     if not np.all(np.isfinite(m)):
         raise NumericalOverflow("operator_norm of a non-finite matrix")
-    n = m.shape[1]
-    if start is not None and start.shape == (n, min(_NORM_BLOCK, n)):
-        v = start
-    else:
-        v = _start_block(n)
     # m^dagger w through (w^dagger m)^dagger: only the thin side is conjugated
-    sigma, blocks = block_power_norms(
+    sigma, _ = block_power_norms(
         lambda active, v: m @ v,
         lambda active, w: (w.conj().swapaxes(-1, -2) @ m).conj().swapaxes(-1, -2),
-        v[None], iters, tol)
-    return (float(sigma[0]), blocks[0]) if return_vector else float(sigma[0])
+        _start_block(m.shape[1])[None])
+    return float(sigma[0])
 
 
 def rounding_gamma(n: int) -> float:

@@ -42,8 +42,9 @@ __all__ = [
 #: absolute floor below which double-precision cancellation dominates
 CANCELLATION_FLOOR = 1e-15
 
-_DEFAULT_PANELS = 64
-_DEFAULT_DEGREE = 10
+#: filon_integral's cosine-graded panels and Legendre degree per panel
+_FILON_PANELS = 64
+_FILON_DEGREE = 10
 
 #: |w| up to here takes the power series; its terms stay below 1.1, so
 #: cancellation costs a few ulps at most
@@ -124,29 +125,30 @@ def fourier_legendre_moments(w, degree: int) -> np.ndarray:
     return two_i_pow * _spherical_jn(w, degree)
 
 
-def filon_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                   p, n_panels: int = _DEFAULT_PANELS,
-                   degree: int = _DEFAULT_DEGREE):
+def filon_integral(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, p):
     """int_a^b f(t) exp(i p t) dt with f smooth and p arbitrary.
 
-    Cosine-graded panels cluster near both endpoints, which suits factors
-    that flatten steeply there (bump functions). p may be an array: f's
-    Legendre coefficients do not depend on p, so every p shares them and
-    one moment call covers all (p, panel) pairs. Returns a complex for a
-    scalar p and an array of p's shape otherwise.
+    _FILON_PANELS (64) cosine-graded panels cluster near both endpoints,
+    which suits factors that flatten steeply there (bump functions); on
+    each, f is projected onto Legendre polynomials up to _FILON_DEGREE
+    (10). p may be an array: f's Legendre coefficients do not depend on
+    p, so every p shares them and one moment call covers all (p, panel)
+    pairs. Returns a complex for a scalar p and an array of p's shape
+    otherwise.
     """
     p_arr = np.asarray(p, dtype=float)
     vals = np.zeros(p_arr.shape, dtype=complex)
     if b > a:
-        edges = cosine_graded_edges(a, b, n_panels)
-        x, _, analysis = legendre_projection(degree + 1)
+        edges = cosine_graded_edges(a, b, _FILON_PANELS)
+        x, _, analysis = legendre_projection(_FILON_DEGREE + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
         # nodes for all panels at once: t[m, i] = mid_m + half_m * x_i
         t = mid[:, None] + half[:, None] * x[None, :]
-        coeffs = analysis @ f(t.ravel()).reshape(t.shape).T  # (degree+1, n_panels)
+        coeffs = analysis @ f(t.ravel()).reshape(t.shape).T  # (degree + 1, panels)
         pv = p_arr.reshape(-1, 1)
-        moments = fourier_legendre_moments(pv * half, degree)  # (len(p), n_panels, degree+1)
+        # (len(p), panels, degree + 1)
+        moments = fourier_legendre_moments(pv * half, _FILON_DEGREE)
         panel_vals = np.einsum("pmq,qm->pm", moments, coeffs)
         vals = np.sum(half * np.exp(1j * pv * mid) * panel_vals,
                       axis=-1).reshape(p_arr.shape)

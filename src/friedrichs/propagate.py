@@ -87,6 +87,9 @@ __all__ = [
 _MAGNUS_DEGREE = 8
 _RESEED_STEPS = 64
 _AUTO_STEPS = 512
+#: largest norm drift a run may reach; evolve_true's default, and
+#: evolve_wave_operator's bound
+_DRIFT_TOLERANCE = 1e-9
 
 
 def steps_for(max_step: float | None) -> int:
@@ -134,7 +137,6 @@ class TrajectoryBatch:
 
     # perfbench's tracer reads n_window_steps and unitarity_drift of what
     # evolve_true returns (this or a Trajectory) to count propagate.steps
-    taus: tuple[float, ...]
     results: list
     n_window_steps: int
 
@@ -302,7 +304,7 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
 
 
 def evolve_true(model: FriedrichsModel, tau, n_steps: int,
-                drift_tolerance: float = 1e-9):
+                drift_tolerance: float = _DRIFT_TOLERANCE):
     """Integrate the driven dynamics from the bound state e0 at s = 0.
 
     The window [0, 1] is covered by n_steps uniform steps, and the leak
@@ -324,8 +326,8 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
 
     results = _evolve_rows(model, taus, n_steps, drift_tolerance)
     if np.ndim(tau) == 0:
-        return TrajectoryBatch((float(tau),), results, n_steps).trajectories()[0]
-    return TrajectoryBatch(tuple(taus.tolist()), results, n_steps)
+        return TrajectoryBatch(results, n_steps).trajectories()[0]
+    return TrajectoryBatch(results, n_steps)
 
 
 def _total_norm_dev(state: np.ndarray) -> float:
@@ -467,7 +469,7 @@ def _evolve_block(mat: np.ndarray, start: int, u: np.ndarray, cos_m1: np.ndarray
 # perfbench's tracer reads n_steps (third argument or keyword) and the drift
 # result[2] to count propagate.wave_steps; keep both where they are
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
-                         record_s: np.ndarray, drift_tolerance: float = 1e-9,
+                         record_s: np.ndarray,
                          on_block: Callable[[WaveBlock], None] | None = None):
     """Evolve the full basis in the interaction frame; the matrix at time s
     is the wave operator comparing true and frame dynamics.
@@ -480,8 +482,9 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     prefix's update (_prefix_cores, WaveBlock.stop_matrix). A non-finite
     rotation makes its block's factor non-finite. Drift and finiteness
     are checked at every block end, so at least every 64 steps and at
-    the last step. Returns (actual record times snapped to
-    the grid, list of matrices, drift).
+    the last step; a drift above _DRIFT_TOLERANCE (1e-9) raises
+    IntegrationFailure. Returns (actual record times snapped to the
+    grid, list of matrices, drift).
 
     With on_block, each block that holds record stops is handed over
     once, as a WaveBlock, before the matrix moves past it, and the list
@@ -514,7 +517,7 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
         if not np.isfinite(dev):
             raise NumericalOverflow(f"non-finite propagator at step {start + k}")
         drift = max(drift, dev)
-    if drift > drift_tolerance:
+    if drift > _DRIFT_TOLERANCE:
         raise IntegrationFailure(
-            f"propagator drift {drift:.3e} exceeds {drift_tolerance:.1e}", drift)
+            f"propagator drift {drift:.3e} exceeds {_DRIFT_TOLERANCE:.1e}", drift)
     return np.array(s_out), out, drift

@@ -34,6 +34,7 @@ __all__ = [
     "resolve_config",
     "config_hash",
     "build_model_from_config",
+    "uncalibrated_steps",
     "run_sweep",
     "fit_powerlaw",
     "evaluate_checks",
@@ -75,13 +76,6 @@ _SCHEMA = {
         "formats": ("str_list", ("csv", "json")),
         "jobs": ("int", 1),
     },
-    "check": {
-        "probe_slope": ("float_or_auto_or_none", "auto"),
-        "probe_tol": ("float_or_auto", "auto"),
-        "probe_slope_max": ("float_or_auto_or_none", "auto"),
-        "window_slope": ("float_or_auto_or_none", "auto"),
-        "window_tol": ("float_or_auto", "auto"),
-    },
 }
 
 
@@ -107,11 +101,6 @@ class SweepConfig:
     directory: str
     formats: tuple[str, ...]
     jobs: int    # accepted for compatibility; has no effect
-    probe_slope: float | None
-    probe_tol: float
-    probe_slope_max: float | None
-    window_slope: float | None
-    window_tol: float
 
 
 @dataclass
@@ -168,11 +157,6 @@ def _parse_value(tag: str, raw, where: str):
             if text.lower() == "auto":
                 return "auto"
             return float(text) if tag.startswith("float") else int(text)
-        if tag == "float_or_auto_or_none":
-            low = text.lower()
-            if low in ("auto", "none"):
-                return low
-            return float(text)
         if tag == "float_list":
             return tuple(float(v) for v in text.replace(",", " ").split())
         if tag == "str_list":
@@ -186,10 +170,12 @@ def load_config_file(path: str) -> dict:
     """Parse the flat key = value config file with bracketed sections.
 
     Unknown sections or keys are errors; values are validated on resolve.
+    A '#' after whitespace starts a comment, also after a value.
     """
     import configparser
 
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -211,8 +197,7 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     """Apply defaults, overrides, and the auto rules; validate everything.
 
     Auto rules: the grid is graded by ratio-2 panels from k_max down to
-    at most 0.01/max(tau); check expectations follow the configured beta
-    and gap.
+    at most 0.01/max(tau).
     """
     raw = raw or {}
     values: dict = {}
@@ -278,25 +263,6 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     if values["max_step"] == "auto":
         values["max_step"] = None
     steps_for(values["max_step"])   # rejects max_step <= 0
-
-    beta, gap = values["beta"], values["gap_shift"]
-    if values["probe_slope"] == "auto":
-        values["probe_slope"] = None if gap > 0.0 else -beta
-    elif values["probe_slope"] == "none":
-        values["probe_slope"] = None
-    if values["probe_tol"] == "auto":
-        values["probe_tol"] = 0.15 if beta == 1.0 else (0.10 if beta < 1.0 else 0.12)
-    if values["probe_slope_max"] == "auto":
-        values["probe_slope_max"] = -2.5 if gap > 0.0 else None
-    elif values["probe_slope_max"] == "none":
-        values["probe_slope_max"] = None
-    if values["window_slope"] == "auto":
-        values["window_slope"] = -1.0 if gap > 0.0 else -min(beta, 1.0)
-    elif values["window_slope"] == "none":
-        values["window_slope"] = None
-    if values["window_tol"] == "auto":
-        values["window_tol"] = 0.15
-
     return SweepConfig(**values)
 
 
@@ -375,6 +341,12 @@ class _TrajectoryCache:
         return [self.records[(n_steps, t)] for t in taus]
 
 
+def uncalibrated_steps(cfg: SweepConfig) -> int:
+    """Step count of an uncalibrated run: max_step's (512 when auto), at
+    least window_samples. Calibration starts from it."""
+    return max(cfg.window_samples, steps_for(cfg.max_step))
+
+
 def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, dict]:
     """Refine the step count until halving moves probe leaks below tolerance.
 
@@ -383,9 +355,9 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
     serves every tau. The first candidate step count runs every tau, so
     that production finds its records in the cache when that count is
     accepted; the halved steps run the two ends. Uncalibrated, the step
-    count is max_step's (512 when auto), at least window_samples.
+    count is uncalibrated_steps(cfg).
     """
-    steps = max(cfg.window_samples, steps_for(cfg.max_step))
+    steps = uncalibrated_steps(cfg)
     if not cfg.calibrate:
         return steps, {"calibrated": False, "n_steps": steps}
     taus = (cfg.tau_values[0], cfg.tau_values[-1])
@@ -415,7 +387,7 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
-    """Evolve every tau, fit the tails, and evaluate configured checks.
+    """Evolve every tau, fit the tails, and evaluate the checks.
 
     Step calibration and production draw their records from one cache
     by step count and tau (_TrajectoryCache.get), so production runs
@@ -481,28 +453,36 @@ def fit_powerlaw(points) -> FitResult:
                      max_abs_residual=float(np.max(np.abs(resid))), n_points=n)
 
 
+def _slope_check(fit: FitResult | None, expected: float, tol: float) -> dict:
+    return {"value": None if fit is None else fit.slope, "expected": expected,
+            "tol": tol,
+            "pass": fit is not None and abs(fit.slope - expected) <= tol}
+
+
 def evaluate_checks(cfg: SweepConfig, fits: dict) -> dict:
-    """Compare fitted slopes against the configured expectations."""
-    checks = {}
+    """Compare fitted slopes with the expectations beta and gap_shift fix.
+
+    At threshold (gap_shift = 0) the probe leak falls like tau^-beta,
+    within 0.12 (0.10 for beta < 1, 0.15 at beta = 1, where the tail
+    carries a logarithmic factor), and the in-window supremum like
+    tau^-min(beta, 1). With a gap the probe leak collapses at least as
+    fast as tau^-2.5 and the supremum keeps the 1/tau rate. Window
+    slopes are held to 0.15. A slope without a fit fails its check.
+    """
+    beta = cfg.beta
     probe_fit = fits.get("leak_probe")
-    window_fit = fits.get("sup_leak_window")
-    if cfg.probe_slope is not None:
-        ok = (probe_fit is not None
-              and abs(probe_fit.slope - cfg.probe_slope) <= cfg.probe_tol)
-        checks["probe_slope"] = {
-            "value": None if probe_fit is None else probe_fit.slope,
-            "expected": cfg.probe_slope, "tol": cfg.probe_tol, "pass": bool(ok)}
-    if cfg.probe_slope_max is not None:
-        ok = probe_fit is not None and probe_fit.slope <= cfg.probe_slope_max
+    checks = {}
+    if cfg.gap_shift == 0.0:
+        tol = 0.15 if beta == 1.0 else (0.10 if beta < 1.0 else 0.12)
+        checks["probe_slope"] = _slope_check(probe_fit, -beta, tol)
+        window_slope = -min(beta, 1.0)
+    else:
         checks["probe_slope_max"] = {
             "value": None if probe_fit is None else probe_fit.slope,
-            "max": cfg.probe_slope_max, "pass": bool(ok)}
-    if cfg.window_slope is not None:
-        ok = (window_fit is not None
-              and abs(window_fit.slope - cfg.window_slope) <= cfg.window_tol)
-        checks["window_slope"] = {
-            "value": None if window_fit is None else window_fit.slope,
-            "expected": cfg.window_slope, "tol": cfg.window_tol, "pass": bool(ok)}
+            "max": -2.5, "pass": probe_fit is not None and probe_fit.slope <= -2.5}
+        window_slope = -1.0
+    checks["window_slope"] = _slope_check(fits.get("sup_leak_window"),
+                                          window_slope, 0.15)
     return checks
 
 
@@ -596,12 +576,19 @@ def render_svg(result: SweepResult) -> str:
 
 
 def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -> dict:
-    """Write the requested formats; returns {format: path}. I/O errors
-    propagate as OSError."""
+    """Write the requested formats; returns {format: path}.
+
+    formats or out_dir left as None take the config's; an empty one
+    raises ConfigurationError before anything is written. I/O errors
+    propagate as OSError.
+    """
     import os
 
-    formats = tuple(formats) if formats else result.config.formats
-    out_dir = out_dir or result.config.directory
+    formats = result.config.formats if formats is None else tuple(formats)
+    out_dir = result.config.directory if out_dir is None else out_dir
+    for name, value in (("formats", formats), ("out_dir", out_dir)):
+        if not value:
+            raise ConfigurationError(f"emit_report: {name} is empty")
     os.makedirs(out_dir, exist_ok=True)
     renderers = {"csv": (render_csv, "sweep.csv"),
                  "json": (render_manifest, "manifest.json"),

@@ -63,15 +63,7 @@ class WaveOperatorSeries:
     """Iterated-integral terms of the wave operator at one evaluation time."""
 
     terms: list[np.ndarray]        # terms[i] at s_eval; terms[0] = identity
-    tau: float
-    quad_order: int
-    s_eval: float
     n_panels: int
-    term_sup_norms: list[float]    # sup over panel ends of ||term_i(s)||
-
-    def partial_sum(self, up_to: int | None = None) -> np.ndarray:
-        k = len(self.terms) if up_to is None else up_to + 1
-        return sum(self.terms[:k])
 
     def parity_defects(self) -> list[float]:
         """Relative norms of the wrong-parity blocks per term (term 1 on)."""
@@ -131,8 +123,6 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
     edges = np.linspace(0.0, u, n_panels + 1)
     starts = [np.eye(dim, dtype=complex)] + \
         [np.zeros((dim, dim), dtype=complex) for _ in range(max_order)]
-    sup_norms = [1.0] + [0.0] * max_order
-    warm = [None] * (max_order + 1)
 
     for p in range(n_panels):
         a, b = edges[p], edges[p + 1]
@@ -152,13 +142,9 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
             new_kc = col.conj() @ start[1:] + half * (cum_g @ row0)
             start[0] -= half * (w @ kc)
             start[1:] += half * (col_w @ row0)
-            sup, warm[i] = operator_norm(start, start=warm[i], return_vector=True)
-            sup_norms[i] = max(sup_norms[i], sup)
             row0, kc = new_row0, new_kc
 
-    return WaveOperatorSeries(terms=starts, tau=tau, quad_order=quad_order,
-                              s_eval=float(s_eval), n_panels=n_panels,
-                              term_sup_norms=sup_norms)
+    return WaveOperatorSeries(terms=starts, n_panels=n_panels)
 
 
 def first_order_tail(model: FriedrichsModel, tau: float) -> tuple[np.ndarray, float]:

@@ -333,19 +333,21 @@ def backward_walk_defect(model, tau, s_grid=None, n_steps=1024):
     """
     import math
 
-    from friedrichs.numutil import operator_norm
+    from friedrichs.numutil import _start_block, block_power_norms
     from friedrichs.propagate import evolve_wave_operator
 
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 201)
     s_out, mats, _ = evolve_wave_operator(model, tau, n_steps, record_s=s_grid)
-    best, s_best, v = 0.0, None, None
+    best, s_best, v = 0.0, None, _start_block(model.dim)
     for s, omega in zip(s_out[::-1], reversed(mats)):
         np.negative(omega, out=omega)        # 1 - Omega, in place
         omega.flat[::model.dim + 1] += 1.0
         if math.sqrt(np.vdot(omega, omega).real) <= best:
             continue
-        nrm, v = operator_norm(omega, start=v, return_vector=True)
+        sigma, blocks = block_power_norms(lambda _, x: omega @ x,
+                                          lambda _, w: omega.conj().T @ w, v[None])
+        nrm, v = float(sigma[0]), blocks[0]
         if nrm > best:
             best, s_best = nrm, float(s)
     return best, s_best

@@ -22,14 +22,21 @@ def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
     assert "check probe_slope: PASS" in text
 
 
-def test_sweep_check_failure_exits_four(tmp_path):
-    # demand an absurd slope so the check must fail
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("[check]\nprobe_slope = -9.0\nprobe_tol = 0.01\n"
-                   "[output]\nformats = csv\n")
-    code = main(["sweep", "--config", str(cfg), "--tau", QUICK,
+def test_sweep_check_failure_exits_four(tmp_path, capsys):
+    # three taus leave no fit, so the slope checks cannot pass
+    code = main(["sweep", "--tau", "100,316.2,1000", "--format", "csv",
                  "--out", str(tmp_path / "o"), "--check"])
     assert code == 4
+    assert "check probe_slope: FAIL" in capsys.readouterr().out
+
+
+def test_check_section_exits_two(tmp_path, capsys):
+    # the check expectations follow beta and gap_shift; no key sets them
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[check]\nprobe_slope = -9.0\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config section [check]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_error_exits_two(tmp_path):

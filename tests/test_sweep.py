@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import re
 from dataclasses import replace
 import xml.etree.ElementTree as ET
 
@@ -8,11 +10,20 @@ import pytest
 
 from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
-from friedrichs.sweep import (CSV_COLUMNS, config_hash, emit_report,
-                              fit_powerlaw, load_config_file, load_manifest,
-                              render_csv, render_svg, resolve_config, run_sweep)
+from friedrichs.sweep import (CSV_COLUMNS, FitResult, config_hash, emit_report,
+                              evaluate_checks, fit_powerlaw, load_config_file,
+                              load_manifest, render_csv, render_svg,
+                              resolve_config, run_sweep)
 
 QUICK_TAUS = (100.0, 316.22776601683796, 1000.0, 3162.2776601683795)
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _slopes(probe, window):
+    """Fits with the given slopes and nothing else that evaluate_checks reads."""
+    return {name: FitResult(slope=slope, intercept=0.0, slope_stderr=0.0,
+                            max_abs_residual=0.0, n_points=5)
+            for name, slope in (("leak_probe", probe), ("sup_leak_window", window))}
 
 
 @pytest.fixture(scope="module")
@@ -60,18 +71,38 @@ class TestConfig:
         assert cfg.n_panels == 20
         assert cfg.k_min == 2.0 ** -20
         assert cfg.k_min <= 0.01 / max(cfg.tau_values)
-        assert cfg.probe_slope == -1.5 and cfg.probe_slope_max is None
+        assert evaluate_checks(cfg, _slopes(-1.4, -1.0)) == {
+            "probe_slope": {"value": -1.4, "expected": -1.5, "tol": 0.12,
+                            "pass": True},
+            "window_slope": {"value": -1.0, "expected": -1.0, "tol": 0.15,
+                             "pass": True}}
 
     def test_gapped_auto_checks(self):
         cfg = resolve_config({}, gap_shift=1.0, tau_values=(100., 200., 400., 1000.))
-        assert cfg.probe_slope is None
-        assert cfg.probe_slope_max == -2.5
-        assert cfg.window_slope == -1.0
+        assert evaluate_checks(cfg, _slopes(-2.4, -1.2)) == {
+            "probe_slope_max": {"value": -2.4, "max": -2.5, "pass": False},
+            "window_slope": {"value": -1.2, "expected": -1.0, "tol": 0.15,
+                             "pass": False}}
 
     def test_sub_unit_beta_auto_checks(self):
         cfg = resolve_config({}, beta=0.5)
-        assert cfg.probe_slope == -0.5 and cfg.probe_tol == 0.10
-        assert cfg.window_slope == -0.5
+        assert evaluate_checks(cfg, {}) == {
+            "probe_slope": {"value": None, "expected": -0.5, "tol": 0.10,
+                            "pass": False},
+            "window_slope": {"value": None, "expected": -0.5, "tol": 0.15,
+                             "pass": False}}
+        tols = {beta: evaluate_checks(resolve_config({}, beta=beta), {})
+                ["probe_slope"]["tol"] for beta in (0.75, 1.0, 1.25)}
+        assert tols == {0.75: 0.10, 1.0: 0.15, 1.25: 0.12}
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        # the documented block, inline comments and all, parses to exactly
+        # the defaults it lists
+        text = open(README, encoding="utf-8").read()
+        block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert resolve_config(load_config_file(str(path))) == resolve_config({})
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -94,7 +125,7 @@ class TestConfig:
         assert cfg.beta == 1.25
         assert cfg.tau_values == (100.0, 1000.0, 10000.0, 100000.0)
         assert cfg.formats == ("csv",)
-        assert cfg.probe_slope == -1.25
+        assert evaluate_checks(cfg, {})["probe_slope"]["expected"] == -1.25
 
     def test_under_resolved_k_min_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -185,6 +216,19 @@ class TestOutputs:
                      if el.tag.endswith("polyline")]
         assert len(polylines) == 4  # two data series + two fitted lines
 
+    def test_manifest_with_retired_check_keys_refused(self, quick_result,
+                                                      tmp_path):
+        paths = emit_report(quick_result, formats=("json",), out_dir=str(tmp_path))
+        payload = json.loads(open(paths["json"]).read())
+        retired = ("probe_slope", "probe_tol", "probe_slope_max",
+                   "window_slope", "window_tol")
+        payload["config"].update(dict.fromkeys(retired, None))
+        with open(paths["json"], "w") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ConfigurationError,
+                           match="config: unknown keys " + ", ".join(sorted(retired))):
+            load_manifest(paths["json"])
+
     def test_reemission_reproduces_csv(self, quick_result, tmp_path):
         paths = emit_report(quick_result, formats=("csv", "json"),
                             out_dir=str(tmp_path / "a"))
@@ -192,6 +236,20 @@ class TestOutputs:
         again = emit_report(reloaded, formats=("csv",),
                             out_dir=str(tmp_path / "b"))
         assert open(paths["csv"], "rb").read() == open(again["csv"], "rb").read()
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"formats": (), "out_dir": "x"}, "formats"),
+        ({"formats": ("csv",), "out_dir": ""}, "out_dir")])
+    def test_empty_argument_refused(self, quick_result, tmp_path, monkeypatch,
+                                    kwargs, name):
+        # empty is not None: the config's formats and directory are not
+        # taken in its place, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        result = replace(quick_result, config=replace(
+            quick_result.config, directory=str(tmp_path / "cfgdir")))
+        with pytest.raises(ConfigurationError, match=f"{name} is empty"):
+            emit_report(result, **kwargs)
+        assert os.listdir(tmp_path) == []
 
     def test_unwritable_directory_raises(self, quick_result):
         with pytest.raises(OSError):

@@ -99,12 +99,37 @@ class TestSeries:
 
     def test_higher_terms_bounded_by_defect_recursion(self, series128,
                                                       model_b15_small):
-        # ||term_{i+2}|| <= 2 (sup||K|| + 1) f sup_s ||term_i||
+        # ||term_{i+2}|| <= 2 (sup||K|| + 1) f sup_s ||term_i||, the sup
+        # over the series' panel ends in the window
         f = adiabatic_defect(model_b15_small, 100.0, n_steps=1024)
         c = 2.0 * (model_b15_small.switching.gdot_max + 1.0)
-        sups = series128.term_sup_norms
+        ends = np.linspace(0.0, 1.0, series128.n_panels + 1)[1:]
+        sups = np.max([[operator_norm(term) for term in wave_operator_series(
+            model_b15_small, 100.0, max_order=4, s_eval=s).terms] for s in ends],
+            axis=0)
         for i in (0, 1, 2):
             assert operator_norm(series128.terms[i + 2]) <= c * f * sups[i]
+
+    def test_takes_no_norm(self, model_b15_small, monkeypatch):
+        # every spectral norm of the package is a block power iteration;
+        # the series takes none, its parity check two per term (the term
+        # and its continuum block)
+        from friedrichs import numutil, volterra
+
+        calls = []
+        power = numutil.block_power_norms
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[2]))
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(numutil, "block_power_norms", counting)
+        monkeypatch.setattr(volterra, "block_power_norms", counting)
+        ser = wave_operator_series(model_b15_small, 100.0, max_order=4,
+                                   quad_order=64, s_eval=1.5)
+        assert calls == []
+        ser.parity_defects()
+        assert calls == [1] * 8
 
     @pytest.mark.parametrize("tau", [100.0, 1000.0])
     def test_matches_per_node_collocation(self, series128, model_b15_small, tau):
@@ -121,7 +146,7 @@ class TestSeries:
                                    quad_order=64, s_eval=1.5)
         tr = evolve_true(model_b15_small, tau, 4096)
         f = adiabatic_defect(model_b15_small, tau, n_steps=2048)
-        total = ser.partial_sum(3)
+        total = sum(ser.terms[:4])
         leak_series = np.linalg.norm(total[1:, 0])
         assert abs(tr.leak_at(1.5) - leak_series) <= 10.0 * f ** 2
 
@@ -393,13 +418,10 @@ class TestBatchedSettle:
         # one round cannot settle every stop of the first batch; the
         # failure names a stop of that batch by its step, and no later
         # batch is started
-        from functools import partial
-
-        from friedrichs import numutil, volterra
+        from friedrichs import numutil
 
         _, batches = self._record_settled(monkeypatch)
-        monkeypatch.setattr(volterra, "block_power_norms",
-                            partial(numutil.block_power_norms, iters=1))
+        monkeypatch.setattr(numutil, "_POWER_ROUNDS", 1)
         with pytest.raises(ConvergenceFailure,
                            match=r"in 1 rounds for the stop at step (\d+) ") as err:
             adiabatic_defect(model_b15_small, 200.0, n_steps=1024)

@@ -182,20 +182,6 @@ def ritz_bounds(grams: np.ndarray, fro_sq, theta_slack, fro_slack):
     return lo, hi
 
 
-def block_norms(m: np.ndarray) -> dict[str, float]:
-    """Spectral norms of the four blocks of m w.r.t. the first basis direction.
-
-    Keys: 'pp' (bound-bound), 'pc' (bound row into continuum),
-    'cp' (continuum column from bound), 'cc' (continuum block).
-    """
-    return {
-        "pp": abs(m[0, 0]),
-        "pc": float(np.linalg.norm(m[0, 1:])),
-        "cp": float(np.linalg.norm(m[1:, 0])),
-        "cc": operator_norm(m[1:, 1:]),
-    }
-
-
 def format_float17(x: float) -> str:
     """17-significant-digit lowercase scientific form; round-trips doubles."""
     return f"{x:.16e}"

@@ -15,25 +15,32 @@ The loop evolves a batch of T states at once, one per tau:
 the batch T = 1. Every operation acts on each row alone, so a row's
 result does not depend on which other taus share its batch.
 
-The generators are prepared in blocks of _RESEED_STEPS (64) steps, for
-all T rows together: one real matrix product contracts the Filon
-moments, shape (T, N, deg + 1), with the per-step Legendre coefficients
-of gdot, so the (T, N, n_steps) array of generators never exists at
-once. Within a block the free phases exp(i tau omega t) at the step
-midpoints advance by powers of a fixed rotor exp(i tau omega h); each
-block re-seeds them with a direct exp, which bounds the rounding the
-rotor accumulates to about 64 ulps.
+The directions d = r u are formed in blocks of _RESEED_STEPS (64)
+steps, for all T rows together: one real matrix product contracts the
+Filon moments, shape (deg + 1, T, N), with the per-step Legendre
+coefficients of gdot, so the (n_steps, T, N) array of directions never
+exists at once. Within a block the free phases exp(i tau omega t) at
+the step midpoints advance by powers of a fixed rotor
+exp(i tau omega h); each block re-seeds them with a direct exp, which
+bounds the rounding the rotor accumulates to about 64 ulps.
+
+No block reduces over the N nodes. The phases have unit modulus, so
+every angle r = |d| and every overlap <d_b, d_a> of a pair's two steps
+is a quadratic form in the steps' coefficients: two (T, deg + 1,
+deg + 1) Gram forms of the moments, built once per run (_step_forms),
+give all of them, and with them cos r - 1, i sin r, 1 / r and every
+pair map, in a few whole-run products.
 
 The loop takes two steps per iteration. The product of two rotations
 is the k = 2 case of the compact-WY form below; from the bound
-amplitude b0 and the overlaps w_a = <u_a, psi>, w_b = <u_b, psi> of the
-continuum state psi, one 4 x 3 map per pair and row (_pair_maps, built
-a block at a time) gives the bound amplitudes after both steps and the
-coefficients of the continuum updates psi + x_a u_a and
-psi + x_a u_a + x_b u_b. An iteration makes one overlap call, one map
-product, one scaled copy and two adds for both states, so numpy's
-per-call overhead is paid once for two steps. An odd count ends with an
-identity step.
+amplitude b0 and the overlaps w_a = <d_a, psi>, w_b = <d_b, psi> of the
+continuum state psi, one 4 x 3 map per pair and row (_pair_maps, with
+1 / r folded in, so the directions are never normalised) gives the
+bound amplitudes after both steps and the coefficients of the continuum
+updates psi + x_a d_a and psi + x_a d_a + x_b d_b. An iteration makes
+one overlap call, one map product, one scaled copy and two adds for
+both states, so numpy's per-call overhead is paid once for two steps.
+An odd count ends with an identity step.
 
 Every step's sum of squares of the continuum amplitudes is kept (a
 pair's two in one call); the square root is the leak, and with the
@@ -43,10 +50,11 @@ step of every row. A row that goes non-finite or exceeds the drift
 tolerance fails alone; the other rows of its batch are unaffected.
 
 The wave-operator evolution applies the same rotations to a (dim, dim)
-matrix. The product of a block's steps has the compact-WY form
-1 + X T X^dagger with X = [e0, u_1, e0, u_2, ...] (Schreiber & Van
-Loan, 1989; the T factor of Joffrain et al., 2006): one small triangular
-T per block, built in log2(64) doubling rounds. The product of the
+matrix, each block's directions normalised with the given 1 / r. The
+product of a block's steps has the compact-WY form 1 + X T X^dagger
+with X = [e0, u_1, e0, u_2, ...] (Schreiber & Van Loan, 1989; the T
+factor of Joffrain et al., 2006): one small triangular T per block,
+built in log2(64) doubling rounds. The product of the
 block's first j steps is 1 + Y C_j Y^dagger, Y = [e0, u_1, ..., u_k],
 with C_j folded from T's leading block; only C_j's first row depends on
 j. So the matrix takes one BLAS-3 update per block, with no QR and no
@@ -154,24 +162,59 @@ class TrajectoryBatch:
         return list(self.results)
 
 
+def _step_forms(coeffs: np.ndarray, moments: np.ndarray, rotor: np.ndarray):
+    """Every step's angle r, (steps, T), and pair overlap <d_b, d_a>, (pairs, T).
+
+    Step m's direction is d_m = phase_m * (c_m . M): c_m = coeffs[m] holds
+    its Legendre coefficients of gdot, M = moments, (deg + 1, T, N), the
+    Filon moments with the coupling folded in, and phase_m the free
+    phases at its midpoint. Every phase has unit modulus, so the phases
+    cancel from r^2 = ||d_m||^2 = c_m^T Re(B_t) c_m, B_t = conj(M_t) M_t^T.
+    The steps a = 2 i and b = a + 1 of a pair lie in one block, so
+    phase_b = phase_a * p with p = rotor, the one-step rotor
+    exp(i tau omega h), and <d_b, d_a> = c_b^T A_t c_a with
+    A_t = (conj(M_t) * conj(p_t)) M_t^T. Both (T, deg + 1, deg + 1)
+    forms are built once; the steps then cost O(deg^2) each, with no
+    reduction over the N nodes.
+    """
+    m = moments.transpose(1, 0, 2)                        # (T, deg + 1, N)
+    real = m.view(float)
+    gram = real @ real.swapaxes(-1, -2)                   # Re(B)
+    cross = (m.conj() * rotor.conj()[:, None]) @ m.swapaxes(-1, -2)   # A
+    r = np.sqrt(np.vecdot(coeffs @ gram, coeffs))
+    overlaps = np.vecdot(coeffs[0::2], coeffs[1::2] @ cross)
+    return r.T, overlaps.T
+
+
 def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
     """Rank-two rotations of the interaction steps, _RESEED_STEPS at a time.
 
-    Yields (first step, u, cos r - 1, i sin r) with u of shape
-    (steps, T, N) and the others (steps, T). Step m of row t rotates by
-    d = coupling * exp(i tau_t omega t_m) * mu_t[:, m]: mu is the Filon
-    moment of gdot against the free phase over the step, taken relative
-    to the midpoint t_m. Then r = |d| and u = d / r (zero when r is).
-    The phase at the first step of a block is a direct exp; step k of
-    the block multiplies it by the rotor power exp(i tau omega h)^k.
+    Yields (first step, d, 1 / r, cos r - 1, i sin r, pair maps): d of
+    shape (steps, T, N), the next three (steps, T) and the maps
+    (steps / 2, T, 4, 3). Step m of row t rotates by
+    d = coupling * exp(i tau_t omega t_m) * mu_t[:, m] through the angle
+    r = |d|: mu is the Filon moment of gdot against the free phase over
+    the step, taken relative to the midpoint t_m, and the step's unit
+    direction is u = d / r (zero when r is; then 1 / r is taken as 1).
+    An odd count gets one more step, an identity step with d = 0, so
+    that every block holds whole pairs; evolve_wave_operator drops it.
+
+    The angles, the pair overlaps and every pair map (_pair_maps, 1 / r
+    folded in) come from the Gram forms of the moments (_step_forms),
+    once for the whole run. A block then only forms its d: the phase at
+    its first step is a direct exp, step k of the block multiplies it
+    by the rotor power exp(i tau omega h)^k, and one real product
+    contracts the moments with the steps' coefficients.
     """
     h = 1.0 / n_steps
     deg = _MAGNUS_DEGREE
     x, _, analysis = legendre_projection(deg + 1)
     mids = (np.arange(n_steps) + 0.5) * h
     t_nodes = mids[:, None] + 0.5 * h * x[None, :]
-    # (n_steps, deg + 1): Legendre coefficients of gdot on each step
-    coeffs = (0.5 * h) * (model.switching.gdot(t_nodes) @ analysis.T)
+    # (steps, deg + 1): Legendre coefficients of gdot on each step, and a
+    # zero row for an odd count's identity step
+    coeffs = np.zeros((n_steps + n_steps % 2, deg + 1))
+    coeffs[:n_steps] = (0.5 * h) * (model.switching.gdot(t_nodes) @ analysis.T)
     freqs = np.multiply.outer(taus, model.diag_energies[1:])
     # (deg + 1, T, N), with the coupling folded in
     moments = np.moveaxis(fourier_legendre_moments(freqs * 0.5 * h, deg), -1, 0)
@@ -180,45 +223,52 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
     powers[0] = 1.0
     powers[1:] = np.exp(1j * freqs * h)
     np.multiply.accumulate(powers, axis=0, out=powers)
-    for start in range(0, n_steps, _RESEED_STEPS):
-        stop = min(start + _RESEED_STEPS, n_steps)
+    r, overlaps = _step_forms(coeffs, moments, powers[1])
+    # r is 0 or the root of a double, so at least 2^-537: 1 / r is finite
+    inv_r = 1.0 / np.where(r > 0.0, r, 1.0)
+    cos_m1, isin = np.cos(r) - 1.0, 1j * np.sin(r)
+    maps = _pair_maps(inv_r, cos_m1, isin, overlaps)
+    for start in range(0, len(coeffs), _RESEED_STEPS):
+        stop = min(start + _RESEED_STEPS, len(coeffs))
         seeded = moments * np.exp(1j * freqs * mids[start])
         # one real product over all rows: (steps, deg + 1) @ (deg + 1, 2 T N)
         d = coeffs[start:stop] @ seeded.view(float).reshape(deg + 1, -1)
         d = d.view(complex).reshape((stop - start,) + freqs.shape)
         d *= powers[:stop - start]
-        dr = d.view(float)
-        r = np.sqrt(np.vecdot(dr, dr))
-        # numpy divides complex by real through the reciprocal, so this
-        # multiply gives the same bits at a quarter of the cost
-        d *= (1.0 / np.where(r > 0.0, r, 1.0))[..., None]
-        yield start, d, np.cos(r) - 1.0, 1j * np.sin(r)
+        yield (start, d, inv_r[start:stop], cos_m1[start:stop], isin[start:stop],
+               maps[start // 2:stop // 2])
 
 
-def _pair_maps(u: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray) -> np.ndarray:
+def _pair_maps(inv_r: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
+               overlaps: np.ndarray) -> np.ndarray:
     """Each pair of steps (a, b) as one linear map, (pairs, T, 4, 3).
 
-    A state (b0, psi) with overlaps w_a = <u_a, psi>, w_b = <u_b, psi>
-    goes through step a to (b1, psi + x_a u_a) and through step b to
-    (b2, psi + x_a u_a + x_b u_b). The map takes z = (b0, w_a, w_b) to
-    (b1, x_a, x_b, b2). With c = cos r - 1, s = -i sin r and
-    g = <u_b, u_a>: b1 = (1 + c_a) b0 + s_a w_a and
-    x_a = s_a b0 + c_a w_a; step b sees the overlap w_b + g x_a, so
-    x_b = c_b (w_b + g x_a) + s_b b1 and
-    b2 = (1 + c_b) b1 + s_b (w_b + g x_a). This is the k = 2 case of the
-    compact-WY product (_block_factor, _prefix_cores): the rows are
-    e0 + row 0 of C_1, the two rows of lower, and e0 + row 0 of C_2.
+    A state (b0, psi) with overlaps w_a = <d_a, psi>, w_b = <d_b, psi>
+    goes through step a to (b1, psi + x_a d_a) and through step b to
+    (b2, psi + x_a d_a + x_b d_b). The map takes z = (b0, w_a, w_b) to
+    (b1, x_a, x_b, b2). With c = (cos r - 1) / r^2, s = -i sin r / r
+    and G = <d_b, d_a> (overlaps): b1 = (1 + r_a^2 c_a) b0 + s_a w_a and
+    x_a = s_a b0 + c_a w_a; step b sees the overlap w_b + G x_a, so
+    x_b = c_b (w_b + G x_a) + s_b b1 and
+    b2 = (1 + r_b^2 c_b) b1 + s_b (w_b + G x_a). On the unit directions
+    u = d / r these are the usual cos r - 1, -i sin r and <u_b, u_a>,
+    with every overlap scaled by r and every coefficient by 1 / r: the
+    k = 2 case of the compact-WY product (_block_factor, _prefix_cores),
+    whose rows are e0 + row 0 of C_1, the two rows of lower, and
+    e0 + row 0 of C_2.
     """
-    ca, cb = cos_m1[0::2], cos_m1[1::2]
-    sa, sb = -isin[0::2], -isin[1::2]
+    # (c / r) / r: c is exactly 0 wherever 1 / r^2 would overflow
+    c = cos_m1 * inv_r * inv_r
+    s = -isin * inv_r
+    ca, cb, sa, sb = c[0::2], c[1::2], s[0::2], s[1::2]
     maps = np.zeros(ca.shape + (4, 3), dtype=complex)
     b1, x_a, x_b, b2 = np.moveaxis(maps, -2, 0)   # the rows, z's coefficients
-    b1[..., 0], b1[..., 1] = ca + 1.0, sa
+    b1[..., 0], b1[..., 1] = cos_m1[0::2] + 1.0, sa
     x_a[..., 0], x_a[..., 1] = sa, ca
-    seen_b = np.vecdot(u[1::2], u[0::2])[..., None] * x_a   # w_b + g x_a
+    seen_b = overlaps[..., None] * x_a            # w_b + G x_a
     seen_b[..., 2] += 1.0
     np.add(cb[..., None] * seen_b, sb[..., None] * b1, out=x_b)
-    np.add((cb + 1.0)[..., None] * b1, sb[..., None] * seen_b, out=b2)
+    np.add((cos_m1[1::2] + 1.0)[..., None] * b1, sb[..., None] * seen_b, out=b2)
     return maps
 
 
@@ -227,7 +277,7 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
     """The stepping loop from e0: row t of the state evolves with taus[t].
 
     Each iteration takes a pair of steps (see _pair_maps); an odd count
-    ends with an identity step (u = 0, c = s = 0). Returns one Trajectory
+    ends with an identity step (d = 0, c = s = 0). Returns one Trajectory
     or FriedrichsError per row.
     """
     rows, n_cont = len(taus), model.measure.n_nodes
@@ -246,28 +296,23 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
     sq = np.empty((2 * pairs + 1, rows))   # continuum sum of squares per step
     sq[0] = 0.0
     pair_sq = sq[1:].reshape(pairs, 2, rows)
-    first_ok = np.empty((pairs, rows), dtype=bool)   # step a's c and s finite
+    block_maps = []
     # the two continuum states of a pair; iterations alternate buffers, so
     # the previous pair's last state is read while this pair's are written
     bufs = [(b, b.view(float), b[0], b[1])
             for b in np.zeros((2, 2, rows, n_cont), dtype=complex)]
     cont = bufs[1][3]
 
-    for start, u, cos_m1, isin in _interaction_blocks(model, taus, n):
-        if len(u) % 2:
-            u, cos_m1, isin = (np.concatenate((a, np.zeros_like(a[:1])))
-                               for a in (u, cos_m1, isin))
-        maps = _pair_maps(u, cos_m1, isin)
+    for start, d, _, _, _, maps in _interaction_blocks(model, taus, n):
+        block_maps.append(maps)
         first = start // 2
-        first_ok[first:first + len(maps)] = (np.isfinite(cos_m1[0::2])
-                                             & np.isfinite(isin[0::2]))
-        u = u.reshape(len(maps), 2, rows, n_cont)
+        d = d.reshape(len(maps), 2, rows, n_cont)
         for j in range(len(maps)):
             p = first + j
             buf, buf_r, after_a, after_b = bufs[p % 2]
-            np.vecdot(u[j], cont, out=w[p])
+            np.vecdot(d[j], cont, out=w[p])
             np.matmul(maps[j], z[p], out=y[p])
-            np.multiply(u[j], x[p], out=buf)
+            np.multiply(d[j], x[p], out=buf)
             after_a += cont
             after_b += after_a
             np.vecdot(buf_r, buf_r, out=pair_sq[p])
@@ -283,9 +328,10 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
         if not finite[:, t].all():
             step = int(np.argmin(finite[:, t]))
             # the map also reads w_b into a pair's first state, as 0 * w_b:
-            # if step a's c, s and w_a are finite, the fault is step b's
-            if (step % 2 and first_ok[step // 2, t]
-                    and np.isfinite(hist[t, 3 * step - 2])):
+            # if step a's rows of the map and w_a are finite, the fault is
+            # step b's
+            if (step % 2 and np.isfinite(hist[t, 3 * step - 2]) and np.isfinite(
+                    np.concatenate(block_maps)[step // 2, t, :2, :2]).all()):
                 step += 1
             results.append(NumericalOverflow(
                 f"non-finite state at step {step} (tau={tau})"))
@@ -505,14 +551,14 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
         out.extend(blk.stop_matrix(i, np.empty_like(mat))
                    for i in range(len(blk.offsets)))
 
-    for start, u, cos_m1, isin in _interaction_blocks(
+    for start, d, inv_r, cos_m1, isin, _ in _interaction_blocks(
             model, np.array([float(tau)]), n):
-        k = len(cos_m1)
+        k = min(len(d), n - start)   # not an odd count's identity step
         offsets = np.array([i - start for i in record_idx
                             if start < i <= start + k or i == start == 0], dtype=int)
         s_out.extend(((start + offsets) / n).tolist())
-        _evolve_block(mat, start, u[:, 0], cos_m1[:, 0], isin[:, 0], offsets,
-                      keep_all if on_block is None else on_block)
+        _evolve_block(mat, start, d[:k, 0] * inv_r[:k], cos_m1[:k, 0], isin[:k, 0],
+                      offsets, keep_all if on_block is None else on_block)
         dev = _total_norm_dev(mat)
         if not np.isfinite(dev):
             raise NumericalOverflow(f"non-finite propagator at step {start + k}")

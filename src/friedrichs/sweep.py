@@ -578,9 +578,9 @@ def render_svg(result: SweepResult) -> str:
 def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -> dict:
     """Write the requested formats; returns {format: path}.
 
-    formats or out_dir left as None take the config's; an empty one
-    raises ConfigurationError before anything is written. I/O errors
-    propagate as OSError.
+    formats or out_dir left as None take the config's; an empty one, or
+    an unknown format anywhere in formats, raises ConfigurationError
+    before anything is written. I/O errors propagate as OSError.
     """
     import os
 
@@ -589,14 +589,15 @@ def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -
     for name, value in (("formats", formats), ("out_dir", out_dir)):
         if not value:
             raise ConfigurationError(f"emit_report: {name} is empty")
-    os.makedirs(out_dir, exist_ok=True)
     renderers = {"csv": (render_csv, "sweep.csv"),
                  "json": (render_manifest, "manifest.json"),
                  "svg": (render_svg, "sweep.svg")}
-    paths = {}
     for fmt in formats:
         if fmt not in renderers:
             raise ConfigurationError(f"unknown output format {fmt!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {}
+    for fmt in formats:
         render, name = renderers[fmt]
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -54,17 +54,17 @@ def model_gapped_small(switching):
 
 @pytest.fixture
 def spoil_column(monkeypatch):
-    """spoil(tau, factor) scales one tau's interaction rotations by factor."""
+    """spoil(tau, factor) scales one tau's step directions d by factor."""
     from friedrichs import propagate
 
     blocks = propagate._interaction_blocks
 
     def spoil(tau, factor):
         def spoiled(model, taus, n_steps):
-            for start, u, cos_m1, isin in blocks(model, taus, n_steps):
+            for block in blocks(model, taus, n_steps):
                 if tau in taus:
-                    u[:, list(taus).index(tau)] *= factor
-                yield start, u, cos_m1, isin
+                    block[1][:, list(taus).index(tau)] *= factor
+                yield block
 
         monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
 

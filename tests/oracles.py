@@ -8,8 +8,9 @@ check:
 * PerStepExpRunner, the interaction-picture step as it stood before the
   stepping loop was batched over tau, reuses the package's Filon moments;
 * PerStepWaveOperator, the wave-operator loop as it stood before its
-  steps were blocked, reuses the package's interaction rotations; its
-  strang steps share no code with the package;
+  steps were blocked, reuses the package's step directions d, each
+  normalised by its own norm; its strang steps share no code with the
+  package;
 * per_node_series_terms and per_node_ibp_sides, the series collocation
   and the identity's quadratures as they stood before the rank-two
   kernel was exploited, reuse the kernel columns (applied by
@@ -216,11 +217,21 @@ class PerStepWaveOperator:
         self.initial = initial
 
     def _steps(self):
-        """(rotation blocks as from _interaction_blocks, half phases or None)."""
+        """(rotation blocks (start, u, cos r - 1, i sin r), half phases or None)."""
         n, model = self.n, self.model
         if self.scheme == "interaction_magnus":
             from friedrichs.propagate import _interaction_blocks
-            return _interaction_blocks(model, np.array([self.tau]), n), None
+
+            def unit_blocks():
+                # each direction d normalised by its own norm, not by the
+                # package's 1 / r from the Gram forms
+                for start, d, *_ in _interaction_blocks(model, np.array([self.tau]), n):
+                    d = d[:n - start]        # not an odd count's identity step
+                    r = np.linalg.norm(d, axis=-1)
+                    u = d / np.where(r > 0.0, r, 1.0)[..., None]
+                    yield start, u, np.cos(r) - 1.0, 1j * np.sin(r)
+
+            return unit_blocks(), None
         h = 1.0 / n
         theta = h * model.switching.gdot((np.arange(n) + 0.5) * h)
         u = np.broadcast_to(model.coupling, (n, 1, model.dim - 1))

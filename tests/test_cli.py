@@ -176,6 +176,17 @@ def test_report_reemits(tmp_path):
     assert (out / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
 
 
+def test_report_unknown_second_format_writes_nothing(tmp_path, capsys,
+                                                     manifest_payload):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest_payload))
+    out = tmp_path / "report"
+    assert main(["report", "--manifest", str(path), "--out", str(out),
+                 "--format", "csv,pdf"]) == 2
+    assert "unknown output format 'pdf'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def manifest_payload(tmp_path_factory):
     out = tmp_path_factory.mktemp("manifest")

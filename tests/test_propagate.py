@@ -6,7 +6,8 @@ from friedrichs.errors import (ConfigurationError, IntegrationFailure,
                                NumericalOverflow)
 from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
-from friedrichs.propagate import (_block_factor, _interaction_blocks, _pair_maps,
+from friedrichs.numutil import rounding_gamma
+from friedrichs.propagate import (_RESEED_STEPS, _block_factor, _interaction_blocks,
                                   _prefix_cores, evolve_true, evolve_wave_operator)
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
@@ -163,9 +164,12 @@ class TestBatchedLoop:
 
 class TestPairedSteps:
     def test_pair_map_is_the_two_step_compact_wy_product(self, model_b15_small):
+        # the maps act on the overlaps with d = r u and give coefficients
+        # of d; scaled back by r they are the pair's product on u
         taus = np.array([100.0, 1e4])
-        _, u, cos_m1, isin = next(_interaction_blocks(model_b15_small, taus, 256))
-        maps = _pair_maps(u, cos_m1, isin)
+        _, d, inv_r, cos_m1, isin, maps = next(
+            _interaction_blocks(model_b15_small, taus, 256))
+        u, r = d * inv_r[..., None], 1.0 / inv_r
         e0 = np.eye(1, 3)[0]
         for p in range(len(maps)):
             for t in range(len(taus)):
@@ -175,7 +179,9 @@ class TestPairedSteps:
                                    isin[steps, t])
                 rows, lower = _prefix_cores(wy, np.array([1, 2]))
                 ref = np.array([e0 + rows[0], lower[0], lower[1], e0 + rows[1]])
-                assert np.abs(maps[p, t] - ref).max() <= 1e-15
+                scale = np.concatenate(([1.0], r[steps, t], [1.0]))
+                on_u = scale[:, None] * maps[p, t] * scale[None, :3]
+                assert np.abs(on_u - ref).max() <= 1e-15
 
     @pytest.mark.parametrize("n_steps", [1, 3, 65, 2915])
     def test_odd_counts_match_per_step_exp_oracle(self, model_b15, n_steps):
@@ -192,7 +198,7 @@ class TestPairedSteps:
 
     @pytest.mark.parametrize("step", [600, 601], ids=["first_of_pair",
                                                       "second_of_pair"])
-    @pytest.mark.parametrize("part", [1, 2], ids=["u", "cos_m1"])
+    @pytest.mark.parametrize("part", ["u", "cos_m1"], ids=["u", "cos_m1"])
     def test_fault_is_named_at_its_own_step(self, model_b15_small, spoil_step,
                                             step, part):
         # the pair's map reads step b's overlap into its first state as
@@ -210,22 +216,116 @@ DEFECT_TAUS = tuple(float(t) for t in np.geomspace(1e2, 1e4, 4))
 
 @pytest.fixture
 def spoil_step(monkeypatch):
-    """spoil(step, factor, part) scales one step's u, cos_m1 or isin."""
+    """spoil(step, factor, part) scales one step's direction d (part "u")
+    or its angle r (part "cos_m1"), and with r its cos r - 1, i sin r,
+    1 / r and pair map."""
     from friedrichs import propagate
 
-    blocks = propagate._interaction_blocks
+    blocks, forms = propagate._interaction_blocks, propagate._step_forms
 
-    def spoil(step, factor, part=1):
+    def spoil(step, factor, part="u"):
+        def spoiled_forms(*args):
+            r, overlaps = forms(*args)
+            r[step] *= factor
+            return r, overlaps
+
         def spoiled(model, taus, n_steps):
             for block in blocks(model, taus, n_steps):
                 start, n_block = block[0], len(block[1])
                 if start <= step < start + n_block:
-                    block[part][step - start] *= factor
+                    block[1][step - start] *= factor
                 yield block
 
-        monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
+        if part == "cos_m1":
+            monkeypatch.setattr(propagate, "_step_forms", spoiled_forms)
+        else:
+            monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
 
     return spoil
+
+
+def _gram_form_bounds(coeffs, moments):
+    """Bounds on |r_form^2 - r_direct^2| per step and on |G_form - G_direct|
+    per pair, (steps, T) and (pairs, T), G = <d_b, d_a>.
+
+    Both paths approximate rho^2 = sum_j |c . M_j|^2 (and G* with the
+    computed rotor p), so each bound is the sum of the two paths'
+    distances from it, in Higham's gamma_n (Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 3; sqrt(2) gamma_{n + 2} for a
+    complex inner product, sqrt(2) gamma_2 for one complex product)
+    times S = sum_j sigma_j^2, or sum_j sigma_aj sigma_bj for G, with
+    sigma_j = sum_k |c_k| |M_kj|:
+    - the forms sum 2 N real (N complex) products into Re(B) (A, after
+      one complex product with conj(p)), then two K-term real sums;
+    - a formed d_j is chi (c . M_j + e_j): e_j from the seeded moments'
+      product and the K-term contraction, chi the formed phase. Its
+      modulus drifts by at most the two exps (|exp| within 1 + gamma_2,
+      each part within an ulp) and the complex products of a block's up
+      to 64 phases; a pair's conj(chi_b) chi_a is conj(p) to within the
+      square of that drift. Then the 2 N-term (N-term complex) vecdot.
+    Each of the at most 4 N (K + 2)^2 products a path takes may also
+    lose up to 2^-1075, half the subnormal spacing, to gradual underflow,
+    and enters weighted by at most (1 + sum_k |c_k|)^2 (1 + max |M|)^2.
+    """
+    gamma, root2 = rounding_gamma, np.sqrt(2.0)
+    k, _, n = moments.shape
+    phase = ((1.0 + gamma(2)) * (1.0 + root2 * gamma(2))) ** _RESEED_STEPS - 1.0
+    contract = (1.0 + root2 * gamma(2)) * (1.0 + gamma(k)) - 1.0
+    formed = ((1.0 + phase) * (1.0 + contract)) ** 2
+    sq = (1.0 + gamma(2 * n)) * (formed + (1.0 + gamma(k)) ** 2) - 2.0
+    pair = (1.0 + root2 * gamma(n + 2)) * (1.0 + gamma(2)) * (
+        formed + (1.0 + root2 * gamma(2)) * (1.0 + gamma(k)) ** 2) - 2.0
+    sigma = np.abs(coeffs) @ np.abs(moments).transpose(1, 0, 2)   # (T, steps, N)
+    # the computed sums of sigma may fall short of the exact ones
+    short = 1.0 / ((1.0 - gamma(k + 1)) ** 2 * (1.0 - gamma(n)))
+    weight = ((1.0 + np.abs(coeffs).sum(axis=1)[:, None])
+              * (1.0 + np.abs(moments).max())) ** 2
+    under = (4 * n * (k + 2) ** 2 * weight) * 2.0 ** -1074   # both paths
+    return (short * sq * np.vecdot(sigma, sigma).T + under,
+            short * pair * np.vecdot(sigma[:, 1::2], sigma[:, 0::2]).T
+            + np.maximum(under[0::2], under[1::2]))
+
+
+class TestGramForms:
+    """Step angles and pair overlaps from the Gram forms of the moments,
+    against direct reductions over the directions d the blocks form."""
+
+    @pytest.mark.parametrize("model_name, taus, n_steps", [
+        ("model_b15", SWEEP_TAUS, SWEEP_STEPS),
+        ("model_b15", SWEEP_TAUS, 2 * SWEEP_STEPS),
+        ("model_defect", DEFECT_TAUS, 1024),
+    ], ids=["sweep", "sweep_halved_step", "defect"])
+    def test_forms_match_direct_reductions(self, request, monkeypatch,
+                                           model_name, taus, n_steps):
+        from friedrichs import propagate
+
+        model = request.getfixturevalue(model_name)
+        got = {}
+        forms = propagate._step_forms
+
+        def kept(coeffs, moments, rotor):
+            got["r"], got["overlaps"] = forms(coeffs, moments, rotor)
+            got["bounds"] = _gram_form_bounds(coeffs, moments)
+            return got["r"], got["overlaps"]
+
+        monkeypatch.setattr(propagate, "_step_forms", kept)
+        d = np.concatenate([block[1] for block in
+                            _interaction_blocks(model, np.array(taus), n_steps)])
+        r, overlaps = got["r"], got["overlaps"]
+        bound_sq, bound_pair = got["bounds"]
+        # every step, the window ends too, where gdot and r reach 0
+        assert r.shape == d.shape[:2] and (r == 0.0).any()
+        real = d.view(float)
+        direct = np.sqrt(np.vecdot(real, real))
+        # |r - direct| (r + direct) = |r^2 - direct^2|, up to the two
+        # square roots' rounding and this line's own
+        u = np.finfo(float).eps / 2.0
+        lhs = np.abs(r - direct) * (r + direct)
+        assert np.all(lhs <= (1.0 + rounding_gamma(3))
+                      * (bound_sq + 3.0 * u * (r + direct) ** 2))
+        direct_pair = np.vecdot(d[1::2], d[0::2])
+        assert np.all(np.abs(overlaps - direct_pair)
+                      <= (1.0 + rounding_gamma(2)) * bound_pair)
 
 
 class TestBlockedWaveOperator:

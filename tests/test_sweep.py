@@ -251,6 +251,13 @@ class TestOutputs:
             emit_report(result, **kwargs)
         assert os.listdir(tmp_path) == []
 
+    def test_unknown_second_format_writes_nothing(self, quick_result, tmp_path):
+        # every format is checked before the first file is written
+        with pytest.raises(ConfigurationError, match="unknown output format 'pdf'"):
+            emit_report(quick_result, formats=("csv", "pdf"),
+                        out_dir=str(tmp_path / "out"))
+        assert os.listdir(tmp_path) == []
+
     def test_unwritable_directory_raises(self, quick_result):
         with pytest.raises(OSError):
             emit_report(quick_result, formats=("csv",),

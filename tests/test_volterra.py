@@ -112,8 +112,8 @@ class TestSeries:
 
     def test_takes_no_norm(self, model_b15_small, monkeypatch):
         # every spectral norm of the package is a block power iteration;
-        # the series takes none, its parity check two per term (the term
-        # and its continuum block)
+        # the series takes none, its parity check one per term and one
+        # per odd term's continuum block: 6 at max_order 4
         from friedrichs import numutil, volterra
 
         calls = []
@@ -129,7 +129,20 @@ class TestSeries:
                                    quad_order=64, s_eval=1.5)
         assert calls == []
         ser.parity_defects()
-        assert calls == [1] * 8
+        assert calls == [1] * 6
+
+    def test_parity_defects_equal_the_four_block_norms(self, series128):
+        # skipping the even terms' continuum norm moves no defect: each is
+        # the one its parity reads from all four block norms of the term
+        want = []
+        for i, m in enumerate(series128.terms[1:], start=1):
+            blocks = {"pp": abs(m[0, 0]), "cc": operator_norm(m[1:, 1:]),
+                      "pc": float(np.linalg.norm(m[0, 1:])),
+                      "cp": float(np.linalg.norm(m[1:, 0]))}
+            keys = ("pp", "cc") if i % 2 else ("pc", "cp")
+            want.append(max(blocks[k] for k in keys)
+                        / max(operator_norm(m), 1e-300))
+        assert series128.parity_defects() == want
 
     @pytest.mark.parametrize("tau", [100.0, 1000.0])
     def test_matches_per_node_collocation(self, series128, model_b15_small, tau):
@@ -322,10 +335,11 @@ class TestAdiabaticDefect:
         blocks = propagate._interaction_blocks
 
         def planted(model, taus, n_steps):
-            for start, u, cos_m1, isin in blocks(model, taus, n_steps):
-                if start <= 600 < start + len(cos_m1):
+            for block in blocks(model, taus, n_steps):
+                start, isin = block[0], block[4]
+                if start <= 600 < start + len(isin):
                     isin[600 - start] = np.nan
-                yield start, u, cos_m1, isin
+                yield block
 
         bounds = volterra.ritz_bounds
 

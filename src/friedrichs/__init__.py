@@ -17,8 +17,7 @@ from .errors import (AssemblyError, ConfigurationError, ConvergenceFailure,
 from .model import (DiscretizedMeasure, FormFactor, FriedrichsModel,
                     SwitchingProfile, assemble_model, build_form_factor,
                     build_grid, build_switching, rotate)
-from .oscint import (bump_transform, bump_transform_asymptotic, rate_transform,
-                     windowed_rate_transform)
+from .oscint import bump_transform, bump_transform_asymptotic, rate_transform
 from .propagate import Trajectory, evolve_true, evolve_wave_operator
 from .volterra import (adiabatic_defect, first_order_tail, kernel_columns,
                        wave_operator_series)

@@ -175,7 +175,8 @@ def _cmd_volterra_check(args) -> int:
 
 
 def _cmd_tilde_check(args) -> int:
-    from .contour import ContourSpec, ibp_suite, tilde, tilde_eigenbasis
+    from .contour import (ContourSpec, ibp_suite, tilde, tilde_eigenbasis,
+                          verify_ibp)
     from .model import assemble_model, build_form_factor, build_grid, build_switching
 
     rng = np.random.default_rng(args.seed)
@@ -204,8 +205,8 @@ def _cmd_tilde_check(args) -> int:
         print(f"  profile={rep.profile_tag}: residual={rep.residual:.3e} "
               f"sign={rep.sign:+d}")
         ok = ok and rep.residual <= 1e-6
-    coarse = ibp_suite(model, 50.0, quad_order=48)[0]
-    fine = ibp_suite(model, 50.0, quad_order=96)[0]
+    coarse = verify_ibp(model, 50.0, quad_order=48)
+    fine = verify_ibp(model, 50.0, quad_order=96)
     print(f"  refinement 48 -> 96: {coarse.residual:.3e} -> {fine.residual:.3e}")
     ok = ok and fine.residual <= coarse.residual / 4.0
     print("tilde-check:", "PASS" if ok else "FAIL")

@@ -118,12 +118,33 @@ def tilde_eigenbasis(h: np.ndarray, p: np.ndarray, x: np.ndarray,
     return vecs @ out @ vecs.conj().T
 
 
-class PolyMatrixProfile:
-    """Matrix polynomial in s with an analytic derivative.
+class _SeparableProfile:
+    """A matrix profile written as a separable sum X(s) = sum_k f_k(s) C_k.
 
-    value and derivative take a time or an array of times; an array gives
-    the matrices stacked along its leading axes.
+    Subclasses give the coefficients coeffs, (K, dim, dim), and the
+    weights f_k and their derivatives at a time or an array of times,
+    (..., K). value and derivative form the matrices, stacked along the
+    time's leading axes; the identity check never forms them and
+    contracts the weights with products of the coefficients instead.
     """
+
+    coeffs: np.ndarray
+
+    def weights(self, s) -> np.ndarray:
+        raise NotImplementedError
+
+    def derivative_weights(self, s) -> np.ndarray:
+        raise NotImplementedError
+
+    def value(self, s) -> np.ndarray:
+        return np.tensordot(self.weights(s), self.coeffs, axes=1)
+
+    def derivative(self, s) -> np.ndarray:
+        return np.tensordot(self.derivative_weights(s), self.coeffs, axes=1)
+
+
+class PolyMatrixProfile(_SeparableProfile):
+    """Matrix polynomial in s: the weights are the powers s^k."""
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = np.asarray(coeffs, dtype=complex)
@@ -136,33 +157,29 @@ class PolyMatrixProfile:
         c /= (1.0 + np.arange(degree + 1))[:, None, None]
         return cls(c)
 
-    def value(self, s) -> np.ndarray:
-        powers = np.asarray(s, dtype=float)[..., None] ** np.arange(len(self.coeffs))
-        return np.tensordot(powers, self.coeffs, axes=1)
+    def weights(self, s) -> np.ndarray:
+        return np.asarray(s, dtype=float)[..., None] ** np.arange(len(self.coeffs))
 
-    def derivative(self, s) -> np.ndarray:
+    def derivative_weights(self, s) -> np.ndarray:
         m = np.arange(len(self.coeffs), dtype=float)
         s = np.asarray(s, dtype=float)[..., None]
         powers = np.zeros(s.shape[:-1] + m.shape)
         powers[..., 1:] = m[1:] * s ** (m[1:] - 1.0)
-        return np.tensordot(powers, self.coeffs, axes=1)
+        return powers
 
 
-class ExchangeRateProfile:
-    """The driving commutator profile i gdot(s) A with analytic derivative.
-
-    Takes a time or an array of times, like PolyMatrixProfile.
-    """
+class ExchangeRateProfile(_SeparableProfile):
+    """The driving commutator profile i gdot(s) A: one coefficient, A."""
 
     def __init__(self, model: FriedrichsModel):
-        self._a = model.exchange_dense()
+        self.coeffs = model.exchange_dense()[None]
         self._sw = model.switching
 
-    def value(self, s) -> np.ndarray:
-        return 1j * np.multiply.outer(self._sw.gdot(s), self._a)
+    def weights(self, s) -> np.ndarray:
+        return 1j * np.asarray(self._sw.gdot(s))[..., None]
 
-    def derivative(self, s) -> np.ndarray:
-        return 1j * np.multiply.outer(self._sw.gddot(s), self._a)
+    def derivative_weights(self, s) -> np.ndarray:
+        return 1j * np.asarray(self._sw.gddot(s))[..., None]
 
 
 @dataclass
@@ -210,9 +227,14 @@ def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
     the bound energy is zero. With m = V^dag X V e0, U^dag X U e0 =
     phase * m for phase = exp(i tau t H0), and U^dag tilde(X) U e0 =
     phase * (0, m[1:] / gaps); D's column is the same division of
-    V^dag Xdot V e0 - i gdot (A m - V^dag X V A e0). So each side takes
-    three profile matvecs per node and the rotations in O(N), and the
-    nodes, stacked, contract in one (dim, q) @ (q, dim) product.
+    V^dag Xdot V e0 - i gdot (A m - V^dag X V A e0). The profiles enter
+    through their separable form X = sum_k f_k C_k. V e0 and V A e0 lie
+    in span{e0, (0, c)} at every node, so the coefficients are applied
+    once, to those two vectors, and the weights f_k (f_k' for Xdot) and
+    the node's cos/sin combine them; Y's bound row is the weights times
+    the rows C_y[:, 0]. No per-node matrix is formed: a node costs
+    O(K N) and its rotations O(N), and the nodes, stacked, contract in
+    one (dim, q) @ (q, dim) product.
     """
     sw = model.switching
     c = model.coupling
@@ -223,17 +245,19 @@ def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
     theta = sw.g(t)
     gd = sw.gdot(t)
     cos, isin = np.cos(theta), 1j * np.sin(theta)
-    ve0 = np.empty((len(t), model.dim), dtype=complex)     # V e0
-    ve0[:, 0] = cos
-    ve0[:, 1:] = np.multiply.outer(isin, c)
-    va0 = np.empty_like(ve0)                               # V A e0
-    va0[:, 0] = isin
-    va0[:, 1:] = np.multiply.outer(cos, c)
-    x_vals = x_profile.value(t)
-    xv = rotate(model, -theta, (x_vals @ ve0[:, :, None])[..., 0])
-    xva = rotate(model, -theta, (x_vals @ va0[:, :, None])[..., 0])
-    xdv = rotate(model, -theta,
-                 (x_profile.derivative(t) @ ve0[:, :, None])[..., 0])
+    # V e0 = cos e0 + i sin c~ and V A e0 = i sin e0 + cos c~ with
+    # c~ = (0, c), so X V e0 = sum_k f_k (cos C_k e0 + i sin C_k c~)
+    cols = np.concatenate((x_profile.coeffs[:, :, 0],
+                           x_profile.coeffs[:, :, 1:] @ c))    # (2 K, dim)
+
+    def applied(f, a, b):       # sum_k f_k C_k (a e0 + b c~), node by node
+        return rotate(model, -theta,
+                      np.hstack((f * a[:, None], f * b[:, None])) @ cols)
+
+    f = x_profile.weights(t)
+    xv = applied(f, cos, isin)
+    xva = applied(f, isin, cos)
+    xdv = applied(x_profile.derivative_weights(t), cos, isin)
     a_xv = np.empty_like(xv)                               # A m
     a_xv[:, 0] = xv[:, 1:] @ c
     a_xv[:, 1:] = np.multiply.outer(xv[:, 0], c)
@@ -245,8 +269,9 @@ def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
     col_d[:, 1:] = phase[:, 1:] * inner[:, 1:] / gaps
     col_t = np.zeros_like(col_x)
     col_t[:, 1:] = phase[:, 1:] * xv[:, 1:] / gaps
-    y_rows = y_profile.value(t)[:, 0]
-    yd_rows = y_profile.derivative(nodes)[:, 0]
+    y_bound = y_profile.coeffs[:, 0]
+    y_rows = y_profile.weights(t) @ y_bound
+    yd_rows = y_profile.derivative_weights(nodes) @ y_bound
 
     q = quad_order
     lhs = (col_x[:q].T * weights) @ y_rows[:q]
@@ -267,8 +292,9 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
     order 1/tau; it holds exactly, so the residual is pure quadrature
     error and shrinks superalgebraically as quad_order grows. The sign
     of the boundary side is derived (see _IBP_SIGN) and recorded in the
-    report. The profiles must map an array of times to the stacked
-    matrices, as PolyMatrixProfile and ExchangeRateProfile do.
+    report. The profiles must be separable sums sum_k f_k(s) C_k, giving
+    their coefficients and weights as PolyMatrixProfile and
+    ExchangeRateProfile do.
     """
     check_model_inputs(tau=tau)
     if model.gap_shift <= 0.0:

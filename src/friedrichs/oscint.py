@@ -34,7 +34,6 @@ __all__ = [
     "fourier_legendre_moments",
     "filon_integral",
     "rate_transform",
-    "windowed_rate_transform",
     "bump_transform",
     "bump_transform_asymptotic",
 ]
@@ -163,22 +162,6 @@ def rate_transform(profile: SwitchingProfile, p):
     any power of 1/p since gdot is smooth with compact support.
     """
     return filon_integral(profile.gdot, 0.0, 1.0, p)
-
-
-def windowed_rate_transform(profile: SwitchingProfile, s: float, tau: float) -> complex:
-    """int_0^{min(s, 1)} gdot(t) exp(i t tau) dt.
-
-    Truncating inside the switching window leaves a stationary boundary
-    term of size gdot(s)/tau; truncating at or past the window end leaves
-    none, and the integral decays faster than any power of 1/tau. At
-    tau = 0 the value is g(min(s, 1)), real.
-    """
-    if s < 0.0:
-        raise ConfigurationError(f"s must be >= 0, got {s}")
-    upper = min(float(s), 1.0)
-    if upper <= 0.0:
-        return 0.0 + 0.0j
-    return filon_integral(profile.gdot, 0.0, upper, tau)
 
 
 def _canonical_bump(s):

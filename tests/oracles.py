@@ -29,6 +29,10 @@ check:
   reuses the panel table, the Gauss panels and the bump one point at a
   time.
 
+windowed_rate_transform, the switching rate's transform truncated at a
+time s, lives here since no run of the package needs it; it reuses
+filon_integral, so its tests check the Filon rule on a truncated window.
+
 Two cross-checks of the frame algebra also live here, since no run of
 the package needs them: rotation_dense, exp(i theta A) as a dense
 matrix, which reuses only the model's dense exchange generator; and
@@ -87,6 +91,25 @@ def trapezoid_rate_transform(profile, p, n=1_000_000):
     t = np.linspace(0.0, 1.0, n + 1)
     f = profile.gdot(t) * np.exp(1j * p * t)
     return np.trapezoid(f, t)
+
+
+def windowed_rate_transform(profile, s, tau):
+    """int_0^{min(s, 1)} gdot(t) exp(i t tau) dt.
+
+    Truncating inside the switching window leaves a stationary boundary
+    term of size gdot(s)/tau; truncating at or past the window end leaves
+    none, and the integral decays faster than any power of 1/tau. At
+    tau = 0 the value is g(min(s, 1)), real.
+    """
+    from friedrichs.errors import ConfigurationError
+    from friedrichs.oscint import filon_integral
+
+    if s < 0.0:
+        raise ConfigurationError(f"s must be >= 0, got {s}")
+    upper = min(float(s), 1.0)
+    if upper <= 0.0:
+        return 0.0 + 0.0j
+    return filon_integral(profile.gdot, 0.0, upper, tau)
 
 
 def eigen_tilde(h, x, center, radius):

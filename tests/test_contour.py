@@ -135,7 +135,8 @@ class TestIbp:
         assert contour._IBP_SIGN == -1
         assert np.linalg.norm(lhs + rhs) < 1e-3 * np.linalg.norm(lhs - rhs)
 
-    def test_stacked_sides_match_per_node_quadrature(self, model_gapped_small):
+    def test_stacked_sides_match_per_node_quadrature(self, model_gapped_small,
+                                                     monkeypatch):
         profiles = [("default", ExchangeRateProfile(model_gapped_small),
                      PolyMatrixProfile.random(model_gapped_small.dim, 2, seed=11))]
         for seed in (101, 102, 103):
@@ -143,9 +144,17 @@ class TestIbp:
                              PolyMatrixProfile.random(model_gapped_small.dim, 3, seed=seed),
                              PolyMatrixProfile.random(model_gapped_small.dim, 2,
                                                       seed=seed + 5000)))
-        for tag, xp, yp in profiles:
+        wants = [per_node_ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
+                 for _, xp, yp in profiles]
+
+        # the stacked sides apply the coefficients and never form a
+        # profile's matrix at a node
+        def formed(self, s):
+            raise AssertionError("a profile matrix was formed")
+        monkeypatch.setattr(contour._SeparableProfile, "value", formed)
+        monkeypatch.setattr(contour._SeparableProfile, "derivative", formed)
+        for (tag, xp, yp), want in zip(profiles, wants):
             got = contour._ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
-            want = per_node_ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
             for side, (g, w) in enumerate(zip(got, want)):
                 # the default left side, 2.2e-4, cancels O(1) summands (a
                 # condition of ~3.6e3), which puts either quadrature
@@ -156,6 +165,38 @@ class TestIbp:
     def test_gapless_model_rejected(self, model_b15_small):
         with pytest.raises(ConfigurationError):
             verify_ibp(model_b15_small, 50.0)
+
+    def test_separable_form_reproduces_matrices(self, model_gapped_small):
+        # sum_k f_k(s) C_k against the closed forms i gdot(s) A and
+        # sum_k s^k C_k (derivatives i gddot(s) A and sum_k k s^(k-1) C_k)
+        a = model_gapped_small.exchange_dense()
+        sw = model_gapped_small.switching
+        poly = PolyMatrixProfile.random(5, 3, seed=2)
+        c = poly.coeffs
+
+        def poly_closed(s, deriv):
+            s = np.asarray(s, dtype=float)[..., None, None]
+            if deriv:
+                return sum(k * s ** (k - 1) * c[k] for k in range(1, len(c)))
+            return sum(s ** k * c[k] for k in range(len(c)))
+
+        cases = [(ExchangeRateProfile(model_gapped_small),
+                  lambda s, deriv: 1j * np.multiply.outer(
+                      (sw.gddot if deriv else sw.gdot)(s), a)),
+                 (poly, poly_closed)]
+        for prof, closed in cases:
+            for s in (0.4, np.array([0.0, 0.25, 0.7, 0.95])):
+                for deriv, f, matrix in (
+                        (False, prof.weights, prof.value),
+                        (True, prof.derivative_weights, prof.derivative)):
+                    w = f(s)
+                    assert w.shape == np.shape(s) + (len(prof.coeffs),)
+                    summed = sum(w[..., k, None, None] * prof.coeffs[k]
+                                 for k in range(len(prof.coeffs)))
+                    want = closed(s, deriv)
+                    scale = np.linalg.norm(want)
+                    assert np.linalg.norm(summed - want) <= 1e-14 * scale
+                    assert np.linalg.norm(matrix(s) - want) <= 1e-14 * scale
 
     def test_profile_derivatives_consistent(self, model_gapped_small):
         prof = ExchangeRateProfile(model_gapped_small)

@@ -5,10 +5,9 @@ from scipy.special import spherical_jn
 from friedrichs.errors import ConfigurationError, PrecisionLimitError
 from friedrichs.oscint import (BUMP_ASYMPTOTIC, _spherical_jn, bump_transform,
                                bump_transform_asymptotic, filon_integral,
-                               fourier_legendre_moments, rate_transform,
-                               windowed_rate_transform)
+                               fourier_legendre_moments, rate_transform)
 
-from oracles import trapezoid_rate_transform
+from oracles import trapezoid_rate_transform, windowed_rate_transform
 
 # high-precision quadrature values (mpmath, 30 digits) for the canonical
 # bump transform int_{-1}^{1} cos(p s) exp(-1/(1-s^2)) ds

@@ -377,10 +377,8 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
 
 
 def _total_norm_dev(state: np.ndarray) -> float:
-    """Largest deviation of a column norm of a contiguous complex matrix from 1."""
-    re_im = state.view(float)                      # columns re, im, re, im, ...
-    sq = np.einsum("ij,ij->j", re_im, re_im)
-    return float(np.max(np.abs(np.sqrt(sq[0::2] + sq[1::2]) - 1.0)))
+    sq = np.abs(state[0]) ** 2 + np.sum(np.abs(state[1:]) ** 2, axis=0)
+    return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
 
 
 def _block_factor(gram: np.ndarray, cos_m1: np.ndarray,
@@ -432,28 +430,17 @@ def _prefix_cores(t: np.ndarray, offsets: np.ndarray):
     a's row of T, summed over the e0 columns; by triangularity it is the
     same for every j > a, so `lower`, (k, k + 1), holds those rows for
     all prefixes at once. Only row 0 depends on j: it sums T's e0 rows
-    over the first j steps, taken for the offsets alone as one product
-    with the 0/1 mask "step a precedes the stop". rows[i] is that row
-    for offsets[i] steps, zero from column offsets[i] + 1 on.
-
-    A non-finite step makes T's rows from that step on non-finite, and
-    the mask's zeros would carry them (0 * nan is nan) into the stops
-    before it. A non-finite product therefore takes the running sum,
-    so a stop is non-finite only once the rotations have reached it.
+    over the first j steps. rows[i] is that row for offsets[i] steps,
+    zero from column offsets[i] + 1 on.
     """
     k = len(t) // 2
     t = t.reshape(k, 2, k, 2)
     lower = np.empty((k, k + 1), dtype=complex)
     lower[:, 0] = t[:, 1, :, 0].sum(axis=1)
     lower[:, 1:] = t[:, 1, :, 1]
-    e0_rows = t[:, 0].reshape(k, 2 * k)
-    precedes = (np.arange(k) < offsets[:, None]).astype(float)
-    top = (precedes @ e0_rows.view(float)).view(complex)
-    if not np.isfinite(top).all():
-        top = np.zeros((k + 1, 2 * k), dtype=complex)
-        np.cumsum(e0_rows, axis=0, out=top[1:])
-        top = top[offsets]
-    top = top.reshape(len(offsets), k, 2)
+    top = np.zeros((k + 1, k, 2), dtype=complex)   # e0 rows summed over j steps
+    np.cumsum(t[:, 0], axis=0, out=top[1:])
+    top = top[offsets]
     rows = np.empty((len(offsets), k + 1), dtype=complex)
     rows[:, 0] = top[:, :, 0].sum(axis=1)
     rows[:, 1:] = top[:, :, 1]

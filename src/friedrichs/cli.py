@@ -3,7 +3,8 @@
 Subcommands: simulate (one trajectory), sweep (tau sweep with fits),
 fourier-check (bump-transform asymptotics table), volterra-check (series
 parity and first-order column), tilde-check (contour calculus suite),
-report (re-emit outputs from a stored manifest).
+report (re-emit outputs from a stored manifest). The three *-check
+commands print acceptance criteria 6, 7-8 and 10 from friedrichs.checks.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance-check failure (only when --check is passed).
@@ -19,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConfigurationError, FriedrichsError
+from . import checks
 from . import sweep as sweep_mod
 from .sweep import (build_model_from_config, emit_report, load_config_file,
                     load_manifest, resolve_config, run_sweep, uncalibrated_steps)
@@ -117,100 +119,38 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _print_checks(name: str, args, *results) -> int:
+    """Print each check's lines, then the verdict of all of them."""
+    ok = all(chk.ok for chk in results)
+    for chk in results:
+        print("\n".join(chk.lines))
+    print(f"{name}:", "PASS" if ok else "FAIL")
+    return 0 if (ok or not args.check) else _CHECK_FAIL
+
+
 def _cmd_fourier_check(args) -> int:
-    from .oscint import BUMP_ASYMPTOTIC, bump_transform, bump_transform_asymptotic
     ps = _float_list("--p", args.p)
     if min(ps) <= 0.0:
         raise ConfigurationError(f"--p values must be > 0, got {args.p!r}")
-    zero = bump_transform(0.0)
-    print(f"transform at 0: {zero:.10f} (reference 0.4439938)")
-    ok = abs(zero - 0.4439938) <= 1e-6
-    print(f"{'p':>8} {'numeric':>14} {'asymptotic':>14} {'|ratio-1|':>10} "
-          f"{'bound':>8} {'used':>5}")
-    for p in ps:
-        num = bump_transform(p)
-        asym = bump_transform_asymptotic(p)
-        cosphase = np.cos(BUMP_ASYMPTOTIC.phase(p))
-        bound = 2.0 / np.sqrt(p)
-        if abs(cosphase) > 0.3:
-            dev = abs(num / asym - 1.0)
-            ok = ok and dev <= bound
-            print(f"{p:8.1f} {num:14.6e} {asym:14.6e} {dev:10.3e} "
-                  f"{bound:8.3f}  yes")
-        else:
-            print(f"{p:8.1f} {num:14.6e} {asym:14.6e} {'-':>10} {bound:8.3f} "
-                  f" near-zero, skipped")
-    print("fourier-check:", "PASS" if ok else "FAIL")
-    return 0 if (ok or not args.check) else _CHECK_FAIL
+    return _print_checks("fourier-check", args, checks.bump_asymptotics(ps))
 
 
 def _cmd_volterra_check(args) -> int:
-    from .volterra import first_order_tail, wave_operator_series
     cfg = _config_from_args(args)
     # series checks are budgeted for small grids; shrink independently of the sweep grid
-    cfg = replace(cfg, n_panels=min(cfg.n_panels, 16),
-                            nodes_per_panel=min(cfg.nodes_per_panel, 8),
-                            k_min=cfg.k_max * 2.0 ** -min(cfg.n_panels, 16),
-                            gap_shift=0.0)
+    n_panels = min(cfg.n_panels, 16)
+    cfg = replace(cfg, n_panels=n_panels, nodes_per_panel=min(cfg.nodes_per_panel, 8),
+                  k_min=cfg.k_max * 2.0 ** -n_panels, gap_shift=0.0)
     model = build_model_from_config(cfg)
     tau = 100.0 if args.single_tau is None else args.single_tau
-    ser = wave_operator_series(model, tau, max_order=4, quad_order=64, s_eval=1.5)
-    defects = ser.parity_defects()
+    ser = checks.volterra_series(model, tau)
     print(f"N={model.measure.n_nodes} tau={tau} panels={ser.n_panels}")
-    for i, d in enumerate(defects, start=1):
-        print(f"wrong-parity defect, order {i}: {d:.3e}")
-    vec, nrm = first_order_tail(model, tau)
-    col = ser.terms[1][1:, 0]
-    rel = float(np.linalg.norm(col - (-1j) * vec) / max(nrm, 1e-300))
-    print(f"first-order column vs closed form: rel err {rel:.3e}")
-    _, n1 = first_order_tail(model, 1000.0)
-    _, n2 = first_order_tail(model, 2000.0)
-    ratio = n1 / n2
-    print(f"tail norm ratio tau=1e3 vs 2e3: {ratio:.4f} "
-          f"(2^beta = {2 ** cfg.beta:.4f})")
-    ok = (max(defects) <= 1e-9 and rel <= 1e-8
-          and 0.9 * 2 ** cfg.beta <= ratio <= 1.1 * 2 ** cfg.beta)
-    print("volterra-check:", "PASS" if ok else "FAIL")
-    return 0 if (ok or not args.check) else _CHECK_FAIL
+    return _print_checks("volterra-check", args, checks.series_parity(ser),
+                         checks.first_order_closed_form(model, ser, tau))
 
 
 def _cmd_tilde_check(args) -> int:
-    from .contour import (ContourSpec, ibp_suite, tilde, tilde_eigenbasis,
-                          verify_ibp)
-    from .model import assemble_model, build_form_factor, build_grid, build_switching
-
-    rng = np.random.default_rng(args.seed)
-    q, _ = np.linalg.qr(rng.standard_normal((8, 8))
-                        + 1j * rng.standard_normal((8, 8)))
-    lam = np.concatenate([[-0.1, 0.1], 1.0 + rng.random(6)])
-    h = (q * lam) @ q.conj().T
-    h = 0.5 * (h + h.conj().T)
-    p = q[:, :2] @ q[:, :2].conj().T
-    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    residuals = {}
-    for n_points in (16, 32, 64):
-        spec = ContourSpec(center=0.0, radius=0.5, n_points=n_points)
-        residuals[n_points] = float(np.linalg.norm(
-            tilde(h, p, x, spec) - tilde_eigenbasis(h, p, x, spec)))
-        print(f"eigenbasis-rule residual at n_points={n_points}: "
-              f"{residuals[n_points]:.3e}")
-    ok = residuals[64] <= 1e-10
-
-    grid = build_grid(1.0, 8, 4, 1e-3)
-    model = assemble_model(grid, build_form_factor(grid, 1.5),
-                           build_switching(np.pi / 4), 1.0)
-    print(f"identity checks at N={model.measure.n_nodes}, tau=50, gap=1:")
-    reports = ibp_suite(model, 50.0, quad_order=64)
-    for rep in reports:
-        print(f"  profile={rep.profile_tag}: residual={rep.residual:.3e} "
-              f"sign={rep.sign:+d}")
-        ok = ok and rep.residual <= 1e-6
-    coarse = verify_ibp(model, 50.0, quad_order=48)
-    fine = verify_ibp(model, 50.0, quad_order=96)
-    print(f"  refinement 48 -> 96: {coarse.residual:.3e} -> {fine.residual:.3e}")
-    ok = ok and fine.residual <= coarse.residual / 4.0
-    print("tilde-check:", "PASS" if ok else "FAIL")
-    return 0 if (ok or not args.check) else _CHECK_FAIL
+    return _print_checks("tilde-check", args, checks.contour_calculus(args.seed))
 
 
 def _cmd_report(args) -> int:

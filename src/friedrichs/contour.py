@@ -233,8 +233,9 @@ def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
     once, to those two vectors, and the weights f_k (f_k' for Xdot) and
     the node's cos/sin combine them; Y's bound row is the weights times
     the rows C_y[:, 0]. No per-node matrix is formed: a node costs
-    O(K N) and its rotations O(N), and the nodes, stacked, contract in
-    one (dim, q) @ (q, dim) product.
+    O(K N) and its rotations O(N), and the nodes, stacked, contract with
+    Y's weights. So each side comes as a (dim, K_y) factor F, the side
+    being F @ C_y[:, 0]: returns (F_left, F_right, C_y[:, 0]).
     """
     sw = model.switching
     c = model.coupling
@@ -269,18 +270,16 @@ def _ibp_sides(model: FriedrichsModel, tau: float, x_profile, y_profile,
     col_d[:, 1:] = phase[:, 1:] * inner[:, 1:] / gaps
     col_t = np.zeros_like(col_x)
     col_t[:, 1:] = phase[:, 1:] * xv[:, 1:] / gaps
-    y_bound = y_profile.coeffs[:, 0]
-    y_rows = y_profile.weights(t) @ y_bound
-    yd_rows = y_profile.derivative_weights(nodes) @ y_bound
+    f_y = y_profile.weights(t)
 
     q = quad_order
-    lhs = (col_x[:q].T * weights) @ y_rows[:q]
-    int_d = (col_d[:q].T * weights) @ y_rows[:q]
-    int_y = (col_t[:q].T * weights) @ yd_rows
-    boundary = (np.outer(col_t[q], y_rows[q])
-                - np.outer(col_t[q + 1], y_rows[q + 1]))
+    lhs = (col_x[:q].T * weights) @ f_y[:q]
+    int_d = (col_d[:q].T * weights) @ f_y[:q]
+    int_y = (col_t[:q].T * weights) @ y_profile.derivative_weights(nodes)
+    boundary = (np.outer(col_t[q], f_y[q])
+                - np.outer(col_t[q + 1], f_y[q + 1]))
     rhs = (1j / tau) * (boundary - int_d - int_y)
-    return lhs, rhs
+    return lhs, rhs, y_profile.coeffs[:, 0]
 
 
 def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
@@ -306,9 +305,13 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
         x_profile = ExchangeRateProfile(model)
     if y_profile is None:
         y_profile = PolyMatrixProfile.random(model.dim, 2, seed=11)
-    lhs, rhs = _ibp_sides(model, tau, x_profile, y_profile, s, quad_order)
-    residual = float(np.linalg.norm(lhs - _IBP_SIGN * rhs, 2))
-    return IbpReport(residual=residual, lhs_norm=float(np.linalg.norm(lhs, 2)),
+    lhs, rhs, y_bound = _ibp_sides(model, tau, x_profile, y_profile, s,
+                                   quad_order)
+    # a side F @ y_bound with y_bound^dagger = Q R has the norm of F R^dagger
+    r_adj = np.linalg.qr(y_bound.conj().T, mode="r").conj().T
+    residual = float(np.linalg.norm((lhs - _IBP_SIGN * rhs) @ r_adj, 2))
+    return IbpReport(residual=residual,
+                     lhs_norm=float(np.linalg.norm(lhs @ r_adj, 2)),
                      sign=_IBP_SIGN, quad_order=quad_order, tau=tau, s=s,
                      profile_tag=profile_tag)
 

@@ -542,7 +542,9 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     """
     check_model_inputs(tau=tau, n_steps=n_steps, record_s=record_s)
     n = int(n_steps)
-    record_idx = sorted({min(round(float(t) * n), n) for t in record_s})
+    record_idx = np.array(sorted({min(round(float(t) * n), n) for t in record_s}),
+                          dtype=int)
+    first = 0           # the first stop not yet taken by a block
     mat = np.eye(model.dim, dtype=complex)
     out, s_out = [], []
     drift = 0.0
@@ -554,8 +556,10 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     for start, d, inv_r, cos_m1, isin, _ in _interaction_blocks(
             model, np.array([float(tau)]), n):
         k = min(len(d), n - start)   # not an odd count's identity step
-        offsets = np.array([i - start for i in record_idx
-                            if start < i <= start + k or i == start == 0], dtype=int)
+        # a block takes the stops in (start, start + k], the first also 0
+        last = int(np.searchsorted(record_idx, start + k, side="right"))
+        offsets = record_idx[first:last] - start
+        first = last
         s_out.extend(((start + offsets) / n).tolist())
         _evolve_block(mat, start, d[:k, 0] * inv_r[:k], cos_m1[:k, 0], isin[:k, 0],
                       offsets, keep_all if on_block is None else on_block)

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import friedrichs
+from friedrichs import checks, contour
 from friedrichs.cli import main
 
 QUICK = "100,316.2,1000,3163"
@@ -134,6 +136,40 @@ def test_simulate_prints_leak_samples(capsys):
 def test_fourier_check_passes(capsys):
     assert main(["fourier-check", "--check"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_fourier_check_with_no_usable_p_exits_four(capsys):
+    # |cos(phase)| = 2.4e-5 at p = 127.121: no ratio is checked
+    assert main(["fourier-check", "--p", "127.121", "--check"]) == 4
+    assert "near-zero, skipped" in capsys.readouterr().out
+
+
+def _wrong_parity(series):
+    def planted(*args, **kwargs):
+        ser = series(*args, **kwargs)
+        ser.terms[1][0, 0] = 1e-6 * np.linalg.norm(ser.terms[1])
+        return ser
+    return planted
+
+
+@pytest.mark.parametrize("command, module, name, plant, criterion", [
+    ("fourier-check", checks, "bump_transform",
+     lambda bump: lambda p: bump(p) * (1.0 + 1e-5 * (p == 0.0)),
+     lambda model: checks.bump_asymptotics((100.0, 200.0, 400.0))),
+    ("volterra-check", checks, "wave_operator_series", _wrong_parity,
+     lambda model: checks.series_parity(checks.volterra_series(model, 100.0))),
+    ("tilde-check", contour, "_IBP_SIGN", lambda sign: -sign,
+     lambda model: checks.contour_calculus(3))],
+    ids=["fourier-check", "volterra-check", "tilde-check"])
+def test_planted_error_fails_command_and_criterion(command, module, name, plant,
+                                                   criterion, monkeypatch, capsys,
+                                                   model_b15_small):
+    # the command and its tier-1 criterion run the same check; criteria 7
+    # and 8 read model_b15_small's grid
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    assert not criterion(model_b15_small).ok
+    assert main([command, "--check"]) == 4
+    assert f"{command}: FAIL" in capsys.readouterr().out
 
 
 def test_volterra_check_passes(capsys):

@@ -8,20 +8,20 @@ from friedrichs.errors import (ConfigurationError, ResourceBudgetError,
                                SpectralSeparationError)
 
 from friedrichs import contour
+from friedrichs.checks import tilde_problem
 
 from oracles import eigen_tilde, per_node_ibp_sides, single_mode_model
 
 
-def _gapped_eight(seed=3):
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((8, 8))
-                        + 1j * rng.standard_normal((8, 8)))
-    lam = np.concatenate([[-0.1, 0.1], 1.0 + rng.random(6)])
-    h = (q * lam) @ q.conj().T
-    h = 0.5 * (h + h.conj().T)
-    p = q[:, :2] @ q[:, :2].conj().T
-    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    return h, p, x
+def _suite_profiles(model):
+    """ibp_suite's profile pairs: the default, then three random pairs."""
+    profiles = [("default", ExchangeRateProfile(model),
+                 PolyMatrixProfile.random(model.dim, 2, seed=11))]
+    for seed in (101, 102, 103):
+        profiles.append((f"random-{seed}",
+                         PolyMatrixProfile.random(model.dim, 3, seed=seed),
+                         PolyMatrixProfile.random(model.dim, 2, seed=seed + 5000)))
+    return profiles
 
 
 class TestTilde:
@@ -34,20 +34,20 @@ class TestTilde:
         assert np.linalg.norm(out - x) <= 1e-12
 
     def test_block_diagonal_annihilated(self):
-        h, p, x = _gapped_eight()
+        h, p, x = tilde_problem(3)
         xbd = p @ x @ p + (np.eye(8) - p) @ x @ (np.eye(8) - p)
         out = tilde(h, p, xbd, ContourSpec(center=0.0, radius=0.5))
         assert np.linalg.norm(out) <= 1e-12
 
     def test_matches_eigen_oracle(self):
-        h, p, x = _gapped_eight()
+        h, p, x = tilde_problem(3)
         spec = ContourSpec(center=0.0, radius=0.5, n_points=64)
         ref = eigen_tilde(h, x, 0.0, 0.5)
         assert np.linalg.norm(tilde(h, p, x, spec) - ref) <= 1e-10
         assert np.linalg.norm(tilde_eigenbasis(h, p, x, spec) - ref) <= 1e-13
 
     def test_quadrature_error_squares_with_points(self):
-        h, p, x = _gapped_eight()
+        h, p, x = tilde_problem(3)
         ref = eigen_tilde(h, x, 0.0, 0.5)
         res = {}
         for n in (16, 24, 32):
@@ -58,21 +58,21 @@ class TestTilde:
         assert res[24] < res[16] and res[32] < res[24]
 
     def test_hermiticity_preserved(self):
-        h, p, x = _gapped_eight()
+        h, p, x = tilde_problem(3)
         xh = 0.5 * (x + x.conj().T)
         out = tilde(h, p, xh, ContourSpec(center=0.0, radius=0.5))
         assert np.linalg.norm(out - out.conj().T) <= 1e-12
 
     def test_linearity(self):
-        h, p, x = _gapped_eight()
-        _, _, y = _gapped_eight(seed=9)
+        h, p, x = tilde_problem(3)
+        _, _, y = tilde_problem(9)
         spec = ContourSpec(center=0.0, radius=0.5)
         lhs = tilde(h, p, 2.0 * x - 0.7j * y, spec)
         rhs = 2.0 * tilde(h, p, x, spec) - 0.7j * tilde(h, p, y, spec)
         assert np.linalg.norm(lhs - rhs) <= 1e-12
 
     def test_vanishing_diagonal_blocks(self):
-        h, p, x = _gapped_eight()
+        h, p, x = tilde_problem(3)
         out = tilde(h, p, x, ContourSpec(center=0.0, radius=0.5))
         pp = p @ out @ p
         cc = (np.eye(8) - p) @ out @ (np.eye(8) - p)
@@ -87,7 +87,7 @@ class TestTilde:
             tilde(h, p, x, ContourSpec(center=0.0, radius=0.5))
 
     def test_rank_mismatch_raises(self):
-        h, p, x = _gapped_eight()
+        h, p, x = tilde_problem(3)
         with pytest.raises(SpectralSeparationError):
             tilde(h, np.zeros((8, 8)), x, ContourSpec(center=0.0, radius=0.5))
 
@@ -128,22 +128,17 @@ class TestIbp:
         # Left = -Right, as derived at contour._IBP_SIGN; with the opposite
         # sign the residual would be of the size of the sides themselves
         model = single_mode_model(k=1.0, theta_total=np.pi / 4, gap_shift=1.0)
-        lhs, rhs = contour._ibp_sides(
+        lhs, rhs, y_bound = contour._ibp_sides(
             model, tau=40.0, x_profile=ExchangeRateProfile(model),
             y_profile=PolyMatrixProfile.random(2, 2, seed=7), s=1.25,
             quad_order=160)
+        lhs, rhs = lhs @ y_bound, rhs @ y_bound
         assert contour._IBP_SIGN == -1
         assert np.linalg.norm(lhs + rhs) < 1e-3 * np.linalg.norm(lhs - rhs)
 
     def test_stacked_sides_match_per_node_quadrature(self, model_gapped_small,
                                                      monkeypatch):
-        profiles = [("default", ExchangeRateProfile(model_gapped_small),
-                     PolyMatrixProfile.random(model_gapped_small.dim, 2, seed=11))]
-        for seed in (101, 102, 103):
-            profiles.append((f"random-{seed}",
-                             PolyMatrixProfile.random(model_gapped_small.dim, 3, seed=seed),
-                             PolyMatrixProfile.random(model_gapped_small.dim, 2,
-                                                      seed=seed + 5000)))
+        profiles = _suite_profiles(model_gapped_small)
         wants = [per_node_ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
                  for _, xp, yp in profiles]
 
@@ -154,13 +149,29 @@ class TestIbp:
         monkeypatch.setattr(contour._SeparableProfile, "value", formed)
         monkeypatch.setattr(contour._SeparableProfile, "derivative", formed)
         for (tag, xp, yp), want in zip(profiles, wants):
-            got = contour._ibp_sides(model_gapped_small, 50.0, xp, yp, 1.25, 64)
+            *factors, y_bound = contour._ibp_sides(model_gapped_small, 50.0,
+                                                   xp, yp, 1.25, 64)
+            got = [f @ y_bound for f in factors]
             for side, (g, w) in enumerate(zip(got, want)):
                 # the default left side, 2.2e-4, cancels O(1) summands (a
                 # condition of ~3.6e3), which puts either quadrature
                 # about 1e-12 from the exact sum
                 tol = 2e-12 if (tag, side) == ("default", 0) else 1e-12
                 assert np.linalg.norm(g - w) <= tol * np.linalg.norm(w), (tag, side)
+
+    @pytest.mark.parametrize("q", [64, 128])
+    def test_thin_norms_match_the_formed_sides(self, model_gapped_small, q):
+        # the residual cancels the sides down to about 2e-13 of their
+        # size, so its rounding is measured against theirs
+        for tag, xp, yp in _suite_profiles(model_gapped_small):
+            rep = verify_ibp(model_gapped_small, 50.0, xp, yp, quad_order=q)
+            *factors, y_bound = contour._ibp_sides(model_gapped_small, 50.0,
+                                                   xp, yp, 1.25, q)
+            lhs, rhs = (f @ y_bound for f in factors)
+            scale = np.linalg.norm(lhs, 2)
+            assert abs(rep.lhs_norm - scale) <= 1e-13 * scale, tag
+            formed = np.linalg.norm(lhs - contour._IBP_SIGN * rhs, 2)
+            assert abs(rep.residual - formed) <= 1e-13 * scale, tag
 
     def test_gapless_model_rejected(self, model_b15_small):
         with pytest.raises(ConfigurationError):

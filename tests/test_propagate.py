@@ -356,6 +356,29 @@ class TestBlockedWaveOperator:
             assert max(np.abs(a - b).max() for a, b in zip(mats, ref)) <= 1e-13
             assert abs(drift - drift_ref) <= 1e-13
 
+    @pytest.mark.parametrize("n, record_s", [
+        (1024, [0.0, 0.5, 1.0, 1.5]),   # stops at 0 and at n (1.5 clamps)
+        (1000, [0.3, 0.3004, 0.64, 1.0]),   # 0.3 and 0.3004 round to 300
+        (333, np.linspace(0.0, 1.0, 17)),   # odd n, a stop at 0
+    ], ids=["ends", "same_step", "odd_n"])
+    def test_block_offsets_match_a_scan_of_every_stop(self, model_gapped_small,
+                                                      n, record_s):
+        # a block takes the stops in (start, start + k], the first also 0
+        idx = sorted({min(round(float(t) * n), n) for t in record_s})
+        want = {}
+        for start in range(0, n, 64):
+            offsets = [i - start for i in idx
+                       if start < i <= start + 64 or i == start == 0]
+            if offsets:
+                want[start] = offsets
+        got = {}
+        s, _, _ = evolve_wave_operator(
+            model_gapped_small, 100.0, n, record_s,
+            on_block=lambda blk: got.setdefault(blk.start, blk.offsets.tolist()))
+        assert got == want
+        np.testing.assert_array_equal(
+            s, [(start + j) / n for start, offs in want.items() for j in offs])
+
     def test_stop_at_every_step_matches_per_step_oracle(self, switching):
         # every run is one step, a 2 x 2 diagonal block of its factor
         grid = build_grid(1.0, 8, 8, 1e-3)  # N = 64

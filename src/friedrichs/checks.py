@@ -1,10 +1,10 @@
-"""Acceptance checks of the supporting calculus, each defined once.
+"""Acceptance checks, each defined once.
 
-Criteria 6 (bump-transform asymptotics), 7 (series parity), 8 (the
-first-order closed form) and 10 (the contour calculus). The CLI's
-fourier-check, volterra-check and tilde-check print them; the
-acceptance tests run them and pin their bounds. The package's __init__
-does not import this module.
+Criterion 3's defect half (the uniform defect's decay), 6 (bump-transform
+asymptotics), 7 (series parity), 8 (the first-order closed form) and 10
+(the contour calculus). The CLI's defect-check, fourier-check,
+volterra-check and tilde-check print them; the acceptance tests run them
+and pin their bounds. The package's __init__ does not import this module.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from .contour import ContourSpec, ibp_suite, tilde, tilde_eigenbasis, verify_ibp
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
                     build_grid, build_switching)
 from .oscint import BUMP_ASYMPTOTIC, bump_transform, bump_transform_asymptotic
-from .volterra import WaveOperatorSeries, first_order_tail, wave_operator_series
+from .volterra import (WaveOperatorSeries, _settled_defect, first_order_tail,
+                       wave_operator_series)
 
-__all__ = ["Check", "bump_asymptotics", "volterra_series", "series_parity",
-           "first_order_closed_form", "tilde_problem", "contour_calculus"]
+__all__ = ["Check", "uniform_defect", "bump_asymptotics", "volterra_series",
+           "series_parity", "first_order_closed_form", "tilde_problem",
+           "contour_calculus"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,35 @@ class Check:
     bounds: dict
     ok: bool
     lines: list[str]
+
+
+def uniform_defect() -> Check:
+    """Criterion 3's defect half: sup_s ||1 - Omega(s)|| falls like tau^-beta.
+
+    Without a gap the adiabatic error decays only as a power of tau. On
+    the N = 160 grid (1, 20, 8, 2^-20) with beta = 0.5, the defect is
+    taken at four taus from 1e2 to 1e4 with 1024 steps each, and the
+    slope of log defect against log tau must lie within 0.15 of -0.5.
+    values also hold, per tau, the exact norms the defect took and the
+    batches that took them.
+    """
+    bounds = {"slope": -0.5, "slope_tol": 0.15}
+    grid = build_grid(1.0, 20, 8, 2.0 ** -20)
+    model = assemble_model(grid, build_form_factor(grid, 0.5),
+                           build_switching(np.pi / 4))
+    taus = np.geomspace(1e2, 1e4, 4)
+    defects, norms, batches = zip(*(_settled_defect(model, t, None, 1024)
+                                    for t in taus))
+    slope = float(np.polyfit(np.log(taus), np.log(defects), 1)[0])
+    ok = abs(slope - bounds["slope"]) <= bounds["slope_tol"]
+    lines = [f"uniform defect at N={model.measure.n_nodes}, beta=0.5, 1024 steps:"]
+    lines += [f"  tau={t:9.2f}: defect {d:.6e} ({n} exact norms in {b} batches)"
+              for t, d, n, b in zip(taus, defects, norms, batches)]
+    lines.append(f"defect slope {slope:+.4f} (bound {bounds['slope']:+.2f} "
+                 f"+- {bounds['slope_tol']})")
+    return Check({"taus": taus.tolist(), "defects": list(defects), "slope": slope,
+                  "exact_norms": list(norms), "batches": list(batches)},
+                 bounds, ok, lines)
 
 
 def bump_asymptotics(ps=(100.0, 200.0, 400.0)) -> Check:

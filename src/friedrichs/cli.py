@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: simulate (one trajectory), sweep (tau sweep with fits),
-fourier-check (bump-transform asymptotics table), volterra-check (series
-parity and first-order column), tilde-check (contour calculus suite),
-report (re-emit outputs from a stored manifest). The three *-check
-commands print acceptance criteria 6, 7-8 and 10 from friedrichs.checks.
+defect-check (the uniform defect's decay), fourier-check (bump-transform
+asymptotics table), volterra-check (series parity and first-order
+column), tilde-check (contour calculus suite), report (re-emit outputs
+from a stored manifest). The four *-check commands print acceptance
+criteria 3 (its defect half), 6, 7-8 and 10 from friedrichs.checks.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance-check failure (only when --check is passed).
@@ -128,6 +129,10 @@ def _print_checks(name: str, args, *results) -> int:
     return 0 if (ok or not args.check) else _CHECK_FAIL
 
 
+def _cmd_defect_check(args) -> int:
+    return _print_checks("defect-check", args, checks.uniform_defect())
+
+
 def _cmd_fourier_check(args) -> int:
     ps = _float_list("--p", args.p)
     if min(ps) <= 0.0:
@@ -178,6 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="exit 4 unless every check passes")
     p.set_defaults(func=_cmd_sweep)
+
+    p = sub.add_parser("defect-check",
+                       help="uniform defect at four taus and its decay slope")
+    p.add_argument("--check", action="store_true")
+    p.set_defaults(func=_cmd_defect_check)
 
     p = sub.add_parser("fourier-check", help="bump transform vs asymptotics")
     p.add_argument("--p", default="100,200,400", help="comma list of p values")

@@ -32,7 +32,7 @@ give all of them, and with them cos r - 1, i sin r, 1 / r and every
 pair map, in a few whole-run products.
 
 The loop takes two steps per iteration. The product of two rotations
-is the k = 2 case of the compact-WY form below; from the bound
+is the k = 2 case of the folded product below; from the bound
 amplitude b0 and the overlaps w_a = <d_a, psi>, w_b = <d_b, psi> of the
 continuum state psi, one 4 x 3 map per pair and row (_pair_maps, with
 1 / r folded in, so the directions are never normalised) gives the
@@ -51,17 +51,15 @@ tolerance fails alone; the other rows of its batch are unaffected.
 
 The wave-operator evolution applies the same rotations to a (dim, dim)
 matrix, each block's directions normalised with the given 1 / r. The
-product of a block's steps has the compact-WY form 1 + X T X^dagger
-with X = [e0, u_1, e0, u_2, ...] (Schreiber & Van Loan, 1989; the T
-factor of Joffrain et al., 2006): one small triangular T per block,
-built in log2(64) doubling rounds. The product of the
-block's first j steps is 1 + Y C_j Y^dagger, Y = [e0, u_1, ..., u_k],
-with C_j folded from T's leading block; only C_j's first row depends on
-j. So the matrix takes one BLAS-3 update per block, with no QR and no
-loop over steps, and every record stop is a prefix of its block: a
-consumer gets the block once (WaveBlock) and can reduce its stops
-without forming them (see _block_factor, _prefix_cores and
-_prefix_product).
+product of a block's first j steps is 1 + Y C_j Y^dagger with
+Y = [e0, u_1, ..., u_k], a compact-WY form (Schreiber & Van Loan, 1989)
+folded onto the k + 1 columns of Y, e0 taken once. Only C_j's first
+row depends on j; the (k + 1)-column cores of every prefix are built in
+log2(64) doubling rounds in that folded basis (_folded_cores). So the
+matrix takes one BLAS-3 update per block, with no QR and no loop over
+steps, and every record stop is a prefix of its block: a consumer gets
+the block once (WaveBlock) and can reduce its stops without forming
+them (see _folded_cores and _prefix_product).
 
 For s >= 1 the driving vanishes, so the interaction-frame state stays
 as it was at the end of the window: a run stops at s = 1, and its leak
@@ -253,9 +251,8 @@ def _pair_maps(inv_r: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
     b2 = (1 + r_b^2 c_b) b1 + s_b (w_b + G x_a). On the unit directions
     u = d / r these are the usual cos r - 1, -i sin r and <u_b, u_a>,
     with every overlap scaled by r and every coefficient by 1 / r: the
-    k = 2 case of the compact-WY product (_block_factor, _prefix_cores),
-    whose rows are e0 + row 0 of C_1, the two rows of lower, and
-    e0 + row 0 of C_2.
+    k = 2 case of the folded prefix cores (_folded_cores), whose rows
+    are e0 + row 0 of C_1, the two rows of lower, and e0 + row 0 of C_2.
     """
     # (c / r) / r: c is exactly 0 wherever 1 / r^2 would overflow
     c = cos_m1 * inv_r * inv_r
@@ -377,74 +374,72 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
 
 
 def _total_norm_dev(state: np.ndarray) -> float:
-    sq = np.abs(state[0]) ** 2 + np.sum(np.abs(state[1:]) ** 2, axis=0)
-    return float(np.max(np.abs(np.sqrt(sq) - 1.0)))
+    """Largest |norm - 1| over the columns of a C-contiguous state.
+
+    The column sums of squares come from the float view, where column j
+    is float columns 2 j (real parts) and 2 j + 1 (imaginary parts).
+    """
+    assert state.flags.c_contiguous
+    real = state.view(float)
+    sq = np.einsum("ij,ij->j", real, real)
+    return float(np.max(np.abs(np.sqrt(sq[0::2] + sq[1::2]) - 1.0)))
 
 
-def _block_factor(gram: np.ndarray, cos_m1: np.ndarray,
-                  isin: np.ndarray) -> np.ndarray:
-    """T of the compact-WY form R_k ... R_1 = 1 + X T X^dagger of k steps.
+def _folded_cores(gram: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
+                  offsets: np.ndarray):
+    """Cores of a block's prefixes in the folded basis: (rows, lower).
 
-    R_j = 1 + X_j M_j X_j^dagger with X_j = [e0, u_j] and M_j =
-    [[cos r - 1, -i sin r], [-i sin r, cos r - 1]]; X = [X_1, ..., X_k]
-    and T = (1 - M L)^-1 M, (2 k, 2 k), with M block diagonal and L the
-    strictly lower block part of X^dagger X (Schreiber & Van Loan, SIAM
-    J. Sci. Stat. Comput. 10, 1989; Joffrain et al., ACM TOMS 32, 2006).
-    gram is u^dagger u, the (k, k) Gram matrix of the directions; e0 is
-    orthogonal to every u. Built in doubling rounds: two adjacent factors
-    T1, T2 merge into [[T1, 0], [T2 G21 T1, T2]], G21 the Gram block of
-    the later steps against the earlier ones. The steps are padded to a
-    power of two with identity steps (M = 0), whose rows and columns of T
-    are zero.
+    Step j is R_j = 1 + X_j M_j X_j^dagger with X_j = [e0, u_j] and M_j =
+    [[cos r - 1, -i sin r], [-i sin r, cos r - 1]]; gram is u^dagger u,
+    the (k, k) Gram matrix of the directions, and e0 is orthogonal to
+    every u. The first j steps multiply to 1 + Y C_j Y^dagger with
+    Y = [e0, u_1, ..., u_k]; only C_j's first j + 1 rows and columns are
+    nonzero. Step a adds a component along u_a that no later step
+    changes, so row 1 + a of C_j is the same for every j > a: `lower`,
+    (k, k + 1), holds those rows for all prefixes at once. Only row 0,
+    along e0, depends on j; rows[i] is it for offsets[i] steps, zero from
+    column offsets[i] + 1 on.
+
+    Built by doubling. A segment of steps is its tops (row 0 after each
+    of its prefixes) and its lower rows, on [e0, its own u]. Segment 2
+    after segment 1 sees segment 1's whole product through
+    H = Y_2^dagger Y_1 C_1 = [tops_1[-1]; G21 lower_1], G21 = u_2^dagger
+    u_1: one product [tops_2; lower_2] H gives segment 2's rows on
+    [e0, u_1], its own columns move after segment 1's, and each of its
+    tops gains tops_1[-1], segment 1's product seen from e0. The steps
+    are padded to a power of two with identity steps (M = 0) after the
+    last; their rows and columns are zero and are cut off.
     """
     k = len(cos_m1)
     p = 1 << (k - 1).bit_length()
-    t = np.zeros((p, 2, 2), dtype=complex)
-    t[:k, 0, 0] = t[:k, 1, 1] = cos_m1
-    t[:k, 0, 1] = t[:k, 1, 0] = -isin
-    full = np.zeros((p, 2, p, 2), dtype=complex)   # X^dagger X
-    full[:, 0, :, 0] = 1.0
-    full[:k, 1, :k, 1] = gram
-    full = full.reshape(2 * p, 2 * p)
-    w = 2                                          # columns per factor
-    while len(t) > 1:
-        pair = np.arange(0, len(t), 2)             # the earlier factor of each pair
-        g21 = full.reshape(len(t), w, len(t), w)[pair + 1, :, pair]
-        merged = np.zeros((len(t) // 2, 2 * w, 2 * w), dtype=complex)
-        merged[:, :w, :w] = t[0::2]
-        merged[:, w:, w:] = t[1::2]
-        merged[:, w:, :w] = t[1::2] @ g21 @ t[0::2]
-        t, w = merged, 2 * w
-    return t[0, :2 * k, :2 * k]
-
-
-def _prefix_cores(t: np.ndarray, offsets: np.ndarray):
-    """Folded cores of the block's prefixes: (rows, lower).
-
-    The first j steps of a block multiply to 1 + Y C_j Y^dagger with
-    Y = [e0, u_1, ..., u_k] (only its first j + 1 columns enter). T's
-    leading (2 j, 2 j) block is their factor: T is block lower
-    triangular, and a leading block of a triangular inverse is the
-    inverse of that block. Folding its e0 rows and columns onto one
-    gives the (j + 1, j + 1) core C_j. Row 1 + a of C_j (a < j) is step
-    a's row of T, summed over the e0 columns; by triangularity it is the
-    same for every j > a, so `lower`, (k, k + 1), holds those rows for
-    all prefixes at once. Only row 0 depends on j: it sums T's e0 rows
-    over the first j steps. rows[i] is that row for offsets[i] steps,
-    zero from column offsets[i] + 1 on.
-    """
-    k = len(t) // 2
-    t = t.reshape(k, 2, k, 2)
-    lower = np.empty((k, k + 1), dtype=complex)
-    lower[:, 0] = t[:, 1, :, 0].sum(axis=1)
-    lower[:, 1:] = t[:, 1, :, 1]
-    top = np.zeros((k + 1, k, 2), dtype=complex)   # e0 rows summed over j steps
-    np.cumsum(t[:, 0], axis=0, out=top[1:])
-    top = top[offsets]
-    rows = np.empty((len(offsets), k + 1), dtype=complex)
-    rows[:, 0] = top[:, :, 0].sum(axis=1)
-    rows[:, 1:] = top[:, :, 1]
-    return rows, lower
+    # seg[i, 0] holds segment i's tops, seg[i, 1] its lower rows; a
+    # one-step segment is M_j on [e0, u_j]
+    seg = np.zeros((p, 2, 1, 2), dtype=complex)
+    seg[:k, 0, 0, 0] = seg[:k, 1, 0, 1] = cos_m1
+    seg[:k, 0, 0, 1] = seg[:k, 1, 0, 0] = -isin
+    if p > k:
+        gram = np.pad(gram, (0, p - k))
+    w = 1                                          # steps per segment
+    while len(seg) > 1:
+        n = len(seg) // 2
+        first, second = seg[0::2], seg[1::2]
+        pairs = np.arange(n)
+        g21 = gram.reshape(n, 2, w, n, 2, w)[pairs, 1, :, pairs, 0]
+        h = np.empty((n, w + 1, w + 1), dtype=complex)
+        h[:, 0] = first[:, 0, -1]
+        np.matmul(g21, first[:, 1], out=h[:, 1:])
+        merged = np.zeros((n, 2, 2 * w, 2 * w + 1), dtype=complex)
+        merged[:, :, :w, :w + 1] = first
+        later = merged[:, :, w:]
+        later[..., :w + 1] = (second.reshape(n, 2 * w, w + 1) @ h).reshape(
+            n, 2, w, w + 1)
+        later[..., 0] += second[..., 0]
+        later[..., w + 1:] = second[..., 1:]
+        later[:, 0, :, :w + 1] += first[:, 0, -1:]
+        seg, w = merged, 2 * w
+    tops = np.zeros((k + 1, k + 1), dtype=complex)   # row 0 after 0..k steps
+    tops[1:] = seg[0, 0, :k, :k + 1]
+    return tops[offsets], seg[0, 1, :k, :k + 1]
 
 
 def _prefix_product(mat: np.ndarray, u: np.ndarray, z: np.ndarray,
@@ -453,7 +448,7 @@ def _prefix_product(mat: np.ndarray, u: np.ndarray, z: np.ndarray,
 
     For the first j steps of a block, with z = Y^dagger omega: row 0 of
     C_j is `row`, its rows 1..j are the first j rows of lower (see
-    _prefix_cores), and lower @ z = x, so the update takes one GEMM.
+    _folded_cores), and lower @ z = x, so the update takes one GEMM.
     """
     mat[0] += row[:j + 1] @ z[:j + 1]
     mat[1:] += u[:j].T @ x[:j]
@@ -466,7 +461,7 @@ class WaveBlock:
     omega is the matrix at step `start`; the block's k steps take it to
     R_k ... R_1 omega. The stop offsets[i] steps in is omega + Y C_j z
     with j = offsets[i], Y = [e0, u_1, ..., u_k] and z = Y^dagger omega
-    (see _prefix_cores for C_j: rows[i] is its row 0, lower the rest).
+    (see _folded_cores for C_j: rows[i] is its row 0, lower the rest).
     omega is the evolving matrix itself: read it during the call, do not
     keep or write it. Every other field is the block's own, made for
     this block alone, and may be kept after the call.
@@ -497,12 +492,11 @@ def _evolve_block(mat: np.ndarray, start: int, u: np.ndarray, cos_m1: np.ndarray
 
     A block with record stops (offsets) goes to on_block first. The
     block's arrays are released on return, before the next block's
-    factor is built.
+    cores are built.
     """
     k = len(u)
     gram = u.conj() @ u.T
-    rows, lower = _prefix_cores(_block_factor(gram, cos_m1, isin),
-                                np.append(offsets, k))
+    rows, lower = _folded_cores(gram, cos_m1, isin, np.append(offsets, k))
     z = np.empty((k + 1, len(mat)), dtype=complex)
     z[0] = mat[0]
     np.matmul(u.conj(), mat[1:], out=z[1:])
@@ -521,12 +515,12 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     is the wave operator comparing true and frame dynamics.
 
     Takes the same rotations as evolve_true, applied to the (dim, dim)
-    matrix a block at a time: each _RESEED_STEPS-step block gets one
-    compact-WY factor (_block_factor), and the matrix takes the whole
-    block's product as one update (_prefix_product). A record stop is a prefix
-    of its block, so its matrix is the block's start matrix plus the
-    prefix's update (_prefix_cores, WaveBlock.stop_matrix). A non-finite
-    rotation makes its block's factor non-finite. Drift and finiteness
+    matrix a block at a time: each _RESEED_STEPS-step block gets the
+    folded cores of its prefixes (_folded_cores), and the matrix takes
+    the whole block's product as one update (_prefix_product). A record
+    stop is a prefix of its block, so its matrix is the block's start
+    matrix plus the prefix's update (WaveBlock.stop_matrix). A
+    non-finite rotation makes its block's cores non-finite. Drift and finiteness
     are checked at every block end, so at least every 64 steps and at
     the last step; a drift above _DRIFT_TOLERANCE (1e-9) raises
     IntegrationFailure. Returns (actual record times snapped to the

@@ -13,10 +13,10 @@ feed the leak.
 The uniform defect sup_s ||1 - Omega(s)|| takes the wave operator a
 block of steps at a time (propagate.WaveBlock). Each stop of a block is
 bracketed by the Rayleigh-Ritz values of an 8-column block and its
-Frobenius norm, both from products with the block's compact-WY factors.
+Frobenius norm, both from products with the block's prefix cores.
 The stops whose bracket keeps them as candidates for the supremum are
 settled one block later, together, by block power iteration on the
-same factors, so no stop is ever formed.
+same cores, so no stop is ever formed.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ __all__ = [
 
 _MAX_N = 512
 _MAX_ORDER = 4
+#: Ritz vectors carried from block to block, and those a candidate's
+#: settle starts from
+_CARRIED_COLUMNS = 4
+_SETTLE_COLUMNS = 2
 
 
 def kernel_columns(model: FriedrichsModel, tau: float, t) -> np.ndarray:
@@ -194,12 +198,14 @@ def _stop_products(blk: WaveBlock, a0: np.ndarray, v: np.ndarray) -> np.ndarray:
     return b
 
 
-def _ritz_block(gram: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The top four Ritz vectors of a stop, from its Gram matrix on basis.
+def _ritz_block(vecs: np.ndarray, basis: np.ndarray, c: int) -> np.ndarray:
+    """The top c Ritz vectors of a stop on basis, top first.
 
-    Stacked grams (m, c, c) give the stops' blocks stacked, (m, dim, 4).
+    vecs are the eigenvectors of the stop's Gram matrix on basis, in
+    ascending order (numutil.ritz_bounds). Stacked vecs (m, b, b) give
+    the stops' blocks stacked, (m, dim, c).
     """
-    return basis @ np.linalg.eigh(gram)[1][..., :-5:-1]
+    return basis @ vecs[..., :-c - 1:-1]
 
 
 def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
@@ -212,7 +218,7 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
         ||A_j||_F^2 = ||A_0||_F^2 - 2 Re tr(C_j P) + ||Y C_j z||_F^2,
 
     P = z A_0^dagger Y, taken through Y^dagger A_0 = Y^dagger - z. Only
-    row 0 of C_j changes with j (propagate._prefix_cores) and e0 is
+    row 0 of C_j changes with j (propagate._folded_cores) and e0 is
     orthogonal to every u, so tr(C_j P) is row 0 of C_j times P[:, 0]
     plus a prefix sum over the steps, and ||Y C_j z||_F^2 is the norm of
     row 0 of C_j z plus the sum of gram * (x x^dagger)^T over its
@@ -224,8 +230,9 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     that follows the stops' top singular directions through the block.
     All the stops' A_j V come from one pass (_stop_products). Their Gram
     matrices G_j give the Ritz values theta_1 >= ... of numutil's
-    bracket; since these sum to tr G_j, one batched eigvalsh for the top
-    one suffices. The last stop's top four Ritz vectors are carried on.
+    bracket (the rest sum to tr G_j - theta_1). Its one batched eigh
+    also gives the Ritz vectors: the last stop's top four are carried
+    on, and a candidate's top two start its settle (_stop_norms).
 
     Rounding allowance, first order in the unit roundoff. Let a =
     ||A_0||_F, b_j = sqrt(j + 1) ||C_j||_F ||z_j||_F (z_j the first j + 1
@@ -247,8 +254,9 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
 
     Raises NumericalOverflow, naming the step, at the first stop whose
     Frobenius sum is not finite, before a Ritz value is read. Returns
-    (lo, hi, grams, basis, v): each stop's Gram matrix on basis, for its
-    Ritz block (_ritz_block), and v the block to carry.
+    (lo, hi, vecs, basis, v): the eigenvectors of each stop's Gram
+    matrix on basis, for its Ritz block (_ritz_block), and v the block
+    to carry.
     """
     js = blk.offsets
     u, z, x, rows = blk.u, blk.z, blk.x, blk.rows
@@ -294,9 +302,9 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     s_sq = (math.sqrt(fa) + bj) ** 2
     gamma = rounding_gamma(dim * dim + 2)
     r = (2.0 * math.sqrt(c) + 3.0) * gamma * s_sq
-    lo, hi = ritz_bounds(grams, fro, r,
-                         (c - 1) * r + gamma * (3.0 * s_sq + 2.0 * bj * math.sqrt(dim)))
-    return lo, hi, grams, basis, _ritz_block(grams[-1], basis)
+    lo, hi, vecs = ritz_bounds(
+        grams, fro, r, (c - 1) * r + gamma * (3.0 * s_sq + 2.0 * bj * math.sqrt(dim)))
+    return lo, hi, vecs, basis, _ritz_block(vecs[-1], basis, _CARRIED_COLUMNS)
 
 
 def _stop_norms(blk: WaveBlock, a0: np.ndarray, stops: np.ndarray,
@@ -304,15 +312,19 @@ def _stop_norms(blk: WaveBlock, a0: np.ndarray, stops: np.ndarray,
     """Exact ||A_j||_2 of some stops of a block, settled together, unformed.
 
     a0 = 1 - omega at the block's start, stops indexes blk.offsets and
-    start holds each stop's Ritz block (_ritz_block), (len(stops), dim,
-    4). The stops go to numutil.block_power_norms as one batch, each
-    applied from the block's factors:
+    start holds each stop's top two Ritz vectors (_ritz_block),
+    (len(stops), dim, 2). Two columns suffice: the rank-two coupling
+    makes 1 - Omega's top two singular values a near pair, and at
+    criterion 3 the third is at most 0.063 times the first, so a round
+    cuts the top residual by about (sigma_3 / sigma_1)^2. The stops go
+    to numutil.block_power_norms as one batch, each applied from the
+    block's cores:
 
         A_j V = A_0 V - Y C_j (z V),
         A_j^dagger W = A_0^dagger W - z^dagger C_j^dagger (Y^dagger W).
 
     Row 0 of C_j is rows[i]; its rows 1 + a are lower's, kept for the
-    steps a < j and zero after (propagate._prefix_cores), so a (k, m)
+    steps a < j and zero after (propagate._folded_cores), so a (k, m)
     mask stands in for a stack of cores. With the batch's blocks side by
     side as (dim, m c) columns, a round takes one GEMM each with A_0,
     A_0^dagger, z, z^dagger, lower, lower^dagger, u^T and u^*; row 0 of
@@ -366,22 +378,28 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
     after-window value. The norms are taken while the wave operator
     evolves, a block at a time (evolve_wave_operator's on_block), and no
     stop is ever formed. A block's stops are bracketed together, lo <=
-    ||1 - Omega|| <= hi, from the block's factors (_block_brackets). The
+    ||1 - Omega|| <= hi, from the block's cores (_block_brackets). The
     brackets' Frobenius sums also check each stop finite, so a
     non-finite stop raises NumericalOverflow before a Ritz value is
     read. Every lower bound of the block raises the floor, the best
     lower bound of the supremum. The block's candidates, its stops with
     hi above the floor, wait one block: A_0 = 1 - Omega at their block's
     start stays in one of two alternating (dim, dim) buffers, beside the
-    block's own factors. Once the next block's lower bounds have raised
+    block's own cores. Once the next block's lower bounds have raised
     the floor, the waiting stops whose hi still exceeds it are settled
     in one batch (_stop_norms: block power iteration from each stop's
-    Ritz block, converged to 1e-12 relative or the call fails), and
-    their largest norm raises the floor in turn; the last block's
-    candidates are settled after the evolution. A stop left out cannot
-    hold the supremum, so the result is the largest exact norm, as if
-    every stop had been settled.
+    top two Ritz vectors, converged to 1e-12 relative or the call
+    fails), and their largest norm raises the floor in turn; the last
+    block's candidates are settled after the evolution. A stop left out
+    cannot hold the supremum, so the result is the largest exact norm,
+    as if every stop had been settled.
     """
+    return _settled_defect(model, tau, s_grid, n_steps)[0]
+
+
+def _settled_defect(model: FriedrichsModel, tau: float, s_grid: np.ndarray | None,
+                    n_steps: int | None) -> tuple[float, int, int]:
+    """adiabatic_defect's (supremum, exact norms taken, batches that took them)."""
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
         raise ResourceBudgetError(
@@ -395,6 +413,7 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
     buffers = [np.empty((dim, dim), dtype=complex) for _ in range(2)]
     floor = 0.0                # the best lower bound of the supremum
     best = 0.0                 # the largest exact norm
+    settled = []               # the size of each batch of exact norms
     v = None
     waiting = None             # (block, A_0, stops, their hi, Ritz blocks)
 
@@ -406,6 +425,7 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
             best = max(best, float(_stop_norms(blk, a0, stops[keep],
                                                start[keep]).max()))
             floor = max(floor, best)
+            settled.append(int(keep.sum()))
 
     def take(blk):
         nonlocal floor, v, waiting
@@ -415,17 +435,18 @@ def adiabatic_defect(model: FriedrichsModel, tau: float,
         # negating the complex array
         np.negative(blk.omega.view(float), out=a0.view(float))
         a0.flat[::dim + 1] += 1.0
-        lo, hi, grams, basis, v = _block_brackets(blk, a0, v)
+        lo, hi, vecs, basis, v = _block_brackets(blk, a0, v)
         floor = max(floor, float(lo.max()))
         if waiting is not None:
             settle()
         stops = np.flatnonzero(hi > floor)
         if len(stops):
-            waiting = (blk, a0, stops, hi[stops], _ritz_block(grams[stops], basis))
+            waiting = (blk, a0, stops, hi[stops],
+                       _ritz_block(vecs[stops], basis, _SETTLE_COLUMNS))
         else:
             waiting = None
 
     evolve_wave_operator(model, tau, n_steps, record_s=s_grid, on_block=take)
     if waiting is not None:
         settle()
-    return float(best)
+    return float(best), sum(settled), len(settled)

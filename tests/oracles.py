@@ -18,6 +18,13 @@ check:
 * backward_walk_defect, the uniform defect as it stood before its norms
   were bracketed during the evolution, reuses the wave-operator
   evolution and the operator norm;
+* block_factor and prefix_cores, the wave operator's block kernel as
+  it stood before its prefix cores were built in the folded basis: the
+  unfolded (2 k, 2 k) compact-WY factor T of a block's steps, then its
+  fold onto [e0, u_1, ..., u_k]; they share no code with the package;
+* per_step_cores, the same cores one step at a time in extended
+  precision (numpy's clongdouble), a reference for the rounding of both
+  doubling paths;
 * norm_bracket, the defect's bracket of one formed matrix as it stood
   before a block's stops were bracketed together unformed, reuses the
   Ritz bounds, the start block and the rounding allowance;
@@ -387,6 +394,94 @@ def backward_walk_defect(model, tau, s_grid=None, n_steps=1024):
     return best, s_best
 
 
+def block_factor(gram, cos_m1, isin):
+    """T of the compact-WY form R_k ... R_1 = 1 + X T X^dagger of k steps.
+
+    R_j = 1 + X_j M_j X_j^dagger with X_j = [e0, u_j] and M_j =
+    [[cos r - 1, -i sin r], [-i sin r, cos r - 1]]; X = [X_1, ..., X_k]
+    and T = (1 - M L)^-1 M, (2 k, 2 k), with M block diagonal and L the
+    strictly lower block part of X^dagger X (Schreiber & Van Loan, SIAM
+    J. Sci. Stat. Comput. 10, 1989; Joffrain et al., ACM TOMS 32, 2006).
+    gram is u^dagger u, the (k, k) Gram matrix of the directions; e0 is
+    orthogonal to every u. Built in doubling rounds: two adjacent factors
+    T1, T2 merge into [[T1, 0], [T2 G21 T1, T2]], G21 the Gram block of
+    the later steps against the earlier ones. The steps are padded to a
+    power of two with identity steps (M = 0), whose rows and columns of T
+    are zero.
+    """
+    k = len(cos_m1)
+    p = 1 << (k - 1).bit_length()
+    t = np.zeros((p, 2, 2), dtype=complex)
+    t[:k, 0, 0] = t[:k, 1, 1] = cos_m1
+    t[:k, 0, 1] = t[:k, 1, 0] = -isin
+    full = np.zeros((p, 2, p, 2), dtype=complex)   # X^dagger X
+    full[:, 0, :, 0] = 1.0
+    full[:k, 1, :k, 1] = gram
+    full = full.reshape(2 * p, 2 * p)
+    w = 2                                          # columns per factor
+    while len(t) > 1:
+        pair = np.arange(0, len(t), 2)             # the earlier factor of each pair
+        g21 = full.reshape(len(t), w, len(t), w)[pair + 1, :, pair]
+        merged = np.zeros((len(t) // 2, 2 * w, 2 * w), dtype=complex)
+        merged[:, :w, :w] = t[0::2]
+        merged[:, w:, w:] = t[1::2]
+        merged[:, w:, :w] = t[1::2] @ g21 @ t[0::2]
+        t, w = merged, 2 * w
+    return t[0, :2 * k, :2 * k]
+
+
+def prefix_cores(t, offsets):
+    """Folded cores (rows, lower) of a block's prefixes from its factor t.
+
+    The first j steps multiply to 1 + Y C_j Y^dagger with Y = [e0, u_1,
+    ..., u_k]. T's leading (2 j, 2 j) block is their factor: T is block
+    lower triangular, and a leading block of a triangular inverse is the
+    inverse of that block. Folding its e0 rows and columns onto one
+    gives the (j + 1, j + 1) core C_j. Row 1 + a of C_j (a < j) is step
+    a's row of T, summed over the e0 columns, the same for every j > a:
+    `lower`, (k, k + 1). Row 0 sums T's e0 rows over the first j steps;
+    rows[i] is it for offsets[i] steps.
+    """
+    k = len(t) // 2
+    t = t.reshape(k, 2, k, 2)
+    lower = np.empty((k, k + 1), dtype=complex)
+    lower[:, 0] = t[:, 1, :, 0].sum(axis=1)
+    lower[:, 1:] = t[:, 1, :, 1]
+    top = np.zeros((k + 1, k, 2), dtype=complex)   # e0 rows summed over j steps
+    np.cumsum(t[:, 0], axis=0, out=top[1:])
+    top = top[offsets]
+    rows = np.empty((len(offsets), k + 1), dtype=complex)
+    rows[:, 0] = top[:, :, 0].sum(axis=1)
+    rows[:, 1:] = top[:, :, 1]
+    return rows, lower
+
+
+def per_step_cores(gram, cos_m1, isin):
+    """Every prefix core of a block, one step at a time in clongdouble.
+
+    Returns (tops, lower): tops[j] is row 0 of C_j for j = 0..k, lower
+    the rows 1.. of C_k. Step j + 1 acts on 1 + Y C Y^dagger through
+    Y^dagger Y = diag(1, gram): it adds M_j (1 + Y^dagger Y C) restricted
+    to e0 and u_j to those two rows of C.
+    """
+    wide = np.clongdouble
+    k = len(cos_m1)
+    g = np.zeros((k + 1, k + 1), dtype=wide)
+    g[0, 0] = 1.0
+    g[1:, 1:] = gram
+    core = np.zeros((k + 1, k + 1), dtype=wide)
+    tops = np.zeros((k + 1, k + 1), dtype=wide)
+    for j in range(k):
+        m = np.array([[cos_m1[j], -isin[j]], [-isin[j], cos_m1[j]]], dtype=wide)
+        idx = [0, j + 1]
+        seen = g[idx] @ core
+        seen[0, 0] += 1.0
+        seen[1, j + 1] += 1.0
+        core[idx] += m @ seen
+        tops[j + 1] = core[0]
+    return tops, core[1:]
+
+
 def norm_bracket(m, v=None):
     """Bounds lo <= ||m||_2 <= hi from one Rayleigh-Ritz round on m itself.
 
@@ -409,9 +504,8 @@ def norm_bracket(m, v=None):
         v = _start_block(m.shape[1])
     b = m @ v
     gram = b.conj().T @ b
-    lo, hi = ritz_bounds(gram, fro, 0.0, 24.0 * rounding_gamma(m.size + 2) * fro)
-    theta, y = np.linalg.eigh(gram)
-    if theta[-1] > 0.0:
+    lo, hi, y = ritz_bounds(gram, fro, 0.0, 24.0 * rounding_gamma(m.size + 2) * fro)
+    if lo > 0.0:
         v = np.linalg.qr(((b @ y[:, ::-1]).conj().T @ m).conj().T)[0]
     return float(lo), float(hi), v
 

@@ -152,7 +152,16 @@ def _wrong_parity(series):
     return planted
 
 
+def _flat_decay(defect):
+    def planted(model, tau, *args):
+        value, norms, batches = defect(model, tau, *args)
+        return value * tau ** 0.5, norms, batches
+    return planted
+
+
 @pytest.mark.parametrize("command, module, name, plant, criterion", [
+    ("defect-check", checks, "_settled_defect", _flat_decay,
+     lambda model: checks.uniform_defect()),
     ("fourier-check", checks, "bump_transform",
      lambda bump: lambda p: bump(p) * (1.0 + 1e-5 * (p == 0.0)),
      lambda model: checks.bump_asymptotics((100.0, 200.0, 400.0))),
@@ -160,7 +169,7 @@ def _wrong_parity(series):
      lambda model: checks.series_parity(checks.volterra_series(model, 100.0))),
     ("tilde-check", contour, "_IBP_SIGN", lambda sign: -sign,
      lambda model: checks.contour_calculus(3))],
-    ids=["fourier-check", "volterra-check", "tilde-check"])
+    ids=["defect-check", "fourier-check", "volterra-check", "tilde-check"])
 def test_planted_error_fails_command_and_criterion(command, module, name, plant,
                                                    criterion, monkeypatch, capsys,
                                                    model_b15_small):
@@ -170,6 +179,13 @@ def test_planted_error_fails_command_and_criterion(command, module, name, plant,
     assert not criterion(model_b15_small).ok
     assert main([command, "--check"]) == 4
     assert f"{command}: FAIL" in capsys.readouterr().out
+
+
+def test_defect_check_passes(capsys):
+    assert main(["defect-check", "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "defect-check: PASS" in out
+    assert out.count(" exact norms in ") == 4
 
 
 def test_volterra_check_passes(capsys):

@@ -7,14 +7,14 @@ from friedrichs.errors import (ConfigurationError, IntegrationFailure,
 from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
 from friedrichs.numutil import rounding_gamma
-from friedrichs.propagate import (_RESEED_STEPS, _block_factor, _interaction_blocks,
-                                  _prefix_cores, evolve_true, evolve_wave_operator)
+from friedrichs.propagate import (_RESEED_STEPS, _folded_cores, _interaction_blocks,
+                                  evolve_true, evolve_wave_operator)
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
-from oracles import (PerStepExpRunner, PerStepWaveOperator,
-                     dense_reference_evolve, single_mode_model,
-                     verify_generators)
+from oracles import (PerStepExpRunner, PerStepWaveOperator, block_factor,
+                     dense_reference_evolve, per_step_cores, prefix_cores,
+                     single_mode_model, verify_generators)
 
 SWEEP_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 SWEEP_STEPS = 2048
@@ -175,9 +175,8 @@ class TestPairedSteps:
             for t in range(len(taus)):
                 steps = slice(2 * p, 2 * p + 2)
                 pair = u[steps, t]
-                wy = _block_factor(pair.conj() @ pair.T, cos_m1[steps, t],
-                                   isin[steps, t])
-                rows, lower = _prefix_cores(wy, np.array([1, 2]))
+                rows, lower = _folded_cores(pair.conj() @ pair.T, cos_m1[steps, t],
+                                            isin[steps, t], np.array([1, 2]))
                 ref = np.array([e0 + rows[0], lower[0], lower[1], e0 + rows[1]])
                 scale = np.concatenate(([1.0], r[steps, t], [1.0]))
                 on_u = scale[:, None] * maps[p, t] * scale[None, :3]
@@ -326,6 +325,57 @@ class TestGramForms:
         direct_pair = np.vecdot(d[1::2], d[0::2])
         assert np.all(np.abs(overlaps - direct_pair)
                       <= (1.0 + rounding_gamma(2)) * bound_pair)
+
+
+class TestFoldedCores:
+    """A block's prefix cores built in the folded basis (_folded_cores)
+    against the unfolded compact-WY factor and its fold (the oracle)."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 33, 63, 64])
+    def test_random_steps_match_unfolded_oracle(self, k):
+        # each entry sums at most 2 k products on the oracle's side, the
+        # length of its unfolded factor: both sides are within a few
+        # gamma_2k of the exact cores
+        rng = np.random.default_rng(k)
+        u = rng.standard_normal((k, 40)) + 1j * rng.standard_normal((k, 40))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        r = rng.uniform(0.0, np.pi / 2, k)
+        gram, cos_m1, isin = u.conj() @ u.T, np.cos(r) - 1.0, 1j * np.sin(r)
+        offsets = np.arange(k + 1)
+        rows, lower = _folded_cores(gram, cos_m1, isin, offsets)
+        want_rows, want_lower = prefix_cores(block_factor(gram, cos_m1, isin),
+                                             offsets)
+        scale = max(np.abs(want_rows).max(), np.abs(want_lower).max())
+        assert rows.shape == want_rows.shape and lower.shape == want_lower.shape
+        assert np.abs(rows - want_rows).max() <= rounding_gamma(2 * k) * scale
+        assert np.abs(lower - want_lower).max() <= rounding_gamma(2 * k) * scale
+        assert np.all(rows[0] == 0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs an extended long double")
+    @pytest.mark.parametrize("tau", [DEFECT_TAUS[0], DEFECT_TAUS[1]])
+    def test_criterion_3_blocks_match_extended_precision(self, model_defect, tau):
+        # every block of a criterion-3 run, stops at 0 and k: the folded
+        # cores are within 1e-15 of the largest entry of the exact ones,
+        # here a per-step recurrence in extended precision, and within
+        # the random test's gamma_2k of the unfolded oracle, which is
+        # itself up to 1.6e-15 off the exact cores on these blocks
+        blocks = list(_interaction_blocks(model_defect, np.array([tau]), 1024))
+        assert len(blocks) == 16
+        for start, d, inv_r, cos_m1, isin, _ in blocks:
+            u, cos_m1, isin = d[:, 0] * inv_r, cos_m1[:, 0], isin[:, 0]
+            k = len(u)
+            gram, offsets = u.conj() @ u.T, np.array([0, k])
+            rows, lower = _folded_cores(gram, cos_m1, isin, offsets)
+            tops, want_lower = per_step_cores(gram, cos_m1, isin)
+            want_rows = tops[offsets]
+            scale = float(max(np.abs(want_rows).max(), np.abs(want_lower).max()))
+            assert k == _RESEED_STEPS and scale > 0.0
+            assert float(np.abs(rows - want_rows).max()) <= 1e-15 * scale, start
+            assert float(np.abs(lower - want_lower).max()) <= 1e-15 * scale, start
+            oracle = prefix_cores(block_factor(gram, cos_m1, isin), offsets)
+            assert np.abs(rows - oracle[0]).max() <= rounding_gamma(2 * k) * scale
+            assert np.abs(lower - oracle[1]).max() <= rounding_gamma(2 * k) * scale
 
 
 class TestBlockedWaveOperator:
@@ -501,16 +551,3 @@ class TestProjectorComparison:
             row = np.linalg.norm(omega[0, 1:])
             assert abs(dist - max(col, row)) <= 1e-10
             assert abs(col - row) <= 1e-10
-
-    def test_wave_operator_consistency_across_schemes(self, switching):
-        # V(g) e^{-i tau s H} Omega must reproduce the strang propagator
-        grid = build_grid(1.0, 8, 8, 1e-3)
-        model = assemble_model(grid, build_form_factor(grid, 1.5), switching)
-        tau = 50.0
-        s_grid = np.array([1.0])
-        _, om_m, _ = evolve_wave_operator(model, tau, 8192, s_grid)
-        _, om_s, _ = PerStepWaveOperator(model, tau, 20000,
-                                         scheme="strang_split").run(s_grid)
-        phases = np.exp(-1j * tau * 1.0 * model.diag_energies)
-        recon = phases[:, None] * om_m[0]
-        assert np.linalg.norm(recon - om_s[0], 2) <= 1e-6

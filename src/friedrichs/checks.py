@@ -1,14 +1,20 @@
-"""Acceptance checks, each defined once.
+"""Acceptance checks, each defined once, and their registry.
 
-Criterion 3's defect half (the uniform defect's decay), 6 (bump-transform
-asymptotics), 7 (series parity), 8 (the first-order closed form) and 10
-(the contour calculus). The CLI's defect-check, fourier-check,
-volterra-check and tilde-check print them; the acceptance tests run them
-and pin their bounds. The package's __init__ does not import this module.
+REGISTRY maps each criterion that needs only the package to a function
+of no arguments returning its Check: criteria 1-4 (the sweep's own
+checks at the acceptance taus, with criterion 3's uniform defect beside
+its sweep), 6 (bump-transform asymptotics), 7 (series parity), 8 (the
+first-order closed form), 10 (the contour calculus) and 11 (grid,
+rerun and fit robustness). `friedrichs verify` prints every entry; the
+acceptance tests run the same entries and pin their bounds. Criteria 5
+and 9 stay in the tests. Neither the package's __init__ nor sweep
+imports this module.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +23,17 @@ from .contour import ContourSpec, ibp_suite, tilde, tilde_eigenbasis, verify_ibp
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
                     build_grid, build_switching)
 from .oscint import BUMP_ASYMPTOTIC, bump_transform, bump_transform_asymptotic
+from .sweep import SweepResult, fit_powerlaw, render_csv, resolve_config, run_sweep
 from .volterra import (WaveOperatorSeries, _settled_defect, first_order_tail,
                        wave_operator_series)
 
-__all__ = ["Check", "uniform_defect", "bump_asymptotics", "volterra_series",
-           "series_parity", "first_order_closed_form", "tilde_problem",
-           "contour_calculus"]
+__all__ = ["Check", "REGISTRY", "ACCEPTANCE_TAUS", "acceptance_sweep",
+           "sweep_checks", "uniform_defect", "bump_asymptotics",
+           "volterra_series", "series_parity", "first_order_closed_form",
+           "tilde_problem", "contour_calculus", "robustness"]
+
+ACCEPTANCE_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
+MAX_NODES = 4096    # criterion 1's cap on the continuum grid
 
 
 @dataclass(frozen=True)
@@ -34,6 +45,45 @@ class Check:
     bounds: dict
     ok: bool
     lines: list[str]
+
+
+def acceptance_sweep(beta: float, nodes_per_panel: int = 16) -> SweepResult:
+    """The default sweep at beta over ACCEPTANCE_TAUS."""
+    return run_sweep(resolve_config({}, beta=beta, tau_values=ACCEPTANCE_TAUS,
+                                    nodes_per_panel=nodes_per_panel))
+
+
+def _number(value) -> str:
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def sweep_checks(*betas: float) -> Check:
+    """Criteria 1-4's sweep half: the checks the sweep at each beta
+    evaluates itself (its slopes, step_calibration and first_order_dominant),
+    and that no record errored and the grid has at most MAX_NODES nodes.
+
+    values and bounds are keyed by beta, then by check; a check's bounds
+    are the entries of its dict other than value and pass, so they are
+    written only where the sweep sets them.
+    """
+    values, bounds, ok, lines = {}, {}, True, []
+    for beta in betas:
+        result = acceptance_sweep(beta)
+        errored = sum(r.error is not None for r in result.records)
+        held = {"n_nodes": {"value": result.n_nodes, "max": MAX_NODES,
+                            "pass": result.n_nodes <= MAX_NODES},
+                "errored_records": {"value": errored, "max": 0, "pass": errored == 0},
+                **result.checks}
+        values[beta] = {name: chk["value"] for name, chk in held.items()}
+        bounds[beta] = {name: {k: v for k, v in chk.items() if k not in ("value", "pass")}
+                        for name, chk in held.items()}
+        ok = ok and all(chk["pass"] for chk in held.values())
+        lines.append(f"sweep at beta={beta}, {result.calibration['n_steps']} steps:")
+        for name, chk in held.items():
+            limits = ", ".join(f"{k} {v}" for k, v in bounds[beta][name].items())
+            lines.append(f"  {name}: {'PASS' if chk['pass'] else 'FAIL'} "
+                         f"{_number(chk['value'])} ({limits})")
+    return Check(values, bounds, ok, lines)
 
 
 def uniform_defect() -> Check:
@@ -105,7 +155,7 @@ def series_parity(series: WaveOperatorSeries) -> Check:
     bounds = {"parity_defect": 1e-9}
     defects = series.parity_defects()
     return Check({"parity_defects": defects}, bounds,
-                 max(defects) <= bounds["parity_defect"],
+                 bool(max(defects) <= bounds["parity_defect"]),
                  [f"wrong-parity defect, order {i}: {d:.3e}"
                   for i, d in enumerate(defects, start=1)])
 
@@ -144,10 +194,10 @@ def tilde_problem(seed: int):
     return h, p, x
 
 
-def contour_calculus(seed: int = 3) -> Check:
+def contour_calculus() -> Check:
     """Criterion 10: the tilde quadrature and the integration-by-parts identity.
 
-    The contour quadrature of tilde_problem(seed) matches the eigenbasis
+    The contour quadrature of tilde_problem(3) matches the eigenbasis
     rule at 64 points (16 and 32 are reported). The identity runs at
     tau = 50 on a gapped N = 32 model: every profile pair of ibp_suite
     at 64 nodes, then two refinements of the default pair. 48 -> 96
@@ -156,7 +206,7 @@ def contour_calculus(seed: int = 3) -> Check:
     """
     bounds = {"eigenbasis_residual": 1e-10, "ibp_residual": 1e-6,
               "refinement_drop": 4.0, "refined_floor": 1e-12}
-    h, p, x = tilde_problem(seed)
+    h, p, x = tilde_problem(3)
     specs = [ContourSpec(center=0.0, radius=0.5, n_points=n) for n in (16, 32, 64)]
     eigen = {spec.n_points: float(np.linalg.norm(
         tilde(h, p, x, spec) - tilde_eigenbasis(h, p, x, spec))) for spec in specs}
@@ -181,3 +231,62 @@ def contour_calculus(seed: int = 3) -> Check:
               for (q, q2), (coarse, fine) in refinements.items()]
     return Check({"eigenbasis_residuals": eigen, "ibp": suite,
                   "refinements": refinements}, bounds, ok, lines)
+
+
+def robustness() -> Check:
+    """Criterion 11: the beta = 1.5 sweep is robust and deterministic.
+
+    Doubling nodes_per_panel moves every probe and window leak by less
+    than 1% relative, a rerun of the same config renders the same CSV
+    bytes, and the probe slope fitted without the smallest tau lies
+    within 0.05 of the full fit.
+    """
+    bounds = {"grid_rel_change": 0.01, "trimmed_slope_shift": 0.05}
+    base, fine = acceptance_sweep(1.5), acceptance_sweep(1.5, nodes_per_panel=32)
+    rel = float(max(abs(getattr(a, name) - getattr(b, name)) / getattr(b, name)
+                    for a, b in zip(base.records, fine.records)
+                    for name in ("leak_probe", "sup_leak_window")))
+    identical = render_csv(base) == render_csv(run_sweep(base.config))
+    full = base.fits["leak_probe"]
+    shift = math.inf if full is None else abs(full.slope - fit_powerlaw(
+        [(r.tau, r.leak_probe) for r in base.records[1:]]).slope)
+    ok = (fine.n_nodes == 2 * base.n_nodes and rel < bounds["grid_rel_change"]
+          and identical and shift <= bounds["trimmed_slope_shift"])
+    lines = [f"node doubling N={base.n_nodes} -> {fine.n_nodes} moves leaks by "
+             f"{rel:.2e} (bound < {bounds['grid_rel_change']})",
+             f"CSV byte-identical across reruns: {identical}",
+             f"probe slope without the smallest tau moves by {shift:.3f} "
+             f"(bound {bounds['trimmed_slope_shift']})"]
+    return Check({"n_nodes": (base.n_nodes, fine.n_nodes), "grid_rel_change": rel,
+                  "csv_identical": identical, "trimmed_slope_shift": shift},
+                 bounds, ok, lines)
+
+
+def _sub_unit_beta() -> Check:
+    """Criterion 3: the sweep at beta = 0.5 and, beside it, the uniform defect."""
+    sweep, defect = sweep_checks(0.5), uniform_defect()
+    return Check({**sweep.values, "defect": defect.values},
+                 {**sweep.bounds, "defect": defect.bounds},
+                 sweep.ok and defect.ok, sweep.lines + defect.lines)
+
+
+def _series_inputs() -> tuple[FriedrichsModel, WaveOperatorSeries]:
+    """Criteria 7 and 8's model (N = 128, beta = 1.5) and its series."""
+    grid = build_grid(1.0, 16, 8, 2.0 ** -16)
+    model = assemble_model(grid, build_form_factor(grid, 1.5),
+                           build_switching(np.pi / 4))
+    return model, volterra_series(model)
+
+
+#: criterion -> its check; criteria 5 and 9 are the tests' own
+REGISTRY: dict[int, Callable[[], Check]] = {
+    1: lambda: sweep_checks(1.25, 1.5, 1.75),
+    2: lambda: sweep_checks(1.5),
+    3: _sub_unit_beta,
+    4: lambda: sweep_checks(1.0),
+    6: bump_asymptotics,
+    7: lambda: series_parity(_series_inputs()[1]),
+    8: lambda: first_order_closed_form(*_series_inputs()),
+    10: contour_calculus,
+    11: robustness,
+}

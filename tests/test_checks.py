@@ -1,19 +1,22 @@
-"""Every clause of a shared acceptance check is applied.
+"""Every clause of a shared acceptance check is applied, and every
+registry entry fails under a planted error.
 
 Pinning a check's bounds guards their values, not that each is read:
 a clause dropped from a verdict leaves the bounds, and on the default
-inputs the verdict, unchanged. So each case below patches one input in
-friedrichs.checks so that exactly one clause fails, confirms from the
-check's values that every other clause still holds, and asserts that
-the verdict is False.
+inputs the verdict, unchanged. So each clause case below patches one
+input in friedrichs.checks so that exactly one clause fails, confirms
+from the check's values that every other clause still holds, and
+asserts that the verdict is False.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from friedrichs import checks
+from friedrichs import checks, contour, sweep
+from friedrichs.cli import main
 
 
 def _contour_clauses(chk):
@@ -59,7 +62,7 @@ def _refined_as(fine, coarse):
 ], ids=["eigenbasis", "ibp", "refine_48", "refine_64"])
 def test_each_contour_clause_is_applied(monkeypatch, name, plant, clause):
     monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
-    chk = checks.contour_calculus(3)
+    chk = checks.contour_calculus()
     held = _contour_clauses(chk)
     assert held.pop(clause) is False
     assert all(held.values())
@@ -83,9 +86,12 @@ class _PhaseAtZeroOfCosine:
         return 0.5 * math.pi
 
 
+def _off_at_zero(bump):
+    return lambda p: bump(p) * (1.0 + 1e-5 * (p == 0.0))
+
+
 @pytest.mark.parametrize("name, plant, clause", [
-    ("bump_transform",
-     lambda bump: lambda p: bump(p) * (1.0 + 1e-5 * (p == 0.0)), "at_0"),
+    ("bump_transform", _off_at_zero, "at_0"),
     ("BUMP_ASYMPTOTIC", lambda form: _PhaseAtZeroOfCosine(), "usable"),
     ("bump_transform_asymptotic", lambda asym: lambda p: 1.5 * asym(p), "ratio"),
 ], ids=["at_0", "usable", "ratio"])
@@ -139,3 +145,54 @@ def test_each_first_order_clause_is_applied(monkeypatch, series_128, plant,
     assert all(held.values())
     assert chk.ok is False
 
+
+def _slope_moved(fit):
+    """fit_powerlaw with its slope moved by 0.2."""
+    def planted(points):
+        result = fit(points)
+        return dataclasses.replace(result, slope=result.slope + 0.2)
+    return planted
+
+
+def _flat_decay(defect):
+    def planted(model, tau, *args):
+        value, norms, batches = defect(model, tau, *args)
+        return value * tau ** 0.5, norms, batches
+    return planted
+
+
+def _wrong_parity(series):
+    def planted(*args, **kwargs):
+        ser = series(*args, **kwargs)
+        ser.terms[1][0, 0] = 1e-6 * np.linalg.norm(ser.terms[1])
+        return ser
+    return planted
+
+
+@pytest.mark.parametrize("criterion, module, name, plant", [
+    (1, sweep, "fit_powerlaw", _slope_moved),
+    (2, sweep, "fit_powerlaw", _slope_moved),
+    (3, sweep, "fit_powerlaw", _slope_moved),
+    (3, checks, "_settled_defect", _flat_decay),
+    (4, sweep, "fit_powerlaw", _slope_moved),
+    (6, checks, "bump_transform", _off_at_zero),
+    (7, checks, "wave_operator_series", _wrong_parity),
+    (8, checks, "first_order_tail", _tail_scaled_at(2000.0, 1.0, 1.5)),
+    (10, contour, "_IBP_SIGN", lambda sign: -sign),
+    # the trimmed fit alone: the sweep's own fits keep their slopes
+    (11, checks, "fit_powerlaw", _slope_moved),
+], ids=["1", "2", "3-sweep", "3-defect", "4", "6", "7", "8", "10", "11"])
+def test_planted_error_fails_registry_entry(monkeypatch, criterion, module, name,
+                                            plant):
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    assert checks.REGISTRY[criterion]().ok is False
+
+
+def test_verify_fails_only_the_planted_criterion(monkeypatch, capsys):
+    # only criterion 6 reads the bump transform
+    monkeypatch.setattr(checks, "bump_transform", _off_at_zero(checks.bump_transform))
+    assert main(["verify"]) == 4
+    verdicts = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[criterion")]
+    assert verdicts == [f"[criterion {n:2d}] {'FAIL' if n == 6 else 'PASS'}"
+                        for n in checks.REGISTRY]

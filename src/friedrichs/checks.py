@@ -2,7 +2,7 @@
 
 REGISTRY maps each criterion that needs only the package to a function
 of no arguments returning its Check: criteria 1-4 (the sweep's own
-checks at the acceptance taus, with criterion 3's uniform defect beside
+checks at the default taus, with criterion 3's uniform defect beside
 its sweep), 6 (bump-transform asymptotics), 7 (series parity), 8 (the
 first-order closed form), 10 (the contour calculus) and 11 (grid,
 rerun and fit robustness). `friedrichs verify` prints every entry; the
@@ -27,12 +27,11 @@ from .sweep import SweepResult, fit_powerlaw, render_csv, resolve_config, run_sw
 from .volterra import (WaveOperatorSeries, _settled_defect, first_order_tail,
                        wave_operator_series)
 
-__all__ = ["Check", "REGISTRY", "ACCEPTANCE_TAUS", "acceptance_sweep",
+__all__ = ["Check", "REGISTRY", "acceptance_sweep",
            "sweep_checks", "uniform_defect", "bump_asymptotics",
            "volterra_series", "series_parity", "first_order_closed_form",
            "tilde_problem", "contour_calculus", "robustness"]
 
-ACCEPTANCE_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 MAX_NODES = 4096    # criterion 1's cap on the continuum grid
 
 
@@ -48,9 +47,8 @@ class Check:
 
 
 def acceptance_sweep(beta: float, nodes_per_panel: int = 16) -> SweepResult:
-    """The default sweep at beta over ACCEPTANCE_TAUS."""
-    return run_sweep(resolve_config({}, beta=beta, tau_values=ACCEPTANCE_TAUS,
-                                    nodes_per_panel=nodes_per_panel))
+    """The default sweep (its default taus) at beta."""
+    return run_sweep(resolve_config({}, beta=beta, nodes_per_panel=nodes_per_panel))
 
 
 def _number(value) -> str:

@@ -4,6 +4,10 @@ Subcommands: sweep (tau sweep with fits; one tau with --tau T), verify
 (every check of friedrichs.checks.REGISTRY, acceptance criteria 1-4, 6,
 7, 8, 10 and 11), report (re-emit outputs from a stored manifest).
 
+The sweep flags that set a config key are read by the config schema as
+if written in the config file, and override the file; a flag given an
+empty value is refused by name.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 acceptance-check failure (sweep only when --check is passed; verify
 always).
@@ -12,28 +16,18 @@ always).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import ConfigurationError, FriedrichsError
 from . import checks
-from .sweep import (SweepConfig, emit_report, load_config_file, load_manifest,
-                    resolve_config, run_sweep)
+from .sweep import (SweepConfig, _parse_value, emit_report, load_config_file,
+                    load_manifest, resolve_config, run_sweep)
 
 _CHECK_FAIL = 4
-
-
-def _float_list(flag: str, text: str) -> tuple[float, ...]:
-    """Finite numbers, comma or space separated, given to flag; at least one."""
-    try:
-        values = tuple(float(v) for v in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigurationError(f"bad {flag} list {text!r}") from exc
-    if not values:
-        raise ConfigurationError(f"{flag} lists no values")
-    if not all(map(math.isfinite, values)):
-        raise ConfigurationError(f"{flag} values must be finite, got {text!r}")
-    return values
+#: sweep flag -> the config key it sets
+_SETTING_FLAGS = {"--tau": ("sweep", "tau_values"), "--beta": ("model", "beta"),
+                  "--gap": ("model", "gap_shift"), "--out": ("output", "directory"),
+                  "--format": ("output", "formats")}
 
 
 def _given(flag: str, text: str | None) -> str | None:
@@ -43,27 +37,14 @@ def _given(flag: str, text: str | None) -> str | None:
     return text
 
 
-def _formats(text: str | None) -> tuple[str, ...] | None:
-    text = _given("--format", text)
-    return None if text is None else tuple(text.split(","))
-
-
 def _config_from_args(args) -> SweepConfig:
     config = _given("--config", args.config)
     raw = {} if config is None else load_config_file(config)
-    overrides = {}
-    if args.tau is not None:
-        overrides["tau_values"] = _float_list("--tau", args.tau)
-    if args.beta is not None:
-        overrides["beta"] = args.beta
-    if args.gap is not None:
-        overrides["gap_shift"] = args.gap
-    if _given("--out", args.out) is not None:
-        overrides["directory"] = args.out
-    formats = _formats(args.formats)
-    if formats is not None:
-        overrides["formats"] = formats
-    return resolve_config(raw, **overrides)
+    for flag, (section, key) in _SETTING_FLAGS.items():
+        text = _given(flag, getattr(args, flag[2:]))
+        if text is not None:
+            raw.setdefault(section, {})[key] = text
+    return resolve_config(raw)
 
 
 def _cmd_sweep(args) -> int:
@@ -77,6 +58,8 @@ def _cmd_sweep(args) -> int:
         if fit is not None:
             print(f"{name}: slope={fit.slope:+.4f} "
                   f"stderr={fit.slope_stderr:.4f} n={fit.n_points}")
+    if "window_slope" not in result.checks:
+        print("no slope checks: a fit needs at least 4 taus over 1.5 decades")
     for name, chk in result.checks.items():
         print(f"check {name}: {'PASS' if chk['pass'] else 'FAIL'} {chk}")
     print("wrote: " + " ".join(sorted(paths.values())))
@@ -99,8 +82,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     result = load_manifest(args.manifest)
-    paths = emit_report(result, formats=_formats(args.formats),
-                        out_dir=_given("--out", args.out))
+    formats = _given("--format", args.format)
+    if formats is not None:
+        formats = _parse_value("str_list", formats, "--format")
+    paths = emit_report(result, formats=formats, out_dir=_given("--out", args.out))
     print("wrote: " + " ".join(sorted(paths.values())))
     return 0
 
@@ -113,11 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="full tau sweep with slope fits")
     p.add_argument("--config", help="path to a key = value config file")
-    p.add_argument("--tau", help="comma-separated tau list override")
-    p.add_argument("--beta", type=float, help="coupling exponent override")
-    p.add_argument("--gap", type=float, help="gap shift override")
+    p.add_argument("--tau", help="tau list override, comma or space separated")
+    p.add_argument("--beta", help="coupling exponent override")
+    p.add_argument("--gap", help="gap shift override")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--format", dest="formats", help="comma list from csv,json,svg")
+    p.add_argument("--format", help="list from csv, json, svg")
     p.add_argument("--check", action="store_true",
                    help="exit 4 unless every check passes")
     p.set_defaults(func=_cmd_sweep)
@@ -128,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-emit outputs from a stored manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", dest="formats", default=None)
+    p.add_argument("--format", default=None)
     p.set_defaults(func=_cmd_report)
     return parser
 

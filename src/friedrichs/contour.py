@@ -329,9 +329,10 @@ def ibp_suite(model: FriedrichsModel, tau: float, s: float = 1.25,
     return reports
 
 
-def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
+def slaved_tail_probe(model: FriedrichsModel, tau_list,
                       max_step: float | None = None):
-    """Leak at a post-window probe for each tau on a gapped model.
+    """Leak after the window (at s = 1, as at any s >= 1) for each tau on
+    a gapped model.
 
     Intended for slope fitting: with a gap the in-window leak is slaved
     to the bound state and collapses after the window, so the probe
@@ -347,5 +348,5 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list, s_probe: float = 1.5,
             "gap times smallest tau must reach 50 for the probe to be "
             f"meaningful; got {model.gap_shift * tau_list[0]:.1f}")
     trajectories = evolve_true(model, tau_list, steps_for(max_step)).trajectories()
-    return [(tau, tr.leak_at(s_probe), tr.sup_leak_window)
+    return [(tau, tr.leak_at(1.0), tr.sup_leak_window)
             for tau, tr in zip(tau_list, trajectories)]

@@ -28,8 +28,8 @@ No block reduces over the N nodes. The phases have unit modulus, so
 every angle r = |d| and every overlap <d_b, d_a> of a pair's two steps
 is a quadratic form in the steps' coefficients: two (T, deg + 1,
 deg + 1) Gram forms of the moments, built once per run (_step_forms),
-give all of them, and with them cos r - 1, i sin r, 1 / r and every
-pair map, in a few whole-run products.
+give all of them, and with them cos r - 1, i sin r, 1 / r and (for
+the stepping loop alone) every pair map, in a few whole-run products.
 
 The loop takes two steps per iteration. The product of two rotations
 is the k = 2 case of the folded product below; from the bound
@@ -187,9 +187,10 @@ def _step_forms(coeffs: np.ndarray, moments: np.ndarray, rotor: np.ndarray):
 def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
     """Rank-two rotations of the interaction steps, _RESEED_STEPS at a time.
 
-    Yields (first step, d, 1 / r, cos r - 1, i sin r, pair maps): d of
-    shape (steps, T, N), the next three (steps, T) and the maps
-    (steps / 2, T, 4, 3). Step m of row t rotates by
+    Returns (forms, blocks): forms = (1 / r, cos r - 1, i sin r, pair
+    overlaps), the whole run's, (steps, T) and (steps / 2, T), as
+    _pair_maps takes them; blocks yields (first step, d) per block, d of
+    shape (steps, T, N). Step m of row t rotates by
     d = coupling * exp(i tau_t omega t_m) * mu_t[:, m] through the angle
     r = |d|: mu is the Filon moment of gdot against the free phase over
     the step, taken relative to the midpoint t_m, and the step's unit
@@ -197,8 +198,7 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
     An odd count gets one more step, an identity step with d = 0, so
     that every block holds whole pairs; evolve_wave_operator drops it.
 
-    The angles, the pair overlaps and every pair map (_pair_maps, 1 / r
-    folded in) come from the Gram forms of the moments (_step_forms),
+    The forms come from the Gram forms of the moments (_step_forms),
     once for the whole run. A block then only forms its d: the phase at
     its first step is a direct exp, step k of the block multiplies it
     by the rotor power exp(i tau omega h)^k, and one real product
@@ -224,17 +224,18 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
     r, overlaps = _step_forms(coeffs, moments, powers[1])
     # r is 0 or the root of a double, so at least 2^-537: 1 / r is finite
     inv_r = 1.0 / np.where(r > 0.0, r, 1.0)
-    cos_m1, isin = np.cos(r) - 1.0, 1j * np.sin(r)
-    maps = _pair_maps(inv_r, cos_m1, isin, overlaps)
-    for start in range(0, len(coeffs), _RESEED_STEPS):
-        stop = min(start + _RESEED_STEPS, len(coeffs))
-        seeded = moments * np.exp(1j * freqs * mids[start])
-        # one real product over all rows: (steps, deg + 1) @ (deg + 1, 2 T N)
-        d = coeffs[start:stop] @ seeded.view(float).reshape(deg + 1, -1)
-        d = d.view(complex).reshape((stop - start,) + freqs.shape)
-        d *= powers[:stop - start]
-        yield (start, d, inv_r[start:stop], cos_m1[start:stop], isin[start:stop],
-               maps[start // 2:stop // 2])
+
+    def blocks():
+        for start in range(0, len(coeffs), _RESEED_STEPS):
+            stop = min(start + _RESEED_STEPS, len(coeffs))
+            seeded = moments * np.exp(1j * freqs * mids[start])
+            # one real product over all rows: (steps, deg + 1) @ (deg + 1, 2 T N)
+            d = coeffs[start:stop] @ seeded.view(float).reshape(deg + 1, -1)
+            d = d.view(complex).reshape((stop - start,) + freqs.shape)
+            d *= powers[:stop - start]
+            yield start, d
+
+    return (inv_r, np.cos(r) - 1.0, 1j * np.sin(r), overlaps), blocks()
 
 
 def _pair_maps(inv_r: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
@@ -293,22 +294,22 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
     sq = np.empty((2 * pairs + 1, rows))   # continuum sum of squares per step
     sq[0] = 0.0
     pair_sq = sq[1:].reshape(pairs, 2, rows)
-    block_maps = []
     # the two continuum states of a pair; iterations alternate buffers, so
     # the previous pair's last state is read while this pair's are written
     bufs = [(b, b.view(float), b[0], b[1])
             for b in np.zeros((2, 2, rows, n_cont), dtype=complex)]
     cont = bufs[1][3]
 
-    for start, d, _, _, _, maps in _interaction_blocks(model, taus, n):
-        block_maps.append(maps)
+    forms, blocks = _interaction_blocks(model, taus, n)
+    maps = _pair_maps(*forms)
+    for start, d in blocks:
         first = start // 2
-        d = d.reshape(len(maps), 2, rows, n_cont)
-        for j in range(len(maps)):
+        d = d.reshape(-1, 2, rows, n_cont)
+        for j in range(len(d)):
             p = first + j
             buf, buf_r, after_a, after_b = bufs[p % 2]
             np.vecdot(d[j], cont, out=w[p])
-            np.matmul(maps[j], z[p], out=y[p])
+            np.matmul(maps[p], z[p], out=y[p])
             np.multiply(d[j], x[p], out=buf)
             after_a += cont
             after_b += after_a
@@ -327,8 +328,8 @@ def _evolve_rows(model: FriedrichsModel, taus: np.ndarray, n: int,
             # the map also reads w_b into a pair's first state, as 0 * w_b:
             # if step a's rows of the map and w_a are finite, the fault is
             # step b's
-            if (step % 2 and np.isfinite(hist[t, 3 * step - 2]) and np.isfinite(
-                    np.concatenate(block_maps)[step // 2, t, :2, :2]).all()):
+            if (step % 2 and np.isfinite(hist[t, 3 * step - 2])
+                    and np.isfinite(maps[step // 2, t, :2, :2]).all()):
                 step += 1
             results.append(NumericalOverflow(
                 f"non-finite state at step {step} (tau={tau})"))
@@ -547,16 +548,19 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
         out.extend(blk.stop_matrix(i, np.empty_like(mat))
                    for i in range(len(blk.offsets)))
 
-    for start, d, inv_r, cos_m1, isin, _ in _interaction_blocks(
-            model, np.array([float(tau)]), n):
+    (inv_r, cos_m1, isin, _), blocks = _interaction_blocks(
+        model, np.array([float(tau)]), n)
+    for start, d in blocks:
         k = min(len(d), n - start)   # not an odd count's identity step
         # a block takes the stops in (start, start + k], the first also 0
         last = int(np.searchsorted(record_idx, start + k, side="right"))
         offsets = record_idx[first:last] - start
         first = last
         s_out.extend(((start + offsets) / n).tolist())
-        _evolve_block(mat, start, d[:k, 0] * inv_r[:k], cos_m1[:k, 0], isin[:k, 0],
-                      offsets, keep_all if on_block is None else on_block)
+        steps = slice(start, start + k)
+        _evolve_block(mat, start, d[:k, 0] * inv_r[steps], cos_m1[steps, 0],
+                      isin[steps, 0], offsets,
+                      keep_all if on_block is None else on_block)
         dev = _total_norm_dev(mat)
         if not np.isfinite(dev):
             raise NumericalOverflow(f"non-finite propagator at step {start + k}")

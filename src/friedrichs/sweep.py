@@ -1,7 +1,7 @@
 """Experiment harness: tau sweeps, power-law fits, and report files.
 
-A sweep evolves the bound state once per tau, records the leak at a
-post-window probe time and the in-window supremum, fits log-log slopes,
+A sweep evolves the bound state once per tau, records the leak after the
+window and the in-window supremum, fits log-log slopes,
 and emits CSV/JSON/SVG outputs. Runs are deterministic: fixed float
 formatting, records ordered by tau, and results independent of how the
 taus are batched.
@@ -61,8 +61,6 @@ _SCHEMA = {
     },
     "sweep": {
         "tau_values": ("float_list", _DEFAULT_TAUS),
-        "s_probe": ("float", 1.5),
-        "window_samples": ("int", 256),
     },
     "integrate": {
         "max_step": ("float_or_auto", "auto"),
@@ -91,8 +89,6 @@ class SweepConfig:
     nodes_per_panel: int
     cutoff_fraction: float
     tau_values: tuple[float, ...]
-    s_probe: float
-    window_samples: int
     max_step: float | None
     calibrate: bool
     calibrate_rel_tol: float
@@ -180,25 +176,31 @@ def load_config_file(path: str) -> dict:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
-    raw: dict = {}
-    for section in parser.sections():
+    return _known({section: dict(parser.items(section))
+                   for section in parser.sections()})
+
+
+def _known(raw: dict) -> dict:
+    """raw, if every section and key in it is in the schema."""
+    for section, keys in raw.items():
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
+        for key in keys:
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(
                     f"unknown key {key!r} in section [{section}]")
-            raw.setdefault(section, {})[key] = value
     return raw
 
 
 def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     """Apply defaults, overrides, and the auto rules; validate everything.
 
+    raw maps section -> key -> setting text, from a config file or the
+    CLI's flags; _parse_value parses it. An override is already typed.
     Auto rules: the grid is graded by ratio-2 panels from k_max down to
     at most 0.01/max(tau).
     """
-    raw = raw or {}
+    raw = _known(raw or {})
     values: dict = {}
     for section, keys in _SCHEMA.items():
         for key, (tag, default) in keys.items():
@@ -217,8 +219,9 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
                          for v in (val if isinstance(val, tuple) else (val,)))]
     if non_finite:
         raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
-    if not taus:
-        raise ConfigurationError("tau_values must be nonempty")
+    for key in ("tau_values", "formats", "directory"):
+        if not values[key]:
+            raise ConfigurationError(f"{key} must be nonempty")
     for t in taus:
         check_model_inputs(tau=t)
     repeated = sorted({a for a, b in zip(taus, taus[1:]) if a == b})
@@ -250,15 +253,11 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError(
             f"k_min={values['k_min']:.3e} does not resolve k ~ 1/tau for "
             f"tau_max={tau_max:.3e} (needs k_min <= {0.01 / tau_max:.3e})")
-    if values["s_probe"] <= 1.0:
-        raise ConfigurationError("s_probe must exceed the switching window")
     if values["jobs"] < 1:
         raise ConfigurationError("jobs must be >= 1")
     for fmt in values["formats"]:
         if fmt not in ("csv", "json", "svg"):
             raise ConfigurationError(f"unknown output format {fmt!r}")
-    if values["window_samples"] < 2:
-        raise ConfigurationError("window_samples must be at least 2")
     if values["max_step"] == "auto":
         values["max_step"] = None
     steps_for(values["max_step"])   # rejects max_step <= 0
@@ -295,13 +294,13 @@ def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
     return assemble_model(grid, ff, sw, cfg.gap_shift)
 
 
-def _record(tau: float, result, wall_s: float, s_probe: float) -> SweepRecord:
+def _record(tau: float, result, wall_s: float) -> SweepRecord:
     if isinstance(result, FriedrichsError):
         drift = result.drift if isinstance(result, IntegrationFailure) else math.nan
         return SweepRecord(tau=tau, leak_probe=math.nan, sup_leak_window=math.nan,
                            unitarity_drift=drift, wall_time_s=0.0, n_steps=0,
                            error=f"{type(result).__name__}: {result}")
-    return SweepRecord(tau=tau, leak_probe=result.leak_at(s_probe),
+    return SweepRecord(tau=tau, leak_probe=result.leak_at(1.0),
                        sup_leak_window=result.sup_leak_window,
                        unitarity_drift=result.unitarity_drift, wall_time_s=wall_s,
                        n_steps=result.n_window_steps)
@@ -335,7 +334,7 @@ class _TrajectoryCache:
                 results = [exc] * len(missing)
             wall_s = (time.perf_counter() - start) / len(missing)
             for t, r in zip(missing, results):
-                self.records[(n_steps, t)] = _record(t, r, wall_s, self.cfg.s_probe)
+                self.records[(n_steps, t)] = _record(t, r, wall_s)
             self.batches.append({"taus": missing, "n_steps": n_steps})
         return [self.records[(n_steps, t)] for t in taus]
 
@@ -348,10 +347,10 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
     serves every tau. The first candidate step count runs every tau, so
     that production finds its records in the cache when that count is
     accepted; the halved steps run the two ends. Uncalibrated, the step
-    count is max_step's (512 when auto), at least window_samples;
-    calibration starts from it.
+    count is max_step's (512 when auto); calibration starts from it, at
+    least 2048.
     """
-    steps = max(cfg.window_samples, steps_for(cfg.max_step))
+    steps = steps_for(cfg.max_step)
     if not cfg.calibrate:
         return steps, {"calibrated": False, "n_steps": steps}
     taus = (cfg.tau_values[0], cfg.tau_values[-1])
@@ -403,8 +402,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     good = [r for r in records if r.error is None]
     for name in ("leak_probe", "sup_leak_window"):
         pts = [(r.tau, getattr(r, name)) for r in good if getattr(r, name) > 0.0]
-        span = (math.log10(pts[-1][0] / pts[0][0]) if len(pts) >= 2 else 0.0)
-        fits[name] = fit_powerlaw(pts) if len(pts) >= 4 and span >= 1.5 else None
+        fits[name] = fit_powerlaw(pts) if _fittable([t for t, _ in pts]) else None
 
     checks = evaluate_checks(cfg, fits)
     if calibration["calibrated"]:
@@ -422,6 +420,11 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(config=cfg, config_hash=config_hash(cfg),
                        n_nodes=model.measure.n_nodes, records=records,
                        fits=fits, checks=checks, calibration=calibration)
+
+
+def _fittable(taus) -> bool:
+    """A sweep fits a slope through 4 or more sorted taus over 1.5 decades."""
+    return len(taus) >= 4 and math.log10(taus[-1] / taus[0]) >= 1.5
 
 
 def fit_powerlaw(points) -> FitResult:
@@ -460,13 +463,16 @@ def evaluate_checks(cfg: SweepConfig, fits: dict) -> dict:
     within 0.12 (0.10 for beta < 1, 0.15 at beta = 1), and the in-window
     supremum like tau^-min(beta, 1). With a gap the probe leak collapses
     at least as fast as tau^-2.5 and the supremum keeps the 1/tau rate.
-    Window slopes are held to 0.15. A slope without a fit fails its check.
-    The tolerances are set, not derived. At beta = 1 the probe carries no
-    logarithmic factor (its slope on the default taus is -0.997). The
-    factor shows in the window instead, whose first-order amplitude
-    ||c/E|| holds the logarithmically divergent integral of k^-1: its
-    slope there is -0.929.
+    Window slopes are held to 0.15. Taus that cannot be fitted (_fittable;
+    one tau, say) get no slope checks; fittable taus whose records give
+    no fit fail them. The tolerances are set, not derived. At beta = 1
+    the probe carries no logarithmic factor (its slope on the default
+    taus is -0.997). The factor shows in the window instead, whose
+    first-order amplitude ||c/E|| holds the logarithmically divergent
+    integral of k^-1: its slope there is -0.929.
     """
+    if not _fittable(cfg.tau_values):
+        return {}
     beta = cfg.beta
     probe_fit = fits.get("leak_probe")
     checks = {}
@@ -495,7 +501,8 @@ def render_csv(result: SweepResult) -> str:
     for r in result.records:
         if r.error is not None:
             continue
-        row = (r.tau, cfg.s_probe, r.leak_probe, r.sup_leak_window, cfg.beta,
+        # s_probe is a fixed 1.5: every s >= 1 reads the leak at s = 1
+        row = (r.tau, 1.5, r.leak_probe, r.sup_leak_window, cfg.beta,
                cfg.gap_shift, result.n_nodes, cfg.theta_total,
                r.unitarity_drift, 0.0)
         lines.append(",".join(str(v) if isinstance(v, int) else format_float17(v)

@@ -61,10 +61,9 @@ def spoil_column(monkeypatch):
 
     def spoil(tau, factor):
         def spoiled(model, taus, n_steps):
-            for block in blocks(model, taus, n_steps):
-                if tau in taus:
-                    block[1][:, list(taus).index(tau)] *= factor
-                yield block
+            forms, clean = blocks(model, taus, n_steps)
+            scale = np.where(np.asarray(taus) == tau, factor, 1.0)[:, None]
+            return forms, ((start, d * scale) for start, d in clean)
 
         monkeypatch.setattr(propagate, "_interaction_blocks", spoiled)
 

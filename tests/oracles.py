@@ -255,7 +255,8 @@ class PerStepWaveOperator:
             def unit_blocks():
                 # each direction d normalised by its own norm, not by the
                 # package's 1 / r from the Gram forms
-                for start, d, *_ in _interaction_blocks(model, np.array([self.tau]), n):
+                _, blocks = _interaction_blocks(model, np.array([self.tau]), n)
+                for start, d in blocks:
                     d = d[:n - start]        # not an odd count's identity step
                     r = np.linalg.norm(d, axis=-1)
                     u = d / np.where(r > 0.0, r, 1.0)[..., None]

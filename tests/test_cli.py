@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import friedrichs
 from friedrichs import checks
-from friedrichs.cli import main
+from friedrichs.cli import _config_from_args, build_parser, main
 
 QUICK = "100,316.2,1000,3163"
 
@@ -26,11 +27,39 @@ def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
 
 
 def test_sweep_check_failure_exits_four(tmp_path, capsys):
-    # three taus leave no fit, so the slope checks cannot pass
-    code = main(["sweep", "--tau", "100,316.2,1000", "--format", "csv",
+    # three halvings cannot bring the change down to 1e-7
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[model]\nnodes_per_panel = 4\n"
+                   "[integrate]\ncalibrate_rel_tol = 1e-7\n")
+    code = main(["sweep", "--config", str(cfg), "--tau", QUICK, "--format", "csv",
                  "--out", str(tmp_path / "o"), "--check"])
     assert code == 4
-    assert "check probe_slope: FAIL" in capsys.readouterr().out
+    assert "check step_calibration: FAIL" in capsys.readouterr().out
+
+
+def test_one_tau_sweep_check_passes(tmp_path, capsys):
+    # one tau gives no fit, so it has no slope checks, and says so
+    assert main(["sweep", "--tau", "1000", "--check", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "no slope checks: a fit needs" in out and "_slope:" not in out
+    assert "check step_calibration: PASS" in out
+
+
+def test_flags_and_config_file_resolve_alike(tmp_path, capsys):
+    # a flag's text is read by the config grammar, and overrides the file
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[model]\nbeta = 1.25\ngap_shift = 0.5\n[output]\ndirectory = d\n"
+                   "formats = csv svg\n[sweep]\ntau_values = 100 1e3\n")
+
+    def resolve(*flags):
+        return _config_from_args(build_parser().parse_args(["sweep", *flags]))
+
+    from_file = resolve("--config", str(cfg))
+    assert resolve("--tau", "100 1e3", "--beta", "1.25", "--gap", "0.5",
+                   "--out", "d", "--format", "csv svg") == from_file
+    assert resolve("--config", str(cfg), "--beta", "1.5") == replace(from_file, beta=1.5)
+    assert main(["sweep", "--beta", "abc"]) == 2
+    assert "bad value for [model] beta: 'abc'" in capsys.readouterr().err
 
 
 def test_check_section_exits_two(tmp_path, capsys):
@@ -58,7 +87,7 @@ def test_config_error_exits_two(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sweep", "--tau", " "], "--tau lists no values"),
+    (["sweep", "--tau", " "], "--tau is empty"),
     (["sweep", "--tau", QUICK, "--format="], "--format is empty"),
     (["sweep", "--tau", QUICK, "--out="], "--out is empty"),
     (["sweep", "--config="], "--config is empty"),
@@ -91,27 +120,18 @@ def verified():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["verify"])
-    blocks = {}
-    for line in out.getvalue().splitlines():
-        if line.startswith("[criterion"):
-            criterion = int(line[len("[criterion"):line.index("]")])
-            blocks[criterion] = []
-        if line.startswith("verify:"):
-            break
-        blocks[criterion].append(line)
-    return code, {n: "\n".join(lines) for n, lines in blocks.items()}
+    blocks = out.getvalue().split("\nverify:")[0].split("[criterion")[1:]
+    return code, {int(b[:b.index("]")]): "[criterion" + b.rstrip() for b in blocks}
 
 
-def test_defect_check_passes(verified):
+def test_verify_passes(verified):
     code, blocks = verified
     assert code == 0
-    assert blocks[3].startswith("[criterion  3] PASS")
+    for criterion in (3, 6, 7, 8, 10):
+        assert blocks[criterion].startswith(f"[criterion {criterion:2d}] PASS")
     assert "defect slope" in blocks[3]
     assert blocks[3].count(" exact norms in ") == 4
-
-
-def test_fourier_check_passes(verified):
-    assert verified[1][6].startswith("[criterion  6] PASS")
+    assert "sign=-1" in blocks[10]
 
 
 def test_fourier_check_with_no_usable_p_exits_four(monkeypatch, capsys):
@@ -121,16 +141,6 @@ def test_fourier_check_with_no_usable_p_exits_four(monkeypatch, capsys):
     assert main(["verify"]) == 4
     out = capsys.readouterr().out
     assert "[criterion  6] FAIL" in out and "near-zero, skipped" in out
-
-
-def test_volterra_check_passes(verified):
-    assert verified[1][7].startswith("[criterion  7] PASS")
-    assert verified[1][8].startswith("[criterion  8] PASS")
-
-
-def test_tilde_check_passes(verified):
-    assert verified[1][10].startswith("[criterion 10] PASS")
-    assert "sign=-1" in verified[1][10]
 
 
 def _modules_after_import(module, names) -> str:
@@ -158,13 +168,17 @@ def test_package_and_sweep_import_no_checks():
 
 
 def test_report_reemits(tmp_path):
-    out = tmp_path / "first"
-    assert main(["sweep", "--tau", QUICK, "--out", str(out),
-                 "--format", "csv,json"]) == 0
-    again = tmp_path / "second"
-    assert main(["report", "--manifest", str(out / "manifest.json"),
-                 "--out", str(again), "--format", "csv"]) == 0
-    assert (out / "sweep.csv").read_bytes() == (again / "sweep.csv").read_bytes()
+    # --format lists, comma or space separated as in the config file, give
+    # the same files from sweep and from report
+    for name, sep in (("comma", ","), ("space", " ")):
+        out, again = tmp_path / name, tmp_path / f"report_{name}"
+        assert main(["sweep", "--tau", QUICK, "--out", str(out),
+                     "--format", sep.join(("csv", "json", "svg"))]) == 0
+        assert main(["report", "--manifest", str(out / "manifest.json"),
+                     "--out", str(again), "--format", f"csv{sep}svg"]) == 0
+        assert sorted(os.listdir(again)) == ["sweep.csv", "sweep.svg"]
+    for name in ("sweep.csv", "sweep.svg"):
+        assert len({p.read_bytes() for p in tmp_path.glob(f"*/{name}")}) == 1
 
 
 def test_report_unknown_second_format_writes_nothing(tmp_path, capsys,
@@ -191,7 +205,10 @@ def _drop_n_steps(payload):
 
 @pytest.mark.parametrize("spoil, message", [
     (lambda p: p["config"].update(scheme="auto"), "config: unknown keys scheme"),
-    (_drop_n_steps, "record 1: missing keys n_steps")], ids=["unknown", "missing"])
+    (lambda p: p["config"].update(s_probe=1.5, window_samples=256),
+     "config: unknown keys s_probe, window_samples"),
+    (_drop_n_steps, "record 1: missing keys n_steps")],
+    ids=["unknown", "retired", "missing"])
 def test_report_rejects_manifest_keys(tmp_path, capsys, manifest_payload, spoil,
                                       message):
     payload = copy.deepcopy(manifest_payload)

@@ -8,7 +8,7 @@ from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
 from friedrichs.numutil import rounding_gamma
 from friedrichs.propagate import (_RESEED_STEPS, _folded_cores, _interaction_blocks,
-                                  evolve_true, evolve_wave_operator)
+                                  _pair_maps, evolve_true, evolve_wave_operator)
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
@@ -167,8 +167,10 @@ class TestPairedSteps:
         # the maps act on the overlaps with d = r u and give coefficients
         # of d; scaled back by r they are the pair's product on u
         taus = np.array([100.0, 1e4])
-        _, d, inv_r, cos_m1, isin, maps = next(
-            _interaction_blocks(model_b15_small, taus, 256))
+        forms, blocks = _interaction_blocks(model_b15_small, taus, 256)
+        _, d = next(blocks)
+        maps = _pair_maps(*forms)[:len(d) // 2]
+        inv_r, cos_m1, isin = (f[:len(d)] for f in forms[:3])
         u, r = d * inv_r[..., None], 1.0 / inv_r
         e0 = np.eye(1, 3)[0]
         for p in range(len(maps)):
@@ -229,11 +231,11 @@ def spoil_step(monkeypatch):
             return r, overlaps
 
         def spoiled(model, taus, n_steps):
-            for block in blocks(model, taus, n_steps):
-                start, n_block = block[0], len(block[1])
-                if start <= step < start + n_block:
-                    block[1][step - start] *= factor
-                yield block
+            angles, clean = blocks(model, taus, n_steps)
+            scale = np.ones(len(angles[0]))
+            scale[step] = factor
+            return angles, ((start, d * scale[start:start + len(d), None, None])
+                            for start, d in clean)
 
         if part == "cos_m1":
             monkeypatch.setattr(propagate, "_step_forms", spoiled_forms)
@@ -308,8 +310,8 @@ class TestGramForms:
             return got["r"], got["overlaps"]
 
         monkeypatch.setattr(propagate, "_step_forms", kept)
-        d = np.concatenate([block[1] for block in
-                            _interaction_blocks(model, np.array(taus), n_steps)])
+        d = np.concatenate([d for _, d in
+                            _interaction_blocks(model, np.array(taus), n_steps)[1]])
         r, overlaps = got["r"], got["overlaps"]
         bound_sq, bound_pair = got["bounds"]
         # every step, the window ends too, where gdot and r reach 0
@@ -360,10 +362,14 @@ class TestFoldedCores:
         # here a per-step recurrence in extended precision, and within
         # the random test's gamma_2k of the unfolded oracle, which is
         # itself up to 1.6e-15 off the exact cores on these blocks
-        blocks = list(_interaction_blocks(model_defect, np.array([tau]), 1024))
+        (inv_r, run_cos_m1, run_isin, _), blocks = _interaction_blocks(
+            model_defect, np.array([tau]), 1024)
+        blocks = list(blocks)
         assert len(blocks) == 16
-        for start, d, inv_r, cos_m1, isin, _ in blocks:
-            u, cos_m1, isin = d[:, 0] * inv_r, cos_m1[:, 0], isin[:, 0]
+        for start, d in blocks:
+            steps = slice(start, start + len(d))
+            u = d[:, 0] * inv_r[steps]
+            cos_m1, isin = run_cos_m1[steps, 0], run_isin[steps, 0]
             k = len(u)
             gram, offsets = u.conj() @ u.T, np.array([0, k])
             rows, lower = _folded_cores(gram, cos_m1, isin, offsets)

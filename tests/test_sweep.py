@@ -78,7 +78,7 @@ class TestConfig:
                              "pass": True}}
 
     def test_gapped_auto_checks(self):
-        cfg = resolve_config({}, gap_shift=1.0, tau_values=(100., 200., 400., 1000.))
+        cfg = resolve_config({}, gap_shift=1.0, tau_values=QUICK_TAUS)
         assert evaluate_checks(cfg, _slopes(-2.4, -1.2)) == {
             "probe_slope_max": {"value": -2.4, "max": -2.5, "pass": False},
             "window_slope": {"value": -1.2, "expected": -1.0, "tol": 0.15,
@@ -94,6 +94,12 @@ class TestConfig:
         tols = {beta: evaluate_checks(resolve_config({}, beta=beta), {})
                 ["probe_slope"]["tol"] for beta in (0.75, 1.0, 1.25)}
         assert tols == {0.75: 0.10, 1.0: 0.15, 1.25: 0.12}
+
+    @pytest.mark.parametrize("taus", [(1000.0,), (100.0, 200.0, 400.0, 800.0)])
+    def test_unfittable_taus_have_no_slope_checks(self, taus):
+        # a fit needs 4 taus over 1.5 decades; fewer leave nothing to check
+        assert evaluate_checks(resolve_config({}, tau_values=taus),
+                               _slopes(-1.5, -1.0)) == {}
 
     def test_readme_config_block_is_the_defaults(self, tmp_path):
         # the documented block, inline comments and all, parses to exactly
@@ -132,14 +138,10 @@ class TestConfig:
             resolve_config({"model": {"k_min": "1e-4", "n_panels": "14"}},
                            tau_values=(100., 1000., 10000., 100000.))
 
-    def test_probe_inside_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_config({"sweep": {"s_probe": "0.9"}})
-
     @pytest.mark.parametrize("raw, key", [
         ({"integrate": {"max_step": "0"}}, "max_step"),
         ({"integrate": {"max_step": "-0.5"}}, "max_step"),
-        ({"sweep": {"window_samples": "1"}}, "window_samples"),
+        ({"sweep": {"window_samples": "256"}}, "window_samples"),   # retired
         ({"model": {"k_max": "-1"}}, "k_max"),
         ({"model": {"k_max": "0"}}, "k_max"),
         ({"integrate": {"calibrate_rel_tol": "0"}}, "calibrate_rel_tol"),
@@ -148,11 +150,14 @@ class TestConfig:
         ({"sweep": {"tau_values": "100, nan"}}, "tau_values"),
         ({"model": {"k_max": "inf"}}, "k_max"),
         ({"integrate": {"max_step": "nan"}}, "max_step"),
-        ({"sweep": {"s_probe": "nan"}}, "s_probe"),
+        ({"sweep": {"s_probe": "1.5"}}, "s_probe"),                 # retired
         ({"model": {"k_max": "1e308"}}, "k_max"),
         ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values"),
-        ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values")])
+        ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values"),
+        ({"output": {"formats": ","}}, "formats"),
+        ({"output": {"directory": ""}}, "directory")])
     def test_step_settings_checked_on_resolve(self, raw, key):
+        # a retired key, even at its old default, is an unknown key
         with pytest.raises(ConfigurationError, match=key):
             resolve_config(raw)
 
@@ -324,14 +329,15 @@ class TestRunSweep:
                    for line in render_csv(quick_result).splitlines()[1:])
 
     def test_step_counts_are_integers_end_to_end(self):
-        # 2915 steps is not an exact reciprocal: 1 / (1 / 2915) > 2915
-        cfg = resolve_config({}, tau_values=QUICK_TAUS, window_samples=2915)
+        # 1 / 2915 is not an exact reciprocal: 1 / (1 / 2915) > 2915, so
+        # max_step gives 2916 steps, and halving gives exactly twice that
+        cfg = resolve_config({}, tau_values=QUICK_TAUS, max_step=1.0 / 2915)
         result = run_sweep(cfg)
-        assert result.calibration["n_steps"] == 2915
+        assert result.calibration["n_steps"] == 2916
         assert result.calibration["batches"] == [
-            {"taus": list(QUICK_TAUS), "n_steps": 2915},
-            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 5830}]
-        assert [r.n_steps for r in result.records] == [2915] * len(QUICK_TAUS)
+            {"taus": list(QUICK_TAUS), "n_steps": 2916},
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 5832}]
+        assert [r.n_steps for r in result.records] == [2916] * len(QUICK_TAUS)
 
     def test_uncalibrated_manifest_names_its_step_count(self):
         cfg = resolve_config({}, tau_values=QUICK_TAUS, calibrate=False)
@@ -354,6 +360,10 @@ class TestRunSweep:
                 assert (got.leak_probe, got.sup_leak_window, got.unitarity_drift) \
                     == (want.leak_probe, want.sup_leak_window, want.unitarity_drift)
         assert len(render_csv(result).splitlines()) == len(QUICK_TAUS)
+        # the taus are fittable, but three records give no fit: that fails
+        assert result.fits == {"leak_probe": None, "sup_leak_window": None}
+        assert result.checks["probe_slope"] == {"value": None, "expected": -1.5,
+                                                "tol": 0.12, "pass": False}
 
 
 def test_default_sweep_values_pinned():

@@ -124,14 +124,26 @@ def verified():
     return code, {int(b[:b.index("]")]): "[criterion" + b.rstrip() for b in blocks}
 
 
-def test_verify_passes(verified):
+def test_defect_check_passes(verified):
     code, blocks = verified
     assert code == 0
-    for criterion in (3, 6, 7, 8, 10):
-        assert blocks[criterion].startswith(f"[criterion {criterion:2d}] PASS")
+    assert blocks[3].startswith("[criterion  3] PASS")
     assert "defect slope" in blocks[3]
     assert blocks[3].count(" exact norms in ") == 4
-    assert "sign=-1" in blocks[10]
+
+
+def test_fourier_check_passes(verified):
+    assert verified[1][6].startswith("[criterion  6] PASS")
+
+
+def test_volterra_check_passes(verified):
+    assert verified[1][7].startswith("[criterion  7] PASS")
+    assert verified[1][8].startswith("[criterion  8] PASS")
+
+
+def test_tilde_check_passes(verified):
+    assert verified[1][10].startswith("[criterion 10] PASS")
+    assert "sign=-1" in verified[1][10]
 
 
 def test_fourier_check_with_no_usable_p_exits_four(monkeypatch, capsys):

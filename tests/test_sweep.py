@@ -138,6 +138,12 @@ class TestConfig:
             resolve_config({"model": {"k_min": "1e-4", "n_panels": "14"}},
                            tau_values=(100., 1000., 10000., 100000.))
 
+    def test_probe_inside_window_rejected(self):
+        # s_probe is retired: a probe inside the window, like any other, is
+        # refused as an unknown key
+        with pytest.raises(ConfigurationError, match="s_probe"):
+            resolve_config({"sweep": {"s_probe": "0.9"}})
+
     @pytest.mark.parametrize("raw, key", [
         ({"integrate": {"max_step": "0"}}, "max_step"),
         ({"integrate": {"max_step": "-0.5"}}, "max_step"),

@@ -340,22 +340,23 @@ class _TrajectoryCache:
 
 
 def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, dict]:
-    """Refine the step count until halving moves probe leaks below tolerance.
+    """Refine the step count until its half moves probe leaks below tolerance.
 
     Checked at both ends of the tau range (the smallest leak is the most
     demanding); the step does not depend on tau, so the accepted count
-    serves every tau. The first candidate step count runs every tau, so
-    that production finds its records in the cache when that count is
-    accepted; the halved steps run the two ends. Uncalibrated, the step
-    count is max_step's (512 when auto); calibration starts from it, at
-    least 2048.
+    serves every tau. The candidate count n runs every tau, so that
+    production finds its records in the cache when n is accepted; the
+    ends run again at n // 2 to compare. A failed check doubles n, whose
+    level below is then already cached; four checks reach 8 times the
+    start. Uncalibrated, the step count is max_step's (512 when auto);
+    calibration starts from it, at least 2048.
     """
     steps = steps_for(cfg.max_step)
     if not cfg.calibrate:
         return steps, {"calibrated": False, "n_steps": steps}
     taus = (cfg.tau_values[0], cfg.tau_values[-1])
 
-    def probe_leaks(n, run_taus):
+    def probe_leaks(n, run_taus=taus):
         by_tau = dict(zip(run_taus, cache.get(n, run_taus)))
         for t in taus:
             if by_tau[t].error is not None:
@@ -365,18 +366,17 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
         return np.array([by_tau[t].leak_probe for t in taus])
 
     n = max(steps, 2048)
-    coarse = probe_leaks(n, cfg.tau_values)
+    fine = probe_leaks(n, cfg.tau_values)
     history = []
-    for _ in range(3):
-        fine = probe_leaks(2 * n, taus)
+    while True:
+        coarse = probe_leaks(n // 2)
         rel = float(np.max(np.abs(coarse - fine) /
                            np.maximum(np.abs(fine), 1e-300)))
-        history.append({"n_steps": n, "rel_change": rel})
-        if rel <= cfg.calibrate_rel_tol:
-            break
+        history.append({"n_steps": n, "against": n // 2, "rel_change": rel})
+        if rel <= cfg.calibrate_rel_tol or len(history) == 4:
+            return n, {"calibrated": True, "n_steps": n, "history": history}
         n *= 2
-        coarse = fine
-    return n, {"calibrated": True, "n_steps": n, "history": history}
+        fine = probe_leaks(n)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -386,9 +386,9 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     by step count and tau (_TrajectoryCache.get), so production runs
     only the taus calibration did not. A column's result does not depend
     on its batch, records come in tau order, and an integration failure
-    taints only its own tau. A calibration whose last halving still
-    moved the leaks by more than calibrate_rel_tol fails the
-    step_calibration check.
+    taints only its own tau. A calibration whose last check, n // 2
+    against n steps, still moved the leaks by more than
+    calibrate_rel_tol fails the step_calibration check.
     """
     model = build_model_from_config(cfg)
     cache = _TrajectoryCache(cfg, model)

@@ -27,7 +27,7 @@ def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
 
 
 def test_sweep_check_failure_exits_four(tmp_path, capsys):
-    # three halvings cannot bring the change down to 1e-7
+    # four checks cannot bring the change down to 1e-7
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[model]\nnodes_per_panel = 4\n"
                    "[integrate]\ncalibrate_rel_tol = 1e-7\n")

@@ -10,10 +10,12 @@ import pytest
 
 from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
-from friedrichs.sweep import (CSV_COLUMNS, FitResult, config_hash, emit_report,
-                              evaluate_checks, fit_powerlaw, load_config_file,
-                              load_manifest, render_csv, render_svg,
-                              resolve_config, run_sweep)
+from friedrichs.propagate import evolve_true
+from friedrichs.sweep import (CSV_COLUMNS, FitResult, build_model_from_config,
+                              config_hash, emit_report, evaluate_checks,
+                              fit_powerlaw, load_config_file, load_manifest,
+                              render_csv, render_svg, resolve_config,
+                              run_sweep)
 
 QUICK_TAUS = (100.0, 316.22776601683796, 1000.0, 3162.2776601683795)
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -294,17 +296,38 @@ class TestRunSweep:
         assert quick_result.checks["step_calibration"] == {
             "value": rel, "tol": 0.005, "pass": True}
 
-    def test_unconverged_calibration_fails_its_check(self):
-        # three halvings cannot bring the change down to 1e-7
+    @pytest.fixture(scope="class")
+    def unconverged(self):
+        # four checks cannot bring the change down to 1e-7
         cfg = resolve_config({}, tau_values=QUICK_TAUS, nodes_per_panel=4,
                              calibrate_rel_tol=1e-7)
-        result = run_sweep(cfg)
+        return cfg, run_sweep(cfg)
+
+    def test_unconverged_calibration_fails_its_check(self, unconverged):
+        _, result = unconverged
         history = result.calibration["history"]
-        assert [h["n_steps"] for h in history] == [2048, 4096, 8192]
+        assert [h["n_steps"] for h in history] == [2048, 4096, 8192, 16384]
+        assert [h["against"] for h in history] == [1024, 2048, 4096, 8192]
         check = result.checks["step_calibration"]
         assert check == {"value": history[-1]["rel_change"], "tol": 1e-7,
                          "pass": False}
         assert check["value"] > 1e-7
+
+    def test_unconverged_calibration_ends_at_eight_times_the_start(
+            self, unconverged):
+        # the last check compares 8192 with 16384 steps at the end taus,
+        # and production runs at 16384
+        cfg, result = unconverged
+        assert result.calibration["n_steps"] == 16384
+        assert [r.n_steps for r in result.records] == [16384] * len(QUICK_TAUS)
+        model = build_model_from_config(cfg)
+        ends = [QUICK_TAUS[0], QUICK_TAUS[-1]]
+        coarse, fine = (np.array([t.leak_at(1.0) for t in evolve_true(
+            model, ends, n, cfg.drift_tolerance).trajectories()])
+            for n in (8192, 16384))
+        rel = float(np.max(np.abs(coarse - fine) /
+                           np.maximum(np.abs(fine), 1e-300)))
+        assert result.calibration["history"][-1]["rel_change"] == rel
 
     def test_leak_decays_monotonically(self, quick_result):
         # the adiabatic limit is approached: no lower plateau in tau
@@ -317,7 +340,7 @@ class TestRunSweep:
         result = run_sweep(replace(quick_result.config, jobs=3))
         assert result.calibration["batches"] == [
             {"taus": list(QUICK_TAUS), "n_steps": 2048},
-            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 4096}]
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 1024}]
         assert result.calibration == quick_result.calibration
         assert render_csv(result) == render_csv(quick_result)
 
@@ -326,7 +349,7 @@ class TestRunSweep:
         assert cal["n_steps"] == 2048
         assert cal["batches"] == [
             {"taus": list(QUICK_TAUS), "n_steps": 2048},
-            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 4096}]
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 1024}]
         assert cal["reused_trajectories"] == len(QUICK_TAUS)
         # each record carries its batch's wall time over the batch width
         walls = [r.wall_time_s for r in quick_result.records]
@@ -336,14 +359,35 @@ class TestRunSweep:
 
     def test_step_counts_are_integers_end_to_end(self):
         # 1 / 2915 is not an exact reciprocal: 1 / (1 / 2915) > 2915, so
-        # max_step gives 2916 steps, and halving gives exactly twice that
+        # max_step gives 2916 steps, and the check runs exactly half that
         cfg = resolve_config({}, tau_values=QUICK_TAUS, max_step=1.0 / 2915)
         result = run_sweep(cfg)
         assert result.calibration["n_steps"] == 2916
         assert result.calibration["batches"] == [
             {"taus": list(QUICK_TAUS), "n_steps": 2916},
-            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 5832}]
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 1458}]
         assert [r.n_steps for r in result.records] == [2916] * len(QUICK_TAUS)
+
+    def test_odd_step_count_is_checked_against_its_floor_half(self):
+        # 1 / 2048.5 gives 2049 steps; the check runs 2049 // 2 = 1024,
+        # and production keeps 2049
+        cfg = resolve_config({}, tau_values=QUICK_TAUS, max_step=1.0 / 2048.5)
+        result = run_sweep(cfg)
+        assert [(h["n_steps"], h["against"])
+                for h in result.calibration["history"]] == [(2049, 1024)]
+        assert result.calibration["batches"] == [
+            {"taus": list(QUICK_TAUS), "n_steps": 2049},
+            {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 1024}]
+        assert [r.n_steps for r in result.records] == [2049] * len(QUICK_TAUS)
+
+    def test_level_below_change_bounds_the_level_above(self):
+        # at tau = 100 the default model is second order in the step, so
+        # |L_1024 - L_2048| is about 4 times |L_2048 - L_4096|: the check
+        # against n // 2 is the stricter one
+        model = build_model_from_config(resolve_config({}))
+        l1024, l2048, l4096 = (evolve_true(model, 100.0, n).leak_at(1.0)
+                               for n in (1024, 2048, 4096))
+        assert abs(l1024 - l2048) >= 2.0 * abs(l2048 - l4096) > 0.0
 
     def test_uncalibrated_manifest_names_its_step_count(self):
         cfg = resolve_config({}, tau_values=QUICK_TAUS, calibrate=False)

@@ -4,7 +4,7 @@ Subcommands: sweep (tau sweep with fits; one tau with --tau T), verify
 (every check of friedrichs.checks.REGISTRY, acceptance criteria 1-4, 6,
 7, 8, 10 and 11), report (re-emit outputs from a stored manifest).
 
-The sweep flags that set a config key are read by the config schema as
+The sweep flags that set a config key are read by the config grammar as
 if written in the config file, and override the file; a flag given an
 empty value is refused by name.
 
@@ -20,14 +20,13 @@ import sys
 
 from .errors import ConfigurationError, FriedrichsError
 from . import checks
-from .sweep import (SweepConfig, _parse_value, emit_report, load_config_file,
-                    load_manifest, resolve_config, run_sweep)
+from .sweep import (_RENDERERS, _SETTINGS, SweepConfig, _parse_value, emit_report,
+                    load_config_file, load_manifest, resolve_config, run_sweep)
 
 _CHECK_FAIL = 4
 #: sweep flag -> the config key it sets
-_SETTING_FLAGS = {"--tau": ("sweep", "tau_values"), "--beta": ("model", "beta"),
-                  "--gap": ("model", "gap_shift"), "--out": ("output", "directory"),
-                  "--format": ("output", "formats")}
+_SETTING_FLAGS = {"--tau": "tau_values", "--beta": "beta", "--gap": "gap_shift",
+                  "--out": "directory", "--format": "formats"}
 
 
 def _given(flag: str, text: str | None) -> str | None:
@@ -40,10 +39,10 @@ def _given(flag: str, text: str | None) -> str | None:
 def _config_from_args(args) -> SweepConfig:
     config = _given("--config", args.config)
     raw = {} if config is None else load_config_file(config)
-    for flag, (section, key) in _SETTING_FLAGS.items():
+    for flag, key in _SETTING_FLAGS.items():
         text = _given(flag, getattr(args, flag[2:]))
         if text is not None:
-            raw.setdefault(section, {})[key] = text
+            raw.setdefault(_SETTINGS[key].section, {})[key] = text
     return resolve_config(raw)
 
 
@@ -84,7 +83,7 @@ def _cmd_report(args) -> int:
     result = load_manifest(args.manifest)
     formats = _given("--format", args.format)
     if formats is not None:
-        formats = _parse_value("str_list", formats, "--format")
+        formats = _parse_value(_SETTINGS["formats"].grammar, formats, "--format")
     paths = emit_report(result, formats=formats, out_dir=_given("--out", args.out))
     print("wrote: " + " ".join(sorted(paths.values())))
     return 0
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="coupling exponent override")
     p.add_argument("--gap", help="gap shift override")
     p.add_argument("--out", help="output directory override")
-    p.add_argument("--format", help="list from csv, json, svg")
+    p.add_argument("--format", help=f"list from {', '.join(_RENDERERS)}")
     p.add_argument("--check", action="store_true",
                    help="exit 4 unless every check passes")
     p.set_defaults(func=_cmd_sweep)

@@ -175,17 +175,15 @@ def ritz_bounds(grams: np.ndarray, fro_sq, theta_slack, fro_slack):
     computed Ritz value and comes off lo^2; fro_slack bounds the error
     of the computed hi^2 and goes onto it.
 
-    Returns (lo, hi, vecs): vecs, (..., k, k), are the eigenvectors of
-    grams in ascending order of Ritz value, so V @ vecs[..., ::-1] are
-    the Ritz vectors, top first. One eigh gives the bounds and the
-    vectors together.
+    Returns (lo, hi). Only the Ritz values are formed (eigvalsh); a
+    caller that reads a Ritz vector takes it from eigh of that Gram
+    matrix alone.
     """
-    theta, vecs = np.linalg.eigh(grams)
-    top = theta[..., -1]
+    top = np.linalg.eigvalsh(grams)[..., -1]
     rest = np.trace(grams, axis1=-2, axis2=-1).real - top
     lo = np.sqrt(np.maximum(top - theta_slack, 0.0))
     hi = np.sqrt(np.maximum(fro_sq - rest + fro_slack, 0.0))
-    return lo, hi, vecs
+    return lo, hi
 
 
 def format_float17(x: float) -> str:

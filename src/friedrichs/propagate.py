@@ -93,8 +93,8 @@ __all__ = [
 _MAGNUS_DEGREE = 8
 _RESEED_STEPS = 64
 _AUTO_STEPS = 512
-#: largest norm drift a run may reach; evolve_true's default, and
-#: evolve_wave_operator's bound
+#: largest norm drift a run may reach; evolve_true's default, the default
+#: of the sweep's [integrate] drift_tolerance, and evolve_wave_operator's bound
 _DRIFT_TOLERANCE = 1e-9
 
 

@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (ConfigurationError, FitDomainError, FriedrichsError,
 from .model import (FriedrichsModel, assemble_model, build_form_factor,
                     build_grid, build_switching, check_model_inputs)
 from .numutil import format_float17
-from .propagate import evolve_true, steps_for
+from .propagate import _DRIFT_TOLERANCE, evolve_true, steps_for
 
 __all__ = [
     "SweepConfig",
@@ -41,61 +42,67 @@ __all__ = [
     "load_manifest",
 ]
 
-CSV_COLUMNS = ("tau", "s_probe", "leak_probe", "sup_leak_window", "beta",
-               "gap_shift", "n_nodes", "theta_total", "unitarity_drift",
-               "wall_time_s")
-
 _DEFAULT_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
 
-#: config file schema: section -> key -> (type tag, default)
-_SCHEMA = {
-    "model": {
-        "beta": ("float", 1.5),
-        "theta_total": ("float", math.pi / 4.0),
-        "gap_shift": ("float", 0.0),
-        "k_max": ("float", 1.0),
-        "k_min": ("float_or_auto", "auto"),
-        "n_panels": ("int_or_auto", "auto"),
-        "nodes_per_panel": ("int", 16),
-        "cutoff_fraction": ("float", 0.5),
-    },
-    "sweep": {
-        "tau_values": ("float_list", _DEFAULT_TAUS),
-    },
-    "integrate": {
-        "max_step": ("float_or_auto", "auto"),
-        "calibrate": ("bool", True),
-        "calibrate_rel_tol": ("float", 0.005),
-        "drift_tolerance": ("float", 1e-9),
-    },
-    "output": {
-        "directory": ("str", "out"),
-        "formats": ("str_list", ("csv", "json")),
-        "jobs": ("int", 1),
-    },
-}
+
+class _Setting(NamedTuple):
+    section: str       # the config file's [section]
+    grammar: Callable  # parses the key's stripped text
+    default: object
+    run: bool          # a run setting changes no result and is not hashed
+
+
+def _setting(section: str, grammar: Callable, default, run: bool = False):
+    """A SweepConfig field, declared as the config key of that name."""
+    return field(metadata={"setting": _Setting(section, grammar, default, run)})
+
+
+def _auto(parse: Callable) -> Callable:
+    return lambda text: "auto" if text.lower() == "auto" else parse(text)
+
+
+def _listed(parse: Callable) -> Callable:
+    return lambda text: tuple(parse(v) for v in text.replace(",", " ").split())
+
+
+def _flag(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved sweep parameters (no 'auto' values remain)."""
+    """Fully resolved sweep parameters (no 'auto' values remain).
 
-    beta: float
-    theta_total: float
-    gap_shift: float
-    k_max: float
-    k_min: float
-    n_panels: int
-    nodes_per_panel: int
-    cutoff_fraction: float
-    tau_values: tuple[float, ...]
-    max_step: float | None
-    calibrate: bool
-    calibrate_rel_tol: float
-    drift_tolerance: float
-    directory: str
-    formats: tuple[str, ...]
-    jobs: int    # accepted for compatibility; has no effect
+    Every field is the config key of its name, declared by _setting;
+    resolve_config parses and checks the keys in field order.
+    """
+
+    beta: float = _setting("model", float, 1.5)
+    theta_total: float = _setting("model", float, math.pi / 4.0)
+    gap_shift: float = _setting("model", float, 0.0)
+    k_max: float = _setting("model", float, 1.0)
+    k_min: float = _setting("model", _auto(float), "auto")
+    n_panels: int = _setting("model", _auto(int), "auto")
+    nodes_per_panel: int = _setting("model", int, 16)
+    cutoff_fraction: float = _setting("model", float, 0.5)
+    tau_values: tuple[float, ...] = _setting("sweep", _listed(float), _DEFAULT_TAUS)
+    max_step: float | None = _setting("integrate", _auto(float), "auto")
+    calibrate: bool = _setting("integrate", _flag, True)
+    calibrate_rel_tol: float = _setting("integrate", float, 0.005)
+    drift_tolerance: float = _setting("integrate", float, _DRIFT_TOLERANCE)
+    formats: tuple[str, ...] = _setting("output", _listed(str), ("csv", "json"),
+                                        run=True)
+    directory: str = _setting("output", str, "out", run=True)
+    jobs: int = _setting("output", int, 1, run=True)    # has no effect
+
+
+#: config key -> its declaration, in SweepConfig's field order
+_SETTINGS = {f.name: f.metadata["setting"] for f in fields(SweepConfig)}
 
 
 @dataclass
@@ -130,35 +137,13 @@ class SweepResult:
     code_version: str = __version__
 
 
-def _parse_value(tag: str, raw, where: str):
+def _parse_value(grammar: Callable, raw, where: str):
     if not isinstance(raw, str):
         return raw  # already a default
-    text = raw.strip()
     try:
-        if tag == "float":
-            return float(text)
-        if tag == "int":
-            return int(text)
-        if tag == "bool":
-            low = text.lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(text)
-        if tag == "str":
-            return text
-        if tag in ("float_or_auto", "int_or_auto"):
-            if text.lower() == "auto":
-                return "auto"
-            return float(text) if tag.startswith("float") else int(text)
-        if tag == "float_list":
-            return tuple(float(v) for v in text.replace(",", " ").split())
-        if tag == "str_list":
-            return tuple(v.strip() for v in text.replace(",", " ").split())
+        return grammar(raw.strip())
     except ValueError as exc:
         raise ConfigurationError(f"bad value for {where}: {raw!r} ({exc})") from exc
-    raise ConfigurationError(f"unhandled schema tag {tag}")
 
 
 def load_config_file(path: str) -> dict:
@@ -181,12 +166,12 @@ def load_config_file(path: str) -> dict:
 
 
 def _known(raw: dict) -> dict:
-    """raw, if every section and key in it is in the schema."""
+    """raw, if every section and key in it is declared on SweepConfig."""
     for section, keys in raw.items():
-        if section not in _SCHEMA:
+        if section not in {s.section for s in _SETTINGS.values()}:
             raise ConfigurationError(f"unknown config section [{section}]")
         for key in keys:
-            if key not in _SCHEMA[section]:
+            if key not in _SETTINGS or _SETTINGS[key].section != section:
                 raise ConfigurationError(
                     f"unknown key {key!r} in section [{section}]")
     return raw
@@ -201,11 +186,9 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     at most 0.01/max(tau).
     """
     raw = _known(raw or {})
-    values: dict = {}
-    for section, keys in _SCHEMA.items():
-        for key, (tag, default) in keys.items():
-            supplied = raw.get(section, {}).get(key, default)
-            values[key] = _parse_value(tag, supplied, f"[{section}] {key}")
+    values = {key: _parse_value(s.grammar, raw.get(s.section, {}).get(key, s.default),
+                                f"[{s.section}] {key}")
+              for key, s in _SETTINGS.items()}
     for key, val in overrides.items():
         if key not in values:
             raise ConfigurationError(f"unknown config override {key!r}")
@@ -219,8 +202,8 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
                          for v in (val if isinstance(val, tuple) else (val,)))]
     if non_finite:
         raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
-    for key in ("tau_values", "formats", "directory"):
-        if not values[key]:
+    for key, val in values.items():
+        if isinstance(val, (str, tuple)) and not val:
             raise ConfigurationError(f"{key} must be nonempty")
     for t in taus:
         check_model_inputs(tau=t)
@@ -246,9 +229,8 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         n = max(4, math.ceil(math.log2(span)))
         values["n_panels"] = n
         values["k_min"] = values["k_max"] * 2.0 ** (-n)
-    check_model_inputs(**{key: values[key] for key in (
-        "beta", "theta_total", "gap_shift", "k_max", "k_min", "n_panels",
-        "nodes_per_panel", "cutoff_fraction")})
+    check_model_inputs(**{key: values[key] for key, s in _SETTINGS.items()
+                          if s.section == "model"})
     if values["k_min"] > 0.01 / tau_max + 1e-15:
         raise ConfigurationError(
             f"k_min={values['k_min']:.3e} does not resolve k ~ 1/tau for "
@@ -256,7 +238,7 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     if values["jobs"] < 1:
         raise ConfigurationError("jobs must be >= 1")
     for fmt in values["formats"]:
-        if fmt not in ("csv", "json", "svg"):
+        if fmt not in _RENDERERS:
             raise ConfigurationError(f"unknown output format {fmt!r}")
     if values["max_step"] == "auto":
         values["max_step"] = None
@@ -264,16 +246,11 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     return SweepConfig(**values)
 
 
-#: run and output settings: they change no result, so they are not hashed
-_RUN_SETTINGS = ("directory", "formats", "jobs")
-
-
 def canonical_config_text(cfg: SweepConfig) -> str:
     """Stable one-line-per-field rendering of the hashed (physics) fields."""
     lines = []
-    for key, value in sorted(asdict(cfg).items()):
-        if key in _RUN_SETTINGS:
-            continue
+    for key in sorted(key for key, s in _SETTINGS.items() if not s.run):
+        value = getattr(cfg, key)
         if isinstance(value, float):
             value = format_float17(value)
         elif isinstance(value, tuple):
@@ -490,21 +467,27 @@ def evaluate_checks(cfg: SweepConfig, fits: dict) -> dict:
     return checks
 
 
-def render_csv(result: SweepResult) -> str:
-    """Fixed column order, 17-digit floats; errored rows are omitted.
+#: sweep.csv's columns in order, each with where its value comes from: the
+#: same-named attribute of the record, the config or the result, or a
+#: constant. s_probe is a fixed 1.5 label (every s >= 1 reads the leak at
+#: s = 1), and wall_time_s a fixed 0.0, so that the bytes do not depend on
+#: timing; the measured times are in the manifest's records.
+_CSV = (("tau", "record"), ("s_probe", 1.5), ("leak_probe", "record"),
+        ("sup_leak_window", "record"), ("beta", "config"), ("gap_shift", "config"),
+        ("n_nodes", "result"), ("theta_total", "config"),
+        ("unitarity_drift", "record"), ("wall_time_s", 0.0))
+CSV_COLUMNS = tuple(name for name, _ in _CSV)
 
-    wall_time_s is written as 0.0, so that the bytes do not depend on
-    timing; the measured times are in the manifest's records.
-    """
-    cfg = result.config
+
+def render_csv(result: SweepResult) -> str:
+    """Fixed column order (_CSV), 17-digit floats; errored rows are omitted."""
     lines = [",".join(CSV_COLUMNS)]
     for r in result.records:
         if r.error is not None:
             continue
-        # s_probe is a fixed 1.5: every s >= 1 reads the leak at s = 1
-        row = (r.tau, 1.5, r.leak_probe, r.sup_leak_window, cfg.beta,
-               cfg.gap_shift, result.n_nodes, cfg.theta_total,
-               r.unitarity_drift, 0.0)
+        source = {"record": r, "config": result.config, "result": result}
+        row = (getattr(source[src], name) if isinstance(src, str) else src
+               for name, src in _CSV)
         lines.append(",".join(str(v) if isinstance(v, int) else format_float17(v)
                               for v in row))
     return "\n".join(lines) + "\n"
@@ -580,6 +563,12 @@ def render_svg(result: SweepResult) -> str:
     return "\n".join(body) + "\n"
 
 
+#: output format -> its renderer and file name
+_RENDERERS = {"csv": (render_csv, "sweep.csv"),
+              "json": (render_manifest, "manifest.json"),
+              "svg": (render_svg, "sweep.svg")}
+
+
 def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -> dict:
     """Write the requested formats; returns {format: path}.
 
@@ -594,16 +583,13 @@ def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -
     for name, value in (("formats", formats), ("out_dir", out_dir)):
         if not value:
             raise ConfigurationError(f"emit_report: {name} is empty")
-    renderers = {"csv": (render_csv, "sweep.csv"),
-                 "json": (render_manifest, "manifest.json"),
-                 "svg": (render_svg, "sweep.svg")}
     for fmt in formats:
-        if fmt not in renderers:
+        if fmt not in _RENDERERS:
             raise ConfigurationError(f"unknown output format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for fmt in formats:
-        render, name = renderers[fmt]
+        render, name = _RENDERERS[fmt]
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(render(result))
@@ -633,10 +619,10 @@ def load_manifest(path: str) -> SweepResult:
             payload = _checked(SweepResult, json.load(fh), where)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot load {where}: {exc}") from exc
-    cfg_dict = dict(_checked(SweepConfig, payload["config"], f"{where} config"))
-    for key in ("tau_values", "formats"):
-        cfg_dict[key] = tuple(cfg_dict[key])
-    cfg = SweepConfig(**cfg_dict)
+    cfg = SweepConfig(**{
+        key: tuple(value) if isinstance(_SETTINGS[key].default, tuple) else value
+        for key, value in _checked(SweepConfig, payload["config"],
+                                   f"{where} config").items()})
     fits = {k: None if v is None else
             FitResult(**_checked(FitResult, v, f"{where} fit {k}"))
             for k, v in payload["fits"].items()}

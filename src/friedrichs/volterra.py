@@ -178,18 +178,18 @@ def _prefix_sums(x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=x.dtype), np.cumsum(x)))
 
 
-def _stop_products(blk: WaveBlock, a0: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _stop_products(blk: WaveBlock, a0v: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A_j V = A_0 V - Y C_j (z V) at every stop of the block, (m, dim, c).
 
-    Row 0 of Y C_j (z V) is row 0 of C_j times z V; the other rows sum
-    u_a (x V)[a] over the prefix's steps, accumulated stop by stop, so a
-    step after the last stop enters no product.
+    a0v is A_0 V, formed. Row 0 of Y C_j (z V) is row 0 of C_j times z V;
+    the other rows sum u_a (x V)[a] over the prefix's steps, accumulated
+    stop by stop, so a step after the last stop enters no product.
     """
     xv = blk.x @ v
-    b = np.empty((len(blk.offsets), len(a0), v.shape[1]), dtype=complex)
-    b[:] = a0 @ v
+    b = np.empty((len(blk.offsets),) + a0v.shape, dtype=complex)
+    b[:] = a0v
     b[:, 0] -= blk.rows @ (blk.z @ v)
-    acc = np.zeros((len(a0) - 1, v.shape[1]), dtype=complex)
+    acc = np.zeros((len(v) - 1, v.shape[1]), dtype=complex)
     a = 0
     for bj, j in zip(b, blk.offsets):
         acc += blk.u[a:j].T @ xv[a:j]
@@ -198,14 +198,13 @@ def _stop_products(blk: WaveBlock, a0: np.ndarray, v: np.ndarray) -> np.ndarray:
     return b
 
 
-def _ritz_block(vecs: np.ndarray, basis: np.ndarray, c: int) -> np.ndarray:
+def _ritz_block(grams: np.ndarray, basis: np.ndarray, c: int) -> np.ndarray:
     """The top c Ritz vectors of a stop on basis, top first.
 
-    vecs are the eigenvectors of the stop's Gram matrix on basis, in
-    ascending order (numutil.ritz_bounds). Stacked vecs (m, b, b) give
-    the stops' blocks stacked, (m, dim, c).
+    grams is the stop's Gram matrix (A V)^dagger (A V) on basis V.
+    Stacked grams (m, b, b) give the stops' blocks stacked, (m, dim, c).
     """
-    return basis @ vecs[..., :-c - 1:-1]
+    return basis @ np.linalg.eigh(grams)[1][..., :-c - 1:-1]
 
 
 def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
@@ -228,11 +227,14 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     block (the start block when None), and one power step of the last
     stop's A^dagger A on it: 8 orthonormal columns, a block Krylov space
     that follows the stops' top singular directions through the block.
-    All the stops' A_j V come from one pass (_stop_products). Their Gram
-    matrices G_j give the Ritz values theta_1 >= ... of numutil's
-    bracket (the rest sum to tr G_j - theta_1). Its one batched eigh
-    also gives the Ritz vectors: the last stop's top four are carried
-    on, and a candidate's top two start its settle (_stop_norms).
+    V is Q of the QR of [v, step], so V[:, :4] R_11 = v, and A_0 V[:, :4]
+    is A_0 v, formed once for the power step, over R_11's diagonal (unit
+    phases, as v is orthonormal). All the stops' A_j V come from one
+    pass (_stop_products). Their Gram matrices G_j give the Ritz values
+    theta_1 >= ... of numutil's bracket (the rest sum to tr G_j -
+    theta_1), from one batched eigvalsh. Ritz vectors are formed only
+    where they are read (_ritz_block): the last stop's top four are
+    carried on, and a candidate's top two start its settle (_stop_norms).
 
     Rounding allowance, first order in the unit roundoff. Let a =
     ||A_0||_F, b_j = sqrt(j + 1) ||C_j||_F ||z_j||_F (z_j the first j + 1
@@ -246,7 +248,10 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     takes as exact (||omega||_F <= sqrt(dim) + a); and ||Y C_j z||_F^2
     by gamma_N b_j^2: together at most gamma_N (2 s_j^2 + 2 b_j
     sqrt(dim)). A_j V is off by gamma_N s_j ||V||_F = gamma_N s_j
-    sqrt(c) for c columns, so each Ritz value is off by at most
+    sqrt(c) for c columns. That also covers A_0 V[:, :4] taken from A_0
+    v: its products sum dim terms, and the QR's backward error and R_11's
+    off-diagonal add errors first order in u from sums of at most 8 dim
+    terms, with 9 dim < N. So each Ritz value is off by at most
     r = (2 sqrt(c) + 3) gamma_N s_j^2, the 3 for its Gram matrix, the
     eigensolver and V's departure from orthonormality. So theta_slack =
     r and fro_slack = (c - 1) r + gamma_N (3 s_j^2 + 2 b_j sqrt(dim)),
@@ -254,9 +259,8 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
 
     Raises NumericalOverflow, naming the step, at the first stop whose
     Frobenius sum is not finite, before a Ritz value is read. Returns
-    (lo, hi, vecs, basis, v): the eigenvectors of each stop's Gram
-    matrix on basis, for its Ritz block (_ritz_block), and v the block
-    to carry.
+    (lo, hi, grams, basis, v): each stop's Gram matrix on basis, for its
+    Ritz block (_ritz_block), and v the block to carry.
     """
     js = blk.offsets
     u, z, x, rows = blk.u, blk.z, blk.x, blk.rows
@@ -282,18 +286,19 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     # conjugating its small side; the step's scale is divided out so that
     # it enters the QR on a par with v
     j = js[-1]
-    av = a0 @ v
+    a0v = a0 @ v
+    av = a0v.copy()
     av[0] -= rows[-1] @ (z @ v)
     av[1:] -= u[:j].T @ (x[:j] @ v)
     yav = (av[1:].conj().T @ u.T).conj().T             # rows 1.. of Y^dagger A v
     cyav = np.outer(rows[-1].conj(), av[0]) + (yav[:j].conj().T @ blk.lower[:j]).conj().T
     power = (av.conj().T @ a0).conj().T - (cyav.conj().T @ z).conj().T
     scale = np.abs(power).max()
-    basis = np.linalg.qr(np.concatenate((v, power / scale if scale > 0.0 else power),
-                                        axis=1))[0]
-    c = basis.shape[1]
-
-    b = _stop_products(blk, a0, basis)
+    basis, tri = np.linalg.qr(np.concatenate((v, power / scale if scale > 0.0 else power),
+                                             axis=1))
+    c, k = basis.shape[1], v.shape[1]
+    a0_basis = np.concatenate((a0v / np.diagonal(tri)[:k], a0 @ basis[:, k:]), axis=1)
+    b = _stop_products(blk, a0_basis, basis)
     grams = b.conj().swapaxes(-1, -2) @ b
     core_sq = _prefix_sums(np.vecdot(blk.lower, blk.lower).real)[js] \
         + np.vecdot(rows, rows).real
@@ -302,9 +307,9 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     s_sq = (math.sqrt(fa) + bj) ** 2
     gamma = rounding_gamma(dim * dim + 2)
     r = (2.0 * math.sqrt(c) + 3.0) * gamma * s_sq
-    lo, hi, vecs = ritz_bounds(
+    lo, hi = ritz_bounds(
         grams, fro, r, (c - 1) * r + gamma * (3.0 * s_sq + 2.0 * bj * math.sqrt(dim)))
-    return lo, hi, vecs, basis, _ritz_block(vecs[-1], basis, _CARRIED_COLUMNS)
+    return lo, hi, grams, basis, _ritz_block(grams[-1], basis, _CARRIED_COLUMNS)
 
 
 def _stop_norms(blk: WaveBlock, a0: np.ndarray, stops: np.ndarray,
@@ -435,14 +440,14 @@ def _settled_defect(model: FriedrichsModel, tau: float, s_grid: np.ndarray | Non
         # negating the complex array
         np.negative(blk.omega.view(float), out=a0.view(float))
         a0.flat[::dim + 1] += 1.0
-        lo, hi, vecs, basis, v = _block_brackets(blk, a0, v)
+        lo, hi, grams, basis, v = _block_brackets(blk, a0, v)
         floor = max(floor, float(lo.max()))
         if waiting is not None:
             settle()
         stops = np.flatnonzero(hi > floor)
         if len(stops):
             waiting = (blk, a0, stops, hi[stops],
-                       _ritz_block(vecs[stops], basis, _SETTLE_COLUMNS))
+                       _ritz_block(grams[stops], basis, _SETTLE_COLUMNS))
         else:
             waiting = None
 

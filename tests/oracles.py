@@ -505,8 +505,9 @@ def norm_bracket(m, v=None):
         v = _start_block(m.shape[1])
     b = m @ v
     gram = b.conj().T @ b
-    lo, hi, y = ritz_bounds(gram, fro, 0.0, 24.0 * rounding_gamma(m.size + 2) * fro)
+    lo, hi = ritz_bounds(gram, fro, 0.0, 24.0 * rounding_gamma(m.size + 2) * fro)
     if lo > 0.0:
+        y = np.linalg.eigh(gram)[1]
         v = np.linalg.qr(((b @ y[:, ::-1]).conj().T @ m).conj().T)[0]
     return float(lo), float(hi), v
 

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 import friedrichs
 from friedrichs import checks
 from friedrichs.cli import _config_from_args, build_parser, main
+from friedrichs.sweep import load_config_file, load_manifest, resolve_config
 
 QUICK = "100,316.2,1000,3163"
 
@@ -60,6 +61,50 @@ def test_flags_and_config_file_resolve_alike(tmp_path, capsys):
     assert resolve("--config", str(cfg), "--beta", "1.5") == replace(from_file, beta=1.5)
     assert main(["sweep", "--beta", "abc"]) == 2
     assert "bad value for [model] beta: 'abc'" in capsys.readouterr().err
+
+
+#: every declared key at a valid value other than its default
+EVERY_KEY = """\
+[model]
+beta = 1.25
+theta_total = 0.7
+gap_shift = 0.1
+k_max = 2.0
+k_min = 1e-5
+n_panels = 18
+nodes_per_panel = 4
+cutoff_fraction = 0.6
+[sweep]
+tau_values = 100, 1000
+[integrate]
+max_step = 0.00390625
+calibrate = false
+calibrate_rel_tol = 0.01
+drift_tolerance = 1e-8
+[output]
+directory = every
+formats = csv, json, svg
+jobs = 2
+"""
+
+
+def test_every_key_round_trips_through_the_manifest(tmp_path, monkeypatch):
+    # a sweep with no setting at its default: the manifest holds each one,
+    # its hash is pinned, and report re-emits the same CSV bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "every.cfg").write_text(EVERY_KEY)
+    assert main(["sweep", "--config", "every.cfg"]) == 0
+    manifest = tmp_path / "every" / "manifest.json"
+    stored, default = load_manifest(str(manifest)), asdict(resolve_config({}))
+    assert stored.config == resolve_config(load_config_file("every.cfg"))
+    assert [key for key, value in asdict(stored.config).items()
+            if value == default[key]] == []
+    assert stored.config_hash == (
+        "d67f92ac532dd8af2c9438e5df4c47585eac002d386252f42f9966ce656a36d1")
+    assert main(["report", "--manifest", str(manifest), "--out", "again",
+                 "--format", "csv"]) == 0
+    assert (tmp_path / "again" / "sweep.csv").read_bytes() == \
+        (tmp_path / "every" / "sweep.csv").read_bytes()
 
 
 def test_check_section_exits_two(tmp_path, capsys):

@@ -11,13 +11,14 @@ import pytest
 from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
 from friedrichs.propagate import evolve_true
-from friedrichs.sweep import (CSV_COLUMNS, FitResult, build_model_from_config,
-                              config_hash, emit_report, evaluate_checks,
-                              fit_powerlaw, load_config_file, load_manifest,
-                              render_csv, render_svg, resolve_config,
-                              run_sweep)
+from friedrichs.sweep import (_SETTINGS, CSV_COLUMNS, FitResult,
+                              build_model_from_config, config_hash,
+                              emit_report, evaluate_checks, fit_powerlaw,
+                              load_config_file, load_manifest, render_csv,
+                              render_svg, resolve_config, run_sweep)
 
 QUICK_TAUS = (100.0, 316.22776601683796, 1000.0, 3162.2776601683795)
+DEFAULT_DIGEST = "a2e3d31dc2a00e0e1dfb0e7d1838f449b9e1a3efeffb32a2d9a940f2d1ac2c97"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -104,13 +105,18 @@ class TestConfig:
                                _slopes(-1.5, -1.0)) == {}
 
     def test_readme_config_block_is_the_defaults(self, tmp_path):
-        # the documented block, inline comments and all, parses to exactly
-        # the defaults it lists
+        # the documented block, inline comments and all, names every
+        # declared key in its section and parses to exactly the defaults
         text = open(README, encoding="utf-8").read()
         block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
         path = tmp_path / "readme.cfg"
         path.write_text(block)
-        assert resolve_config(load_config_file(str(path))) == resolve_config({})
+        raw = load_config_file(str(path))
+        declared = {}
+        for key, setting in _SETTINGS.items():
+            declared.setdefault(setting.section, set()).add(key)
+        assert {section: set(keys) for section, keys in raw.items()} == declared
+        assert resolve_config(raw) == resolve_config({})
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -191,11 +197,27 @@ class TestConfig:
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(resolve_config({}, beta=1.5))
 
+    @pytest.mark.parametrize("raw, digest", [
+        ({}, DEFAULT_DIGEST),
+        ({"model": {"beta": "1.25"}},
+         "24204fb548893541761add299fd9721d68f6fc669a57f765c0d5552be4c1c938"),
+        ({"sweep": {"tau_values": "100, 1000, 10000, 100000"}},
+         "38834a47a5e22bd2b249b9e7db22e4ad63a502ab6b5a2ac26db64038f74af072"),
+        ({"integrate": {"max_step": "0.001"}},
+         "5e45cdfc036ef478b82e138ff537d0671fec433baed7cb069db5d44eb323e0d5")],
+        ids=["default", "model", "sweep", "integrate"])
+    def test_hash_pinned(self, raw, digest):
+        # a stored config_hash keeps naming its config
+        assert config_hash(resolve_config(raw)) == digest
+
     def test_hash_ignores_run_settings(self):
-        base = config_hash(resolve_config({}, jobs=1))
-        assert config_hash(resolve_config({}, jobs=2)) == base
+        assert config_hash(resolve_config({}, jobs=2)) == DEFAULT_DIGEST
         assert config_hash(resolve_config({}, directory="elsewhere",
-                                          formats=("svg",))) == base
+                                          formats=("svg",))) == DEFAULT_DIGEST
+        for key, text in (("directory", "elsewhere"), ("formats", "svg"),
+                          ("jobs", "4")):
+            assert config_hash(resolve_config({"output": {key: text}})) \
+                == DEFAULT_DIGEST
 
 
 class TestOutputs:

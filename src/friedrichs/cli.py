@@ -21,7 +21,8 @@ import sys
 from .errors import ConfigurationError, FriedrichsError
 from . import checks
 from .sweep import (_RENDERERS, _SETTINGS, SweepConfig, _parse_value, emit_report,
-                    load_config_file, load_manifest, resolve_config, run_sweep)
+                    load_config_file, load_manifest, render_clause, resolve_config,
+                    run_sweep)
 
 _CHECK_FAIL = 4
 #: sweep flag -> the config key it sets
@@ -50,9 +51,9 @@ def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     result = run_sweep(cfg)
     paths = emit_report(result)
-    failed = [r for r in result.records if r.error is not None]
-    for r in failed:
-        print(f"tau={r.tau}: {r.error}", file=sys.stderr)
+    for r in result.records:
+        if r.error is not None:
+            print(f"tau={r.tau}: {r.error}", file=sys.stderr)
     for name, fit in result.fits.items():
         if fit is not None:
             print(f"{name}: slope={fit.slope:+.4f} "
@@ -60,9 +61,9 @@ def _cmd_sweep(args) -> int:
     if "window_slope" not in result.checks:
         print("no slope checks: a fit needs at least 4 taus over 1.5 decades")
     for name, chk in result.checks.items():
-        print(f"check {name}: {'PASS' if chk['pass'] else 'FAIL'} {chk}")
+        print("check " + render_clause(name, chk))
     print("wrote: " + " ".join(sorted(paths.values())))
-    if args.check and (failed or not all(c["pass"] for c in result.checks.values())):
+    if args.check and not all(chk["pass"] for chk in result.checks.values()):
         return _CHECK_FAIL
     return 0
 

@@ -295,7 +295,7 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
     their coefficients and weights as PolyMatrixProfile and
     ExchangeRateProfile do.
     """
-    check_model_inputs(tau=tau)
+    check_model_inputs(tau=tau, s=s)
     if model.gap_shift <= 0.0:
         raise ConfigurationError("the identity check needs gap_shift > 0")
     if model.dim - 1 > _IBP_MAX_N:

@@ -222,6 +222,7 @@ def _is_time_grid(v) -> bool:
 
 
 _TIME_GRID = (_is_time_grid, "must be a nonempty sequence of finite times >= 0")
+_TIME = (lambda v: math.isfinite(v) and v >= 0.0, "must be a finite time >= 0")
 
 #: inputs checked on their own: name -> (condition, rule as stated)
 _INPUT_RULES = {
@@ -237,6 +238,8 @@ _INPUT_RULES = {
     "n_steps": (_is_count, "must be an integer >= 1"),
     "record_s": _TIME_GRID,
     "s_grid": _TIME_GRID,
+    "s": _TIME,
+    "s_eval": _TIME,
 }
 
 
@@ -245,9 +248,10 @@ def check_model_inputs(**inputs) -> None:
 
     The builders check their inputs here, and a config can be checked
     the same way before anything is built; the evolution and
-    verification entry points check their tau, step count and record
-    times here. NaN breaks every rule, and a step count is an integer,
-    not a bool. Given both grid ends, k_max must also exceed k_min.
+    verification entry points check their tau, step count, record times
+    and evaluation time here. NaN breaks every rule, and a step count is
+    an integer, not a bool. Given both grid ends, k_max must also exceed
+    k_min.
     """
     for name, value in inputs.items():
         holds, rule = _INPUT_RULES[name]

@@ -37,6 +37,9 @@ __all__ = [
     "build_model_from_config",
     "run_sweep",
     "fit_powerlaw",
+    "clause",
+    "render_clause",
+    "slope_checks",
     "evaluate_checks",
     "emit_report",
     "load_manifest",
@@ -363,9 +366,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     by step count and tau (_TrajectoryCache.get), so production runs
     only the taus calibration did not. A column's result does not depend
     on its batch, records come in tau order, and an integration failure
-    taints only its own tau. A calibration whose last check, n // 2
-    against n steps, still moved the leaks by more than
-    calibrate_rel_tol fails the step_calibration check.
+    taints only its own tau. evaluate_checks makes every check.
     """
     model = build_model_from_config(cfg)
     cache = _TrajectoryCache(cfg, model)
@@ -380,20 +381,7 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     for name in ("leak_probe", "sup_leak_window"):
         pts = [(r.tau, getattr(r, name)) for r in good if getattr(r, name) > 0.0]
         fits[name] = fit_powerlaw(pts) if _fittable([t for t, _ in pts]) else None
-
-    checks = evaluate_checks(cfg, fits)
-    if calibration["calibrated"]:
-        rel = calibration["history"][-1]["rel_change"]
-        checks["step_calibration"] = {"value": rel, "tol": cfg.calibrate_rel_tol,
-                                      "pass": rel <= cfg.calibrate_rel_tol}
-    if cfg.gap_shift == 0.0 and good:
-        # threshold case: the probe leak is a first-order quantity only
-        # while the squared in-window amplitude stays subdominant
-        ratios = [r.sup_leak_window ** 2 / r.leak_probe for r in good
-                  if r.leak_probe > 0.0]
-        checks["first_order_dominant"] = {
-            "value": max(ratios) if ratios else None, "max": 0.5,
-            "pass": bool(ratios and max(ratios) <= 0.5)}
+    checks = evaluate_checks(cfg, records, fits, calibration)
     return SweepResult(config=cfg, config_hash=config_hash(cfg),
                        n_nodes=model.measure.n_nodes, records=records,
                        fits=fits, checks=checks, calibration=calibration)
@@ -405,14 +393,23 @@ def _fittable(taus) -> bool:
 
 
 def fit_powerlaw(points) -> FitResult:
-    """Least-squares line through (log tau, log value); slope is the exponent."""
+    """Least-squares line through (log tau, log value); slope is the exponent.
+
+    Needs 4 or more points, at two or more taus, whose taus and values
+    are finite and positive; FitDomainError names any other points.
+    """
     points = sorted((float(t), float(v)) for t, v in points)
     if len(points) < 4:
         raise ConfigurationError(f"need at least 4 points, got {len(points)}")
-    bad = [t for t, v in points if v <= 0.0]
+    bad = [(t, v) for t, v in points
+           if not (math.isfinite(t) and t > 0.0 and math.isfinite(v) and v > 0.0)]
     if bad:
         raise FitDomainError(
-            f"power-law fit needs positive values; offending tau: {bad}", bad)
+            f"power-law fit needs finite, positive taus and values; "
+            f"offending (tau, value): {bad}", [t for t, _ in bad])
+    if points[0][0] == points[-1][0]:
+        raise FitDomainError(f"power-law fit needs two distinct taus; every "
+                             f"point is at tau={points[0][0]!r}", [t for t, _ in points])
     x = np.log([t for t, _ in points])
     y = np.log([v for _, v in points])
     n = len(x)
@@ -427,43 +424,81 @@ def fit_powerlaw(points) -> FitResult:
                      max_abs_residual=float(np.max(np.abs(resid))), n_points=n)
 
 
-def _slope_check(fit: FitResult | None, expected: float, tol: float) -> dict:
-    return {"value": None if fit is None else fit.slope, "expected": expected,
-            "tol": tol,
-            "pass": fit is not None and abs(fit.slope - expected) <= tol}
+def clause(value, **bounds) -> dict:
+    """A check's record: its value, the bounds it is held to, and "pass".
+
+    value is a number, a list of numbers, or None (nothing measured,
+    which fails). Each number must be at least min, at most max, and
+    within tol of expected (of 0 without one). A drop bound reads value
+    as a refinement pair (coarse, fine): fine must fall to coarse / drop,
+    or to floor where one is given.
+    """
+    if value is None:
+        ok = False
+    elif "drop" in bounds:
+        coarse, fine = value
+        ok = fine <= coarse / bounds["drop"] or fine <= bounds.get("floor", -math.inf)
+    else:
+        ok = all(bounds.get("min", -math.inf) <= v <= bounds.get("max", math.inf)
+                 and abs(v - bounds.get("expected", 0.0)) <= bounds.get("tol", math.inf)
+                 for v in (value if isinstance(value, list) else [value]))
+    return {"value": value, **bounds, "pass": bool(ok)}
 
 
-def evaluate_checks(cfg: SweepConfig, fits: dict) -> dict:
+def render_clause(name: str, record: dict) -> str:
+    """'name: PASS value (bound value, ...)', the one rendering of a clause."""
+    def shown(v):
+        return ("[" + ", ".join(map(shown, v)) + "]" if isinstance(v, list)
+                else f"{v:.7g}" if isinstance(v, float) else str(v))
+    bounds = ", ".join(f"{key} {shown(v)}" for key, v in record.items()
+                       if key not in ("value", "pass"))
+    verdict = "PASS" if record["pass"] else "FAIL"
+    return f"{name}: {verdict} {shown(record['value'])} ({bounds})"
+
+
+def slope_checks(beta: float, gap_shift: float, fits: dict) -> dict:
     """Compare fitted slopes with the expectations beta and gap_shift fix.
 
     At threshold (gap_shift = 0) the probe leak falls like tau^-beta,
     within 0.12 (0.10 for beta < 1, 0.15 at beta = 1), and the in-window
     supremum like tau^-min(beta, 1). With a gap the probe leak collapses
     at least as fast as tau^-2.5 and the supremum keeps the 1/tau rate.
-    Window slopes are held to 0.15. Taus that cannot be fitted (_fittable;
-    one tau, say) get no slope checks; fittable taus whose records give
-    no fit fail them. The tolerances are set, not derived. At beta = 1
-    the probe carries no logarithmic factor (its slope on the default
-    taus is -0.997). The factor shows in the window instead, whose
-    first-order amplitude ||c/E|| holds the logarithmically divergent
-    integral of k^-1: its slope there is -0.929.
+    Window slopes are held to 0.15. A missing fit fails its check. The
+    tolerances are set, not derived. At beta = 1 the probe carries no
+    logarithmic factor (its slope on the default taus is -0.997). The
+    factor shows in the window instead, whose first-order amplitude
+    ||c/E|| holds the logarithmically divergent integral of k^-1: its
+    slope there is -0.929.
     """
-    if not _fittable(cfg.tau_values):
-        return {}
-    beta = cfg.beta
-    probe_fit = fits.get("leak_probe")
-    checks = {}
-    if cfg.gap_shift == 0.0:
+    probe, window = (None if fits.get(name) is None else fits[name].slope
+                     for name in ("leak_probe", "sup_leak_window"))
+    if gap_shift == 0.0:
         tol = 0.15 if beta == 1.0 else (0.10 if beta < 1.0 else 0.12)
-        checks["probe_slope"] = _slope_check(probe_fit, -beta, tol)
-        window_slope = -min(beta, 1.0)
-    else:
-        checks["probe_slope_max"] = {
-            "value": None if probe_fit is None else probe_fit.slope,
-            "max": -2.5, "pass": probe_fit is not None and probe_fit.slope <= -2.5}
-        window_slope = -1.0
-    checks["window_slope"] = _slope_check(fits.get("sup_leak_window"),
-                                          window_slope, 0.15)
+        return {"probe_slope": clause(probe, expected=-beta, tol=tol),
+                "window_slope": clause(window, expected=-min(beta, 1.0), tol=0.15)}
+    return {"probe_slope_max": clause(probe, max=-2.5),
+            "window_slope": clause(window, expected=-1.0, tol=0.15)}
+
+
+def evaluate_checks(cfg: SweepConfig, records: list[SweepRecord], fits: dict,
+                    calibration: dict) -> dict:
+    """Every check a sweep makes, as clause records by name: no errored
+    record; slope_checks where the taus can be fitted (_fittable); the
+    last calibration check (n // 2 against n steps) within
+    calibrate_rel_tol; at threshold, sup_leak_window^2 / leak_probe at
+    most 0.5, as the probe leak is first order only while the squared
+    in-window amplitude stays subdominant."""
+    good = [r for r in records if r.error is None]
+    checks = {"errored_records": clause(len(records) - len(good), max=0)}
+    if _fittable(cfg.tau_values):
+        checks.update(slope_checks(cfg.beta, cfg.gap_shift, fits))
+    if calibration["calibrated"]:
+        checks["step_calibration"] = clause(calibration["history"][-1]["rel_change"],
+                                            tol=cfg.calibrate_rel_tol)
+    if cfg.gap_shift == 0.0 and good:
+        ratios = [r.sup_leak_window ** 2 / r.leak_probe for r in good
+                  if r.leak_probe > 0.0]
+        checks["first_order_dominant"] = clause(max(ratios, default=None), max=0.5)
     return checks
 
 

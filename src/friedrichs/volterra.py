@@ -113,7 +113,7 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
     the (q, dim, dim) stack of level values is never formed; the terms
     are dense only at the panel ends.
     """
-    check_model_inputs(tau=tau)
+    check_model_inputs(tau=tau, s_eval=s_eval)
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
         raise ResourceBudgetError(

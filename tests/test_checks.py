@@ -2,11 +2,11 @@
 registry entry fails under a planted error.
 
 Pinning a check's bounds guards their values, not that each is read:
-a clause dropped from a verdict leaves the bounds, and on the default
-inputs the verdict, unchanged. So each clause case below patches one
-input in friedrichs.checks so that exactly one clause fails, confirms
-from the check's values that every other clause still holds, and
-asserts that the verdict is False.
+a clause dropped from a check leaves the other bounds, and on the
+default inputs the verdict, unchanged. So each clause case below
+patches one input in friedrichs.checks, asserts that exactly its
+clause fails and that the verdict is False, and each planted error
+names the clauses of its registry entry that it fails.
 """
 
 import dataclasses
@@ -19,16 +19,11 @@ from friedrichs import checks, contour, sweep
 from friedrichs.cli import main
 
 
-def _contour_clauses(chk):
-    b, v = chk.bounds, chk.values
-    (r48, r96), (r64, r128) = v["refinements"][48, 96], v["refinements"][64, 128]
-    return {
-        "eigenbasis": v["eigenbasis_residuals"][64] <= b["eigenbasis_residual"],
-        "ibp": all(rep.residual <= b["ibp_residual"] for rep in v["ibp"]),
-        "refine_48": r96 <= r48 / b["refinement_drop"],
-        "refine_64": (r128 <= r64 / b["refinement_drop"]
-                      or r128 <= b["refined_floor"]),
-    }
+def _failed(chk):
+    """The names of chk's failing clauses; a failing clause fails chk."""
+    failed = [name for name, c in chk.clauses.items() if not c["pass"]]
+    assert chk.ok is (not failed)
+    return failed
 
 
 def _off_eigenbasis(rule):
@@ -55,28 +50,14 @@ def _refined_as(fine, coarse):
 
 
 @pytest.mark.parametrize("name, plant, clause", [
-    ("tilde_eigenbasis", _off_eigenbasis, "eigenbasis"),
-    ("ibp_suite", _one_ibp_residual_high, "ibp"),
-    ("verify_ibp", _refined_as(96, 48), "refine_48"),
-    ("verify_ibp", _refined_as(128, 64), "refine_64"),
+    ("tilde_eigenbasis", _off_eigenbasis, "eigenbasis_residual"),
+    ("ibp_suite", _one_ibp_residual_high, "ibp_residual"),
+    ("verify_ibp", _refined_as(96, 48), "refine_48_96"),
+    ("verify_ibp", _refined_as(128, 64), "refine_64_128"),
 ], ids=["eigenbasis", "ibp", "refine_48", "refine_64"])
 def test_each_contour_clause_is_applied(monkeypatch, name, plant, clause):
     monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
-    chk = checks.contour_calculus()
-    held = _contour_clauses(chk)
-    assert held.pop(clause) is False
-    assert all(held.values())
-    assert chk.ok is False
-
-
-def _bump_clauses(chk):
-    b, v = chk.bounds, chk.values
-    devs = [(dev, bound) for *_, dev, bound in v["rows"] if dev is not None]
-    return {
-        "at_0": abs(v["transform_at_0"] - b["transform_at_0"]) <= b["at_0_tol"],
-        "usable": bool(devs),
-        "ratio": all(dev <= bound for dev, bound in devs),
-    }
+    assert _failed(checks.contour_calculus()) == [clause]
 
 
 class _PhaseAtZeroOfCosine:
@@ -91,32 +72,19 @@ def _off_at_zero(bump):
 
 
 @pytest.mark.parametrize("name, plant, clause", [
-    ("bump_transform", _off_at_zero, "at_0"),
-    ("BUMP_ASYMPTOTIC", lambda form: _PhaseAtZeroOfCosine(), "usable"),
-    ("bump_transform_asymptotic", lambda asym: lambda p: 1.5 * asym(p), "ratio"),
+    ("bump_transform", _off_at_zero, "transform_at_0"),
+    ("BUMP_ASYMPTOTIC", lambda form: _PhaseAtZeroOfCosine(), "max_abs_cos_phase"),
+    ("bump_transform_asymptotic", lambda asym: lambda p: 1.5 * asym(p),
+     "ratio_dev_times_sqrt_p"),
 ], ids=["at_0", "usable", "ratio"])
 def test_each_bump_clause_is_applied(monkeypatch, name, plant, clause):
     monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
-    chk = checks.bump_asymptotics((100.0, 200.0, 400.0))
-    held = _bump_clauses(chk)
-    assert held.pop(clause) is False
-    assert all(held.values())
-    assert chk.ok is False
+    assert _failed(checks.bump_asymptotics((100.0, 200.0, 400.0))) == [clause]
 
 
 @pytest.fixture(scope="module")
 def series_128(model_b15_small):    # criterion 8's inputs
     return model_b15_small, checks.volterra_series(model_b15_small, 100.0)
-
-
-def _first_order_clauses(chk, beta):
-    b, v = chk.bounds, chk.values
-    lo, hi = b["ratio_over_2_beta"]
-    return {
-        "column": v["column_rel_err"] <= b["column_rel_err"],
-        "ratios": all(lo * 2.0 ** beta <= r <= hi * 2.0 ** beta
-                      for r in v["ratios"]),
-    }
 
 
 def _tail_scaled_at(tau, vec_factor, norm_factor):
@@ -132,18 +100,14 @@ def _tail_scaled_at(tau, vec_factor, norm_factor):
 
 @pytest.mark.parametrize("plant, clause", [
     # the column moves 1e-6 relative; its norm, which the ratios read, not
-    (_tail_scaled_at(100.0, 1.0 + 1e-6, 1.0), "column"),
-    (_tail_scaled_at(2000.0, 1.0, 1.5), "ratios"),
+    (_tail_scaled_at(100.0, 1.0 + 1e-6, 1.0), "column_rel_err"),
+    (_tail_scaled_at(2000.0, 1.0, 1.5), "tail_ratios"),
 ], ids=["column", "ratios"])
 def test_each_first_order_clause_is_applied(monkeypatch, series_128, plant,
                                             clause):
     model, series = series_128
     monkeypatch.setattr(checks, "first_order_tail", plant(checks.first_order_tail))
-    chk = checks.first_order_closed_form(model, series, 100.0)
-    held = _first_order_clauses(chk, model.form_factor.beta)
-    assert held.pop(clause) is False
-    assert all(held.values())
-    assert chk.ok is False
+    assert _failed(checks.first_order_closed_form(model, series, 100.0)) == [clause]
 
 
 def _slope_moved(fit):
@@ -169,23 +133,30 @@ def _wrong_parity(series):
     return planted
 
 
-@pytest.mark.parametrize("criterion, module, name, plant", [
-    (1, sweep, "fit_powerlaw", _slope_moved),
-    (2, sweep, "fit_powerlaw", _slope_moved),
-    (3, sweep, "fit_powerlaw", _slope_moved),
-    (3, checks, "_settled_defect", _flat_decay),
-    (4, sweep, "fit_powerlaw", _slope_moved),
-    (6, checks, "bump_transform", _off_at_zero),
-    (7, checks, "wave_operator_series", _wrong_parity),
-    (8, checks, "first_order_tail", _tail_scaled_at(2000.0, 1.0, 1.5)),
-    (10, contour, "_IBP_SIGN", lambda sign: -sign),
+def _slopes_at(*betas):
+    return [f"{name} at beta={beta}" for beta in betas
+            for name in ("probe_slope", "window_slope")]
+
+
+@pytest.mark.parametrize("criterion, module, name, plant, failed", [
+    (1, sweep, "fit_powerlaw", _slope_moved, _slopes_at(1.25, 1.5, 1.75)),
+    (2, sweep, "fit_powerlaw", _slope_moved, _slopes_at(1.5)),
+    (3, sweep, "fit_powerlaw", _slope_moved, _slopes_at(0.5)),
+    (3, checks, "_settled_defect", _flat_decay, ["defect_slope"]),
+    (4, sweep, "fit_powerlaw", _slope_moved, _slopes_at(1.0)),
+    (6, checks, "bump_transform", _off_at_zero, ["transform_at_0"]),
+    (7, checks, "wave_operator_series", _wrong_parity, ["parity_defects"]),
+    (8, checks, "first_order_tail", _tail_scaled_at(2000.0, 1.0, 1.5),
+     ["tail_ratios"]),
+    (10, contour, "_IBP_SIGN", lambda sign: -sign,
+     ["ibp_residual", "refine_48_96", "refine_64_128"]),
     # the trimmed fit alone: the sweep's own fits keep their slopes
-    (11, checks, "fit_powerlaw", _slope_moved),
+    (11, checks, "fit_powerlaw", _slope_moved, ["trimmed_slope_shift"]),
 ], ids=["1", "2", "3-sweep", "3-defect", "4", "6", "7", "8", "10", "11"])
 def test_planted_error_fails_registry_entry(monkeypatch, criterion, module, name,
-                                            plant):
+                                            plant, failed):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    assert checks.REGISTRY[criterion]().ok is False
+    assert _failed(checks.REGISTRY[criterion]()) == failed
 
 
 def test_verify_fails_only_the_planted_criterion(monkeypatch, capsys):
@@ -196,3 +167,17 @@ def test_verify_fails_only_the_planted_criterion(monkeypatch, capsys):
                 if line.startswith("[criterion")]
     assert verdicts == [f"[criterion {n:2d}] {'FAIL' if n == 6 else 'PASS'}"
                         for n in checks.REGISTRY]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_errored_record_fails_only_its_check(spoil_column, tmp_path, capsys):
+    # the middle tau of the default sweep overflows; the other four still
+    # fit, calibrate and stay first-order dominant
+    spoil_column(1000.0, np.inf)
+    result = checks.acceptance_sweep(1.5)
+    assert [name for name, c in result.checks.items() if not c["pass"]] == [
+        "errored_records"]
+    assert result.checks["errored_records"] == {"value": 1, "max": 0, "pass": False}
+    assert _failed(checks.REGISTRY[2]()) == ["errored_records at beta=1.5"]
+    assert main(["sweep", "--check", "--out", str(tmp_path)]) == 4
+    assert "check errored_records: FAIL 1 (max 0)" in capsys.readouterr().out

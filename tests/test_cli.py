@@ -38,6 +38,16 @@ def test_sweep_check_failure_exits_four(tmp_path, capsys):
     assert "check step_calibration: FAIL" in capsys.readouterr().out
 
 
+def test_first_order_dominant_alone_fails_tau_5(tmp_path, capsys):
+    # at tau = 5 the squared in-window amplitude is not subdominant
+    assert main(["sweep", "--tau", "5", "--check", "--out", str(tmp_path)]) == 4
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("check ")]
+    assert [line for line in checks if ": FAIL " in line] == [
+        "check first_order_dominant: FAIL 0.6551365 (max 0.5)"]
+    assert len(checks) == 3
+
+
 def test_one_tau_sweep_check_passes(tmp_path, capsys):
     # one tau gives no fit, so it has no slope checks, and says so
     assert main(["sweep", "--tau", "1000", "--check", "--out", str(tmp_path)]) == 0
@@ -173,7 +183,7 @@ def test_defect_check_passes(verified):
     code, blocks = verified
     assert code == 0
     assert blocks[3].startswith("[criterion  3] PASS")
-    assert "defect slope" in blocks[3]
+    assert "defect_slope: PASS" in blocks[3]
     assert blocks[3].count(" exact norms in ") == 4
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from friedrichs.contour import verify_ibp
+from friedrichs.contour import ibp_suite, verify_ibp
 from friedrichs.errors import (ConfigurationError, IntegrationFailure,
                                NumericalOverflow)
 from friedrichs.model import SwitchingProfile, assemble_model, \
@@ -487,6 +487,7 @@ TAU_ENTRY_POINTS = {
     "wave_operator_series": lambda m, g, tau: wave_operator_series(m, tau),
     "first_order_tail": lambda m, g, tau: first_order_tail(m, tau),
     "verify_ibp": lambda m, g, tau: verify_ibp(g, tau),
+    "ibp_suite": lambda m, g, tau: ibp_suite(g, tau),
 }
 
 
@@ -518,6 +519,25 @@ def test_numpy_integer_step_count_accepted(model_b15_small):
     assert evolve_true(model_b15_small, 100.0, np.int64(16)).n_window_steps == 16
     s, _, _ = evolve_wave_operator(model_b15_small, 100.0, np.int32(16), [1.0])
     assert list(s) == [1.0]
+
+
+# every entry point that takes an evaluation time, called on a threshold
+# model m or a gapped model g, and the name of that argument
+TIME_ENTRY_POINTS = {
+    "wave_operator_series": (
+        lambda m, g, s: wave_operator_series(m, 100.0, s_eval=s), "s_eval"),
+    "verify_ibp": (lambda m, g, s: verify_ibp(g, 50.0, s=s), "s"),
+    "ibp_suite": (lambda m, g, s: ibp_suite(g, 50.0, s=s), "s"),
+}
+
+
+@pytest.mark.parametrize("s", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(TIME_ENTRY_POINTS))
+def test_time_rule_at_every_entry_point(entry, s, model_b15_small,
+                                        model_gapped_small):
+    call, name = TIME_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError, match=f"{name} must be a finite time >= 0"):
+        call(model_b15_small, model_gapped_small, s)
 
 
 # every entry point that takes record times, and the name of that argument

@@ -12,10 +12,11 @@ from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
 from friedrichs.propagate import evolve_true
 from friedrichs.sweep import (_SETTINGS, CSV_COLUMNS, FitResult,
-                              build_model_from_config, config_hash,
+                              build_model_from_config, clause, config_hash,
                               emit_report, evaluate_checks, fit_powerlaw,
                               load_config_file, load_manifest, render_csv,
-                              render_svg, resolve_config, run_sweep)
+                              render_clause, render_svg, resolve_config,
+                              run_sweep, slope_checks)
 
 QUICK_TAUS = (100.0, 316.22776601683796, 1000.0, 3162.2776601683795)
 DEFAULT_DIGEST = "a2e3d31dc2a00e0e1dfb0e7d1838f449b9e1a3efeffb32a2d9a940f2d1ac2c97"
@@ -23,7 +24,7 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _slopes(probe, window):
-    """Fits with the given slopes and nothing else that evaluate_checks reads."""
+    """Fits with the given slopes and nothing else that slope_checks reads."""
     return {name: FitResult(slope=slope, intercept=0.0, slope_stderr=0.0,
                             max_abs_residual=0.0, n_points=5)
             for name, slope in (("leak_probe", probe), ("sup_leak_window", window))}
@@ -63,9 +64,54 @@ class TestFit:
             fit_powerlaw([(10., 1.), (100., 0.0), (1000., 1.), (1e4, 1.)])
         assert err.value.offending == [100.0]
 
+    @pytest.mark.parametrize("tau, value", [
+        (np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0), (-100.0, 1.0),
+        (100.0, np.nan), (100.0, np.inf)],
+        ids=["nan-tau", "inf-tau", "zero-tau", "negative-tau", "nan-value",
+             "inf-value"])
+    def test_rejects_non_finite_or_nonpositive_points(self, tau, value):
+        # each is refused by name, before a log can warn or a NaN slope return
+        points = [(10., 1.), (tau, value), (1000., 1.), (1e4, 1.)]
+        with pytest.raises(FitDomainError, match="offending") as err:
+            fit_powerlaw(points)
+        np.testing.assert_array_equal(err.value.offending, [tau])   # NaN == NaN
+
+    def test_rejects_a_single_tau(self):
+        # four points at one tau would divide 0 by 0
+        with pytest.raises(FitDomainError, match="two distinct taus") as err:
+            fit_powerlaw([(100., v) for v in (1., 2., 3., 4.)])
+        assert err.value.offending == [100.0] * 4
+
     def test_rejects_short_series(self):
         with pytest.raises(ConfigurationError):
             fit_powerlaw([(10., 1.), (100., 0.5), (1000., 0.2)])
+
+
+@pytest.mark.parametrize("value, bounds, passed", [
+    (1.0, {"max": 1.0}, True), (1.1, {"max": 1.0}, False),
+    (0.3, {"min": 0.3}, True), (0.2, {"min": 0.3}, False),
+    ([2.6, 3.0], {"min": 2.5, "max": 3.1}, True),
+    ([2.6, 3.2], {"min": 2.5, "max": 3.1}, False),
+    (-1.4, {"expected": -1.5, "tol": 0.12}, True),
+    (-1.3, {"expected": -1.5, "tol": 0.12}, False),
+    (0.004, {"tol": 0.005}, True), (0.006, {"tol": 0.005}, False),
+    (None, {"max": 0}, False), (math.nan, {"max": 1.0}, False),
+    ([], {"max": 2.0}, True),
+    ([1.0, 0.25], {"drop": 4.0}, True), ([1.0, 0.3], {"drop": 4.0}, False),
+    ([1e-13, 1e-13], {"drop": 4.0, "floor": 1e-12}, True),
+    ([1e-11, 1e-11], {"drop": 4.0, "floor": 1e-12}, False),
+])
+def test_clause_passes_within_its_bounds(value, bounds, passed):
+    # a list passes when each of its numbers does; a drop pair (coarse,
+    # fine) when fine falls by the factor or to the floor
+    assert clause(value, **bounds) == {"value": value, **bounds, "pass": passed}
+
+
+def test_render_clause():
+    assert render_clause("tail_ratios", clause([2.8284271247, 3], min=2.5, max=3.1)) \
+        == "tail_ratios: PASS [2.828427, 3] (min 2.5, max 3.1)"
+    assert render_clause("probe_slope", clause(None, expected=-1.5, tol=0.12)) \
+        == "probe_slope: FAIL None (expected -1.5, tol 0.12)"
 
 
 class TestConfig:
@@ -74,35 +120,34 @@ class TestConfig:
         assert cfg.n_panels == 20
         assert cfg.k_min == 2.0 ** -20
         assert cfg.k_min <= 0.01 / max(cfg.tau_values)
-        assert evaluate_checks(cfg, _slopes(-1.4, -1.0)) == {
+        assert slope_checks(cfg.beta, cfg.gap_shift, _slopes(-1.4, -1.0)) == {
             "probe_slope": {"value": -1.4, "expected": -1.5, "tol": 0.12,
                             "pass": True},
             "window_slope": {"value": -1.0, "expected": -1.0, "tol": 0.15,
                              "pass": True}}
 
     def test_gapped_auto_checks(self):
-        cfg = resolve_config({}, gap_shift=1.0, tau_values=QUICK_TAUS)
-        assert evaluate_checks(cfg, _slopes(-2.4, -1.2)) == {
+        assert slope_checks(1.5, 1.0, _slopes(-2.4, -1.2)) == {
             "probe_slope_max": {"value": -2.4, "max": -2.5, "pass": False},
             "window_slope": {"value": -1.2, "expected": -1.0, "tol": 0.15,
                              "pass": False}}
 
     def test_sub_unit_beta_auto_checks(self):
-        cfg = resolve_config({}, beta=0.5)
-        assert evaluate_checks(cfg, {}) == {
+        assert slope_checks(0.5, 0.0, {}) == {
             "probe_slope": {"value": None, "expected": -0.5, "tol": 0.10,
                             "pass": False},
             "window_slope": {"value": None, "expected": -0.5, "tol": 0.15,
                              "pass": False}}
-        tols = {beta: evaluate_checks(resolve_config({}, beta=beta), {})
-                ["probe_slope"]["tol"] for beta in (0.75, 1.0, 1.25)}
+        tols = {beta: slope_checks(beta, 0.0, {})["probe_slope"]["tol"]
+                for beta in (0.75, 1.0, 1.25)}
         assert tols == {0.75: 0.10, 1.0: 0.15, 1.25: 0.12}
 
     @pytest.mark.parametrize("taus", [(1000.0,), (100.0, 200.0, 400.0, 800.0)])
     def test_unfittable_taus_have_no_slope_checks(self, taus):
-        # a fit needs 4 taus over 1.5 decades; fewer leave nothing to check
-        assert evaluate_checks(resolve_config({}, tau_values=taus),
-                               _slopes(-1.5, -1.0)) == {}
+        # a fit needs 4 taus over 1.5 decades; fewer leave no slope to check
+        assert evaluate_checks(resolve_config({}, tau_values=taus), [],
+                               _slopes(-1.5, -1.0), {"calibrated": False}) == {
+            "errored_records": {"value": 0, "max": 0, "pass": True}}
 
     def test_readme_config_block_is_the_defaults(self, tmp_path):
         # the documented block, inline comments and all, names every
@@ -139,7 +184,8 @@ class TestConfig:
         assert cfg.beta == 1.25
         assert cfg.tau_values == (100.0, 1000.0, 10000.0, 100000.0)
         assert cfg.formats == ("csv",)
-        assert evaluate_checks(cfg, {})["probe_slope"]["expected"] == -1.25
+        assert slope_checks(cfg.beta, cfg.gap_shift, {})["probe_slope"]["expected"] \
+            == -1.25
 
     def test_under_resolved_k_min_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -69,9 +69,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    failed = []
+    failed, inputs = [], checks.Inputs()
     for criterion, check in checks.REGISTRY.items():
-        chk = check()
+        chk = check(inputs)
         print(f"[criterion {criterion:2d}] {'PASS' if chk.ok else 'FAIL'}")
         print("\n".join(f"  {line}" for line in chk.lines))
         if not chk.ok:

@@ -1,10 +1,10 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: the tests of each criterion print a PASS/FAIL line.
 
 Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. Criteria 1-4, 6, 7, 8, 10 and 11 run the entries
-of friedrichs.checks.REGISTRY, the checks `friedrichs verify` prints
-(criterion 1 one beta at a time), and pin the bounds each reports in
-BOUNDS, as the bound entries of each entry's clauses; criteria 1-4
+of friedrichs.checks.REGISTRY (criterion 1 one beta at a time) on one
+checks.Inputs, as `friedrichs verify` does, and pin the bounds each
+reports in BOUNDS, as the bound entries of each entry's clauses; criteria 1-4
 read the sweep's own checks, so their slope tolerances are written only
 in sweep.slope_checks. Criterion 5 (its floor is tuned) and criterion 9
 (it compares with the oracles) stay here. Tolerances are fixed, not
@@ -76,22 +76,21 @@ def test_registry_lists_every_criterion_but_5_and_9():
     assert list(checks.REGISTRY) == list(BOUNDS)
 
 
+@pytest.fixture(scope="module")
+def inputs():
+    """The run's shared sweeps and series, as `friedrichs verify` makes them."""
+    return checks.Inputs()
+
+
 @pytest.mark.parametrize("beta", list(BOUNDS[1]))
-def test_criterion_1_gapless_long_time_tail(beta):
+def test_criterion_1_gapless_long_time_tail(inputs, beta):
     # registry entry 1 is sweep_checks over the three betas; one at a time here
-    _report_check(1, checks.sweep_checks(beta), BOUNDS[1][beta])
+    _report_check(1, checks.sweep_checks(inputs, beta), BOUNDS[1][beta])
 
 
-def test_criterion_2_in_window_uniform_rate():
-    _report_check(2, checks.REGISTRY[2](), BOUNDS[2])
-
-
-def test_criterion_3_sub_unit_beta():
-    _report_check(3, checks.REGISTRY[3](), BOUNDS[3])
-
-
-def test_criterion_4_marginal_beta_one():
-    _report_check(4, checks.REGISTRY[4](), BOUNDS[4])
+@pytest.mark.parametrize("criterion", [2, 3, 4, 6, 7, 8, 11])
+def test_registry_entry(inputs, criterion):
+    _report_check(criterion, checks.REGISTRY[criterion](inputs), BOUNDS[criterion])
 
 
 def test_criterion_5_gapped_control():
@@ -118,21 +117,9 @@ def test_criterion_5_gapped_control():
           f"(tails {probes[0]:.1e} -> {probes[-1]:.1e})")
 
 
-def test_criterion_6_bump_asymptotics():
-    _report_check(6, checks.REGISTRY[6](), BOUNDS[6])
-
-
-def test_criterion_7_series_parity():
-    _report_check(7, checks.REGISTRY[7](), BOUNDS[7])
-
-
-def test_criterion_8_first_order_closed_form():
-    _report_check(8, checks.REGISTRY[8](), BOUNDS[8])
-
-
-def test_criterion_9_structural_identities():
+def test_criterion_9_structural_identities(inputs):
     drifts = [r.unitarity_drift for b in (1.25, 1.5, 1.75)
-              for r in checks.acceptance_sweep(b).records]
+              for r in inputs.sweep(b, 16).records]
     drift_ok = max(drifts) <= 1e-9
 
     grid = build_grid(1.0, 8, 8, 1e-3)  # N = 64
@@ -163,17 +150,13 @@ def test_criterion_9_structural_identities():
                    f"frame*wave=true ok={wave_ok}")
 
 
-def test_criterion_10_contour_calculus():
+def test_criterion_10_contour_calculus(inputs):
     # registry entry 10, plus the oracle's eigenbasis division only tests hold
     h, p, x = checks.tilde_problem(3)
     spec = ContourSpec(center=0.0, radius=0.5, n_points=64)
     resid = np.linalg.norm(tilde(h, p, x, spec) - eigen_tilde(h, x, 0.0, 0.5))
     rule = np.linalg.norm(tilde_eigenbasis(h, p, x, spec)
                           - eigen_tilde(h, x, 0.0, 0.5))
-    _report_check(10, checks.REGISTRY[10](), BOUNDS[10],
+    _report_check(10, checks.REGISTRY[10](inputs), BOUNDS[10],
                   f"oracle residual {resid:.1e} (<=1e-10), eigenbasis rule "
                   f"{rule:.1e} (<=1e-12)", ok=resid <= 1e-10 and rule <= 1e-12)
-
-
-def test_criterion_11_robustness_and_determinism():
-    _report_check(11, checks.REGISTRY[11](), BOUNDS[11])

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from friedrichs import checks, contour, sweep
+from friedrichs import checks, contour, propagate, sweep
 from friedrichs.cli import main
 
 
@@ -83,8 +83,8 @@ def test_each_bump_clause_is_applied(monkeypatch, name, plant, clause):
 
 
 @pytest.fixture(scope="module")
-def series_128(model_b15_small):    # criterion 8's inputs
-    return model_b15_small, checks.volterra_series(model_b15_small, 100.0)
+def series_128():    # criterion 8's inputs
+    return checks.Inputs().series
 
 
 def _tail_scaled_at(tau, vec_factor, norm_factor):
@@ -133,6 +133,29 @@ def _wrong_parity(series):
     return planted
 
 
+def _exponent_low(build):
+    """build_form_factor whose k ** (beta - 1/2) is k ** (beta - 0.6)."""
+    return lambda grid, beta, *args: dataclasses.replace(
+        build(grid, beta - 0.1, *args), beta=beta)
+
+
+def _overflow_on(n_nodes):
+    """_interaction_blocks whose tau = 1000 directions are infinite on a
+    grid of n_nodes alone: one of criterion 11's two sweeps errs there."""
+    def patch(blocks):
+        def planted(model, taus, n_steps):
+            forms, clean = blocks(model, taus, n_steps)
+            if model.measure.n_nodes != n_nodes:
+                return forms, clean
+            scale = np.where(np.asarray(taus) == 1000.0, np.inf, 1.0)[:, None]
+            return forms, ((start, d * scale) for start, d in clean)
+        return planted
+    return patch
+
+
+_ERRED = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+
+
 def _slopes_at(*betas):
     return [f"{name} at beta={beta}" for beta in betas
             for name in ("probe_slope", "window_slope")]
@@ -143,6 +166,9 @@ def _slopes_at(*betas):
     (2, sweep, "fit_powerlaw", _slope_moved, _slopes_at(1.5)),
     (3, sweep, "fit_powerlaw", _slope_moved, _slopes_at(0.5)),
     (3, checks, "_settled_defect", _flat_decay, ["defect_slope"]),
+    # a physics mutant: criteria 1, 2 and 4 pass it (probe slope -1.3975
+    # at beta = 1.5); only the sub-unit probe slope leaves its band
+    (3, sweep, "build_form_factor", _exponent_low, ["probe_slope at beta=0.5"]),
     (4, sweep, "fit_powerlaw", _slope_moved, _slopes_at(1.0)),
     (6, checks, "bump_transform", _off_at_zero, ["transform_at_0"]),
     (7, checks, "wave_operator_series", _wrong_parity, ["parity_defects"]),
@@ -152,11 +178,18 @@ def _slopes_at(*betas):
      ["ibp_residual", "refine_48_96", "refine_64_128"]),
     # the trimmed fit alone: the sweep's own fits keep their slopes
     (11, checks, "fit_powerlaw", _slope_moved, ["trimmed_slope_shift"]),
-], ids=["1", "2", "3-sweep", "3-defect", "4", "6", "7", "8", "10", "11"])
+    # an errored record in one sweep: the grid change is NaN; without it
+    # the 16-node sweep leaves three taus, too few for the trimmed fit
+    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(640),
+                 ["grid_rel_change"], marks=_ERRED),
+    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(320),
+                 ["grid_rel_change", "trimmed_slope_shift"], marks=_ERRED),
+], ids=["1", "2", "3-sweep", "3-defect", "3-exponent", "4", "6", "7", "8", "10",
+        "11", "11-errored-fine", "11-errored-base"])
 def test_planted_error_fails_registry_entry(monkeypatch, criterion, module, name,
                                             plant, failed):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
-    assert _failed(checks.REGISTRY[criterion]()) == failed
+    assert _failed(checks.REGISTRY[criterion](checks.Inputs())) == failed
 
 
 def test_verify_fails_only_the_planted_criterion(monkeypatch, capsys):
@@ -174,10 +207,11 @@ def test_errored_record_fails_only_its_check(spoil_column, tmp_path, capsys):
     # the middle tau of the default sweep overflows; the other four still
     # fit, calibrate and stay first-order dominant
     spoil_column(1000.0, np.inf)
-    result = checks.acceptance_sweep(1.5)
+    inputs = checks.Inputs()
+    result = inputs.sweep(1.5, 16)
     assert [name for name, c in result.checks.items() if not c["pass"]] == [
         "errored_records"]
     assert result.checks["errored_records"] == {"value": 1, "max": 0, "pass": False}
-    assert _failed(checks.REGISTRY[2]()) == ["errored_records at beta=1.5"]
+    assert _failed(checks.REGISTRY[2](inputs)) == ["errored_records at beta=1.5"]
     assert main(["sweep", "--check", "--out", str(tmp_path)]) == 4
     assert "check errored_records: FAIL 1 (max 0)" in capsys.readouterr().out

@@ -1,8 +1,10 @@
+import collections
 import contextlib
 import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -15,6 +17,15 @@ from friedrichs.cli import _config_from_args, build_parser, main
 from friedrichs.sweep import load_config_file, load_manifest, resolve_config
 
 QUICK = "100,316.2,1000,3163"
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme_sample(first_line):
+    """The README code block that opens with first_line."""
+    text = open(README, encoding="utf-8").read()
+    [block] = [b for b in re.findall(r"^```\n(.*?)^```$", text, re.S | re.M)
+               if b.startswith(first_line)]
+    return block
 
 
 def test_sweep_subcommand_writes_outputs(tmp_path, capsys):
@@ -41,8 +52,9 @@ def test_sweep_check_failure_exits_four(tmp_path, capsys):
 def test_first_order_dominant_alone_fails_tau_5(tmp_path, capsys):
     # at tau = 5 the squared in-window amplitude is not subdominant
     assert main(["sweep", "--tau", "5", "--check", "--out", str(tmp_path)]) == 4
-    checks = [line for line in capsys.readouterr().out.splitlines()
-              if line.startswith("check ")]
+    out = capsys.readouterr().out
+    assert _readme_sample("no slope checks") in out
+    checks = [line for line in out.splitlines() if line.startswith("check ")]
     assert [line for line in checks if ": FAIL " in line] == [
         "check first_order_dominant: FAIL 0.6551365 (max 0.5)"]
     assert len(checks) == 3
@@ -171,16 +183,36 @@ def test_jobs_flag_rejected():
 
 @pytest.fixture(scope="module")
 def verified():
-    """The exit code of one `friedrichs verify` and its output per criterion."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """The exit code of one `friedrichs verify`, its output per criterion,
+    and how often it called run_sweep and wave_operator_series."""
+    calls, out = collections.Counter(), io.StringIO()
+
+    def counted(made):
+        def call(*args, **kwargs):
+            calls[made.__name__] += 1
+            return made(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        for name in ("run_sweep", "wave_operator_series"):
+            mp.setattr(checks, name, counted(getattr(checks, name)))
         code = main(["verify"])
     blocks = out.getvalue().split("\nverify:")[0].split("[criterion")[1:]
-    return code, {int(b[:b.index("]")]): "[criterion" + b.rstrip() for b in blocks}
+    return code, {int(b[:b.index("]")]): "[criterion" + b.rstrip() for b in blocks}, \
+        calls
+
+
+def test_verify_makes_each_input_once(verified):
+    # six sweep configs and criterion 11's fresh rerun; one series for 7 and 8
+    assert verified[2] == {"run_sweep": 7, "wave_operator_series": 1}
+
+
+def test_readme_verify_sample_is_real_output(verified):
+    assert _readme_sample("[criterion  2]") == verified[1][2] + "\n"
 
 
 def test_defect_check_passes(verified):
-    code, blocks = verified
+    code, blocks, _ = verified
     assert code == 0
     assert blocks[3].startswith("[criterion  3] PASS")
     assert "defect_slope: PASS" in blocks[3]
@@ -204,7 +236,7 @@ def test_tilde_check_passes(verified):
 def test_fourier_check_with_no_usable_p_exits_four(monkeypatch, capsys):
     # |cos(phase)| = 2.4e-5 at p = 127.121: no ratio is checked
     monkeypatch.setattr(checks, "REGISTRY",
-                        {6: lambda: checks.bump_asymptotics((127.121,))})
+                        {6: lambda inputs: checks.bump_asymptotics((127.121,))})
     assert main(["verify"]) == 4
     out = capsys.readouterr().out
     assert "[criterion  6] FAIL" in out and "near-zero, skipped" in out

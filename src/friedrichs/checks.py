@@ -117,7 +117,7 @@ def uniform_defect() -> Check:
     taus = np.geomspace(1e2, 1e4, 4)
     defects, norms, batches = zip(*(_settled_defect(model, t, None, 1024)
                                     for t in taus))
-    slope = float(np.polyfit(np.log(taus), np.log(defects), 1)[0])
+    slope = fit_powerlaw(zip(taus, defects)).slope
     notes = [f"uniform defect at N={model.measure.n_nodes}, beta=0.5, 1024 steps:"]
     notes += [f"  tau={t:9.2f}: defect {d:.6e} ({n} exact norms in {b} batches)"
               for t, d, n, b in zip(taus, defects, norms, batches)]

@@ -50,10 +50,10 @@ def _config_from_args(args) -> SweepConfig:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     result = run_sweep(cfg)
-    paths = emit_report(result)
     for r in result.records:
         if r.error is not None:
             print(f"tau={r.tau}: {r.error}", file=sys.stderr)
+    paths = emit_report(result)
     for name, fit in result.fits.items():
         if fit is not None:
             print(f"{name}: slope={fit.slope:+.4f} "

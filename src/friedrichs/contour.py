@@ -49,10 +49,7 @@ class ContourSpec:
     n_points: int = 64
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ConfigurationError("contour radius must be positive")
-        if self.n_points < 16:
-            raise ConfigurationError("contour needs at least 16 points")
+        check_model_inputs(radius=self.radius, n_points=self.n_points)
 
     def points(self) -> np.ndarray:
         # midpoint angles; trapezoid on a circle converges geometrically
@@ -295,7 +292,7 @@ def verify_ibp(model: FriedrichsModel, tau: float, x_profile=None,
     their coefficients and weights as PolyMatrixProfile and
     ExchangeRateProfile do.
     """
-    check_model_inputs(tau=tau, s=s)
+    check_model_inputs(tau=tau, s=s, quad_order=quad_order)
     if model.gap_shift <= 0.0:
         raise ConfigurationError("the identity check needs gap_shift > 0")
     if model.dim - 1 > _IBP_MAX_N:
@@ -340,6 +337,7 @@ def slaved_tail_probe(model: FriedrichsModel, tau_list,
     supremum keeps the 1/tau rate. All taus run as one batch. Returns
     (tau, probe leak, window sup) records ordered by tau.
     """
+    check_model_inputs(taus=tau_list, max_step=max_step)
     tau_list = sorted(float(t) for t in tau_list)
     if model.gap_shift <= 0.0:
         raise ConfigurationError("slaved-tail probe expects a gapped model")

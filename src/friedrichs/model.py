@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import reprlib
 from dataclasses import dataclass, field
 
@@ -209,49 +210,83 @@ class FriedrichsModel:
         return a
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+def _reals(holds, ndim: int = 0, distinct: bool = False):
+    """The rule that v is a finite real number (ndim 0), or a nonempty
+    sequence of them (ndim 1), each of which holds; with distinct, none
+    repeated. Ints and floats are real; bools and strings are not."""
+    def rule(v):
+        try:
+            x = np.asarray(v)
+        except (TypeError, ValueError):
+            return False
+        values = x.ravel().tolist()
+        return (x.ndim == ndim and x.dtype.kind in "iuf" and x.size > 0
+                and all(math.isfinite(t) and holds(t) for t in values)
+                and not (distinct and len(set(values)) < len(values)))
+    return rule
 
 
-def _is_time_grid(v) -> bool:
-    try:
-        t = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    return t.ndim == 1 and t.size > 0 and bool(np.all(np.isfinite(t) & (t >= 0.0)))
+def _count(least: int):
+    """The rule that v is an integer (not a bool) of at least least."""
+    return lambda v: (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                      and v >= least)
 
 
-_TIME_GRID = (_is_time_grid, "must be a nonempty sequence of finite times >= 0")
-_TIME = (lambda v: math.isfinite(v) and v >= 0.0, "must be a finite time >= 0")
+_is_positive = _reals(lambda v: v > 0.0)
+_POSITIVE = (_is_positive, "must be finite and > 0")
+_TIME = (_reals(lambda v: v >= 0.0), "must be a finite time >= 0")
+_TIME_GRID = (_reals(lambda v: v >= 0.0, 1),
+              "must be a nonempty sequence of finite times >= 0")
 
-#: inputs checked on their own: name -> (condition, rule as stated)
+#: every input checked on its own: name -> (condition, rule as stated).
+#: sweep adds the formats rule beside its table of renderers.
 _INPUT_RULES = {
-    "beta": (lambda v: v > 0.0, "must be > 0"),
-    "theta_total": (lambda v: v > 0.0, "must be > 0"),
-    "gap_shift": (lambda v: v >= 0.0, "must be >= 0"),
-    "k_max": (lambda v: v > 0.0, "must be > 0"),
-    "k_min": (lambda v: v > 0.0, "must be > 0"),
-    "n_panels": (lambda v: v >= 1, "must be >= 1"),
-    "nodes_per_panel": (lambda v: v >= 2, "must be >= 2"),
-    "cutoff_fraction": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "tau": (lambda v: math.isfinite(v) and v > 0.0, "must be finite and > 0"),
-    "n_steps": (_is_count, "must be an integer >= 1"),
+    # the model
+    "beta": _POSITIVE,
+    "theta_total": _POSITIVE,
+    "gap_shift": (_reals(lambda v: v >= 0.0), "must be finite and >= 0"),
+    "k_max": _POSITIVE,
+    "k_min": _POSITIVE,
+    "n_panels": (_count(1), "must be an integer >= 1"),
+    "nodes_per_panel": (_count(2), "must be an integer >= 2"),
+    "cutoff_fraction": (_reals(lambda v: 0.0 < v < 1.0), "must lie in (0, 1)"),
+    # the evolution and verification entry points
+    "tau": _POSITIVE,
+    "taus": (_reals(lambda v: v > 0.0, 1),
+             "must be a nonempty sequence of finite numbers > 0"),
+    "n_steps": (_count(1), "must be an integer >= 1"),
+    "max_step": (lambda v: v is None or _is_positive(v),
+                 "must be auto (None) or finite and > 0"),
     "record_s": _TIME_GRID,
     "s_grid": _TIME_GRID,
     "s": _TIME,
     "s_eval": _TIME,
+    "quad_order": (_count(1), "must be an integer >= 1"),
+    "radius": _POSITIVE,
+    "n_points": (_count(16), "must be an integer >= 16"),
+    "p": _POSITIVE,
+    # the sweep's own settings, and emit_report's directory
+    "tau_values": (_reals(lambda v: v > 0.0, 1, distinct=True),
+                   "must be a nonempty sequence of distinct finite numbers > 0"),
+    "calibrate": (lambda v: isinstance(v, (bool, np.bool_)), "must be true or false"),
+    "calibrate_rel_tol": _POSITIVE,
+    "drift_tolerance": _POSITIVE,
+    "directory": (lambda v: isinstance(v, str) and v != "", "must be a nonempty string"),
+    "out_dir": (lambda v: isinstance(v, (str, os.PathLike)) and os.fspath(v) != "",
+                "must be a nonempty path"),
+    "jobs": (_count(1), "must be an integer >= 1"),
 }
 
 
 def check_model_inputs(**inputs) -> None:
     """Raise ConfigurationError for the first input that breaks its rule.
 
-    The builders check their inputs here, and a config can be checked
-    the same way before anything is built; the evolution and
-    verification entry points check their tau, step count, record times
-    and evaluation time here. NaN breaks every rule, and a step count is
-    an integer, not a bool. Given both grid ends, k_max must also exceed
-    k_min.
+    _INPUT_RULES is the one statement of what each named input may be:
+    the builders, the evolution and verification entry points and
+    resolve_config all check their inputs here. Every number must be
+    finite and real (a bool is not a number), a count is an integer, and
+    a sequence is a nonempty one-dimensional sequence of numbers. Given
+    both grid ends, k_max must also exceed k_min.
     """
     for name, value in inputs.items():
         holds, rule = _INPUT_RULES[name]

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, PrecisionLimitError
-from .model import SwitchingProfile, bump_function
+from .errors import PrecisionLimitError
+from .model import SwitchingProfile, bump_function, check_model_inputs
 from .numutil import cosine_graded_edges, legendre_projection
 
 __all__ = [
@@ -214,7 +214,6 @@ def bump_transform_asymptotic(p: float) -> float:
 
     2 sqrt(pi)/(2e)^(1/4) * exp(-sqrt(p)) / p^(3/4) * cos(p - sqrt(p) - 3 pi/8).
     """
-    if p <= 0.0:
-        raise ConfigurationError(f"asymptotic form needs p > 0, got {p}")
+    check_model_inputs(p=p)
     form = BUMP_ASYMPTOTIC
     return form.envelope(p) * np.cos(form.phase(p))

@@ -100,11 +100,8 @@ _DRIFT_TOLERANCE = 1e-9
 
 def steps_for(max_step: float | None) -> int:
     """Step count in the window [0, 1] for a cap on the step; auto is 512."""
-    if max_step is None:
-        return _AUTO_STEPS
-    if max_step <= 0.0:
-        raise ConfigurationError("max_step must be positive")
-    return math.ceil(1.0 / max_step)
+    check_model_inputs(max_step=max_step)
+    return _AUTO_STEPS if max_step is None else math.ceil(1.0 / max_step)
 
 
 @dataclass
@@ -361,17 +358,11 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
     columns are unaffected, and each equals its single-tau run bit for
     bit.
     """
+    single = np.ndim(tau) == 0
+    check_model_inputs(**{"tau" if single else "taus": tau}, n_steps=n_steps)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if taus.ndim != 1 or taus.size == 0:
-        raise ConfigurationError("tau must be a number or a nonempty sequence")
-    for t in taus.tolist():
-        check_model_inputs(tau=t)
-    check_model_inputs(n_steps=n_steps)
-
-    results = _evolve_rows(model, taus, n_steps, drift_tolerance)
-    if np.ndim(tau) == 0:
-        return TrajectoryBatch(results, n_steps).trajectories()[0]
-    return TrajectoryBatch(results, n_steps)
+    batch = TrajectoryBatch(_evolve_rows(model, taus, n_steps, drift_tolerance), n_steps)
+    return batch.trajectories()[0] if single else batch
 
 
 def _total_norm_dev(state: np.ndarray) -> float:

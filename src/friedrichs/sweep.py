@@ -21,8 +21,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, FitDomainError, FriedrichsError,
                      IntegrationFailure)
-from .model import (FriedrichsModel, assemble_model, build_form_factor,
-                    build_grid, build_switching, check_model_inputs)
+from .model import (_INPUT_RULES, FriedrichsModel, assemble_model,
+                    build_form_factor, build_grid, build_switching,
+                    check_model_inputs)
 from .numutil import format_float17
 from .propagate import _DRIFT_TOLERANCE, evolve_true, steps_for
 
@@ -61,7 +62,8 @@ def _setting(section: str, grammar: Callable, default, run: bool = False):
 
 
 def _auto(parse: Callable) -> Callable:
-    return lambda text: "auto" if text.lower() == "auto" else parse(text)
+    """parse, with auto read as None: a value resolve_config derives."""
+    return lambda text: None if text.lower() == "auto" else parse(text)
 
 
 def _listed(parse: Callable) -> Callable:
@@ -79,7 +81,7 @@ def _flag(text: str) -> bool:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Fully resolved sweep parameters (no 'auto' values remain).
+    """Fully resolved sweep parameters (only max_step may stay auto, None).
 
     Every field is the config key of its name, declared by _setting;
     resolve_config parses and checks the keys in field order.
@@ -89,12 +91,12 @@ class SweepConfig:
     theta_total: float = _setting("model", float, math.pi / 4.0)
     gap_shift: float = _setting("model", float, 0.0)
     k_max: float = _setting("model", float, 1.0)
-    k_min: float = _setting("model", _auto(float), "auto")
-    n_panels: int = _setting("model", _auto(int), "auto")
+    k_min: float = _setting("model", _auto(float), None)
+    n_panels: int = _setting("model", _auto(int), None)
     nodes_per_panel: int = _setting("model", int, 16)
     cutoff_fraction: float = _setting("model", float, 0.5)
     tau_values: tuple[float, ...] = _setting("sweep", _listed(float), _DEFAULT_TAUS)
-    max_step: float | None = _setting("integrate", _auto(float), "auto")
+    max_step: float | None = _setting("integrate", _auto(float), None)
     calibrate: bool = _setting("integrate", _flag, True)
     calibrate_rel_tol: float = _setting("integrate", float, 0.005)
     drift_tolerance: float = _setting("integrate", float, _DRIFT_TOLERANCE)
@@ -185,8 +187,10 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
 
     raw maps section -> key -> setting text, from a config file or the
     CLI's flags; _parse_value parses it. An override is already typed.
-    Auto rules: the grid is graded by ratio-2 panels from k_max down to
-    at most 0.01/max(tau).
+    Every key is checked by its rule in model._INPUT_RULES, in one call.
+    auto is read as None. Auto rules: max_step stays None (512 steps,
+    see steps_for), and the grid is graded by ratio-2 panels from k_max
+    down to at most 0.01/max(tau), which an explicit k_min must reach.
     """
     raw = _known(raw or {})
     values = {key: _parse_value(s.grammar, raw.get(s.section, {}).get(key, s.default),
@@ -198,54 +202,24 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         if val is not None:
             values[key] = val
 
-    taus = tuple(sorted(float(t) for t in values["tau_values"]))
-    values["tau_values"] = taus
-    non_finite = [key for key, val in values.items()
-                  if any(isinstance(v, float) and not math.isfinite(v)
-                         for v in (val if isinstance(val, tuple) else (val,)))]
-    if non_finite:
-        raise ConfigurationError(f"{', '.join(non_finite)} must be finite")
-    for key, val in values.items():
-        if isinstance(val, (str, tuple)) and not val:
-            raise ConfigurationError(f"{key} must be nonempty")
-    for t in taus:
-        check_model_inputs(tau=t)
-    repeated = sorted({a for a, b in zip(taus, taus[1:]) if a == b})
-    if repeated:
-        raise ConfigurationError(
-            f"tau_values must be distinct; repeated: {', '.join(map(repr, repeated))}")
-    tau_max = max(taus)
-    for key in ("calibrate_rel_tol", "drift_tolerance"):
-        if not values[key] > 0.0:
-            raise ConfigurationError(f"{key} must be positive")
-    check_model_inputs(k_max=values["k_max"])    # the auto grid takes its log
-
-    if values["n_panels"] == "auto" or values["k_min"] == "auto":
-        if not (values["k_min"] == "auto" and values["n_panels"] == "auto"):
-            raise ConfigurationError(
-                "k_min and n_panels must both be auto or both explicit")
+    auto = [key for key in ("k_min", "n_panels") if values[key] is None]
+    if len(auto) == 1:
+        raise ConfigurationError("k_min and n_panels must both be auto or both explicit")
+    check_model_inputs(**{key: val for key, val in values.items() if key not in auto})
+    values["tau_values"] = tuple(sorted(float(t) for t in values["tau_values"]))
+    tau_max = values["tau_values"][-1]
+    if auto:
         span = values["k_max"] * tau_max / 0.01
         if not math.isfinite(span):
             raise ConfigurationError(
                 f"k_max={values['k_max']:.3e} with tau_values up to {tau_max:.3e}: "
                 f"the auto grid's span k_max * tau / 0.01 overflows")
         n = max(4, math.ceil(math.log2(span)))
-        values["n_panels"] = n
-        values["k_min"] = values["k_max"] * 2.0 ** (-n)
-    check_model_inputs(**{key: values[key] for key, s in _SETTINGS.items()
-                          if s.section == "model"})
+        values.update(n_panels=n, k_min=values["k_max"] * 2.0 ** (-n))
     if values["k_min"] > 0.01 / tau_max + 1e-15:
         raise ConfigurationError(
             f"k_min={values['k_min']:.3e} does not resolve k ~ 1/tau for "
             f"tau_max={tau_max:.3e} (needs k_min <= {0.01 / tau_max:.3e})")
-    if values["jobs"] < 1:
-        raise ConfigurationError("jobs must be >= 1")
-    for fmt in values["formats"]:
-        if fmt not in _RENDERERS:
-            raise ConfigurationError(f"unknown output format {fmt!r}")
-    if values["max_step"] == "auto":
-        values["max_step"] = None
-    steps_for(values["max_step"])   # rejects max_step <= 0
     return SweepConfig(**values)
 
 
@@ -563,7 +537,8 @@ def _svg_series(points: list[tuple[float, float]], bounds, color: str,
 
 
 def render_svg(result: SweepResult) -> str:
-    """Log-log plot: one polyline per data series plus fitted lines."""
+    """Log-log plot: one polyline per data series plus fitted lines; with no
+    positive leak value, the empty frame."""
     good = [r for r in result.records if r.error is None]
     series = {
         "#1f77b4": [(r.tau, r.leak_probe) for r in good if r.leak_probe > 0],
@@ -571,10 +546,8 @@ def render_svg(result: SweepResult) -> str:
                     if r.sup_leak_window > 0],
     }
     pts = [p for s in series.values() for p in s]
-    if not pts:
-        raise ConfigurationError("nothing to plot: no positive leak values")
-    xs = [math.log10(t) for t, _ in pts]
-    ys = [math.log10(v) for _, v in pts]
+    xs = [math.log10(t) for t, _ in pts] or [0.0]     # no points: the empty frame
+    ys = [math.log10(v) for _, v in pts] or [0.0]
     bounds = (min(xs), max(xs), min(ys) - 0.2, max(ys) + 0.2)
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
             f'viewBox="0 0 640 480">',
@@ -602,32 +575,31 @@ def render_svg(result: SweepResult) -> str:
 _RENDERERS = {"csv": (render_csv, "sweep.csv"),
               "json": (render_manifest, "manifest.json"),
               "svg": (render_svg, "sweep.svg")}
+_INPUT_RULES["formats"] = (
+    lambda v: isinstance(v, (tuple, list)) and len(v) > 0
+    and all(isinstance(f, str) and f in _RENDERERS for f in v),
+    f"must be a nonempty list from {', '.join(_RENDERERS)}")
 
 
 def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -> dict:
     """Write the requested formats; returns {format: path}.
 
-    formats or out_dir left as None take the config's; an empty one, or
-    an unknown format anywhere in formats, raises ConfigurationError
+    formats or out_dir left as None take the config's. Both are checked
+    (formats by its config key's rule) and every format is rendered
     before anything is written. I/O errors propagate as OSError.
     """
     import os
 
-    formats = result.config.formats if formats is None else tuple(formats)
+    formats = result.config.formats if formats is None else formats
     out_dir = result.config.directory if out_dir is None else out_dir
-    for name, value in (("formats", formats), ("out_dir", out_dir)):
-        if not value:
-            raise ConfigurationError(f"emit_report: {name} is empty")
-    for fmt in formats:
-        if fmt not in _RENDERERS:
-            raise ConfigurationError(f"unknown output format {fmt!r}")
+    check_model_inputs(formats=formats, out_dir=out_dir)
+    texts = {fmt: _RENDERERS[fmt][0](result) for fmt in formats}
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for fmt in formats:
-        render, name = _RENDERERS[fmt]
-        path = os.path.join(out_dir, name)
+    for fmt, text in texts.items():
+        path = os.path.join(out_dir, _RENDERERS[fmt][1])
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render(result))
+            fh.write(text)
         paths[fmt] = path
     return paths
 

@@ -113,7 +113,7 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
     the (q, dim, dim) stack of level values is never formed; the terms
     are dense only at the panel ends.
     """
-    check_model_inputs(tau=tau, s_eval=s_eval)
+    check_model_inputs(tau=tau, s_eval=s_eval, quad_order=quad_order)
     n_cont = model.dim - 1
     if n_cont > _MAX_N:
         raise ResourceBudgetError(
@@ -121,8 +121,6 @@ def wave_operator_series(model: FriedrichsModel, tau: float, max_order: int = 4,
     if not 1 <= max_order <= _MAX_ORDER:
         raise ResourceBudgetError(
             f"series order is budgeted to {_MAX_ORDER}, got {max_order}")
-    if quad_order < 4:
-        raise ConfigurationError("quad_order must be at least 4")
     u = min(float(s_eval), 1.0)
     e_max = float(np.max(model.diag_energies))
     n_panels = max(4, math.ceil(tau * e_max * u / quad_order))

@@ -60,6 +60,24 @@ def test_first_order_dominant_alone_fails_tau_5(tmp_path, capsys):
     assert len(checks) == 3
 
 
+def test_all_errored_sweep_reports_every_error(tmp_path, capsys):
+    # no record meets a drift tolerance of 1e-30: every tau's error is
+    # printed, --check exits 4, the plot is the empty frame, and report
+    # re-emits it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[integrate]\ndrift_tolerance = 1e-30\ncalibrate = false\n"
+                   "[output]\nformats = csv, json, svg\n")
+    out, again = tmp_path / "o", tmp_path / "again"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--check"]) == 4
+    err = capsys.readouterr().err
+    assert len(re.findall(r"^tau=\S+: IntegrationFailure: unitarity drift ", err,
+                          re.M)) == 5
+    assert (out / "sweep.svg").stat().st_size > 0
+    assert main(["report", "--manifest", str(out / "manifest.json"),
+                 "--out", str(again), "--format", "svg"]) == 0
+    assert (again / "sweep.svg").read_bytes() == (out / "sweep.svg").read_bytes()
+
+
 def test_one_tau_sweep_check_passes(tmp_path, capsys):
     # one tau gives no fit, so it has no slope checks, and says so
     assert main(["sweep", "--tau", "1000", "--check", "--out", str(tmp_path)]) == 0
@@ -287,7 +305,8 @@ def test_report_unknown_second_format_writes_nothing(tmp_path, capsys,
     out = tmp_path / "report"
     assert main(["report", "--manifest", str(path), "--out", str(out),
                  "--format", "csv,pdf"]) == 2
-    assert "unknown output format 'pdf'" in capsys.readouterr().err
+    assert "formats must be a nonempty list from csv, json, svg, got ('csv', 'pdf')" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 

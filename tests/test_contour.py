@@ -95,6 +95,17 @@ class TestTilde:
         with pytest.raises(ConfigurationError):
             ContourSpec(center=0.0, radius=0.5, n_points=8)
 
+    @pytest.mark.parametrize("radius, n_points, rule", [
+        (np.nan, 64, "radius must be finite and > 0"),
+        (np.inf, 64, "radius must be finite and > 0"),
+        (0.0, 64, "radius must be finite and > 0"),
+        (0.5, 8, "n_points must be an integer >= 16"),
+        (0.5, 16.5, "n_points must be an integer >= 16")],
+        ids=["radius-nan", "radius-inf", "radius-zero", "n_points-8", "n_points-16.5"])
+    def test_contour_rule_names_its_input(self, radius, n_points, rule):
+        with pytest.raises(ConfigurationError, match=rule):
+            ContourSpec(center=0.0, radius=radius, n_points=n_points)
+
 
 class TestIbp:
     def test_zero_y_gives_zero_sides(self, model_gapped_small):

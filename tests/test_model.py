@@ -202,6 +202,29 @@ class TestAssembly:
             assemble_model(grid128, ff, switching, gap_shift=-0.5)
 
 
+# builder inputs that break their rule (non-finite, or not an integer):
+# (call on a small grid, the input its error names)
+BUILDER_RULES = {
+    "grid-k_max-inf": (lambda g: build_grid(np.inf, 8, 4, 1e-3), "k_max"),
+    "grid-k_min-inf": (lambda g: build_grid(1.0, 8, 4, np.inf), "k_min"),
+    "grid-n_panels-bool": (lambda g: build_grid(1.0, True, 4, 1e-3), "n_panels"),
+    "grid-nodes_per_panel-2.5": (lambda g: build_grid(1.0, 8, 2.5, 1e-3),
+                                 "nodes_per_panel"),
+    "form-factor-beta-inf": (lambda g: build_form_factor(g, np.inf), "beta"),
+    "switching-inf": (lambda g: build_switching(np.inf), "theta_total"),
+    "assemble-gap_shift-inf": (
+        lambda g: assemble_model(g, build_form_factor(g, 1.5), build_switching(1.0),
+                                 gap_shift=np.inf), "gap_shift"),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILDER_RULES))
+def test_builder_rule_names_its_input(case):
+    call, name = BUILDER_RULES[case]
+    with pytest.raises(ConfigurationError, match=f"{name} must be"):
+        call(build_grid(1.0, 4, 4, 1e-2))
+
+
 def _unit_rows(dim, n, seed):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))

@@ -189,3 +189,8 @@ class TestAsymptoticForm:
     def test_rejects_nonpositive_p(self):
         with pytest.raises(ConfigurationError):
             bump_transform_asymptotic(0.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+    def test_p_rule_names_its_input(self, p):
+        with pytest.raises(ConfigurationError, match="p must be finite and > 0"):
+            bump_transform_asymptotic(p)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from friedrichs.contour import ibp_suite, verify_ibp
+from friedrichs.contour import ibp_suite, slaved_tail_probe, verify_ibp
 from friedrichs.errors import (ConfigurationError, IntegrationFailure,
                                NumericalOverflow)
 from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
 from friedrichs.numutil import rounding_gamma
 from friedrichs.propagate import (_RESEED_STEPS, _folded_cores, _interaction_blocks,
-                                  _pair_maps, evolve_true, evolve_wave_operator)
+                                  _pair_maps, evolve_true, evolve_wave_operator,
+                                  steps_for)
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
@@ -477,17 +478,26 @@ class TestGeneratorChecks:
         assert np.all(np.abs(chk.pdot_fd_ratio - 4.0) <= 0.5)
 
 
+TAU_RULE = "tau must be finite and > 0"
+TAUS_RULE = "taus must be a nonempty sequence of finite numbers > 0"
+
 # every entry point that takes tau, called on a threshold model m or a
-# gapped model g
+# gapped model g, and the rule it is held to
 TAU_ENTRY_POINTS = {
-    "evolve_true": lambda m, g, tau: evolve_true(m, tau, 16),
-    "evolve_true_batch": lambda m, g, tau: evolve_true(m, (100.0, tau), 16),
-    "evolve_wave_operator": lambda m, g, tau: evolve_wave_operator(m, tau, 16, [1.0]),
-    "adiabatic_defect": lambda m, g, tau: adiabatic_defect(m, tau, n_steps=16),
-    "wave_operator_series": lambda m, g, tau: wave_operator_series(m, tau),
-    "first_order_tail": lambda m, g, tau: first_order_tail(m, tau),
-    "verify_ibp": lambda m, g, tau: verify_ibp(g, tau),
-    "ibp_suite": lambda m, g, tau: ibp_suite(g, tau),
+    "evolve_true": (lambda m, g, tau: evolve_true(m, tau, 16), TAU_RULE),
+    "evolve_true_batch": (lambda m, g, tau: evolve_true(m, (100.0, tau), 16),
+                          TAUS_RULE),
+    "evolve_wave_operator": (
+        lambda m, g, tau: evolve_wave_operator(m, tau, 16, [1.0]), TAU_RULE),
+    "adiabatic_defect": (lambda m, g, tau: adiabatic_defect(m, tau, n_steps=16),
+                         TAU_RULE),
+    "wave_operator_series": (lambda m, g, tau: wave_operator_series(m, tau),
+                             TAU_RULE),
+    "first_order_tail": (lambda m, g, tau: first_order_tail(m, tau), TAU_RULE),
+    "verify_ibp": (lambda m, g, tau: verify_ibp(g, tau), TAU_RULE),
+    "ibp_suite": (lambda m, g, tau: ibp_suite(g, tau), TAU_RULE),
+    "slaved_tail_probe": (lambda m, g, tau: slaved_tail_probe(g, (100.0, tau)),
+                          TAUS_RULE),
 }
 
 
@@ -495,8 +505,57 @@ TAU_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", list(TAU_ENTRY_POINTS))
 def test_tau_rule_at_every_entry_point(entry, tau, model_b15_small,
                                        model_gapped_small):
-    with pytest.raises(ConfigurationError, match="tau must be finite and > 0"):
-        TAU_ENTRY_POINTS[entry](model_b15_small, model_gapped_small, tau)
+    call, rule = TAU_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError, match=rule):
+        call(model_b15_small, model_gapped_small, tau)
+
+
+# every entry point that takes a sequence of taus, called on a gapped model
+TAUS_ENTRY_POINTS = {
+    "evolve_true": lambda g, taus: evolve_true(g, taus, 16),
+    "slaved_tail_probe": lambda g, taus: slaved_tail_probe(g, taus),
+}
+
+
+@pytest.mark.parametrize("taus", [[], ("a",), [[100.0, 200.0]]],
+                         ids=["empty", "string", "nested"])
+@pytest.mark.parametrize("entry", list(TAUS_ENTRY_POINTS))
+def test_tau_sequence_rule_at_every_entry_point(entry, taus, model_gapped_small):
+    with pytest.raises(ConfigurationError, match=TAUS_RULE):
+        TAUS_ENTRY_POINTS[entry](model_gapped_small, taus)
+
+
+# every entry point that takes a cap on the step, called on a gapped model
+MAX_STEP_ENTRY_POINTS = {
+    "steps_for": lambda g, max_step: steps_for(max_step),
+    "slaved_tail_probe": lambda g, max_step: slaved_tail_probe(g, (100.0, 200.0),
+                                                               max_step=max_step),
+}
+
+
+@pytest.mark.parametrize("max_step", [0.0, -0.5, np.nan, np.inf, "auto"])
+@pytest.mark.parametrize("entry", list(MAX_STEP_ENTRY_POINTS))
+def test_max_step_rule_at_every_entry_point(entry, max_step, model_gapped_small):
+    with pytest.raises(ConfigurationError,
+                       match=r"max_step must be auto \(None\) or finite and > 0"):
+        MAX_STEP_ENTRY_POINTS[entry](model_gapped_small, max_step)
+
+
+# every entry point that takes a quadrature order, called on a threshold
+# model m or a gapped model g
+QUAD_ORDER_ENTRY_POINTS = {
+    "wave_operator_series": lambda m, g, q: wave_operator_series(m, 100.0, quad_order=q),
+    "verify_ibp": lambda m, g, q: verify_ibp(g, 50.0, quad_order=q),
+    "ibp_suite": lambda m, g, q: ibp_suite(g, 50.0, quad_order=q),
+}
+
+
+@pytest.mark.parametrize("quad_order", [0, 2.5, 4.5, True])
+@pytest.mark.parametrize("entry", list(QUAD_ORDER_ENTRY_POINTS))
+def test_quad_order_rule_at_every_entry_point(entry, quad_order, model_b15_small,
+                                              model_gapped_small):
+    with pytest.raises(ConfigurationError, match="quad_order must be an integer >= 1"):
+        QUAD_ORDER_ENTRY_POINTS[entry](model_b15_small, model_gapped_small, quad_order)
 
 
 # every entry point that takes a step count, called on a threshold model m

@@ -231,9 +231,19 @@ class TestConfig:
         ({"k_min": -1e-6, "n_panels": 14}, "k_min"),
         ({"k_min": 1e-6, "n_panels": 0}, "n_panels"),
         ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-7}, "k_max"),
-        ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-6}, "k_max")])
+        ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-6}, "k_max"),
+        ({"nodes_per_panel": 2.5}, "nodes_per_panel"),
+        ({"k_min": 1e-6, "n_panels": 14.0}, "n_panels"),
+        ({"beta": True}, "beta"),
+        ({"calibrate": "no"}, "calibrate"),
+        ({"max_step": "0.1"}, "max_step"),
+        ({"directory": 5}, "directory"),
+        ({"jobs": 2.5}, "jobs"),
+        ({"tau_values": ("a",)}, "tau_values"),
+        ({"tau_values": 100.0}, "tau_values"),
+        ({"formats": "csv"}, "formats")])
     def test_model_inputs_checked_on_resolve(self, overrides, key):
-        # the model's own input rules, applied before any model is built
+        # every key's rule, applied to typed overrides before anything is built
         with pytest.raises(ConfigurationError, match=f"{key} must"):
             resolve_config({}, **overrides)
 
@@ -314,27 +324,33 @@ class TestOutputs:
         paths = emit_report(quick_result, formats=("csv", "json"),
                             out_dir=str(tmp_path / "a"))
         reloaded = load_manifest(paths["json"])
-        again = emit_report(reloaded, formats=("csv",),
-                            out_dir=str(tmp_path / "b"))
+        # a list of formats and a path object are valid arguments too
+        again = emit_report(reloaded, formats=["csv"], out_dir=tmp_path / "b")
         assert open(paths["csv"], "rb").read() == open(again["csv"], "rb").read()
 
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"formats": (), "out_dir": "x"}, "formats"),
-        ({"formats": ("csv",), "out_dir": ""}, "out_dir")])
+    @pytest.mark.parametrize("kwargs, name, rule", [
+        ({"formats": (), "out_dir": "x"}, "formats", "formats must be a nonempty list"),
+        ({"formats": ("csv",), "out_dir": ""}, "out_dir", "out_dir must be a nonempty path"),
+        ({"formats": "csv", "out_dir": "x"}, "formats",
+         "formats must be a nonempty list"),
+        ({"formats": ("csv",), "out_dir": 5}, "out_dir", "out_dir must be a nonempty path")],
+        ids=["kwargs0-formats", "kwargs1-out_dir", "string-formats", "number-out_dir"])
     def test_empty_argument_refused(self, quick_result, tmp_path, monkeypatch,
-                                    kwargs, name):
+                                    kwargs, name, rule):
         # empty is not None: the config's formats and directory are not
-        # taken in its place, and nothing is written
+        # taken in its place, and nothing is written; formats is held to
+        # its config key's rule
         monkeypatch.chdir(tmp_path)
         result = replace(quick_result, config=replace(
             quick_result.config, directory=str(tmp_path / "cfgdir")))
-        with pytest.raises(ConfigurationError, match=f"{name} is empty"):
+        with pytest.raises(ConfigurationError, match=rule):
             emit_report(result, **kwargs)
         assert os.listdir(tmp_path) == []
 
     def test_unknown_second_format_writes_nothing(self, quick_result, tmp_path):
         # every format is checked before the first file is written
-        with pytest.raises(ConfigurationError, match="unknown output format 'pdf'"):
+        with pytest.raises(ConfigurationError,
+                           match=r"formats must be .*, got \('csv', 'pdf'\)"):
             emit_report(quick_result, formats=("csv", "pdf"),
                         out_dir=str(tmp_path / "out"))
         assert os.listdir(tmp_path) == []

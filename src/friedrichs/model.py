@@ -255,8 +255,9 @@ _INPUT_RULES = {
     "taus": (_reals(lambda v: v > 0.0, 1),
              "must be a nonempty sequence of finite numbers > 0"),
     "n_steps": (_count(1), "must be an integer >= 1"),
-    "max_step": (lambda v: v is None or _is_positive(v),
-                 "must be auto (None) or finite and > 0"),
+    "max_step": (lambda v: v is None or (_is_positive(v)
+                                         and math.isfinite(1.0 / float(v))),
+                 "must be auto (None) or finite and > 0, with 1 / max_step finite"),
     "record_s": _TIME_GRID,
     "s_grid": _TIME_GRID,
     "s": _TIME,
@@ -264,7 +265,7 @@ _INPUT_RULES = {
     "quad_order": (_count(1), "must be an integer >= 1"),
     "radius": _POSITIVE,
     "n_points": (_count(16), "must be an integer >= 16"),
-    "p": _POSITIVE,
+    "p": (_reals(lambda v: True), "must be finite"),
     # the sweep's own settings, and emit_report's directory
     "tau_values": (_reals(lambda v: v > 0.0, 1, distinct=True),
                    "must be a nonempty sequence of distinct finite numbers > 0"),

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PrecisionLimitError
+from .errors import ConfigurationError, PrecisionLimitError
 from .model import SwitchingProfile, bump_function, check_model_inputs
 from .numutil import cosine_graded_edges, legendre_projection
 
@@ -195,11 +195,12 @@ BUMP_ASYMPTOTIC = AsymptoticForm()
 def bump_transform(p: float) -> float:
     """Transform of the canonical bump: int_{-1}^{1} cos(p s) exp(-1/(1-s^2)) ds.
 
-    Even in p. Raises PrecisionLimitError once the expected magnitude
-    falls below 100x the double-precision cancellation floor (around
-    p ~ 650); beyond that the O(1) integrand cancels past what doubles
-    can represent.
+    Even in p, defined for every finite p. Raises PrecisionLimitError
+    once the expected magnitude falls below 100x the double-precision
+    cancellation floor (around p ~ 650); beyond that the O(1) integrand
+    cancels past what doubles can represent.
     """
+    check_model_inputs(p=p)
     p = abs(float(p))
     if p > 0.0 and BUMP_ASYMPTOTIC.envelope(p) < 100.0 * CANCELLATION_FLOOR:
         raise PrecisionLimitError(
@@ -213,7 +214,10 @@ def bump_transform_asymptotic(p: float) -> float:
     """Saddle-point form of the bump transform, valid for p >~ 30.
 
     2 sqrt(pi)/(2e)^(1/4) * exp(-sqrt(p)) / p^(3/4) * cos(p - sqrt(p) - 3 pi/8).
+    Its precondition p > 0 is its own; the p rule asks only finiteness.
     """
     check_model_inputs(p=p)
+    if not p > 0.0:
+        raise ConfigurationError(f"p must be > 0 for the asymptotic form, got {p}")
     form = BUMP_ASYMPTOTIC
     return form.envelope(p) * np.cos(form.phase(p))

@@ -356,10 +356,11 @@ def evolve_true(model: FriedrichsModel, tau, n_steps: int,
     With a sequence of taus, integrates them in one batch and returns a
     TrajectoryBatch in which a failed column holds its error; the other
     columns are unaffected, and each equals its single-tau run bit for
-    bit.
+    bit. An input that breaks its rule refuses the whole call.
     """
     single = np.ndim(tau) == 0
-    check_model_inputs(**{"tau" if single else "taus": tau}, n_steps=n_steps)
+    check_model_inputs(**{"tau" if single else "taus": tau}, n_steps=n_steps,
+                       drift_tolerance=drift_tolerance)
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     batch = TrajectoryBatch(_evolve_rows(model, taus, n_steps, drift_tolerance), n_steps)
     return batch.trajectories()[0] if single else batch

@@ -276,16 +276,13 @@ class _TrajectoryCache:
         """Records at n_steps, running the missing taus first as one batch.
 
         Each new record is credited with the batch's wall time divided by
-        its width.
+        its width. A column that fails becomes its tau's errored record.
         """
         missing = [t for t in dict.fromkeys(taus) if (n_steps, t) not in self.records]
         if missing:
             start = time.perf_counter()
-            try:
-                results = evolve_true(self.model, missing, n_steps,
-                                      self.cfg.drift_tolerance).results
-            except FriedrichsError as exc:
-                results = [exc] * len(missing)
+            results = evolve_true(self.model, missing, n_steps,
+                                  self.cfg.drift_tolerance).results
             wall_s = (time.perf_counter() - start) / len(missing)
             for t, r in zip(missing, results):
                 self.records[(n_steps, t)] = _record(t, r, wall_s)
@@ -300,37 +297,31 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
     demanding); the step does not depend on tau, so the accepted count
     serves every tau. The candidate count n runs every tau, so that
     production finds its records in the cache when n is accepted; the
-    ends run again at n // 2 to compare. A failed check doubles n, whose
-    level below is then already cached; four checks reach 8 times the
-    start. Uncalibrated, the step count is max_step's (512 when auto);
-    calibration starts from it, at least 2048.
+    ends run again at n // 2 to compare. An end whose record errored at
+    either count is left out of the comparison (its record fails on its
+    own); with no end left, rel_change is None and calibration stops. A
+    failed check doubles n, whose level below is then already cached;
+    four checks reach 8 times the start. Uncalibrated, the step count is
+    max_step's (512 when auto); calibration starts from it, at least 2048.
     """
     steps = steps_for(cfg.max_step)
     if not cfg.calibrate:
         return steps, {"calibrated": False, "n_steps": steps}
-    taus = (cfg.tau_values[0], cfg.tau_values[-1])
-
-    def probe_leaks(n, run_taus=taus):
-        by_tau = dict(zip(run_taus, cache.get(n, run_taus)))
-        for t in taus:
-            if by_tau[t].error is not None:
-                raise IntegrationFailure(
-                    f"step calibration at tau={t} with {n} steps failed: "
-                    f"{by_tau[t].error}", by_tau[t].unitarity_drift)
-        return np.array([by_tau[t].leak_probe for t in taus])
-
+    ends = (cfg.tau_values[0], cfg.tau_values[-1])
     n = max(steps, 2048)
-    fine = probe_leaks(n, cfg.tau_values)
+    cache.get(n, cfg.tau_values)
     history = []
     while True:
-        coarse = probe_leaks(n // 2)
+        live = [(c.leak_probe, f.leak_probe)
+                for f, c in zip(cache.get(n, ends), cache.get(n // 2, ends))
+                if f.error is None and c.error is None]
+        coarse, fine = np.array(live).reshape(-1, 2).T
         rel = float(np.max(np.abs(coarse - fine) /
-                           np.maximum(np.abs(fine), 1e-300)))
+                           np.maximum(np.abs(fine), 1e-300))) if live else None
         history.append({"n_steps": n, "against": n // 2, "rel_change": rel})
-        if rel <= cfg.calibrate_rel_tol or len(history) == 4:
+        if rel is None or rel <= cfg.calibrate_rel_tol or len(history) == 4:
             return n, {"calibrated": True, "n_steps": n, "history": history}
         n *= 2
-        fine = probe_leaks(n)
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:

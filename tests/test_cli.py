@@ -63,19 +63,23 @@ def test_first_order_dominant_alone_fails_tau_5(tmp_path, capsys):
 def test_all_errored_sweep_reports_every_error(tmp_path, capsys):
     # no record meets a drift tolerance of 1e-30: every tau's error is
     # printed, --check exits 4, the plot is the empty frame, and report
-    # re-emits it
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("[integrate]\ndrift_tolerance = 1e-30\ncalibrate = false\n"
-                   "[output]\nformats = csv, json, svg\n")
-    out, again = tmp_path / "o", tmp_path / "again"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--check"]) == 4
-    err = capsys.readouterr().err
-    assert len(re.findall(r"^tau=\S+: IntegrationFailure: unitarity drift ", err,
-                          re.M)) == 5
-    assert (out / "sweep.svg").stat().st_size > 0
-    assert main(["report", "--manifest", str(out / "manifest.json"),
-                 "--out", str(again), "--format", "svg"]) == 0
-    assert (again / "sweep.svg").read_bytes() == (out / "sweep.svg").read_bytes()
+    # re-emits it. Calibrated, no end tau is left to compare, so
+    # step_calibration has no value and fails
+    for calibrate in (False, True):
+        cfg, out, again = (tmp_path / f"{name}_{calibrate}"
+                           for name in ("c.cfg", "o", "again"))
+        cfg.write_text(f"[integrate]\ndrift_tolerance = 1e-30\ncalibrate = {calibrate}\n"
+                       "[output]\nformats = csv, json, svg\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--check"]) == 4
+        captured = capsys.readouterr()
+        assert len(re.findall(r"^tau=\S+: IntegrationFailure: unitarity drift ",
+                              captured.err, re.M)) == 5
+        assert ("check step_calibration: FAIL None (tol 0.005)"
+                in captured.out) == calibrate
+        assert (out / "sweep.svg").stat().st_size > 0
+        assert main(["report", "--manifest", str(out / "manifest.json"),
+                     "--out", str(again), "--format", "svg"]) == 0
+        assert (again / "sweep.svg").read_bytes() == (out / "sweep.svg").read_bytes()
 
 
 def test_one_tau_sweep_check_passes(tmp_path, capsys):

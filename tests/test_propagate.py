@@ -88,6 +88,10 @@ class TestEvolveTrue:
             evolve_true(model_b15_small, 10.0, 0)
         with pytest.raises(ConfigurationError):
             evolve_true(model_b15_small, 10.0, 16).leak_at(-0.1)
+        # a NaN tolerance would pass every drift, a negative one fail every run
+        for tol in (np.nan, -1e-9):
+            with pytest.raises(ConfigurationError, match="drift_tolerance must be"):
+                evolve_true(model_b15_small, (10.0, 20.0), 16, drift_tolerance=tol)
 
     def test_dense_window_sampling(self, model_b15_small):
         tr = evolve_true(model_b15_small, 100.0, 256)
@@ -533,7 +537,7 @@ MAX_STEP_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("max_step", [0.0, -0.5, np.nan, np.inf, "auto"])
+@pytest.mark.parametrize("max_step", [0.0, -0.5, np.nan, np.inf, "auto", 5e-324])
 @pytest.mark.parametrize("entry", list(MAX_STEP_ENTRY_POINTS))
 def test_max_step_rule_at_every_entry_point(entry, max_step, model_gapped_small):
     with pytest.raises(ConfigurationError,

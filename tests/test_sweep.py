@@ -2,7 +2,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -215,7 +215,8 @@ class TestConfig:
         ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values"),
         ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values"),
         ({"output": {"formats": ","}}, "formats"),
-        ({"output": {"directory": ""}}, "directory")])
+        ({"output": {"directory": ""}}, "directory"),
+        ({"integrate": {"max_step": "5e-324"}}, "max_step")])    # 1 / max_step is inf
     def test_step_settings_checked_on_resolve(self, raw, key):
         # a retired key, even at its old default, is an unknown key
         with pytest.raises(ConfigurationError, match=key):
@@ -483,21 +484,42 @@ class TestRunSweep:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_failed_column_taints_only_its_record(self, quick_result,
                                                  spoil_column):
-        bad_tau = QUICK_TAUS[1]
-        spoil_column(bad_tau, np.inf)
-        result = run_sweep(quick_result.config)
-        bad = [r for r in result.records if r.error is not None]
-        assert [r.tau for r in bad] == [bad_tau]
-        assert bad[0].error.startswith("NumericalOverflow")
-        for got, want in zip(result.records, quick_result.records):
-            if got.tau != bad_tau:
-                assert (got.leak_probe, got.sup_leak_window, got.unitarity_drift) \
-                    == (want.leak_probe, want.sup_leak_window, want.unitarity_drift)
-        assert len(render_csv(result).splitlines()) == len(QUICK_TAUS)
-        # the taus are fittable, but three records give no fit: that fails
-        assert result.fits == {"leak_probe": None, "sup_leak_window": None}
-        assert result.checks["probe_slope"] == {"value": None, "expected": -1.5,
-                                                "tol": 0.12, "pass": False}
+        # an interior tau, and each end: step calibration compares the ends
+        # that stay live at 1024 and 2048 steps, so a failed end too fails
+        # only its own record
+        model = build_model_from_config(quick_result.config)
+        ends = (QUICK_TAUS[0], QUICK_TAUS[-1])
+        leaks = {n: dict(zip(ends, (t.leak_at(1.0) for t in evolve_true(
+            model, ends, n).trajectories()))) for n in (1024, 2048)}
+        for bad_tau in (QUICK_TAUS[1], *ends):
+            coarse, fine = (np.array([leaks[n][t] for t in ends if t != bad_tau])
+                            for n in (1024, 2048))
+            rel = float(np.max(np.abs(coarse - fine) /
+                               np.maximum(np.abs(fine), 1e-300)))
+            spoil_column(bad_tau, np.inf)
+            result = run_sweep(quick_result.config)
+            assert result.calibration["history"] == [
+                {"n_steps": 2048, "against": 1024, "rel_change": rel}]
+            bad = [r for r in result.records if r.error is not None]
+            assert [r.tau for r in bad] == [bad_tau]
+            assert bad[0].error.startswith("NumericalOverflow")
+            for got, want in zip(result.records, quick_result.records):
+                if got.tau != bad_tau:
+                    assert asdict(got) == {**asdict(want), "wall_time_s": got.wall_time_s}
+            assert len(render_csv(result).splitlines()) == len(QUICK_TAUS)
+            # the taus are fittable, but three records give no fit: that fails
+            assert result.fits == {"leak_probe": None, "sup_leak_window": None}
+            assert result.checks["probe_slope"] == {"value": None, "expected": -1.5,
+                                                    "tol": 0.12, "pass": False}
+
+
+@pytest.mark.parametrize("calibrate", [True, False])
+def test_refused_taus_raise_not_errored_records(quick_result, calibrate):
+    # a tau that breaks its rule is the caller's error, even where it
+    # bypassed resolve_config: the whole batch is refused, not recorded
+    cfg = replace(quick_result.config, tau_values=(0.0, 100.0), calibrate=calibrate)
+    with pytest.raises(ConfigurationError, match="taus must be"):
+        run_sweep(cfg)
 
 
 def test_default_sweep_values_pinned():

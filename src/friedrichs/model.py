@@ -239,7 +239,8 @@ _TIME_GRID = (_reals(lambda v: v >= 0.0, 1),
               "must be a nonempty sequence of finite times >= 0")
 
 #: every input checked on its own: name -> (condition, rule as stated).
-#: sweep adds the formats rule beside its table of renderers.
+#: propagate adds the n_steps and max_step rules beside its step budget,
+#: and sweep the formats rule beside its table of renderers.
 _INPUT_RULES = {
     # the model
     "beta": _POSITIVE,
@@ -254,10 +255,6 @@ _INPUT_RULES = {
     "tau": _POSITIVE,
     "taus": (_reals(lambda v: v > 0.0, 1),
              "must be a nonempty sequence of finite numbers > 0"),
-    "n_steps": (_count(1), "must be an integer >= 1"),
-    "max_step": (lambda v: v is None or (_is_positive(v)
-                                         and math.isfinite(1.0 / float(v))),
-                 "must be auto (None) or finite and > 0, with 1 / max_step finite"),
     "record_s": _TIME_GRID,
     "s_grid": _TIME_GRID,
     "s": _TIME,

@@ -77,11 +77,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (ConfigurationError, FriedrichsError, IntegrationFailure,
                      NumericalOverflow)
-from .model import FriedrichsModel, check_model_inputs
+from .model import (_INPUT_RULES, FriedrichsModel, _count, _is_positive,
+                    check_model_inputs)
 from .numutil import legendre_projection
 from .oscint import fourier_legendre_moments
 
 __all__ = [
+    "MAX_STEPS",
     "steps_for",
     "Trajectory",
     "TrajectoryBatch",
@@ -96,6 +98,17 @@ _AUTO_STEPS = 512
 #: largest norm drift a run may reach; evolve_true's default, the default
 #: of the sweep's [integrate] drift_tolerance, and evolve_wave_operator's bound
 _DRIFT_TOLERANCE = 1e-9
+#: the most steps one run may take. _evolve_rows keeps, per row and step,
+#: three complex history slots (48 B), one sum of squares (8 B) and half a
+#: 4 x 3 complex pair map (96 B): 152 B, so 38 MiB a row at 2^18 steps,
+#: 8 times the 32768-step reference runs of the benchmark
+MAX_STEPS = 2 ** 18
+_INPUT_RULES.update(
+    n_steps=(lambda v: _count(1)(v) and v <= MAX_STEPS,
+             f"must be an integer >= 1 and at most {MAX_STEPS} (the step budget)"),
+    max_step=(lambda v: v is None or (_is_positive(v) and 1.0 / float(v) <= MAX_STEPS),
+              f"must be auto (None) or finite and > 0, with 1 / max_step at most "
+              f"{MAX_STEPS} (the step budget)"))
 
 
 def steps_for(max_step: float | None) -> int:

@@ -25,7 +25,7 @@ from .model import (_INPUT_RULES, FriedrichsModel, assemble_model,
                     build_form_factor, build_grid, build_switching,
                     check_model_inputs)
 from .numutil import format_float17
-from .propagate import _DRIFT_TOLERANCE, evolve_true, steps_for
+from .propagate import _DRIFT_TOLERANCE, MAX_STEPS, evolve_true, steps_for
 
 __all__ = [
     "SweepConfig",
@@ -93,7 +93,7 @@ class SweepConfig:
     k_max: float = _setting("model", float, 1.0)
     k_min: float = _setting("model", _auto(float), None)
     n_panels: int = _setting("model", _auto(int), None)
-    nodes_per_panel: int = _setting("model", int, 16)
+    nodes_per_panel: int = _setting("model", int, 8)
     cutoff_fraction: float = _setting("model", float, 0.5)
     tau_values: tuple[float, ...] = _setting("sweep", _listed(float), _DEFAULT_TAUS)
     max_step: float | None = _setting("integrate", _auto(float), None)
@@ -301,7 +301,8 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
     either count is left out of the comparison (its record fails on its
     own); with no end left, rel_change is None and calibration stops. A
     failed check doubles n, whose level below is then already cached;
-    four checks reach 8 times the start. Uncalibrated, the step count is
+    four checks reach 8 times the start, and no check doubles past the
+    step budget (propagate.MAX_STEPS). Uncalibrated, the step count is
     max_step's (512 when auto); calibration starts from it, at least 2048.
     """
     steps = steps_for(cfg.max_step)
@@ -319,7 +320,8 @@ def _calibrate_steps(cfg: SweepConfig, cache: _TrajectoryCache) -> tuple[int, di
         rel = float(np.max(np.abs(coarse - fine) /
                            np.maximum(np.abs(fine), 1e-300))) if live else None
         history.append({"n_steps": n, "against": n // 2, "rel_change": rel})
-        if rel is None or rel <= cfg.calibrate_rel_tol or len(history) == 4:
+        if (rel is None or rel <= cfg.calibrate_rel_tol or len(history) == 4
+                or 2 * n > MAX_STEPS):
             return n, {"calibrated": True, "n_steps": n, "history": history}
         n *= 2
 
@@ -393,12 +395,13 @@ def clause(value, **bounds) -> dict:
     """A check's record: its value, the bounds it is held to, and "pass".
 
     value is a number, a list of numbers, or None (nothing measured,
-    which fails). Each number must be at least min, at most max, and
+    which fails); a bound that is itself measured fails the same way when
+    it is None. Each number must be at least min, at most max, and
     within tol of expected (of 0 without one). A drop bound reads value
     as a refinement pair (coarse, fine): fine must fall to coarse / drop,
     or to floor where one is given.
     """
-    if value is None:
+    if value is None or None in bounds.values():
         ok = False
     elif "drop" in bounds:
         coarse, fine = value

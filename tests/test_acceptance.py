@@ -4,7 +4,9 @@ Run as `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete. Criteria 1-4, 6, 7, 8, 10 and 11 run the entries
 of friedrichs.checks.REGISTRY (criterion 1 one beta at a time) on one
 checks.Inputs, as `friedrichs verify` does, and pin the bounds each
-reports in BOUNDS, as the bound entries of each entry's clauses; criteria 1-4
+reports in BOUNDS, as the bound entries of each entry's clauses (a
+measured bound, such as criterion 11's grid bound, as the function of
+the run's inputs that reads it); criteria 1-4
 read the sweep's own checks, so their slope tolerances are written only
 in sweep.slope_checks. Criterion 5 (its floor is tuned) and criterion 9
 (it compares with the oracles) stay here. Tolerances are fixed, not
@@ -55,9 +57,22 @@ BOUNDS = {
     10: {"eigenbasis_residual": {"max": 1e-10}, "ibp_residual": {"max": 1e-6},
          "refine_48_96": {"drop": 4.0},
          "refine_64_128": {"drop": 4.0, "floor": 1e-12}},
-    11: {"node_ratio": {"expected": 2.0, "tol": 0.0}, "grid_rel_change": {"max": 0.01},
+    11: {"node_ratio": {"expected": 2.0, "tol": 0.0},
+         "grid_rel_change": {"max": lambda inputs: _step_change(inputs, 1.5)},
          "rerun_csv_differs": {"max": 0}, "trimmed_slope_shift": {"max": 0.05}},
 }
+
+
+def _step_change(inputs, beta):
+    """The default sweep's step change at beta (its step_calibration value):
+    the measured bound of its node doubling."""
+    return inputs.sweep(beta).checks["step_calibration"]["value"]
+
+
+def _measured(bounds, inputs):
+    """bounds, each measured bound (a function of the run's inputs) read."""
+    return {name: {key: v(inputs) if callable(v) else v for key, v in b.items()}
+            for name, b in bounds.items()}
 
 
 def _report(num, ok, desc):
@@ -90,7 +105,17 @@ def test_criterion_1_gapless_long_time_tail(inputs, beta):
 
 @pytest.mark.parametrize("criterion", [2, 3, 4, 6, 7, 8, 11])
 def test_registry_entry(inputs, criterion):
-    _report_check(criterion, checks.REGISTRY[criterion](inputs), BOUNDS[criterion])
+    _report_check(criterion, checks.REGISTRY[criterion](inputs),
+                  _measured(BOUNDS[criterion], inputs))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.25, 1.75])
+def test_default_grid_error_within_step_error(inputs, beta):
+    # criterion 11's grid clause at the other acceptance betas: doubling
+    # the default grid moves no leak by more than the sweep's step change
+    grid = checks.node_doubling(inputs, beta)
+    assert grid["max"] == _step_change(inputs, beta)
+    assert grid["pass"], grid
 
 
 def test_criterion_5_gapped_control():
@@ -119,7 +144,7 @@ def test_criterion_5_gapped_control():
 
 def test_criterion_9_structural_identities(inputs):
     drifts = [r.unitarity_drift for b in (1.25, 1.5, 1.75)
-              for r in inputs.sweep(b, 16).records]
+              for r in inputs.sweep(b).records]
     drift_ok = max(drifts) <= 1e-9
 
     grid = build_grid(1.0, 8, 8, 1e-3)  # N = 64

@@ -179,10 +179,10 @@ def _slopes_at(*betas):
     # the trimmed fit alone: the sweep's own fits keep their slopes
     (11, checks, "fit_powerlaw", _slope_moved, ["trimmed_slope_shift"]),
     # an errored record in one sweep: the grid change is NaN; without it
-    # the 16-node sweep leaves three taus, too few for the trimmed fit
-    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(640),
-                 ["grid_rel_change"], marks=_ERRED),
+    # the base sweep (N = 160) leaves three taus, too few for the trimmed fit
     pytest.param(11, propagate, "_interaction_blocks", _overflow_on(320),
+                 ["grid_rel_change"], marks=_ERRED),
+    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(160),
                  ["grid_rel_change", "trimmed_slope_shift"], marks=_ERRED),
 ], ids=["1", "2", "3-sweep", "3-defect", "3-exponent", "4", "6", "7", "8", "10",
         "11", "11-errored-fine", "11-errored-base"])
@@ -208,7 +208,7 @@ def test_errored_record_fails_only_its_check(spoil_column, tmp_path, capsys):
     # fit, calibrate and stay first-order dominant
     spoil_column(1000.0, np.inf)
     inputs = checks.Inputs()
-    result = inputs.sweep(1.5, 16)
+    result = inputs.sweep(1.5)
     assert [name for name, c in result.checks.items() if not c["pass"]] == [
         "errored_records"]
     assert result.checks["errored_records"] == {"value": 1, "max": 0, "pass": False}

@@ -56,7 +56,7 @@ def test_first_order_dominant_alone_fails_tau_5(tmp_path, capsys):
     assert _readme_sample("no slope checks") in out
     checks = [line for line in out.splitlines() if line.startswith("check ")]
     assert [line for line in checks if ": FAIL " in line] == [
-        "check first_order_dominant: FAIL 0.6551365 (max 0.5)"]
+        "check first_order_dominant: FAIL 0.6551375 (max 0.5)"]
     assert len(checks) == 3
 
 
@@ -168,6 +168,8 @@ def test_config_error_exits_two(tmp_path):
     cfg.write_text("[model]\nk_max = -1\n")
     assert main(["sweep", "--config", str(cfg)]) == 2
     cfg.write_text("[integrate]\nmax_step = nan\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    cfg.write_text("[integrate]\nmax_step = 1e-300\n")     # past the step budget
     assert main(["sweep", "--config", str(cfg)]) == 2
     cfg.write_text("[model]\nk_max = 1e308\n")
     assert main(["sweep", "--config", str(cfg)]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from friedrichs.model import SwitchingProfile, assemble_model, \
 from friedrichs.numutil import rounding_gamma
 from friedrichs.propagate import (_RESEED_STEPS, _folded_cores, _interaction_blocks,
                                   _pair_maps, evolve_true, evolve_wave_operator,
-                                  steps_for)
+                                  MAX_STEPS, steps_for)
+from friedrichs.sweep import resolve_config
 from friedrichs.volterra import (adiabatic_defect, first_order_tail,
                                  wave_operator_series)
 
@@ -537,7 +540,8 @@ MAX_STEP_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("max_step", [0.0, -0.5, np.nan, np.inf, "auto", 5e-324])
+@pytest.mark.parametrize("max_step", [0.0, -0.5, np.nan, np.inf, "auto", 5e-324,
+                                      1e-300])
 @pytest.mark.parametrize("entry", list(MAX_STEP_ENTRY_POINTS))
 def test_max_step_rule_at_every_entry_point(entry, max_step, model_gapped_small):
     with pytest.raises(ConfigurationError,
@@ -571,11 +575,25 @@ STEP_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("n_steps", [0, -5, 64.9, 64.5, True, np.nan])
+@pytest.mark.parametrize("n_steps", [0, -5, 64.9, 64.5, True, np.nan,
+                                     2 ** 18 + 1, 10 ** 300])
 @pytest.mark.parametrize("entry", list(STEP_ENTRY_POINTS))
 def test_step_count_rule_at_every_entry_point(entry, n_steps, model_b15_small):
     with pytest.raises(ConfigurationError, match="n_steps must be an integer >= 1"):
         STEP_ENTRY_POINTS[entry](model_b15_small, n_steps)
+
+
+def test_step_budget_refuses_a_tiny_finite_cap(model_b15_small):
+    # 1e-300 is finite and > 0, but its 1e300 steps are past the step budget,
+    # wherever the count comes in; a cap at the budget is the budget
+    budget = f"at most {MAX_STEPS} \\(the step budget\\)"
+    with pytest.raises(ConfigurationError, match=f"max_step .*{budget}"):
+        resolve_config({"integrate": {"max_step": "1e-300"}})
+    with pytest.raises(ConfigurationError, match=f"max_step .*{budget}"):
+        steps_for(1e-300)
+    with pytest.raises(ConfigurationError, match=f"n_steps .*{budget}"):
+        evolve_true(model_b15_small, 100.0, n_steps=math.ceil(1.0 / 1e-300))
+    assert steps_for(1.0 / MAX_STEPS) == MAX_STEPS == 2 ** 18
 
 
 def test_numpy_integer_step_count_accepted(model_b15_small):

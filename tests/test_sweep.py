@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from friedrichs import sweep
 from friedrichs.errors import ConfigurationError, FitDomainError
 from friedrichs.numutil import format_float17
 from friedrichs.propagate import evolve_true
@@ -19,7 +20,7 @@ from friedrichs.sweep import (_SETTINGS, CSV_COLUMNS, FitResult,
                               run_sweep, slope_checks)
 
 QUICK_TAUS = (100.0, 316.22776601683796, 1000.0, 3162.2776601683795)
-DEFAULT_DIGEST = "a2e3d31dc2a00e0e1dfb0e7d1838f449b9e1a3efeffb32a2d9a940f2d1ac2c97"
+DEFAULT_DIGEST = "9ed575ffb37de7eeb9410dc989418a27dc726383150b98b56fae1777237a1253"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -216,7 +217,8 @@ class TestConfig:
         ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values"),
         ({"output": {"formats": ","}}, "formats"),
         ({"output": {"directory": ""}}, "directory"),
-        ({"integrate": {"max_step": "5e-324"}}, "max_step")])    # 1 / max_step is inf
+        ({"integrate": {"max_step": "5e-324"}}, "max_step"),     # 1 / max_step is inf
+        ({"integrate": {"max_step": "1e-300"}}, "max_step")])    # past the step budget
     def test_step_settings_checked_on_resolve(self, raw, key):
         # a retired key, even at its old default, is an unknown key
         with pytest.raises(ConfigurationError, match=key):
@@ -256,15 +258,20 @@ class TestConfig:
 
     @pytest.mark.parametrize("raw, digest", [
         ({}, DEFAULT_DIGEST),
-        ({"model": {"beta": "1.25"}},
+        ({"model": {"nodes_per_panel": "16"}},
+         "a2e3d31dc2a00e0e1dfb0e7d1838f449b9e1a3efeffb32a2d9a940f2d1ac2c97"),
+        ({"model": {"beta": "1.25", "nodes_per_panel": "16"}},
          "24204fb548893541761add299fd9721d68f6fc669a57f765c0d5552be4c1c938"),
-        ({"sweep": {"tau_values": "100, 1000, 10000, 100000"}},
+        ({"model": {"nodes_per_panel": "16"},
+          "sweep": {"tau_values": "100, 1000, 10000, 100000"}},
          "38834a47a5e22bd2b249b9e7db22e4ad63a502ab6b5a2ac26db64038f74af072"),
-        ({"integrate": {"max_step": "0.001"}},
+        ({"model": {"nodes_per_panel": "16"}, "integrate": {"max_step": "0.001"}},
          "5e45cdfc036ef478b82e138ff537d0671fec433baed7cb069db5d44eb323e0d5")],
-        ids=["default", "model", "sweep", "integrate"])
+        ids=["default", "default-16-nodes", "model", "sweep", "integrate"])
     def test_hash_pinned(self, raw, digest):
-        # a stored config_hash keeps naming its config
+        # a stored config_hash keeps naming its config: the digests of the
+        # configs written before the default grid went to 8 nodes per panel
+        # hold for the same configs written with nodes_per_panel = 16
         assert config_hash(resolve_config(raw)) == digest
 
     def test_hash_ignores_run_settings(self):
@@ -414,6 +421,16 @@ class TestRunSweep:
                            np.maximum(np.abs(fine), 1e-300)))
         assert result.calibration["history"][-1]["rel_change"] == rel
 
+    def test_calibration_stops_at_the_step_budget(self, unconverged, monkeypatch):
+        # with a budget of 4096 steps the check at 4096 is the last, though
+        # it fails: doubling again would pass the budget
+        cfg, _ = unconverged
+        monkeypatch.setattr(sweep, "MAX_STEPS", 4096)
+        result = run_sweep(cfg)
+        assert [h["n_steps"] for h in result.calibration["history"]] == [2048, 4096]
+        assert result.calibration["n_steps"] == 4096
+        assert not result.checks["step_calibration"]["pass"]
+
     def test_leak_decays_monotonically(self, quick_result):
         # the adiabatic limit is approached: no lower plateau in tau
         probes = [r.leak_probe for r in quick_result.records]
@@ -522,19 +539,34 @@ def test_refused_taus_raise_not_errored_records(quick_result, calibrate):
         run_sweep(cfg)
 
 
-def test_default_sweep_values_pinned():
-    # leak_probe and sup_leak_window of the default sweep to 17 digits,
-    # as the default CSV carries them
-    want = {
-        100.0: (0.0262149329782289, 0.05266409654036156),
-        316.22776601683796: (0.004703530044980283, 0.01597055537376012),
-        1000.0: (0.0008385104185705347, 0.0049765133006192935),
-        3162.2776601683795: (0.00014922738787271958, 0.0015661256114159515),
-        10000.0: (2.6544189192949808e-05, 0.0004944858759678279),
-    }
-    result = run_sweep(resolve_config({}))
+def _assert_sweep_values(result, want):
     assert [r.tau for r in result.records] == list(want)
     for r in result.records:
         probe, sup = want[r.tau]
         assert abs(r.leak_probe - probe) <= 1e-12 * probe
         assert abs(r.sup_leak_window - sup) <= 1e-12 * sup
+
+
+def test_default_sweep_values_pinned():
+    # leak_probe and sup_leak_window of the default sweep (8 nodes per
+    # panel, N = 160) to 17 digits, as the default CSV carries them
+    _assert_sweep_values(run_sweep(resolve_config({})), {
+        100.0: (0.026214980141569515, 0.05266479355225388),
+        316.22776601683796: (0.004703517029812526, 0.015970583134579226),
+        1000.0: (0.0008385125677627649, 0.004976530905420877),
+        3162.2776601683795: (0.00014922773497767119, 0.0015661321450590746),
+        10000.0: (2.6544163494732007e-05, 0.0004944879249547354),
+    })
+
+
+def test_16_node_sweep_values_pinned():
+    # the same sweep at 16 nodes per panel (N = 320), the default grid's
+    # doubling: its values are those the default sweep gave at 16 nodes
+    # per panel, so the integrator is unchanged
+    _assert_sweep_values(run_sweep(resolve_config({}, nodes_per_panel=16)), {
+        100.0: (0.0262149329782289, 0.05266409654036156),
+        316.22776601683796: (0.004703530044980283, 0.01597055537376012),
+        1000.0: (0.0008385104185705347, 0.0049765133006192935),
+        3162.2776601683795: (0.00014922738787271958, 0.0015661256114159515),
+        10000.0: (2.6544189192949808e-05, 0.0004944858759678279),
+    })

@@ -153,6 +153,17 @@ def _overflow_on(n_nodes):
     return patch
 
 
+def _step_change_set(value):
+    """_calibrate_steps whose last check reports value as its step change."""
+    def patch(calibrate):
+        def planted(cfg, cache):
+            n, calibration = calibrate(cfg, cache)
+            calibration["history"][-1]["rel_change"] = value
+            return n, calibration
+        return planted
+    return patch
+
+
 _ERRED = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 
 
@@ -184,8 +195,13 @@ def _slopes_at(*betas):
                  ["grid_rel_change"], marks=_ERRED),
     pytest.param(11, propagate, "_interaction_blocks", _overflow_on(160),
                  ["grid_rel_change", "trimmed_slope_shift"], marks=_ERRED),
+    # the grid change is held to the base sweep's step change: a step
+    # change below it, or none measured, fails the grid clause alone
+    (11, sweep, "_calibrate_steps", _step_change_set(1e-9), ["grid_rel_change"]),
+    (11, sweep, "_calibrate_steps", _step_change_set(None), ["grid_rel_change"]),
 ], ids=["1", "2", "3-sweep", "3-defect", "3-exponent", "4", "6", "7", "8", "10",
-        "11", "11-errored-fine", "11-errored-base"])
+        "11", "11-errored-fine", "11-errored-base", "11-step-below-grid",
+        "11-step-unmeasured"])
 def test_planted_error_fails_registry_entry(monkeypatch, criterion, module, name,
                                             plant, failed):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))

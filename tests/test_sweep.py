@@ -101,6 +101,7 @@ class TestFit:
     ([1.0, 0.25], {"drop": 4.0}, True), ([1.0, 0.3], {"drop": 4.0}, False),
     ([1e-13, 1e-13], {"drop": 4.0, "floor": 1e-12}, True),
     ([1e-11, 1e-11], {"drop": 4.0, "floor": 1e-12}, False),
+    (1e-6, {"max": None}, False),     # a measured bound that was not measured
 ])
 def test_clause_passes_within_its_bounds(value, bounds, passed):
     # a list passes when each of its numbers does; a drop pair (coarse,

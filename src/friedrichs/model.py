@@ -109,8 +109,10 @@ class SwitchingProfile:
     """
 
     def __init__(self, theta_total: float):
-        if theta_total < 0.0:
-            raise ConfigurationError("theta_total must be nonnegative")
+        # >= 0, where build_switching asks > 0: zero driving is built directly
+        holds, rule = _NONNEGATIVE
+        if not holds(theta_total):
+            raise ConfigurationError(f"theta_total {rule}, got {theta_total}")
         self.theta_total = float(theta_total)
         self.gdot_max = self.theta_total * bump_function(0.5) / BUMP_NORM
 
@@ -234,6 +236,7 @@ def _count(least: int):
 
 _is_positive = _reals(lambda v: v > 0.0)
 _POSITIVE = (_is_positive, "must be finite and > 0")
+_NONNEGATIVE = (_reals(lambda v: v >= 0.0), "must be finite and >= 0")
 _TIME = (_reals(lambda v: v >= 0.0), "must be a finite time >= 0")
 _TIME_GRID = (_reals(lambda v: v >= 0.0, 1),
               "must be a nonempty sequence of finite times >= 0")
@@ -245,7 +248,7 @@ _INPUT_RULES = {
     # the model
     "beta": _POSITIVE,
     "theta_total": _POSITIVE,
-    "gap_shift": (_reals(lambda v: v >= 0.0), "must be finite and >= 0"),
+    "gap_shift": _NONNEGATIVE,
     "k_max": _POSITIVE,
     "k_min": _POSITIVE,
     "n_panels": (_count(1), "must be an integer >= 1"),

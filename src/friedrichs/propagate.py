@@ -92,7 +92,7 @@ __all__ = [
     "WaveBlock",
 ]
 
-_MAGNUS_DEGREE = 8
+_STEP_DEGREE = 8
 _RESEED_STEPS = 64
 _AUTO_STEPS = 512
 #: largest norm drift a run may reach; evolve_true's default, the default
@@ -215,7 +215,7 @@ def _interaction_blocks(model: FriedrichsModel, taus: np.ndarray, n_steps: int):
     contracts the moments with the steps' coefficients.
     """
     h = 1.0 / n_steps
-    deg = _MAGNUS_DEGREE
+    deg = _STEP_DEGREE
     x, _, analysis = legendre_projection(deg + 1)
     mids = (np.arange(n_steps) + 0.5) * h
     t_nodes = mids[:, None] + 0.5 * h * x[None, :]

@@ -394,14 +394,15 @@ def fit_powerlaw(points) -> FitResult:
 def clause(value, **bounds) -> dict:
     """A check's record: its value, the bounds it is held to, and "pass".
 
-    value is a number, a list of numbers, or None (nothing measured,
-    which fails); a bound that is itself measured fails the same way when
-    it is None. Each number must be at least min, at most max, and
-    within tol of expected (of 0 without one). A drop bound reads value
-    as a refinement pair (coarse, fine): fine must fall to coarse / drop,
-    or to floor where one is given.
+    value is a number, a list of numbers, or None or [] (nothing
+    measured, which fails); a bound that is itself measured fails the
+    same way when it is None. Each number must be at least min, at most
+    max, and within tol of expected (of 0 without one). A drop bound
+    reads value as a refinement pair (coarse, fine): fine must fall to
+    coarse / drop, or to floor where one is given.
     """
-    if value is None or None in bounds.values():
+    if (value is None or (isinstance(value, list) and not value)
+            or None in bounds.values()):
         ok = False
     elif "drop" in bounds:
         coarse, fine = value

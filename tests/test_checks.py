@@ -5,7 +5,7 @@ Pinning a check's bounds guards their values, not that each is read:
 a clause dropped from a check leaves the other bounds, and on the
 default inputs the verdict, unchanged. So each clause case below
 patches one input in friedrichs.checks, asserts that exactly its
-clause fails and that the verdict is False, and each planted error
+clauses fail and that the verdict is False, and each planted error
 names the clauses of its registry entry that it fails.
 """
 
@@ -71,15 +71,25 @@ def _off_at_zero(bump):
     return lambda p: bump(p) * (1.0 + 1e-5 * (p == 0.0))
 
 
-@pytest.mark.parametrize("name, plant, clause", [
-    ("bump_transform", _off_at_zero, "transform_at_0"),
-    ("BUMP_ASYMPTOTIC", lambda form: _PhaseAtZeroOfCosine(), "max_abs_cos_phase"),
+@pytest.mark.parametrize("name, plant, failed", [
+    ("bump_transform", _off_at_zero, ["transform_at_0"]),
+    # with no usable p no ratio is measured, and that fails too
+    ("BUMP_ASYMPTOTIC", lambda form: _PhaseAtZeroOfCosine(),
+     ["max_abs_cos_phase", "ratio_dev_times_sqrt_p"]),
     ("bump_transform_asymptotic", lambda asym: lambda p: 1.5 * asym(p),
-     "ratio_dev_times_sqrt_p"),
+     ["ratio_dev_times_sqrt_p"]),
 ], ids=["at_0", "usable", "ratio"])
-def test_each_bump_clause_is_applied(monkeypatch, name, plant, clause):
+def test_each_bump_clause_is_applied(monkeypatch, name, plant, failed):
     monkeypatch.setattr(checks, name, plant(getattr(checks, name)))
-    assert _failed(checks.bump_asymptotics((100.0, 200.0, 400.0))) == [clause]
+    assert _failed(checks.bump_asymptotics((100.0, 200.0, 400.0))) == failed
+
+
+def test_no_usable_p_fails_the_ratio_clause():
+    # at this p, cos(phase) is 5e-15: no ratio is compared, and the empty
+    # list of deviations is nothing measured, which fails like None
+    chk = checks.bump_asymptotics((100.75096593908545,))
+    assert _failed(chk) == ["max_abs_cos_phase", "ratio_dev_times_sqrt_p"]
+    assert "ratio_dev_times_sqrt_p: FAIL [] (max 2)" in chk.lines
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,8 @@ import pytest
 from friedrichs.contour import (ContourSpec, ExchangeRateProfile,
                                 PolyMatrixProfile, ibp_suite, slaved_tail_probe,
                                 tilde, tilde_eigenbasis, verify_ibp)
-from friedrichs.errors import ConfigurationError, SpectralSeparationError
+from friedrichs.errors import (ConfigurationError, ResourceBudgetError,
+                               SpectralSeparationError)
 
 from friedrichs import contour
 from friedrichs.checks import tilde_problem
@@ -89,6 +90,21 @@ class TestTilde:
         h, p, x = tilde_problem(3)
         with pytest.raises(SpectralSeparationError):
             tilde(h, np.zeros((8, 8)), x, ContourSpec(center=0.0, radius=0.5))
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ContourSpec(center=0.0, radius=0.5, n_points=8)
+
+    @pytest.mark.parametrize("radius, n_points, rule", [
+        (np.nan, 64, "radius must be finite and > 0"),
+        (np.inf, 64, "radius must be finite and > 0"),
+        (0.0, 64, "radius must be finite and > 0"),
+        (0.5, 8, "n_points must be an integer >= 16"),
+        (0.5, 16.5, "n_points must be an integer >= 16")],
+        ids=["radius-nan", "radius-inf", "radius-zero", "n_points-8", "n_points-16.5"])
+    def test_contour_rule_names_its_input(self, radius, n_points, rule):
+        with pytest.raises(ConfigurationError, match=rule):
+            ContourSpec(center=0.0, radius=radius, n_points=n_points)
 
 
 class TestIbp:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from friedrichs.errors import AssemblyError
+from friedrichs.errors import AssemblyError, ConfigurationError
 from friedrichs.model import (_BUMP_EDGES, _bump_cumulative, assemble_model,
-                              build_form_factor, build_grid, rotate)
+                              build_form_factor, build_grid, build_switching,
+                              rotate)
 
 from oracles import per_point_bump_cumulative, rotation_dense, two_level_rotation
 
@@ -45,6 +46,17 @@ class TestGrid:
         assert np.all(g.weights > 0)
         assert g.nodes[0] >= g.k_min and g.nodes[-1] <= g.k_max
         assert g.n_nodes == 35
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(k_max=1.0, n_panels=4, nodes_per_panel=4, k_min=-1.0),
+        dict(k_max=1.0, n_panels=4, nodes_per_panel=4, k_min=2.0),
+        dict(k_max=0.0, n_panels=4, nodes_per_panel=4, k_min=0.0),
+        dict(k_max=1.0, n_panels=0, nodes_per_panel=4, k_min=0.1),
+        dict(k_max=1.0, n_panels=4, nodes_per_panel=1, k_min=0.1),
+    ])
+    def test_bad_configuration(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            build_grid(**kwargs)
 
 
 class TestFormFactor:
@@ -91,6 +103,14 @@ class TestFormFactor:
                 assert abs(ratio - ff.norm_constant ** 2) \
                     <= 0.05 * ff.norm_constant ** 2
 
+    def test_rejects_degenerate_exponent(self, grid320):
+        with pytest.raises(ConfigurationError):
+            build_form_factor(grid320, 0.0)
+        with pytest.raises(ConfigurationError):
+            build_form_factor(grid320, -1.0)
+        with pytest.raises(ConfigurationError):
+            build_form_factor(grid320, 1.0, cutoff_fraction=1.0)
+
 
 class TestSwitching:
     def test_endpoint_values(self, switching):
@@ -134,6 +154,12 @@ class TestSwitching:
         assert _bump_cumulative(0.3) == per_point_bump_cumulative(0.3)
         assert isinstance(_bump_cumulative(0.3), float)
 
+    def test_rejects_nonpositive_angle(self):
+        with pytest.raises(ConfigurationError):
+            build_switching(0.0)
+        with pytest.raises(ConfigurationError):
+            build_switching(-0.1)
+
 
 class TestAssembly:
     def test_exchange_expectation(self, model_b15):
@@ -169,6 +195,34 @@ class TestAssembly:
         ff = build_form_factor(grid320, 1.5)
         with pytest.raises(AssemblyError):
             assemble_model(grid128, ff, switching)
+
+    def test_negative_gap_rejected(self, grid128, switching):
+        ff = build_form_factor(grid128, 1.5)
+        with pytest.raises(ConfigurationError):
+            assemble_model(grid128, ff, switching, gap_shift=-0.5)
+
+
+# builder inputs that break their rule (non-finite, or not an integer):
+# (call on a small grid, the input its error names)
+BUILDER_RULES = {
+    "grid-k_max-inf": (lambda g: build_grid(np.inf, 8, 4, 1e-3), "k_max"),
+    "grid-k_min-inf": (lambda g: build_grid(1.0, 8, 4, np.inf), "k_min"),
+    "grid-n_panels-bool": (lambda g: build_grid(1.0, True, 4, 1e-3), "n_panels"),
+    "grid-nodes_per_panel-2.5": (lambda g: build_grid(1.0, 8, 2.5, 1e-3),
+                                 "nodes_per_panel"),
+    "form-factor-beta-inf": (lambda g: build_form_factor(g, np.inf), "beta"),
+    "switching-inf": (lambda g: build_switching(np.inf), "theta_total"),
+    "assemble-gap_shift-inf": (
+        lambda g: assemble_model(g, build_form_factor(g, 1.5), build_switching(1.0),
+                                 gap_shift=np.inf), "gap_shift"),
+}
+
+
+@pytest.mark.parametrize("case", list(BUILDER_RULES))
+def test_builder_rule_names_its_input(case):
+    call, name = BUILDER_RULES[case]
+    with pytest.raises(ConfigurationError, match=f"{name} must be"):
+        call(build_grid(1.0, 4, 4, 1e-2))
 
 
 def _unit_rows(dim, n, seed):

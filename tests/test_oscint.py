@@ -147,6 +147,12 @@ class TestBumpTransform:
         for p in (3.0, 41.5, 230.0):
             assert bump_transform(p) == bump_transform(-p)
 
+    @pytest.mark.parametrize("p", [np.nan, np.inf, -np.inf, "1.0"])
+    def test_p_rule_names_its_input(self, p):
+        # every finite p is in the domain; anything else is refused by name
+        with pytest.raises(ConfigurationError, match="p must be finite"):
+            bump_transform(p)
+
     def test_cancellation_floor_guard(self):
         with pytest.raises(PrecisionLimitError):
             bump_transform(800.0)
@@ -187,7 +193,12 @@ class TestAsymptoticForm:
             assert abs(val) <= 1e-10 * BUMP_ASYMPTOTIC.envelope(root)
 
     def test_rejects_nonpositive_p(self):
-        # p > 0 is the asymptotic form's own precondition, beside the p rule
-        for p in (0.0, -1.0):
-            with pytest.raises(ConfigurationError, match="p must be > 0"):
-                bump_transform_asymptotic(p)
+        with pytest.raises(ConfigurationError):
+            bump_transform_asymptotic(0.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+    def test_p_rule_names_its_input(self, p):
+        # finiteness is the p rule's; p > 0 is the asymptotic form's own
+        match = "p must be > 0" if np.isfinite(p) else "p must be finite"
+        with pytest.raises(ConfigurationError, match=match):
+            bump_transform_asymptotic(p)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from friedrichs.contour import ibp_suite, slaved_tail_probe, verify_ibp
 from friedrichs.errors import (ConfigurationError, IntegrationFailure,
                                NumericalOverflow)
 from friedrichs.model import SwitchingProfile, assemble_model, \
@@ -12,6 +13,8 @@ from friedrichs.propagate import (_RESEED_STEPS, _folded_cores, _interaction_blo
                                   _pair_maps, evolve_true, evolve_wave_operator,
                                   MAX_STEPS, steps_for)
 from friedrichs.sweep import resolve_config
+from friedrichs.volterra import (adiabatic_defect, first_order_tail,
+                                 wave_operator_series)
 
 from oracles import (PerStepExpRunner, PerStepWaveOperator, block_factor,
                      dense_reference_evolve, per_step_cores, prefix_cores,
@@ -82,9 +85,16 @@ class TestEvolveTrue:
         assert err.value.drift > 1e-22
 
     def test_rejects_bad_inputs(self, model_b15_small):
-        # leak_at holds s >= 0 on its own (s = inf reads s = 1)
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, -5.0, 512)
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, 10.0, 0)
         with pytest.raises(ConfigurationError):
             evolve_true(model_b15_small, 10.0, 16).leak_at(-0.1)
+        # a NaN tolerance would pass every drift, a negative one fail every run
+        for tol in (np.nan, -1e-9):
+            with pytest.raises(ConfigurationError, match="drift_tolerance must be"):
+                evolve_true(model_b15_small, (10.0, 20.0), 16, drift_tolerance=tol)
 
     def test_dense_window_sampling(self, model_b15_small):
         tr = evolve_true(model_b15_small, 100.0, 256)
@@ -152,6 +162,12 @@ class TestBatchedLoop:
         assert _same_trajectory(out.results[1], clean[1])
         assert out.unitarity_drift == max(clean[0].unitarity_drift,
                                           clean[1].unitarity_drift)
+
+    def test_batch_rejects_empty_or_nonpositive_taus(self, model_b15_small):
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, (), SWEEP_STEPS)
+        with pytest.raises(ConfigurationError):
+            evolve_true(model_b15_small, (100.0, -1.0), SWEEP_STEPS)
 
 
 class TestPairedSteps:
@@ -469,6 +485,104 @@ class TestGeneratorChecks:
         assert np.all(np.abs(chk.pdot_fd_ratio - 4.0) <= 0.5)
 
 
+TAU_RULE = "tau must be finite and > 0"
+TAUS_RULE = "taus must be a nonempty sequence of finite numbers > 0"
+
+# every entry point that takes tau, called on a threshold model m or a
+# gapped model g, and the rule it is held to
+TAU_ENTRY_POINTS = {
+    "evolve_true": (lambda m, g, tau: evolve_true(m, tau, 16), TAU_RULE),
+    "evolve_true_batch": (lambda m, g, tau: evolve_true(m, (100.0, tau), 16),
+                          TAUS_RULE),
+    "evolve_wave_operator": (
+        lambda m, g, tau: evolve_wave_operator(m, tau, 16, [1.0]), TAU_RULE),
+    "adiabatic_defect": (lambda m, g, tau: adiabatic_defect(m, tau, n_steps=16),
+                         TAU_RULE),
+    "wave_operator_series": (lambda m, g, tau: wave_operator_series(m, tau),
+                             TAU_RULE),
+    "first_order_tail": (lambda m, g, tau: first_order_tail(m, tau), TAU_RULE),
+    "verify_ibp": (lambda m, g, tau: verify_ibp(g, tau), TAU_RULE),
+    "ibp_suite": (lambda m, g, tau: ibp_suite(g, tau), TAU_RULE),
+    "slaved_tail_probe": (lambda m, g, tau: slaved_tail_probe(g, (100.0, tau)),
+                          TAUS_RULE),
+}
+
+
+@pytest.mark.parametrize("tau", [0.0, -5.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(TAU_ENTRY_POINTS))
+def test_tau_rule_at_every_entry_point(entry, tau, model_b15_small,
+                                       model_gapped_small):
+    call, rule = TAU_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError, match=rule):
+        call(model_b15_small, model_gapped_small, tau)
+
+
+# every entry point that takes a sequence of taus, called on a gapped model
+TAUS_ENTRY_POINTS = {
+    "evolve_true": lambda g, taus: evolve_true(g, taus, 16),
+    "slaved_tail_probe": lambda g, taus: slaved_tail_probe(g, taus),
+}
+
+
+@pytest.mark.parametrize("taus", [[], ("a",), [[100.0, 200.0]]],
+                         ids=["empty", "string", "nested"])
+@pytest.mark.parametrize("entry", list(TAUS_ENTRY_POINTS))
+def test_tau_sequence_rule_at_every_entry_point(entry, taus, model_gapped_small):
+    with pytest.raises(ConfigurationError, match=TAUS_RULE):
+        TAUS_ENTRY_POINTS[entry](model_gapped_small, taus)
+
+
+# every entry point that takes a cap on the step, called on a gapped model
+MAX_STEP_ENTRY_POINTS = {
+    "steps_for": lambda g, max_step: steps_for(max_step),
+    "slaved_tail_probe": lambda g, max_step: slaved_tail_probe(g, (100.0, 200.0),
+                                                               max_step=max_step),
+}
+
+
+@pytest.mark.parametrize("max_step", [0.0, -0.5, np.nan, np.inf, "auto", 5e-324,
+                                      1e-300])
+@pytest.mark.parametrize("entry", list(MAX_STEP_ENTRY_POINTS))
+def test_max_step_rule_at_every_entry_point(entry, max_step, model_gapped_small):
+    with pytest.raises(ConfigurationError,
+                       match=r"max_step must be auto \(None\) or finite and > 0"):
+        MAX_STEP_ENTRY_POINTS[entry](model_gapped_small, max_step)
+
+
+# every entry point that takes a quadrature order, called on a threshold
+# model m or a gapped model g
+QUAD_ORDER_ENTRY_POINTS = {
+    "wave_operator_series": lambda m, g, q: wave_operator_series(m, 100.0, quad_order=q),
+    "verify_ibp": lambda m, g, q: verify_ibp(g, 50.0, quad_order=q),
+    "ibp_suite": lambda m, g, q: ibp_suite(g, 50.0, quad_order=q),
+}
+
+
+@pytest.mark.parametrize("quad_order", [0, 2.5, 4.5, True])
+@pytest.mark.parametrize("entry", list(QUAD_ORDER_ENTRY_POINTS))
+def test_quad_order_rule_at_every_entry_point(entry, quad_order, model_b15_small,
+                                              model_gapped_small):
+    with pytest.raises(ConfigurationError, match="quad_order must be an integer >= 1"):
+        QUAD_ORDER_ENTRY_POINTS[entry](model_b15_small, model_gapped_small, quad_order)
+
+
+# every entry point that takes a step count, called on a threshold model m
+STEP_ENTRY_POINTS = {
+    "evolve_true": lambda m, n: evolve_true(m, 100.0, n),
+    "evolve_true_batch": lambda m, n: evolve_true(m, (100.0, 300.0), n),
+    "evolve_wave_operator": lambda m, n: evolve_wave_operator(m, 100.0, n, [0.5]),
+    "adiabatic_defect": lambda m, n: adiabatic_defect(m, 100.0, n_steps=n),
+}
+
+
+@pytest.mark.parametrize("n_steps", [0, -5, 64.9, 64.5, True, np.nan,
+                                     2 ** 18 + 1, 10 ** 300])
+@pytest.mark.parametrize("entry", list(STEP_ENTRY_POINTS))
+def test_step_count_rule_at_every_entry_point(entry, n_steps, model_b15_small):
+    with pytest.raises(ConfigurationError, match="n_steps must be an integer >= 1"):
+        STEP_ENTRY_POINTS[entry](model_b15_small, n_steps)
+
+
 def test_step_budget_refuses_a_tiny_finite_cap(model_b15_small):
     # 1e-300 is finite and > 0, but its 1e300 steps are past the step budget,
     # wherever the count comes in; a cap at the budget is the budget
@@ -486,6 +600,44 @@ def test_numpy_integer_step_count_accepted(model_b15_small):
     assert evolve_true(model_b15_small, 100.0, np.int64(16)).n_window_steps == 16
     s, _, _ = evolve_wave_operator(model_b15_small, 100.0, np.int32(16), [1.0])
     assert list(s) == [1.0]
+
+
+# every entry point that takes an evaluation time, called on a threshold
+# model m or a gapped model g, and the name of that argument
+TIME_ENTRY_POINTS = {
+    "wave_operator_series": (
+        lambda m, g, s: wave_operator_series(m, 100.0, s_eval=s), "s_eval"),
+    "verify_ibp": (lambda m, g, s: verify_ibp(g, 50.0, s=s), "s"),
+    "ibp_suite": (lambda m, g, s: ibp_suite(g, 50.0, s=s), "s"),
+}
+
+
+@pytest.mark.parametrize("s", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("entry", list(TIME_ENTRY_POINTS))
+def test_time_rule_at_every_entry_point(entry, s, model_b15_small,
+                                        model_gapped_small):
+    call, name = TIME_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError, match=f"{name} must be a finite time >= 0"):
+        call(model_b15_small, model_gapped_small, s)
+
+
+# every entry point that takes record times, and the name of that argument
+GRID_ENTRY_POINTS = {
+    "evolve_wave_operator": (
+        lambda m, grid: evolve_wave_operator(m, 100.0, 16, grid), "record_s"),
+    "adiabatic_defect": (
+        lambda m, grid: adiabatic_defect(m, 100.0, s_grid=grid, n_steps=16), "s_grid"),
+}
+
+
+@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.inf], [-0.25, 0.5], [], 0.5],
+                         ids=["nan", "inf", "negative", "empty", "scalar"])
+@pytest.mark.parametrize("entry", list(GRID_ENTRY_POINTS))
+def test_record_time_rule_at_every_entry_point(entry, grid, model_b15_small):
+    call, name = GRID_ENTRY_POINTS[entry]
+    with pytest.raises(ConfigurationError,
+                       match=f"{name} must be a nonempty sequence of finite times >= 0"):
+        call(model_b15_small, grid)
 
 
 class TestProjectorComparison:

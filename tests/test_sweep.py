@@ -201,20 +201,55 @@ class TestConfig:
             resolve_config({"sweep": {"s_probe": "0.9"}})
 
     @pytest.mark.parametrize("raw, key", [
-        ({"sweep": {"window_samples": "256"}}, "window_samples"),
-        ({"sweep": {"s_probe": "1.5"}}, "s_probe"),
+        ({"integrate": {"max_step": "0"}}, "max_step"),
+        ({"integrate": {"max_step": "-0.5"}}, "max_step"),
+        ({"sweep": {"window_samples": "256"}}, "window_samples"),   # retired
+        ({"model": {"k_max": "-1"}}, "k_max"),
+        ({"model": {"k_max": "0"}}, "k_max"),
+        ({"integrate": {"calibrate_rel_tol": "0"}}, "calibrate_rel_tol"),
+        ({"integrate": {"drift_tolerance": "-1e-9"}}, "drift_tolerance"),
+        ({"sweep": {"tau_values": "100, inf"}}, "tau_values"),
+        ({"sweep": {"tau_values": "100, nan"}}, "tau_values"),
+        ({"model": {"k_max": "inf"}}, "k_max"),
+        ({"integrate": {"max_step": "nan"}}, "max_step"),
+        ({"sweep": {"s_probe": "1.5"}}, "s_probe"),                 # retired
         ({"model": {"k_max": "1e308"}}, "k_max"),
         ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values"),
-        ({"sweep": {"tau_values": "100, inf"}}, "tau_values"),
+        ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values"),
         ({"output": {"formats": ","}}, "formats"),
         ({"output": {"directory": ""}}, "directory"),
-        ({"integrate": {"max_step": "5e-324"}}, "max_step")])    # 1 / max_step is inf
-    def test_config_text_refused_on_resolve(self, raw, key):
-        # a retired key, even at its old default, is an unknown key; the
-        # auto grid's span k_max * tau / 0.01 must not overflow; and text
-        # that parses is held to its key's rule (tests/test_rules.py)
+        ({"integrate": {"max_step": "5e-324"}}, "max_step"),     # 1 / max_step is inf
+        ({"integrate": {"max_step": "1e-300"}}, "max_step")])    # past the step budget
+    def test_step_settings_checked_on_resolve(self, raw, key):
+        # a retired key, even at its old default, is an unknown key
         with pytest.raises(ConfigurationError, match=key):
             resolve_config(raw)
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"beta": 0.0}, "beta"), ({"beta": -1.5}, "beta"),
+        ({"theta_total": 0.0}, "theta_total"), ({"gap_shift": -0.1}, "gap_shift"),
+        ({"nodes_per_panel": 1}, "nodes_per_panel"),
+        ({"cutoff_fraction": 0.0}, "cutoff_fraction"),
+        ({"cutoff_fraction": 1.0}, "cutoff_fraction"),
+        ({"cutoff_fraction": 1.5}, "cutoff_fraction"),
+        ({"k_min": -1e-6, "n_panels": 14}, "k_min"),
+        ({"k_min": 1e-6, "n_panels": 0}, "n_panels"),
+        ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-7}, "k_max"),
+        ({"k_min": 1e-6, "n_panels": 14, "k_max": 1e-6}, "k_max"),
+        ({"nodes_per_panel": 2.5}, "nodes_per_panel"),
+        ({"k_min": 1e-6, "n_panels": 14.0}, "n_panels"),
+        ({"beta": True}, "beta"),
+        ({"calibrate": "no"}, "calibrate"),
+        ({"max_step": "0.1"}, "max_step"),
+        ({"directory": 5}, "directory"),
+        ({"jobs": 2.5}, "jobs"),
+        ({"tau_values": ("a",)}, "tau_values"),
+        ({"tau_values": 100.0}, "tau_values"),
+        ({"formats": "csv"}, "formats")])
+    def test_model_inputs_checked_on_resolve(self, overrides, key):
+        # every key's rule, applied to typed overrides before anything is built
+        with pytest.raises(ConfigurationError, match=f"{key} must"):
+            resolve_config({}, **overrides)
 
     @pytest.mark.parametrize("overrides", [{"k_min": 1e-6}, {"n_panels": 14}],
                              ids=["k_min", "n_panels"])

@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from friedrichs.errors import AssemblyError, ConfigurationError
-from friedrichs.model import (_BUMP_EDGES, _bump_cumulative, assemble_model,
-                              build_form_factor, build_grid, build_switching,
-                              rotate)
+from friedrichs.model import (_BUMP_EDGES, SwitchingProfile, _bump_cumulative,
+                              assemble_model, build_form_factor, build_grid,
+                              build_switching, rotate)
 
 from oracles import per_point_bump_cumulative, rotation_dense, two_level_rotation
 
@@ -212,6 +212,9 @@ BUILDER_RULES = {
                                  "nodes_per_panel"),
     "form-factor-beta-inf": (lambda g: build_form_factor(g, np.inf), "beta"),
     "switching-inf": (lambda g: build_switching(np.inf), "theta_total"),
+    # zero driving builds directly (SwitchingProfile(0.0)); nan and inf do not
+    "profile-nan": (lambda g: SwitchingProfile(np.nan), "theta_total"),
+    "profile-inf": (lambda g: SwitchingProfile(np.inf), "theta_total"),
     "assemble-gap_shift-inf": (
         lambda g: assemble_model(g, build_form_factor(g, 1.5), build_switching(1.0),
                                  gap_shift=np.inf), "gap_shift"),

@@ -16,6 +16,7 @@ import math
 import numbers
 import os
 import reprlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,8 +216,11 @@ class FriedrichsModel:
 def _reals(holds, ndim: int = 0, distinct: bool = False):
     """The rule that v is a finite real number (ndim 0), or a nonempty
     sequence of them (ndim 1), each of which holds; with distinct, none
-    repeated. Ints and floats are real; bools and strings are not."""
+    repeated. Ints and floats are real; bools and strings are not, also
+    inside a sequence, where np.asarray would coerce a bool to a number."""
     def rule(v):
+        if isinstance(v, Sequence) and any(isinstance(t, (bool, np.bool_)) for t in v):
+            return False
         try:
             x = np.asarray(v)
         except (TypeError, ValueError):
@@ -240,6 +244,8 @@ _NONNEGATIVE = (_reals(lambda v: v >= 0.0), "must be finite and >= 0")
 _TIME = (_reals(lambda v: v >= 0.0), "must be a finite time >= 0")
 _TIME_GRID = (_reals(lambda v: v >= 0.0, 1),
               "must be a nonempty sequence of finite times >= 0")
+_PATH = (lambda v: isinstance(v, (str, os.PathLike)) and os.fspath(v) != "",
+         "must be a nonempty path")
 
 #: every input checked on its own: name -> (condition, rule as stated).
 #: propagate adds the n_steps and max_step rules beside its step budget,
@@ -272,9 +278,8 @@ _INPUT_RULES = {
     "calibrate": (lambda v: isinstance(v, (bool, np.bool_)), "must be true or false"),
     "calibrate_rel_tol": _POSITIVE,
     "drift_tolerance": _POSITIVE,
-    "directory": (lambda v: isinstance(v, str) and v != "", "must be a nonempty string"),
-    "out_dir": (lambda v: isinstance(v, (str, os.PathLike)) and os.fspath(v) != "",
-                "must be a nonempty path"),
+    "directory": _PATH,
+    "out_dir": _PATH,
     "jobs": (_count(1), "must be an integer >= 1"),
 }
 

@@ -58,8 +58,8 @@ row depends on j; the (k + 1)-column cores of every prefix are built in
 log2(64) doubling rounds in that folded basis (_folded_cores). So the
 matrix takes one BLAS-3 update per block, with no QR and no loop over
 steps, and every record stop is a prefix of its block: a consumer gets
-the block once (WaveBlock) and can reduce its stops without forming
-them (see _folded_cores and _prefix_product).
+the block once (WaveBlock, the only code that reads the folded cores)
+and can reduce its stops without forming them.
 
 For s >= 1 the driving vanishes, so the interaction-frame state stays
 as it was at the end of the window: a run stops at s = 1, and its leak
@@ -391,9 +391,8 @@ def _total_norm_dev(state: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(sq[0::2] + sq[1::2]) - 1.0)))
 
 
-def _folded_cores(gram: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
-                  offsets: np.ndarray):
-    """Cores of a block's prefixes in the folded basis: (rows, lower).
+def _folded_cores(gram: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray):
+    """Cores of a block's prefixes in the folded basis: (tops, lower).
 
     Step j is R_j = 1 + X_j M_j X_j^dagger with X_j = [e0, u_j] and M_j =
     [[cos r - 1, -i sin r], [-i sin r, cos r - 1]]; gram is u^dagger u,
@@ -403,8 +402,7 @@ def _folded_cores(gram: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
     nonzero. Step a adds a component along u_a that no later step
     changes, so row 1 + a of C_j is the same for every j > a: `lower`,
     (k, k + 1), holds those rows for all prefixes at once. Only row 0,
-    along e0, depends on j; rows[i] is it for offsets[i] steps, zero from
-    column offsets[i] + 1 on.
+    along e0, depends on j; tops[j] is it, zero from column j + 1 on.
 
     Built by doubling. A segment of steps is its tops (row 0 after each
     of its prefixes) and its lower rows, on [e0, its own u]. Segment 2
@@ -445,19 +443,12 @@ def _folded_cores(gram: np.ndarray, cos_m1: np.ndarray, isin: np.ndarray,
         seg, w = merged, 2 * w
     tops = np.zeros((k + 1, k + 1), dtype=complex)   # row 0 after 0..k steps
     tops[1:] = seg[0, 0, :k, :k + 1]
-    return tops[offsets], seg[0, 1, :k, :k + 1]
+    return tops, seg[0, 1, :k, :k + 1]
 
 
-def _prefix_product(mat: np.ndarray, u: np.ndarray, z: np.ndarray,
-                    x: np.ndarray, row: np.ndarray, j: int) -> None:
-    """mat <- mat + Y C_j z, in place: R_j ... R_1 omega when mat holds omega.
-
-    For the first j steps of a block, with z = Y^dagger omega: row 0 of
-    C_j is `row`, its rows 1..j are the first j rows of lower (see
-    _folded_cores), and lower @ z = x, so the update takes one GEMM.
-    """
-    mat[0] += row[:j + 1] @ z[:j + 1]
-    mat[1:] += u[:j].T @ x[:j]
+def _side_by_side(v: np.ndarray) -> np.ndarray:
+    """Per-stop blocks (m, dim, c) as the columns of one (dim, m c) operand."""
+    return np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(v.shape[1], -1)
 
 
 @dataclass
@@ -467,49 +458,138 @@ class WaveBlock:
     omega is the matrix at step `start`; the block's k steps take it to
     R_k ... R_1 omega. The stop offsets[i] steps in is omega + Y C_j z
     with j = offsets[i], Y = [e0, u_1, ..., u_k] and z = Y^dagger omega
-    (see _folded_cores for C_j: rows[i] is its row 0, lower the rest).
+    (see _folded_cores for C_j: tops[j] is its row 0, lower the rest).
     omega is the evolving matrix itself: read it during the call, do not
     keep or write it. Every other field is the block's own, made for
-    this block alone, and may be kept after the call.
+    this block alone, and may be kept after the call. Only the methods
+    read the cores: with A_0 = 1 - omega, a stop's defect A_j = 1 -
+    omega_j has A_j V = A_0 V - Y C_j (z V) and A_j^dagger W =
+    A_0^dagger W - z^dagger C_j^dagger (Y^dagger W).
     """
 
     start: int
     omega: np.ndarray     # (dim, dim)
+    offsets: np.ndarray   # (m,) steps into the block of each stop
     u: np.ndarray         # (k, N) the steps' directions
     gram: np.ndarray      # (k, k) u^dagger u
     z: np.ndarray         # (k + 1, dim) Y^dagger omega
     lower: np.ndarray     # (k, k + 1) rows 1.. of every prefix core
     x: np.ndarray         # (k, dim) lower @ z
-    offsets: np.ndarray   # (m,) steps into the block of each stop
-    rows: np.ndarray      # (m, k + 1) row 0 of each stop's core
+    tops: np.ndarray      # (k + 1, k + 1) row 0 of the core of each prefix
+
+    @classmethod
+    def build(cls, start: int, omega: np.ndarray, u: np.ndarray, cos_m1: np.ndarray,
+              isin: np.ndarray, offsets: np.ndarray) -> WaveBlock:
+        """The block of the steps along u from omega at step start."""
+        u_conj = u.conj()
+        gram = u_conj @ u.T
+        tops, lower = _folded_cores(gram, cos_m1, isin)
+        z = np.concatenate((omega[:1], u_conj @ omega[1:]))
+        return cls(start, omega, offsets, u, gram, z, lower, lower @ z, tops)
+
+    def update(self, j: int, r: np.ndarray | None = None) -> np.ndarray:
+        """Y C_j (z R) for the first j steps: a stop, or the block end at k.
+
+        R (dim, c) is the identity when None: omega + update(j) is the
+        matrix j steps in. C_j's rows 1..j are lower's first j, and
+        lower @ z = x.
+        """
+        z, x = self.z[:j + 1], self.x[:j]
+        if r is not None:
+            z, x = z @ r, x @ r
+        out = np.empty((len(self.omega), z.shape[1]), dtype=complex)
+        np.matmul(self.tops[j, :j + 1], z, out=out[0])
+        np.matmul(self.u[:j].T, x, out=out[1:])
+        return out
+
+    def updates(self, v: np.ndarray, stops: np.ndarray | None = None) -> np.ndarray:
+        """Y C_j (z V) at several stops, (m, dim, c); the operand picks the form.
+
+        A shared V, (dim, c), goes to every stop: rows 1.. sum u_a (x V)[a]
+        over the prefix's steps, accumulated stop by stop, so a step
+        after the last stop enters no product. Per-stop blocks V,
+        (m, dim, c), one for each of `stops` (indexes into offsets), go
+        side by side through one GEMM each with z, lower and u^T, a
+        (k, m) mask keeping lower's rows of the steps before each stop
+        (the masked form). Row 0 of C_j, the one row that differs per
+        stop, enters through a stacked product.
+        """
+        dim, k = len(self.omega), len(self.u)
+        if v.ndim == 2:
+            xv = self.x @ v
+            out = np.empty((len(self.offsets), dim, v.shape[1]), dtype=complex)
+            out[:, 0] = self.tops[self.offsets] @ (self.z @ v)
+            acc = np.zeros((dim - 1, v.shape[1]), dtype=complex)
+            a = 0
+            for o, j in zip(out, self.offsets):
+                acc += self.u[a:j].T @ xv[a:j]
+                o[1:] = acc
+                a = j
+            return out
+        m, _, c = v.shape
+        js = self.offsets[stops]
+        zv = (self.z @ _side_by_side(v)).reshape(k + 1, m, c)
+        out = np.empty((dim, m, c), dtype=complex)
+        out[0] = (self.tops[js][:, None, :] @ zv.transpose(1, 0, 2))[:, 0]
+        xv = (self.lower @ zv.reshape(k + 1, -1)).reshape(k, m, c)
+        xv *= (np.arange(k)[:, None] < js)[..., None]
+        np.matmul(self.u.T, xv.reshape(k, -1), out=out[1:].reshape(dim - 1, -1))
+        return out.transpose(1, 0, 2)
+
+    def adjoints(self, w: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """z^dagger C_j^dagger (Y^dagger W) at stops, for per-stop blocks W.
+
+        The adjoint of updates' masked form: one GEMM each with u^*,
+        lower^dagger and z^dagger, row 0 of C_j entering through an
+        outer product.
+        """
+        m, dim, c = w.shape
+        k, js = len(self.u), self.offsets[stops]
+        flat = _side_by_side(w)
+        yw = (self.u.conj() @ flat[1:]).reshape(k, m, c)
+        yw *= (np.arange(k)[:, None] < js)[..., None]
+        cyw = (self.lower.conj().T @ yw.reshape(k, -1)).reshape(k + 1, m, c)
+        cyw += self.tops[js].conj().T[:, :, None] * flat[0].reshape(m, c)
+        out = self.z.conj().T @ cyw.reshape(k + 1, -1)
+        return out.reshape(dim, m, c).transpose(1, 0, 2)
+
+    def stop_sums(self, a0: np.ndarray, a0_sq: float) -> tuple[np.ndarray, np.ndarray]:
+        """(||A_j||_F^2, b_j) at every stop, from products of at most (k + 1) x dim.
+
+        a0 = 1 - omega and a0_sq = ||A_0||_F^2, both formed by the caller.
+
+            ||A_j||_F^2 = ||A_0||_F^2 - 2 Re tr(C_j P) + ||Y C_j z||_F^2,
+
+        P = z A_0^dagger Y, taken through Y^dagger A_0 = Y^dagger - z.
+        Only row 0 of C_j changes with j and e0 is orthogonal to every
+        u, so tr(C_j P) is row 0 of C_j times P[:, 0] plus a prefix sum
+        over the steps, and ||Y C_j z||_F^2 is the norm of row 0 of C_j z
+        plus the sum of gram * (x x^dagger)^T over its leading j x j
+        block. b_j = sqrt(j + 1) ||C_j||_F ||z_j||_F, z_j the first
+        j + 1 rows of z, bounds ||Y C_j z||_F also with every entry
+        replaced by its modulus (Y's columns are unit vectors).
+        """
+        js, z, x = self.offsets, self.z, self.x
+        rows = self.tops[js]
+        rz = rows @ z                                      # row 0 of each C_j z
+        d = np.einsum("ai,ai->a", x[:, 1:], self.u) - np.vecdot(z[1:], x)
+        # gram * (x x^dagger)^T is Hermitian: its real part is symmetric, and
+        # a leading j x j block sums to the first j entries of w
+        e = (self.gram * (x @ x.conj().T).T).real
+        w = 2.0 * np.tril(e, -1).sum(axis=1) + np.diagonal(e)
+        sums = np.zeros((3, len(x) + 1))   # column j sums the first j steps
+        np.cumsum([d.real, w, np.vecdot(self.lower, self.lower).real], axis=1,
+                  out=sums[:, 1:])
+        d, w, lower_sq = sums[:, js]
+        trace = (rows @ (z @ a0[0].conj())).real + d
+        fro = a0_sq - 2.0 * trace + np.vecdot(rz, rz).real + w
+        core_sq = lower_sq + np.vecdot(rows, rows).real
+        z_sq = np.cumsum(np.vecdot(z, z).real)[js]
+        return fro, np.sqrt((js + 1) * core_sq * z_sq)
 
     def stop_matrix(self, i: int, out: np.ndarray) -> np.ndarray:
         """The matrix at stop i, formed into out with one GEMM."""
-        np.copyto(out, self.omega)
-        _prefix_product(out, self.u, self.z, self.x, self.rows[i],
-                        int(self.offsets[i]))
-        return out
-
-
-def _evolve_block(mat: np.ndarray, start: int, u: np.ndarray, cos_m1: np.ndarray,
-                  isin: np.ndarray, offsets: np.ndarray,
-                  on_block: Callable[[WaveBlock], None]) -> None:
-    """Take mat through one block of steps, in place.
-
-    A block with record stops (offsets) goes to on_block first. The
-    block's arrays are released on return, before the next block's
-    cores are built.
-    """
-    k = len(u)
-    gram = u.conj() @ u.T
-    rows, lower = _folded_cores(gram, cos_m1, isin, np.append(offsets, k))
-    z = np.empty((k + 1, len(mat)), dtype=complex)
-    z[0] = mat[0]
-    np.matmul(u.conj(), mat[1:], out=z[1:])
-    x = lower @ z
-    if len(offsets):
-        on_block(WaveBlock(start, mat, u, gram, z, lower, x, offsets, rows[:-1]))
-    _prefix_product(mat, u, z, x, rows[-1], k)
+        return np.add(self.omega, self.update(int(self.offsets[i])), out=out)
 
 
 # perfbench's tracer reads n_steps (third argument or keyword) and the drift
@@ -520,25 +600,22 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
     """Evolve the full basis in the interaction frame; the matrix at time s
     is the wave operator comparing true and frame dynamics.
 
-    Takes the same rotations as evolve_true, applied to the (dim, dim)
-    matrix a block at a time: each _RESEED_STEPS-step block gets the
-    folded cores of its prefixes (_folded_cores), and the matrix takes
-    the whole block's product as one update (_prefix_product). A record
-    stop is a prefix of its block, so its matrix is the block's start
+    Takes evolve_true's rotations a _RESEED_STEPS-step block at a time
+    (WaveBlock): the matrix takes each block's product as one update,
+    and a record stop, a prefix of its block, is the block's start
     matrix plus the prefix's update (WaveBlock.stop_matrix). A
-    non-finite rotation makes its block's cores non-finite. Drift and finiteness
-    are checked at every block end, so at least every 64 steps and at
-    the last step; a drift above _DRIFT_TOLERANCE (1e-9) raises
-    IntegrationFailure. Returns (actual record times snapped to the
-    grid, list of matrices, drift).
+    non-finite rotation makes its block's cores non-finite. Drift and
+    finiteness are checked at every block end, so at least every 64
+    steps and at the last step; a drift above _DRIFT_TOLERANCE (1e-9)
+    raises IntegrationFailure. Returns (actual record times snapped to
+    the grid, list of matrices, drift).
 
     With on_block, each block that holds record stops is handed over
     once, as a WaveBlock, before the matrix moves past it, and the list
     comes back empty: a consumer that reduces the stops as they come
-    holds no matrix per record, and can reduce a block's stops together
-    without forming them. The stops are not checked, so a consumer checks
-    finiteness itself before it relies on one (adiabatic_defect takes it
-    from the Frobenius norms it needs anyway).
+    holds no matrix per record and forms none. The stops are not
+    checked, so a consumer checks finiteness itself before it relies on
+    one (adiabatic_defect from WaveBlock.stop_sums).
     """
     check_model_inputs(tau=tau, n_steps=n_steps, record_s=record_s)
     n = int(n_steps)
@@ -563,9 +640,12 @@ def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
         first = last
         s_out.extend(((start + offsets) / n).tolist())
         steps = slice(start, start + k)
-        _evolve_block(mat, start, d[:k, 0] * inv_r[steps], cos_m1[steps, 0],
-                      isin[steps, 0], offsets,
-                      keep_all if on_block is None else on_block)
+        blk = WaveBlock.build(start, mat, d[:k, 0] * inv_r[steps], cos_m1[steps, 0],
+                              isin[steps, 0], offsets)
+        if len(offsets):
+            (keep_all if on_block is None else on_block)(blk)
+        mat += blk.update(k)
+        del blk     # released before the next block's cores are built
         dev = _total_norm_dev(mat)
         if not np.isfinite(dev):
             raise NumericalOverflow(f"non-finite propagator at step {start + k}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple
@@ -207,6 +208,7 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
         raise ConfigurationError("k_min and n_panels must both be auto or both explicit")
     check_model_inputs(**{key: val for key, val in values.items() if key not in auto})
     values["tau_values"] = tuple(sorted(float(t) for t in values["tau_values"]))
+    values["directory"] = os.fspath(values["directory"])   # a str, for the manifest
     tau_max = values["tau_values"][-1]
     if auto:
         span = values["k_max"] * tau_max / 0.01
@@ -583,8 +585,6 @@ def emit_report(result: SweepResult, formats=None, out_dir: str | None = None) -
     (formats by its config key's rule) and every format is rendered
     before anything is written. I/O errors propagate as OSError.
     """
-    import os
-
     formats = result.config.formats if formats is None else formats
     out_dir = result.config.directory if out_dir is None else out_dir
     check_model_inputs(formats=formats, out_dir=out_dir)

@@ -32,7 +32,7 @@ from .numutil import (_start_block, block_power_norms,
                       cumulative_integration_matrix, gauss_rule, operator_norm,
                       ritz_bounds, rounding_gamma)
 from .oscint import rate_transform
-from .propagate import WaveBlock, evolve_wave_operator
+from .propagate import WaveBlock, _side_by_side, evolve_wave_operator
 
 __all__ = [
     "WaveOperatorSeries",
@@ -171,31 +171,6 @@ def first_order_tail(model: FriedrichsModel, tau: float) -> tuple[np.ndarray, fl
     return vec, float(np.linalg.norm(vec))
 
 
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """[0, x_0, x_0 + x_1, ...]: entry j sums the first j entries."""
-    return np.concatenate((np.zeros(1, dtype=x.dtype), np.cumsum(x)))
-
-
-def _stop_products(blk: WaveBlock, a0v: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A_j V = A_0 V - Y C_j (z V) at every stop of the block, (m, dim, c).
-
-    a0v is A_0 V, formed. Row 0 of Y C_j (z V) is row 0 of C_j times z V;
-    the other rows sum u_a (x V)[a] over the prefix's steps, accumulated
-    stop by stop, so a step after the last stop enters no product.
-    """
-    xv = blk.x @ v
-    b = np.empty((len(blk.offsets),) + a0v.shape, dtype=complex)
-    b[:] = a0v
-    b[:, 0] -= blk.rows @ (blk.z @ v)
-    acc = np.zeros((len(v) - 1, v.shape[1]), dtype=complex)
-    a = 0
-    for bj, j in zip(b, blk.offsets):
-        acc += blk.u[a:j].T @ xv[a:j]
-        bj[1:] -= acc
-        a = j
-    return b
-
-
 def _ritz_block(grams: np.ndarray, basis: np.ndarray, c: int) -> np.ndarray:
     """The top c Ritz vectors of a stop on basis, top first.
 
@@ -208,18 +183,9 @@ def _ritz_block(grams: np.ndarray, basis: np.ndarray, c: int) -> np.ndarray:
 def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     """Bounds lo_i <= ||A_i||_2 <= hi_i at every stop of a block, unformed.
 
-    a0 = 1 - blk.omega, formed. With z = Y^dagger omega, the stop j steps
-    into the block is A_j = A_0 - Y C_j z (propagate.WaveBlock). The
-    Frobenius norms come from products no larger than (k + 1) x dim:
-
-        ||A_j||_F^2 = ||A_0||_F^2 - 2 Re tr(C_j P) + ||Y C_j z||_F^2,
-
-    P = z A_0^dagger Y, taken through Y^dagger A_0 = Y^dagger - z. Only
-    row 0 of C_j changes with j (propagate._folded_cores) and e0 is
-    orthogonal to every u, so tr(C_j P) is row 0 of C_j times P[:, 0]
-    plus a prefix sum over the steps, and ||Y C_j z||_F^2 is the norm of
-    row 0 of C_j z plus the sum of gram * (x x^dagger)^T over its
-    leading j x j block.
+    a0 = 1 - blk.omega, formed. The stop j steps into the block is
+    A_j = A_0 - Y C_j z, its products, Frobenius norm and moduli bound
+    b_j the block's methods (propagate.WaveBlock).
 
     The Ritz basis V is v, the 4-column block carried from block to
     block (the start block when None), and one power step of the last
@@ -228,32 +194,32 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     V is Q of the QR of [v, step], so V[:, :4] R_11 = v, and A_0 V[:, :4]
     is A_0 v, formed once for the power step, over R_11's diagonal (unit
     phases, as v is orthonormal). All the stops' A_j V come from one
-    pass (_stop_products). Their Gram matrices G_j give the Ritz values
-    theta_1 >= ... of numutil's bracket (the rest sum to tr G_j -
-    theta_1), from one batched eigvalsh. Ritz vectors are formed only
-    where they are read (_ritz_block): the last stop's top four are
-    carried on, and a candidate's top two start its settle (_stop_norms).
+    pass (WaveBlock.updates on the shared V). Their Gram matrices G_j
+    give the Ritz values theta_1 >= ... of numutil's bracket (the rest
+    sum to tr G_j - theta_1), from one batched eigvalsh. Ritz vectors
+    are formed only where they are read (_ritz_block): the last stop's
+    top four are carried on, and a candidate's top two start its settle
+    (_stop_norms).
 
     Rounding allowance, first order in the unit roundoff. Let a =
-    ||A_0||_F, b_j = sqrt(j + 1) ||C_j||_F ||z_j||_F (z_j the first j + 1
-    rows), which bounds ||Y C_j z||_F also with every entry replaced by
-    its modulus (Y's columns are unit vectors), and s_j = a + b_j >=
-    ||A_j||_F. No sum here is longer than N = dim^2 + 2, so every
-    computed product X Y is within gamma_N |X| |Y| of the exact one
-    (numutil.rounding_gamma). Then the computed ||A_0||_F^2 is off by at
-    most gamma_N a^2; the trace term by 2 gamma_N b_j (sqrt(dim) + 3 a),
-    which includes the rounding of z that Y^dagger A_0 = Y^dagger - z
-    takes as exact (||omega||_F <= sqrt(dim) + a); and ||Y C_j z||_F^2
-    by gamma_N b_j^2: together at most gamma_N (2 s_j^2 + 2 b_j
-    sqrt(dim)). A_j V is off by gamma_N s_j ||V||_F = gamma_N s_j
-    sqrt(c) for c columns. That also covers A_0 V[:, :4] taken from A_0
-    v: its products sum dim terms, and the QR's backward error and R_11's
-    off-diagonal add errors first order in u from sums of at most 8 dim
-    terms, with 9 dim < N. So each Ritz value is off by at most
-    r = (2 sqrt(c) + 3) gamma_N s_j^2, the 3 for its Gram matrix, the
-    eigensolver and V's departure from orthonormality. So theta_slack =
-    r and fro_slack = (c - 1) r + gamma_N (3 s_j^2 + 2 b_j sqrt(dim)),
-    one spare s_j^2 covering the subtraction and the root.
+    ||A_0||_F, b_j bound ||Y C_j z||_F with every entry replaced by its
+    modulus (WaveBlock.stop_sums), and s_j = a + b_j >= ||A_j||_F. No
+    sum here is longer than N = dim^2 + 2, so every computed product X Y
+    is within gamma_N |X| |Y| of the exact one (numutil.rounding_gamma).
+    Then the computed ||A_0||_F^2 is off by at most gamma_N a^2; the
+    trace term by 2 gamma_N b_j (sqrt(dim) + 3 a), which includes the
+    rounding of z that Y^dagger A_0 = Y^dagger - z takes as exact
+    (||omega||_F <= sqrt(dim) + a); and ||Y C_j z||_F^2 by gamma_N
+    b_j^2: together at most gamma_N (2 s_j^2 + 2 b_j sqrt(dim)). A_j V
+    is off by gamma_N s_j ||V||_F = gamma_N s_j sqrt(c) for c columns.
+    That also covers A_0 V[:, :4] taken from A_0 v: its products sum dim
+    terms, and the QR's backward error and R_11's off-diagonal add
+    errors first order in u from sums of at most 8 dim terms, with
+    9 dim < N. So each Ritz value is off by at most r = (2 sqrt(c) + 3)
+    gamma_N s_j^2, the 3 for its Gram matrix, the eigensolver and V's
+    departure from orthonormality. So theta_slack = r and fro_slack =
+    (c - 1) r + gamma_N (3 s_j^2 + 2 b_j sqrt(dim)), one spare s_j^2
+    covering the subtraction and the root.
 
     Raises NumericalOverflow, naming the step, at the first stop whose
     Frobenius sum is not finite, before a Ritz value is read. Returns
@@ -261,47 +227,29 @@ def _block_brackets(blk: WaveBlock, a0: np.ndarray, v: np.ndarray | None):
     Ritz block (_ritz_block), and v the block to carry.
     """
     js = blk.offsets
-    u, z, x, rows = blk.u, blk.z, blk.x, blk.rows
     dim = len(a0)
     if v is None:
         v = _start_block(dim)
     flat = a0.view(float).ravel()
     fa = float(flat @ flat)
-    rz = rows @ z                                      # row 0 of each C_j z
-    d = np.einsum("ai,ai->a", x[:, 1:], u) - np.vecdot(z[1:], x)
-    trace = (rows @ (z @ a0[0].conj())).real + _prefix_sums(d.real)[js]
-    # gram * (x x^dagger)^T is Hermitian: its real part is symmetric, and
-    # a leading j x j block sums to the first j entries of w
-    e = (blk.gram * (x @ x.conj().T).T).real
-    w = 2.0 * np.tril(e, -1).sum(axis=1) + np.diagonal(e)
-    fro = fa - 2.0 * trace + np.vecdot(rz, rz).real + _prefix_sums(w)[js]
+    fro, bj = blk.stop_sums(a0, fa)
     if not np.all(np.isfinite(fro)):
         step = blk.start + js[np.argmin(np.isfinite(fro))]
         raise NumericalOverflow(f"non-finite propagator at step {step}")
 
-    # one power step of the last stop's A^dagger A on v: A^dagger (A v) =
-    # A_0^dagger (A v) - z^dagger C^dagger (Y^dagger A v), each product
-    # conjugating its small side; the step's scale is divided out so that
-    # it enters the QR on a par with v
-    j = js[-1]
+    # one power step of the last stop's A^dagger A on v, each product with
+    # a0 conjugating its small side; the step's scale is divided out so
+    # that it enters the QR on a par with v
     a0v = a0 @ v
-    av = a0v.copy()
-    av[0] -= rows[-1] @ (z @ v)
-    av[1:] -= u[:j].T @ (x[:j] @ v)
-    yav = (av[1:].conj().T @ u.T).conj().T             # rows 1.. of Y^dagger A v
-    cyav = np.outer(rows[-1].conj(), av[0]) + (yav[:j].conj().T @ blk.lower[:j]).conj().T
-    power = (av.conj().T @ a0).conj().T - (cyav.conj().T @ z).conj().T
+    av = a0v - blk.update(js[-1], v)
+    power = (av.conj().T @ a0).conj().T - blk.adjoints(av[None], [len(js) - 1])[0]
     scale = np.abs(power).max()
     basis, tri = np.linalg.qr(np.concatenate((v, power / scale if scale > 0.0 else power),
                                              axis=1))
     c, k = basis.shape[1], v.shape[1]
     a0_basis = np.concatenate((a0v / np.diagonal(tri)[:k], a0 @ basis[:, k:]), axis=1)
-    b = _stop_products(blk, a0_basis, basis)
+    b = a0_basis - blk.updates(basis)
     grams = b.conj().swapaxes(-1, -2) @ b
-    core_sq = _prefix_sums(np.vecdot(blk.lower, blk.lower).real)[js] \
-        + np.vecdot(rows, rows).real
-    z_sq = np.cumsum(np.vecdot(z, z).real)[js]
-    bj = np.sqrt((js + 1) * core_sq * z_sq)
     s_sq = (math.sqrt(fa) + bj) ** 2
     gamma = rounding_gamma(dim * dim + 2)
     r = (2.0 * math.sqrt(c) + 3.0) * gamma * s_sq
@@ -320,55 +268,25 @@ def _stop_norms(blk: WaveBlock, a0: np.ndarray, stops: np.ndarray,
     makes 1 - Omega's top two singular values a near pair, and at
     criterion 3 the third is at most 0.063 times the first, so a round
     cuts the top residual by about (sigma_3 / sigma_1)^2. The stops go
-    to numutil.block_power_norms as one batch, each applied from the
-    block's cores:
-
-        A_j V = A_0 V - Y C_j (z V),
-        A_j^dagger W = A_0^dagger W - z^dagger C_j^dagger (Y^dagger W).
-
-    Row 0 of C_j is rows[i]; its rows 1 + a are lower's, kept for the
-    steps a < j and zero after (propagate._folded_cores), so a (k, m)
-    mask stands in for a stack of cores. With the batch's blocks side by
-    side as (dim, m c) columns, a round takes one GEMM each with A_0,
-    A_0^dagger, z, z^dagger, lower, lower^dagger, u^T and u^*; row 0 of
-    C_j, the one row that differs per stop, enters through a stacked
-    product. Raises ConvergenceFailure naming the stop's step.
+    to numutil.block_power_norms as one batch, side by side as (dim, m c)
+    columns: one GEMM each with A_0 and A_0^dagger, and the block's
+    masked per-stop updates and adjoints (WaveBlock). Raises
+    ConvergenceFailure naming the stop's step.
     """
-    js = blk.offsets[stops]
-    rows = blk.rows[stops]
-    u, z, lower = blk.u, blk.z, blk.lower
-    dim, k = len(a0), len(u)
-    before = np.arange(k)[:, None] < js        # (k, m): step a precedes stop i
-    u_conj = u.conj()
-    lower_h = lower.conj().T
-    z_h = z.conj().T
-
-    def side_by_side(v):
-        return np.ascontiguousarray(v.transpose(1, 0, 2)).reshape(dim, -1)
+    dim = len(a0)
 
     def product(active, v):
         m, _, c = v.shape
-        flat = side_by_side(v)
-        zv = (z @ flat).reshape(k + 1, m, c)
-        out = (a0 @ flat).reshape(dim, m, c)
-        out[0] -= (rows[active][:, None, :] @ zv.transpose(1, 0, 2))[:, 0]
-        xv = (lower @ zv.reshape(k + 1, -1)).reshape(k, m, c)
-        xv *= before[:, active, None]
-        out[1:] -= (u.T @ xv.reshape(k, -1)).reshape(dim - 1, m, c)
-        return out.transpose(1, 0, 2)
+        out = (a0 @ _side_by_side(v)).reshape(dim, m, c).transpose(1, 0, 2)
+        return out - blk.updates(v, stops[active])
 
     def adjoint(active, w):
         m, _, c = w.shape
-        flat = side_by_side(w)
-        out = (flat.conj().T @ a0).conj().T
-        yw = (u_conj @ flat[1:]).reshape(k, m, c)
-        yw *= before[:, active, None]
-        cyw = (lower_h @ yw.reshape(k, -1)).reshape(k + 1, m, c)
-        cyw += rows[active].conj().T[:, :, None] * flat[0].reshape(m, c)
-        out -= z_h @ cyw.reshape(k + 1, -1)
-        return out.reshape(dim, m, c).transpose(1, 0, 2)
+        out = (_side_by_side(w).conj().T @ a0).conj().T
+        out = out.reshape(dim, m, c).transpose(1, 0, 2)
+        return out - blk.adjoints(w, stops[active])
 
-    labels = [f"the stop at step {blk.start + j}" for j in js]
+    labels = [f"the stop at step {blk.start + j}" for j in blk.offsets[stops]]
     return block_power_norms(product, adjoint, start, labels=labels)[0]
 
 

@@ -14,7 +14,8 @@ import pytest
 import friedrichs
 from friedrichs import checks
 from friedrichs.cli import _config_from_args, build_parser, main
-from friedrichs.sweep import load_config_file, load_manifest, resolve_config
+from friedrichs.sweep import (emit_report, load_config_file, load_manifest,
+                              resolve_config, run_sweep)
 
 QUICK = "100,316.2,1000,3163"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -80,6 +81,23 @@ def test_all_errored_sweep_reports_every_error(tmp_path, capsys):
         assert main(["report", "--manifest", str(out / "manifest.json"),
                      "--out", str(again), "--format", "svg"]) == 0
         assert (again / "sweep.svg").read_bytes() == (out / "sweep.svg").read_bytes()
+
+
+def test_path_directory_round_trips(tmp_path):
+    # a path object is a directory both as a config override and as
+    # emit_report's out_dir; the config keeps it as a str, which the
+    # manifest's JSON can encode, and report re-emits the same CSV
+    cfg = resolve_config({}, tau_values=(1000.0,), directory=tmp_path / "run",
+                         formats=("csv", "json"))
+    assert cfg.directory == str(tmp_path / "run")
+    result = run_sweep(cfg)
+    paths = emit_report(result)
+    assert load_manifest(paths["json"]).config == cfg
+    again = emit_report(result, formats=("csv",), out_dir=tmp_path / "again")
+    assert main(["report", "--manifest", paths["json"], "--out",
+                 str(tmp_path / "report"), "--format", "csv"]) == 0
+    for csv in (again["csv"], tmp_path / "report" / "sweep.csv"):
+        assert open(csv, "rb").read() == open(paths["csv"], "rb").read()
 
 
 def test_one_tau_sweep_check_passes(tmp_path, capsys):

@@ -8,7 +8,7 @@ from friedrichs.errors import (ConfigurationError, IntegrationFailure,
                                NumericalOverflow)
 from friedrichs.model import SwitchingProfile, assemble_model, \
     build_form_factor, build_grid
-from friedrichs.numutil import rounding_gamma
+from friedrichs.numutil import cosine_graded_edges, rounding_gamma
 from friedrichs.propagate import (_RESEED_STEPS, _folded_cores, _interaction_blocks,
                                   _pair_maps, evolve_true, evolve_wave_operator,
                                   MAX_STEPS, steps_for)
@@ -185,9 +185,9 @@ class TestPairedSteps:
             for t in range(len(taus)):
                 steps = slice(2 * p, 2 * p + 2)
                 pair = u[steps, t]
-                rows, lower = _folded_cores(pair.conj() @ pair.T, cos_m1[steps, t],
-                                            isin[steps, t], np.array([1, 2]))
-                ref = np.array([e0 + rows[0], lower[0], lower[1], e0 + rows[1]])
+                tops, lower = _folded_cores(pair.conj() @ pair.T, cos_m1[steps, t],
+                                            isin[steps, t])
+                ref = np.array([e0 + tops[1], lower[0], lower[1], e0 + tops[2]])
                 scale = np.concatenate(([1.0], r[steps, t], [1.0]))
                 on_u = scale[:, None] * maps[p, t] * scale[None, :3]
                 assert np.abs(on_u - ref).max() <= 1e-15
@@ -352,7 +352,7 @@ class TestFoldedCores:
         r = rng.uniform(0.0, np.pi / 2, k)
         gram, cos_m1, isin = u.conj() @ u.T, np.cos(r) - 1.0, 1j * np.sin(r)
         offsets = np.arange(k + 1)
-        rows, lower = _folded_cores(gram, cos_m1, isin, offsets)
+        rows, lower = _folded_cores(gram, cos_m1, isin)   # every prefix's row 0
         want_rows, want_lower = prefix_cores(block_factor(gram, cos_m1, isin),
                                              offsets)
         scale = max(np.abs(want_rows).max(), np.abs(want_lower).max())
@@ -380,9 +380,9 @@ class TestFoldedCores:
             cos_m1, isin = run_cos_m1[steps, 0], run_isin[steps, 0]
             k = len(u)
             gram, offsets = u.conj() @ u.T, np.array([0, k])
-            rows, lower = _folded_cores(gram, cos_m1, isin, offsets)
-            tops, want_lower = per_step_cores(gram, cos_m1, isin)
-            want_rows = tops[offsets]
+            tops, lower = _folded_cores(gram, cos_m1, isin)
+            want_tops, want_lower = per_step_cores(gram, cos_m1, isin)
+            rows, want_rows = tops[offsets], want_tops[offsets]
             scale = float(max(np.abs(want_rows).max(), np.abs(want_lower).max()))
             assert k == _RESEED_STEPS and scale > 0.0
             assert float(np.abs(rows - want_rows).max()) <= 1e-15 * scale, start
@@ -390,6 +390,57 @@ class TestFoldedCores:
             oracle = prefix_cores(block_factor(gram, cos_m1, isin), offsets)
             assert np.abs(rows - oracle[0]).max() <= rounding_gamma(2 * k) * scale
             assert np.abs(lower - oracle[1]).max() <= rounding_gamma(2 * k) * scale
+
+
+class TestWaveBlockAlgebra:
+    """WaveBlock's stop algebra against the stops the list mode forms.
+
+    With A_0 = 1 - omega at a block's start and A_j = 1 - Omega_j at its
+    stop j steps in: A_0 V - update(j, V), A_0 V - updates(V) for a
+    shared V, A_0 V_i - updates(V, stops)_i for per-stop blocks and
+    A_0^dagger W_i - adjoints(W, stops)_i must give A_j V and
+    A_j^dagger W. The per-stop blocks take the stops shuffled. The
+    tolerance is 1e-13 relative to the operand: Omega_j is unitary, and
+    the formed stop 1 - Omega_j carries rounding of that absolute size
+    even where it is itself small, as near s = 0.
+    """
+
+    @pytest.mark.parametrize("model_name,tau,grid", [
+        ("model_defect", DEFECT_TAUS[-1], np.linspace(0.0, 1.0, 201)),
+        ("model_b15_small", 200.0, cosine_graded_edges(0.0, 1.0, 80))],
+        ids=["criterion_3", "interior_maximum"])
+    def test_stop_operations_match_formed_stops(self, request, model_name, tau,
+                                                grid):
+        model = request.getfixturevalue(model_name)
+        eye = np.eye(model.dim)
+        rng = np.random.default_rng(5)
+
+        def operand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        seen = []
+
+        def check(blk):
+            a0 = eye - blk.omega
+            stops = rng.permutation(len(blk.offsets))
+            v = operand(model.dim, 3)
+            vs, ws = operand(len(stops), model.dim, 3), operand(len(stops), model.dim, 3)
+            shared = a0 @ v - blk.updates(v)
+            per_stop = a0 @ vs - blk.updates(vs, stops)
+            adjoint = a0.conj().T @ ws - blk.adjoints(ws, stops)
+            for i, j in enumerate(blk.offsets):
+                [n] = np.flatnonzero(stops == i)
+                seen.append((v, vs[n], ws[n], a0 @ v - blk.update(j, v), shared[i],
+                             per_stop[n], adjoint[n]))
+
+        evolve_wave_operator(model, tau, 1024, grid, on_block=check)
+        _, omegas, _ = evolve_wave_operator(model, tau, 1024, grid)
+        assert len(seen) == len(omegas)
+        for (v, vi, wi, one, shared, per_stop, adjoint), omega in zip(seen, omegas):
+            a = eye - omega
+            for got, op, want in ((one, v, a @ v), (shared, v, a @ v),
+                                  (per_stop, vi, a @ vi), (adjoint, wi, a.conj().T @ wi)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(op).max()
 
 
 class TestBlockedWaveOperator:
@@ -524,8 +575,8 @@ TAUS_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("taus", [[], ("a",), [[100.0, 200.0]]],
-                         ids=["empty", "string", "nested"])
+@pytest.mark.parametrize("taus", [[], ("a",), [[100.0, 200.0]], [True, 200.0]],
+                         ids=["empty", "string", "nested", "mixed_bool"])
 @pytest.mark.parametrize("entry", list(TAUS_ENTRY_POINTS))
 def test_tau_sequence_rule_at_every_entry_point(entry, taus, model_gapped_small):
     with pytest.raises(ConfigurationError, match=TAUS_RULE):
@@ -630,8 +681,9 @@ GRID_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.inf], [-0.25, 0.5], [], 0.5],
-                         ids=["nan", "inf", "negative", "empty", "scalar"])
+@pytest.mark.parametrize("grid", [[np.nan], [0.5, np.inf], [-0.25, 0.5], [], 0.5,
+                                  [True, 0.5]],
+                         ids=["nan", "inf", "negative", "empty", "scalar", "mixed_bool"])
 @pytest.mark.parametrize("entry", list(GRID_ENTRY_POINTS))
 def test_record_time_rule_at_every_entry_point(entry, grid, model_b15_small):
     call, name = GRID_ENTRY_POINTS[entry]

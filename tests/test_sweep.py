@@ -245,7 +245,9 @@ class TestConfig:
         ({"jobs": 2.5}, "jobs"),
         ({"tau_values": ("a",)}, "tau_values"),
         ({"tau_values": 100.0}, "tau_values"),
-        ({"formats": "csv"}, "formats")])
+        ({"formats": "csv"}, "formats"),
+        # np.asarray would read True as 1.0
+        ({"tau_values": (True, 200.0)}, "tau_values")])
     def test_model_inputs_checked_on_resolve(self, overrides, key):
         # every key's rule, applied to typed overrides before anything is built
         with pytest.raises(ConfigurationError, match=f"{key} must"):

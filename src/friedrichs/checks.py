@@ -70,14 +70,22 @@ class Inputs:
     def __init__(self):
         self._sweeps = {}
 
-    def sweep(self, beta: float, nodes_per_panel: int | None = None) -> SweepResult:
+    def sweep(self, beta: float, **grid) -> SweepResult:
         """The sweep at its default taus and beta, on the default grid
-        (SweepConfig's nodes_per_panel) unless nodes_per_panel is given."""
-        cfg = resolve_config({}, beta=beta, nodes_per_panel=nodes_per_panel)
-        key = (beta, cfg.nodes_per_panel)
-        if key not in self._sweeps:
-            self._sweeps[key] = run_sweep(cfg)
-        return self._sweeps[key]
+        unless grid overrides its keys (nodes_per_panel, k_min, n_panels)."""
+        cfg = resolve_config({}, beta=beta, **grid)
+        if cfg not in self._sweeps:
+            self._sweeps[cfg] = run_sweep(cfg)
+        return self._sweeps[cfg]
+
+    def refined(self, beta: float) -> tuple[SweepResult, SweepResult]:
+        """The default sweep at beta and its refinement: twice the nodes
+        per panel, so twice the Jacobi panel's too, and the bottom one
+        panel lower (k_min / 2 and n_panels + 1)."""
+        base = self.sweep(beta)
+        cfg = base.config
+        return base, self.sweep(beta, nodes_per_panel=2 * cfg.nodes_per_panel,
+                                k_min=cfg.k_min / 2.0, n_panels=cfg.n_panels + 1)
 
     @cached_property
     def series(self) -> tuple[FriedrichsModel, WaveOperatorSeries]:
@@ -219,15 +227,15 @@ def contour_calculus() -> Check:
 def node_doubling(inputs: Inputs, beta: float) -> dict:
     """The default grid's error at beta, held to the sweep's step error.
 
-    Doubling nodes_per_panel may move no probe or window leak, relative,
+    The refined grid (Inputs.refined: twice the nodes per panel, the
+    bottom one panel lower) may move no probe or window leak, relative,
     by more than the default sweep's own step change: the rel_change
     between n // 2 and n steps that its step_calibration check reports.
-    So the grid adds no error beyond the one every record already
-    carries. An errored record's NaN leaks fail the clause, and so does
-    a step change that was not measured (None).
+    So the grid, its bottom included, adds no error beyond the one every
+    record already carries. An errored record's NaN leaks fail the
+    clause, and so does a step change that was not measured (None).
     """
-    base = inputs.sweep(beta)
-    fine = inputs.sweep(beta, 2 * base.config.nodes_per_panel)
+    base, fine = inputs.refined(beta)
     rel = float(np.max([abs(getattr(a, name) - getattr(b, name)) / getattr(b, name)
                         for a, b in zip(base.records, fine.records)
                         for name in ("leak_probe", "sup_leak_window")]))
@@ -237,26 +245,27 @@ def node_doubling(inputs: Inputs, beta: float) -> dict:
 def robustness(inputs: Inputs) -> Check:
     """Criterion 11: the beta = 1.5 sweep is robust and deterministic.
 
-    Doubling nodes_per_panel doubles the nodes and moves no probe or
-    window leak by more than the sweep's own step change (node_doubling),
-    a fresh rerun of the same config renders the same CSV bytes, and the
-    probe slope fitted without the smallest tau lies within 0.05 of the
-    full fit. The trimmed fit skips errored records, as the sweep's fits
-    do, and is not measured unless the rest can fit.
+    The refined grid has twice the nodes of the default grid extended
+    one panel down, and moves no probe or window leak by more than the
+    sweep's own step change (node_doubling), a fresh rerun of the same
+    config renders the same CSV bytes, and the probe slope fitted without
+    the smallest tau lies within 0.05 of the full fit. The trimmed fit
+    skips errored records, as the sweep's fits do, and is not measured
+    unless the rest can fit.
     """
-    base = inputs.sweep(1.5)
-    fine = inputs.sweep(1.5, 2 * base.config.nodes_per_panel)
+    base, fine = inputs.refined(1.5)
     differs = render_csv(base) != render_csv(run_sweep(base.config))
     full = base.fits["leak_probe"]
     trimmed = [(r.tau, r.leak_probe) for r in base.records[1:] if r.error is None]
     shift = (abs(full.slope - fit_powerlaw(trimmed).slope)
              if full is not None and _fittable([t for t, _ in trimmed]) else None)
     return Check({
-        "node_ratio": clause(fine.n_nodes / base.n_nodes, expected=2.0, tol=0.0),
+        "node_ratio": clause(fine.n_nodes / (base.n_nodes + base.config.nodes_per_panel),
+                             expected=2.0, tol=0.0),
         "grid_rel_change": node_doubling(inputs, 1.5),
         "rerun_csv_differs": clause(int(differs), max=0),
         "trimmed_slope_shift": clause(shift, max=0.05)},
-        (f"node doubling: N={base.n_nodes} -> {fine.n_nodes}",))
+        (f"refined grid: N={base.n_nodes} -> {fine.n_nodes}",))
 
 
 def _sub_unit_beta(inputs: Inputs) -> Check:

@@ -1,10 +1,13 @@
 """Discretized bound-state-plus-continuum model with smooth switching.
 
-The continuum L^2(R_+, dk) is realized on a geometrically graded
-Gauss-Legendre grid with k in [k_min, k_max]. The coupling density
+The continuum L^2(R_+, dk) is realized on geometrically graded
+Gauss-Legendre panels on [k_min, k_max] and, given beta, one
+Gauss-Jacobi panel on [0, k_min] with the weight k^(2 beta - 1), so the
+grid covers [0, k_max]; without beta it stops at k_min. The coupling density
 phi(k) = norm * sqrt(2 beta) k^(beta - 1/2) * cutoff(k) makes the
 cumulative coupling weight below x equal norm^2 * x^(2 beta), which is
-the small-energy law controlling the long-time leak exponent. Driving
+the small-energy law controlling the long-time leak exponent, and the
+Jacobi panel integrates that weight exactly down to the threshold. Driving
 enters through a rotation angle g(s) whose rate is a smooth bump
 supported in [0, 1]; the rotation generator exchanges the bound
 direction with the coupling direction.
@@ -22,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssemblyError, ConfigurationError
-from .numutil import cosine_graded_edges, gauss_panel, gauss_rule
+from .numutil import (cosine_graded_edges, gauss_jacobi_panel, gauss_panel,
+                      gauss_rule)
 
 __all__ = [
     "DiscretizedMeasure",
@@ -135,15 +139,19 @@ class SwitchingProfile:
 
 @dataclass(frozen=True)
 class PanelLayout:
-    """Record of the geometric panel subdivision of the energy axis."""
+    """Record of the geometric panel subdivision of the energy axis:
+    Gauss-Legendre panels between the edges, and jacobi_nodes Gauss-Jacobi
+    nodes on [0, edges[0]] (none on a grid that stops at edges[0])."""
 
     edges: np.ndarray
     nodes_per_panel: int
+    jacobi_nodes: int = 0
 
 
 @dataclass(frozen=True)
 class DiscretizedMeasure:
-    """Quadrature nodes and weights standing in for L^2(R_+, dk)."""
+    """Quadrature nodes and weights standing in for L^2(R_+, dk) on
+    [k_min, k_max]; k_min = 0 on a grid that ends in a Gauss-Jacobi panel."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -305,30 +313,39 @@ def check_model_inputs(**inputs) -> None:
 
 
 def build_grid(k_max: float, n_panels: int, nodes_per_panel: int,
-               k_min: float) -> DiscretizedMeasure:
-    """Geometric panels from k_max down to k_min, Gauss-Legendre inside each.
+               k_min: float, beta: float | None = None) -> DiscretizedMeasure:
+    """Geometric panels from k_max down to k_min, Gauss-Legendre inside each,
+    and given beta, a Gauss-Jacobi panel on [0, k_min] below them.
 
     The panel ratio is constant, (k_min/k_max)^(1/n_panels); with
     n_panels = log2(k_max/k_min) this is the ratio-2 grading that keeps
-    resolving k ~ 1/tau as tau grows.
+    resolving k ~ 1/tau as tau grows. The Jacobi panel has
+    ceil(3 nodes_per_panel / 2) nodes for the weight k^(2 beta - 1), the
+    small-k law of the coupling density squared, written as Lebesgue
+    weights (numutil.gauss_jacobi_panel), so the measure then covers
+    [0, k_max]. Without beta the grid stops at k_min.
     """
     check_model_inputs(k_max=k_max, k_min=k_min, n_panels=n_panels,
                        nodes_per_panel=nodes_per_panel)
+    if beta is not None:
+        check_model_inputs(beta=beta)
     ratio = (k_min / k_max) ** (1.0 / n_panels)
     edges = k_max * ratio ** np.arange(n_panels + 1)  # descending
     edges = edges[::-1].copy()
     edges[0], edges[-1] = k_min, k_max  # kill rounding at the ends
-    nodes, weights = [], []
-    for m in range(n_panels):
-        x, w = gauss_panel(edges[m], edges[m + 1], nodes_per_panel)
-        nodes.append(x)
-        weights.append(w)
+    jacobi_nodes = 0 if beta is None else (3 * nodes_per_panel + 1) // 2
+    panels = [gauss_panel(edges[m], edges[m + 1], nodes_per_panel)
+              for m in range(n_panels)]
+    if jacobi_nodes:
+        panels.insert(0, gauss_jacobi_panel(k_min, jacobi_nodes, 2.0 * beta - 1.0))
+    nodes, weights = zip(*panels)
     return DiscretizedMeasure(
         nodes=np.concatenate(nodes),
         weights=np.concatenate(weights),
-        k_min=float(k_min),
+        k_min=0.0 if jacobi_nodes else float(k_min),
         k_max=float(k_max),
-        panel_layout=PanelLayout(edges=edges, nodes_per_panel=nodes_per_panel),
+        panel_layout=PanelLayout(edges=edges, nodes_per_panel=nodes_per_panel,
+                                 jacobi_nodes=jacobi_nodes),
     )
 
 

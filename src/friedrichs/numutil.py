@@ -31,6 +31,45 @@ def gauss_panel(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
+@lru_cache(maxsize=32)
+def gauss_jacobi_rule(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Jacobi nodes and weights on [0, 1] for the weight t^b, cached.
+
+    sum_i w_i f(t_i) = int_0^1 f(t) t^b dt for every polynomial f of
+    degree < 2n; b > -1. The nodes are the eigenvalues of the symmetric
+    Jacobi matrix of the orthonormal polynomials for t^b, and w_i is the
+    weight's mass 1/(b + 1) times the squared first component of the i-th
+    eigenvector (Golub & Welsch, Math. Comp. 23, 1969). The diagonal is
+    the one of P_k^(0, b) on [-1, 1] mapped to [0, 1],
+    (1 + b^2 / ((2k + b)(2k + b + 2))) / 2; its k = 0 entry is written
+    (1 + b / (b + 2)) / 2, since the textbook form is 0/0 at b = 0.
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + b
+    diag = np.empty(n)
+    diag[0] = 0.5 * (1.0 + b / (b + 2.0))
+    diag[1:] = 0.5 * (1.0 + b * b / (s * (s + 2.0)))
+    off = k * (k + b) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    t, v = np.linalg.eigh(jacobi)
+    w = v[0] ** 2 / (b + 1.0)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
+def gauss_jacobi_panel(k0: float, n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, k0] and Lebesgue weights of the n-node rule for k^b.
+
+    The weights are the Gauss-Jacobi ones times k^(-b), so
+    sum_i w_i f(k_i) = int_0^k0 f(k) dk whenever f(k) k^(-b) is a
+    polynomial of degree < 2n: the rule takes a k^b factor at the origin
+    exactly, down to k = 0.
+    """
+    t, w = gauss_jacobi_rule(n, b)
+    return k0 * t, k0 * w * t ** -b
+
+
 def cosine_graded_edges(a: float, b: float, n_panels: int) -> np.ndarray:
     """Panel edges on [a, b] clustered toward both endpoints.
 

@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 _DEFAULT_TAUS = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0))
+#: the grid's Gauss-Jacobi panel spans [0, k_min], k_min <= _K0_TAU / max(tau).
+#: Measured, not derived. On the default taus, k_min = 2^-8 (k_min tau_max = 39)
+#: with the default 12 Jacobi nodes is within 8.3e-8 relative, at beta = 0.25
+#: to 1.75, of the same grid with its bottom at 2^-20, well below the grid's
+#: 2.5e-6 to 1.3e-5 node-doubling change. At k_min tau_max = 156, 24 Jacobi
+#: nodes still leave 4.0e-5 in the probe at beta = 1.5, and 16 leave 8.5e-3.
+_K0_TAU = 40.0
 
 
 class _Setting(NamedTuple):
@@ -191,7 +198,9 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     Every key is checked by its rule in model._INPUT_RULES, in one call.
     auto is read as None. Auto rules: max_step stays None (512 steps,
     see steps_for), and the grid is graded by ratio-2 panels from k_max
-    down to at most 0.01/max(tau), which an explicit k_min must reach.
+    down to k_min <= _K0_TAU/max(tau) (at least 4 panels), below which
+    build_model_from_config puts its Gauss-Jacobi panel. An explicit
+    k_min must reach _K0_TAU/max(tau) too.
     """
     raw = _known(raw or {})
     values = {key: _parse_value(s.grammar, raw.get(s.section, {}).get(key, s.default),
@@ -211,17 +220,17 @@ def resolve_config(raw: dict | None = None, **overrides) -> SweepConfig:
     values["directory"] = os.fspath(values["directory"])   # a str, for the manifest
     tau_max = values["tau_values"][-1]
     if auto:
-        span = values["k_max"] * tau_max / 0.01
+        span = values["k_max"] * tau_max / _K0_TAU
         if not math.isfinite(span):
             raise ConfigurationError(
                 f"k_max={values['k_max']:.3e} with tau_values up to {tau_max:.3e}: "
-                f"the auto grid's span k_max * tau / 0.01 overflows")
+                f"the auto grid's span k_max * tau / {_K0_TAU:g} overflows")
         n = max(4, math.ceil(math.log2(span)))
         values.update(n_panels=n, k_min=values["k_max"] * 2.0 ** (-n))
-    if values["k_min"] > 0.01 / tau_max + 1e-15:
+    if values["k_min"] > _K0_TAU / tau_max * (1.0 + 1e-12):
         raise ConfigurationError(
             f"k_min={values['k_min']:.3e} does not resolve k ~ 1/tau for "
-            f"tau_max={tau_max:.3e} (needs k_min <= {0.01 / tau_max:.3e})")
+            f"tau_max={tau_max:.3e} (needs k_min <= {_K0_TAU / tau_max:.3e})")
     return SweepConfig(**values)
 
 
@@ -244,7 +253,10 @@ def config_hash(cfg: SweepConfig) -> str:
 
 
 def build_model_from_config(cfg: SweepConfig) -> FriedrichsModel:
-    grid = build_grid(cfg.k_max, cfg.n_panels, cfg.nodes_per_panel, cfg.k_min)
+    """The model on the config's grid: its Gauss-Legendre panels on
+    [k_min, k_max] and the Gauss-Jacobi panel for beta on [0, k_min]."""
+    grid = build_grid(cfg.k_max, cfg.n_panels, cfg.nodes_per_panel, cfg.k_min,
+                      beta=cfg.beta)
     ff = build_form_factor(grid, cfg.beta, cfg.cutoff_fraction)
     sw = build_switching(cfg.theta_total)
     return assemble_model(grid, ff, sw, cfg.gap_shift)

@@ -118,6 +118,24 @@ def test_default_grid_error_within_step_error(inputs, beta):
     assert grid["pass"], grid
 
 
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 1.5, 1.75])
+def test_default_grid_error_within_its_refinement_change(inputs, beta):
+    # the refinement's change is the default grid's error, its bottom
+    # included: every leak lies within it of a reference with 16 nodes per
+    # panel and its Jacobi panel on [0, 2^-20]. The slack, 1e-12 of the
+    # leak, covers rounding alone: the refined sweep and the reference
+    # agree to about 1e-15, and the changes are 1.8e-7 or more
+    base, fine = inputs.refined(beta)
+    ref = inputs.sweep(beta, nodes_per_panel=16, k_min=2.0 ** -20, n_panels=20)
+    assert (base.n_nodes, fine.n_nodes, ref.n_nodes) == (76, 168, 344)
+    assert len({r.n_steps for s in (base, fine, ref) for r in s.records}) == 1
+    for name in ("leak_probe", "sup_leak_window"):
+        leak, refined, exact = (np.array([getattr(r, name) for r in s.records])
+                                for s in (base, fine, ref))
+        assert np.all(np.abs(leak - exact)
+                      <= np.abs(leak - refined) + 1e-12 * exact), name
+
+
 def test_criterion_5_gapped_control():
     grid = build_grid(1.0, 17, 8, 1e-5)
     model = assemble_model(grid, build_form_factor(grid, 1.5),

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from friedrichs import checks, contour, propagate, sweep
+from friedrichs import checks, contour, model, propagate, sweep
 from friedrichs.cli import main
 
 
@@ -200,10 +200,10 @@ def _slopes_at(*betas):
     # the trimmed fit alone: the sweep's own fits keep their slopes
     (11, checks, "fit_powerlaw", _slope_moved, ["trimmed_slope_shift"]),
     # an errored record in one sweep: the grid change is NaN; without it
-    # the base sweep (N = 160) leaves three taus, too few for the trimmed fit
-    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(320),
+    # the base sweep (N = 76) leaves three taus, too few for the trimmed fit
+    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(168),
                  ["grid_rel_change"], marks=_ERRED),
-    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(160),
+    pytest.param(11, propagate, "_interaction_blocks", _overflow_on(76),
                  ["grid_rel_change", "trimmed_slope_shift"], marks=_ERRED),
     # the grid change is held to the base sweep's step change: a step
     # change below it, or none measured, fails the grid clause alone
@@ -216,6 +216,22 @@ def test_planted_error_fails_registry_entry(monkeypatch, criterion, module, name
                                             plant, failed):
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     assert _failed(checks.REGISTRY[criterion](checks.Inputs())) == failed
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["jacobi", "truncated"])
+def test_node_doubling_sees_the_bottom(monkeypatch, truncated):
+    # the grid without its Jacobi panel, as it was before it: ratio-2
+    # panels down to k_min <= 0.01 / max(tau) and nothing below. At
+    # beta = 0.5 lowering that bottom moves the leaks by 3.9e-4, past the
+    # 2.7e-5 step change; doubling the nodes alone would not see it
+    if truncated:
+        monkeypatch.setattr(sweep, "_K0_TAU", 0.01)
+        monkeypatch.setattr(sweep, "build_grid",
+                            lambda *grid, beta: model.build_grid(*grid))
+    inputs = checks.Inputs()
+    grid = checks.node_doubling(inputs, 0.5)
+    assert inputs.sweep(0.5).n_nodes == (160 if truncated else 76)
+    assert grid["pass"] is not truncated, grid
 
 
 def test_verify_fails_only_the_planted_criterion(monkeypatch, capsys):

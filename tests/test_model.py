@@ -47,6 +47,20 @@ class TestGrid:
         assert g.nodes[0] >= g.k_min and g.nodes[-1] <= g.k_max
         assert g.n_nodes == 35
 
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.5])
+    def test_jacobi_panel_below_k_min(self, beta):
+        # given beta, ceil(3 q / 2) Gauss-Jacobi nodes on [0, k_min] go
+        # below the panels, which are the four-argument grid's bit for bit
+        plain = build_grid(1.0, 8, 8, 2.0 ** -8)
+        g = build_grid(1.0, 8, 8, 2.0 ** -8, beta=beta)
+        assert (g.n_nodes, g.panel_layout.jacobi_nodes) == (76, 12)
+        assert (g.k_min, plain.k_min) == (0.0, 2.0 ** -8)
+        assert np.array_equal(g.nodes[12:], plain.nodes)
+        assert np.array_equal(g.weights[12:], plain.weights)
+        assert 0.0 < g.nodes[0] and np.all(np.diff(g.nodes) > 0)
+        assert np.all(g.weights > 0)
+        assert build_grid(1.0, 8, 5, 2.0 ** -8, beta=beta).panel_layout.jacobi_nodes == 8
+
     @pytest.mark.parametrize("kwargs", [
         dict(k_max=1.0, n_panels=4, nodes_per_panel=4, k_min=-1.0),
         dict(k_max=1.0, n_panels=4, nodes_per_panel=4, k_min=2.0),
@@ -83,6 +97,18 @@ class TestFormFactor:
             num = float(w[mask] @ raw_sq[mask])
             exact = x ** (2 * beta) - grid320.k_min ** (2 * beta)
             assert abs(num - exact) <= 1e-11 * exact
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.5])
+    def test_small_x_power_law_down_to_the_threshold(self, beta):
+        # with the Jacobi panel nothing below k_min is dropped: the weight
+        # below x is x^(2 beta) itself, at k_min and at panel edges above
+        grid = build_grid(1.0, 20, 8, 2.0 ** -20, beta=beta)
+        ff = build_form_factor(grid, beta)
+        raw_sq = (ff.values / ff.norm_constant) ** 2
+        for x in (2.0 ** -20, 2.0 ** -12, 2.0 ** -4):
+            mask = grid.nodes <= x
+            exact = x ** (2 * beta)
+            assert abs(grid.weights[mask] @ raw_sq[mask] - exact) <= 1e-11 * exact
 
     def test_cumulative_law_tracks_norm_constant(self, grid320):
         # evaluated at panel edges, where the node cumsum is a whole-panel

@@ -95,3 +95,34 @@ class TestNormBracket:
         lo, hi, v = norm_bracket(m)
         lo, hi, _ = norm_bracket(m, v)
         assert 1.0 - 1e-12 <= lo <= 1.0 <= hi <= 1.0 + 1e-11
+
+
+_JACOBI_BETAS = [0.25, 0.5, 1.0, 1.5, 1.75]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGaussJacobi:
+    # the weight k^(2 beta - 1) of the grid's bottom panel; beta = 0.5 is
+    # the weight 1, where the textbook first diagonal entry is 0/0
+
+    @pytest.mark.parametrize("beta", _JACOBI_BETAS)
+    @pytest.mark.parametrize("n", [1, 6, 12, 24])
+    def test_matches_scipy(self, beta, n):
+        from scipy.special import roots_jacobi
+
+        b = 2.0 * beta - 1.0
+        t, w = numutil.gauss_jacobi_rule(n, b)
+        x, wx = roots_jacobi(n, 0.0, b)    # weight (1 + x)^b on [-1, 1]
+        np.testing.assert_allclose(t, 0.5 * (1.0 + x), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(w, wx / 2.0 ** (b + 1.0), rtol=2e-12, atol=0.0)
+
+    @pytest.mark.parametrize("beta", _JACOBI_BETAS)
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_panel_integrates_powers_against_the_weight(self, beta, n):
+        # k^j k^b on [0, k0], j = 0 .. 2n - 1, as Lebesgue weights
+        b, k0 = 2.0 * beta - 1.0, 2.0 ** -8
+        k, w = numutil.gauss_jacobi_panel(k0, n, b)
+        assert np.all(np.diff(k) > 0) and k[0] > 0 and k[-1] < k0
+        for j in range(2 * n):
+            exact = k0 ** (j + b + 1.0) / (j + b + 1.0)
+            assert abs(w @ k ** (j + b) - exact) <= 1e-13 * exact

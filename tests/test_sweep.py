@@ -20,7 +20,7 @@ from friedrichs.sweep import (_SETTINGS, CSV_COLUMNS, FitResult,
                               run_sweep, slope_checks)
 
 QUICK_TAUS = (100.0, 316.22776601683796, 1000.0, 3162.2776601683795)
-DEFAULT_DIGEST = "9ed575ffb37de7eeb9410dc989418a27dc726383150b98b56fae1777237a1253"
+DEFAULT_DIGEST = "3f68388c3984f948aa54fc719772a9bfdb6364d88dd64b8342c98691c532e1c9"
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
@@ -118,10 +118,15 @@ def test_render_clause():
 
 class TestConfig:
     def test_defaults_resolve(self):
+        # ratio-2 panels down to k_min <= 40 / max(tau), and below them
+        # the Gauss-Jacobi panel's 12 nodes: N = 8 * 8 + 12
         cfg = resolve_config({})
-        assert cfg.n_panels == 20
-        assert cfg.k_min == 2.0 ** -20
-        assert cfg.k_min <= 0.01 / max(cfg.tau_values)
+        assert cfg.n_panels == 8
+        assert cfg.k_min == 2.0 ** -8
+        assert cfg.k_min <= 40.0 / max(cfg.tau_values)
+        measure = build_model_from_config(cfg).measure
+        assert measure.n_nodes == 76
+        assert measure.panel_layout.jacobi_nodes == 12 and measure.k_min == 0.0
         assert slope_checks(cfg.beta, cfg.gap_shift, _slopes(-1.4, -1.0)) == {
             "probe_slope": {"value": -1.4, "expected": -1.5, "tol": 0.12,
                             "pass": True},
@@ -189,10 +194,23 @@ class TestConfig:
         assert slope_checks(cfg.beta, cfg.gap_shift, {})["probe_slope"]["expected"] \
             == -1.25
 
+    @pytest.mark.parametrize("decades", [0.0, 0.01, 0.03, 0.05])
+    def test_grid_fixed_over_downward_tau_jitter(self, decades):
+        # perfbench/workloads.py scales each tau down by up to 0.05
+        # decades: the auto grid, and so the work per step, must not
+        # depend on how far, or every timing would depend on the seed
+        cfg = resolve_config({}, tau_values=(100.0, 10.0 ** (4.0 - decades)))
+        assert (cfg.n_panels, cfg.k_min) == (8, 2.0 ** -8)
+        assert build_model_from_config(cfg).measure.n_nodes == 76
+
     def test_under_resolved_k_min_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_config({"model": {"k_min": "1e-4", "n_panels": "14"}},
+        # an explicit k_min must reach 40 / max(tau), here 4e-4
+        with pytest.raises(ConfigurationError, match="needs k_min <= 4.000e-04"):
+            resolve_config({"model": {"k_min": "1e-3", "n_panels": "10"}},
                            tau_values=(100., 1000., 10000., 100000.))
+        cfg = resolve_config({"model": {"k_min": "4e-4", "n_panels": "11"}},
+                             tau_values=(100., 1000., 10000., 100000.))
+        assert cfg.k_min == 4e-4
 
     def test_probe_inside_window_rejected(self):
         # s_probe is retired: a probe inside the window, like any other, is
@@ -214,7 +232,8 @@ class TestConfig:
         ({"integrate": {"max_step": "nan"}}, "max_step"),
         ({"sweep": {"s_probe": "1.5"}}, "s_probe"),                 # retired
         ({"model": {"k_max": "1e308"}}, "k_max"),
-        ({"sweep": {"tau_values": "100, 1e307"}}, "tau_values"),
+        ({"model": {"k_max": "1e4"}, "sweep": {"tau_values": "100, 1e307"}},
+         "tau_values"),
         ({"sweep": {"tau_values": "100, 100, 316.2, 1e3"}}, "tau_values"),
         ({"output": {"formats": ","}}, "formats"),
         ({"output": {"directory": ""}}, "directory"),
@@ -269,19 +288,18 @@ class TestConfig:
     @pytest.mark.parametrize("raw, digest", [
         ({}, DEFAULT_DIGEST),
         ({"model": {"nodes_per_panel": "16"}},
-         "a2e3d31dc2a00e0e1dfb0e7d1838f449b9e1a3efeffb32a2d9a940f2d1ac2c97"),
+         "3fab04cf309b6addc5a8ccff19351ab386a974c7a7ced03ef3d1b7b991b5c374"),
         ({"model": {"beta": "1.25", "nodes_per_panel": "16"}},
-         "24204fb548893541761add299fd9721d68f6fc669a57f765c0d5552be4c1c938"),
+         "faad2f3ad585408a3d41baf5e85490a0628befb4de44d053778393810f556804"),
         ({"model": {"nodes_per_panel": "16"},
           "sweep": {"tau_values": "100, 1000, 10000, 100000"}},
-         "38834a47a5e22bd2b249b9e7db22e4ad63a502ab6b5a2ac26db64038f74af072"),
+         "6db00ee513e4e9169552c0e59bde5410e54458fe7e76cddde99a12180ecf3adb"),
         ({"model": {"nodes_per_panel": "16"}, "integrate": {"max_step": "0.001"}},
-         "5e45cdfc036ef478b82e138ff537d0671fec433baed7cb069db5d44eb323e0d5")],
+         "882687bd25dc33b0bd7ae59401a84e5f084dcd24822c4f6072bdc18a48e0d77b")],
         ids=["default", "default-16-nodes", "model", "sweep", "integrate"])
     def test_hash_pinned(self, raw, digest):
-        # a stored config_hash keeps naming its config: the digests of the
-        # configs written before the default grid went to 8 nodes per panel
-        # hold for the same configs written with nodes_per_panel = 16
+        # a stored config_hash keeps naming its config: the digests of
+        # these configs as resolved by the auto grid (k_min <= 40 / max(tau))
         assert config_hash(resolve_config(raw)) == digest
 
     def test_hash_ignores_run_settings(self):
@@ -559,24 +577,25 @@ def _assert_sweep_values(result, want):
 
 def test_default_sweep_values_pinned():
     # leak_probe and sup_leak_window of the default sweep (8 nodes per
-    # panel, N = 160) to 17 digits, as the default CSV carries them
+    # panel and the 12-node Jacobi panel, N = 76) to 17 digits, as the
+    # default CSV carries them
     _assert_sweep_values(run_sweep(resolve_config({})), {
-        100.0: (0.026214980141569515, 0.05266479355225388),
-        316.22776601683796: (0.004703517029812526, 0.015970583134579226),
-        1000.0: (0.0008385125677627649, 0.004976530905420877),
-        3162.2776601683795: (0.00014922773497767119, 0.0015661321450590746),
-        10000.0: (2.6544163494732007e-05, 0.0004944879249547354),
+        100.0: (0.02621498014156954, 0.05266479355225389),
+        316.22776601683796: (0.004703517029812681, 0.01597058313457924),
+        1000.0: (0.0008385125677636376, 0.004976530905420915),
+        3162.2776601683795: (0.00014922773498257533, 0.0015661321450591923),
+        10000.0: (2.6544162115723574e-05, 0.0004944879249551139),
     })
 
 
 def test_16_node_sweep_values_pinned():
-    # the same sweep at 16 nodes per panel (N = 320), the default grid's
-    # doubling: its values are those the default sweep gave at 16 nodes
-    # per panel, so the integrator is unchanged
+    # the same sweep at 16 nodes per panel (N = 152: eight panels and a
+    # 24-node Jacobi panel); it moves each leak from the default sweep's
+    # by that grid's node-doubling change, at most 1.3e-5 relative
     _assert_sweep_values(run_sweep(resolve_config({}, nodes_per_panel=16)), {
-        100.0: (0.0262149329782289, 0.05266409654036156),
-        316.22776601683796: (0.004703530044980283, 0.01597055537376012),
-        1000.0: (0.0008385104185705347, 0.0049765133006192935),
-        3162.2776601683795: (0.00014922738787271958, 0.0015661256114159515),
-        10000.0: (2.6544189192949808e-05, 0.0004944858759678279),
+        100.0: (0.026214932978228876, 0.05266409654036144),
+        316.22776601683796: (0.004703530044980439, 0.015970555373760128),
+        1000.0: (0.0008385104185714063, 0.004976513300619326),
+        3162.2776601683795: (0.00014922738787762416, 0.001566125611416071),
+        10000.0: (2.6544189220521195e-05, 0.0004944858759681988),
     })

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from friedrichs import numutil
 from friedrichs.errors import ConvergenceFailure, NumericalOverflow
@@ -108,8 +109,6 @@ class TestGaussJacobi:
     @pytest.mark.parametrize("beta", _JACOBI_BETAS)
     @pytest.mark.parametrize("n", [1, 6, 12, 24])
     def test_matches_scipy(self, beta, n):
-        from scipy.special import roots_jacobi
-
         b = 2.0 * beta - 1.0
         t, w = numutil.gauss_jacobi_rule(n, b)
         x, wx = roots_jacobi(n, 0.0, b)    # weight (1 + x)^b on [-1, 1]

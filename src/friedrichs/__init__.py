@@ -8,7 +8,7 @@ state sits at the continuum threshold, and contrasts them with the
 superpolynomial decay of the gapped control case.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (AssemblyError, ConfigurationError, ConvergenceFailure,
                      FitDomainError, FriedrichsError, IntegrationFailure,

@@ -8,8 +8,9 @@ first-order closed form), 10 (the contour calculus) and 11 (grid,
 rerun and fit robustness). A Check is named clauses in the shape the
 sweep writes (sweep.clause), which pass together, plus report-only
 notes. `friedrichs verify` prints every entry; the acceptance tests run
-the same entries and pin their bounds. Criteria 5 and 9 stay in the
-tests. Neither the package's __init__ nor sweep imports this module.
+the same entries and pin their bounds. Every model comes from a
+resolved sweep config. Criteria 5 and 9 stay in the tests. Neither the
+package's __init__ nor sweep imports this module.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .contour import ContourSpec, ibp_suite, tilde, tilde_eigenbasis, verify_ibp
-from .model import (FriedrichsModel, assemble_model, build_form_factor,
-                    build_grid, build_switching)
+from .model import FriedrichsModel
 from .oscint import BUMP_ASYMPTOTIC, bump_transform, bump_transform_asymptotic
-from .sweep import (SweepResult, _fittable, clause, fit_powerlaw, render_clause,
-                    render_csv, resolve_config, run_sweep)
+from .sweep import (SweepResult, _fittable, build_model_from_config, clause,
+                    fit_powerlaw, render_clause, render_csv, resolve_config,
+                    run_sweep)
 from .volterra import (WaveOperatorSeries, _settled_defect, first_order_tail,
                        wave_operator_series)
 
@@ -37,6 +38,8 @@ __all__ = ["Check", "Inputs", "REGISTRY",
            "tilde_problem", "contour_calculus", "robustness"]
 
 MAX_NODES = 4096    # criterion 1's cap on the continuum grid
+#: criterion 8's taus: the column at the first, the tail ratios over the rest
+SERIES_TAUS = (100.0, 1000.0, 2000.0, 4000.0)
 
 
 @dataclass(frozen=True)
@@ -89,12 +92,11 @@ class Inputs:
 
     @cached_property
     def series(self) -> tuple[FriedrichsModel, WaveOperatorSeries]:
-        """Criteria 7 and 8's model (N = 128, beta = 1.5) and its series:
-        orders 1-4 at tau = 100 and s = 1.5."""
-        grid = build_grid(1.0, 16, 8, 2.0 ** -16)
-        model = assemble_model(grid, build_form_factor(grid, 1.5),
-                               build_switching(np.pi / 4))
-        return model, wave_operator_series(model, 100.0, max_order=4,
+        """Criteria 7 and 8's model, the beta = 1.5 sweep's at SERIES_TAUS,
+        and its series: orders 1-4 at tau = 100 and s = 1.5."""
+        model = build_model_from_config(resolve_config({}, beta=1.5,
+                                                       tau_values=SERIES_TAUS))
+        return model, wave_operator_series(model, SERIES_TAUS[0], max_order=4,
                                            quad_order=64, s_eval=1.5)
 
 
@@ -111,19 +113,16 @@ def sweep_checks(inputs: Inputs, *betas: float) -> Check:
     return Check(clauses, notes)
 
 
-def uniform_defect() -> Check:
+def uniform_defect(inputs: Inputs) -> Check:
     """Criterion 3's defect half: sup_s ||1 - Omega(s)|| falls like tau^-beta.
 
     Without a gap the adiabatic error decays only as a power of tau. On
-    the N = 160 grid (1, 20, 8, 2^-20) with beta = 0.5, the defect is
-    taken at four taus from 1e2 to 1e4 with 1024 steps each, and the
-    slope of log defect against log tau must lie within 0.15 of -0.5.
-    The notes give, per tau, the exact norms the defect took and the
-    batches that took them.
+    the beta = 0.5 sweep's own model, the defect is taken at four taus
+    from 1e2 to 1e4 with 1024 steps each, and the slope of log defect
+    against log tau must lie within 0.15 of -0.5. The notes give, per
+    tau, the exact norms the defect took and the batches that took them.
     """
-    grid = build_grid(1.0, 20, 8, 2.0 ** -20)
-    model = assemble_model(grid, build_form_factor(grid, 0.5),
-                           build_switching(np.pi / 4))
+    model = build_model_from_config(inputs.sweep(0.5).config)
     taus = np.geomspace(1e2, 1e4, 4)
     defects, norms, batches = zip(*(_settled_defect(model, t, None, 1024)
                                     for t in taus))
@@ -165,13 +164,13 @@ def series_parity(series: WaveOperatorSeries) -> Check:
 
 
 def first_order_closed_form(model: FriedrichsModel, series: WaveOperatorSeries,
-                            tau: float = 100.0) -> Check:
+                            tau: float = SERIES_TAUS[0]) -> Check:
     """Criterion 8: term 1's continuum column is -i times the closed form,
     whose norm falls as tau^-beta: its ratios at tau = 1e3 over 2e3 and
     2e3 over 4e3 lie in [0.9, 1.1] times 2^beta."""
     vec, nrm = first_order_tail(model, tau)
     rel = float(np.linalg.norm(series.terms[1][1:, 0] - (-1j) * vec)) / max(nrm, 1e-300)
-    norms = [first_order_tail(model, t)[1] for t in (1000.0, 2000.0, 4000.0)]
+    norms = [first_order_tail(model, t)[1] for t in SERIES_TAUS[1:]]
     target = 2.0 ** model.form_factor.beta
     return Check({"column_rel_err": clause(rel, max=1e-8),
                   "tail_ratios": clause([norms[0] / norms[1], norms[1] / norms[2]],
@@ -197,25 +196,25 @@ def contour_calculus() -> Check:
 
     The contour quadrature of tilde_problem(3) matches the eigenbasis
     rule at 64 points (16 and 32 are noted). The identity runs at
-    tau = 50 on a gapped N = 32 model: every profile pair of ibp_suite
-    at 64 nodes, then two refinements of the default pair. 48 -> 96
-    drops the residual by the factor; 64 -> 128 drops it by the factor
-    or reaches the floor.
+    tau = 50 on the gapped (gap_shift = 1) sweep model for that tau:
+    every profile pair of ibp_suite at 64 nodes, then two refinements of
+    the default pair. 48 -> 96 drops the residual by the factor;
+    64 -> 128 drops it by the factor or reaches the floor.
     """
     h, p, x = tilde_problem(3)
     specs = [ContourSpec(center=0.0, radius=0.5, n_points=n) for n in (16, 32, 64)]
     eigen = {spec.n_points: float(np.linalg.norm(
         tilde(h, p, x, spec) - tilde_eigenbasis(h, p, x, spec))) for spec in specs}
-    grid = build_grid(1.0, 8, 4, 1e-3)
-    model = assemble_model(grid, build_form_factor(grid, 1.5),
-                           build_switching(np.pi / 4), gap_shift=1.0)
-    suite = ibp_suite(model, 50.0, quad_order=64)
-    r48, r96, r128 = (verify_ibp(model, 50.0, quad_order=q).residual
+    tau = 50.0
+    model = build_model_from_config(resolve_config({}, gap_shift=1.0,
+                                                   tau_values=(tau,)))
+    suite = ibp_suite(model, tau, quad_order=64)
+    r48, r96, r128 = (verify_ibp(model, tau, quad_order=q).residual
                       for q in (48, 96, 128))
     notes = (f"eigenbasis-rule residual at 16 and 32 points: {eigen[16]:.3e}, "
              f"{eigen[32]:.3e}",
              f"ibp_residual by profile: {', '.join(r.profile_tag for r in suite)}; "
-             f"N={model.measure.n_nodes}, tau=50, gap=1, sign={suite[0].sign:+d}")
+             f"N={model.measure.n_nodes}, tau={tau:g}, gap=1, sign={suite[0].sign:+d}")
     return Check({
         "eigenbasis_residual": clause(eigen[64], max=1e-10),
         "ibp_residual": clause([rep.residual for rep in suite], max=1e-6),
@@ -270,7 +269,7 @@ def robustness(inputs: Inputs) -> Check:
 
 def _sub_unit_beta(inputs: Inputs) -> Check:
     """Criterion 3: the sweep at beta = 0.5 and, beside it, the uniform defect."""
-    sweep, defect = sweep_checks(inputs, 0.5), uniform_defect()
+    sweep, defect = sweep_checks(inputs, 0.5), uniform_defect(inputs)
     return Check({**sweep.clauses, **defect.clauses}, [*sweep.notes, *defect.notes])
 
 

@@ -8,13 +8,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from friedrichs.model import (assemble_model, build_form_factor, build_grid,
                               build_switching)
+from friedrichs.sweep import build_model_from_config, resolve_config
 
 THETA = np.pi / 4.0
 
 
 @pytest.fixture(scope="session")
 def grid320():
-    """Production-scale grid: ratio-2 panels down to k_min ~ 1e-6."""
+    """The sweep's grid before its Jacobi panel and before its node count
+    was halved: 20 ratio-2 panels of 16 nodes down to k_min ~ 1e-6,
+    N = 320, and nothing below k_min."""
     return build_grid(1.0, 20, 16, 2.0 ** -20)
 
 
@@ -40,10 +43,10 @@ def model_b15_small(grid128, switching):
 
 
 @pytest.fixture(scope="session")
-def model_defect(switching):
-    """Criterion 3's defect model: beta = 0.5, N = 160."""
-    grid = build_grid(1.0, 20, 8, 2.0 ** -20)
-    return assemble_model(grid, build_form_factor(grid, 0.5), switching)
+def model_defect():
+    """Criterion 3's defect model, the beta = 0.5 default sweep's: eight
+    panels down to 2^-8 and the Jacobi panel below, N = 76."""
+    return build_model_from_config(resolve_config({}, beta=0.5))
 
 
 @pytest.fixture(scope="session")

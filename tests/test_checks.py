@@ -17,6 +17,7 @@ import pytest
 
 from friedrichs import checks, contour, model, propagate, sweep
 from friedrichs.cli import main
+from friedrichs.volterra import _settled_defect
 
 
 def _failed(chk):
@@ -93,7 +94,7 @@ def test_no_usable_p_fails_the_ratio_clause():
 
 
 @pytest.fixture(scope="module")
-def series_128():    # criterion 8's inputs
+def series_inputs():    # criterion 8's inputs
     return checks.Inputs().series
 
 
@@ -113,9 +114,9 @@ def _tail_scaled_at(tau, vec_factor, norm_factor):
     (_tail_scaled_at(100.0, 1.0 + 1e-6, 1.0), "column_rel_err"),
     (_tail_scaled_at(2000.0, 1.0, 1.5), "tail_ratios"),
 ], ids=["column", "ratios"])
-def test_each_first_order_clause_is_applied(monkeypatch, series_128, plant,
+def test_each_first_order_clause_is_applied(monkeypatch, series_inputs, plant,
                                             clause):
-    model, series = series_128
+    model, series = series_inputs
     monkeypatch.setattr(checks, "first_order_tail", plant(checks.first_order_tail))
     assert _failed(checks.first_order_closed_form(model, series, 100.0)) == [clause]
 
@@ -232,6 +233,34 @@ def test_node_doubling_sees_the_bottom(monkeypatch, truncated):
     grid = checks.node_doubling(inputs, 0.5)
     assert inputs.sweep(0.5).n_nodes == (160 if truncated else 76)
     assert grid["pass"] is not truncated, grid
+
+
+def test_defect_runs_on_the_sub_unit_sweeps_model(monkeypatch):
+    # criterion 3's defect takes the beta = 0.5 sweep's model, its Jacobi
+    # panel included: at tau = 1e4 its defect lies within 1e-6 of the same
+    # defect with the bottom at 2^-20 (7.1e-9 measured; the truncated
+    # N = 160 grid, nothing below 2^-20, is 7.6e-4 off)
+    taken, settled = {}, checks._settled_defect
+
+    def recording(model, tau, *args):
+        out = settled(model, tau, *args)
+        taken[tau] = model, out[0]
+        return out
+
+    monkeypatch.setattr(checks, "_settled_defect", recording)
+    inputs = checks.Inputs()
+    assert checks.uniform_defect(inputs).ok
+    want = sweep.build_model_from_config(inputs.sweep(0.5).config)
+    assert want.measure.n_nodes == 76 and len(taken) == 4 and max(taken) == 1e4
+    for got, _ in taken.values():
+        for part in (lambda m: m.measure.nodes, lambda m: m.measure.weights,
+                     lambda m: m.coupling):
+            np.testing.assert_array_equal(part(got), part(want))
+    deep = sweep.build_model_from_config(sweep.resolve_config(
+        {}, beta=0.5, k_min=2.0 ** -20, n_panels=20))
+    assert deep.measure.n_nodes == 172
+    exact = _settled_defect(deep, 1e4, None, 1024)[0]
+    assert abs(taken[1e4][1] - exact) <= 1e-6 * exact
 
 
 def test_verify_fails_only_the_planted_criterion(monkeypatch, capsys):

@@ -336,6 +336,16 @@ class TestOutputs:
         reloaded = load_manifest(paths["json"])
         assert payload["config_hash"] == config_hash(reloaded.config)
 
+    def test_code_version_is_the_package_version(self, quick_result):
+        # a manifest's code_version is friedrichs.__version__, which moves
+        # with pyproject's version (read as text: Python 3.10 has no tomllib)
+        from friedrichs import __version__
+
+        pyproject = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                                      "pyproject.toml"), encoding="utf-8").read()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+        assert declared == __version__ == quick_result.code_version
+
     def test_svg_well_formed_with_polylines(self, quick_result):
         svg = render_svg(quick_result)
         root = ET.fromstring(svg)

@@ -152,7 +152,8 @@ class TrajectoryBatch:
     """
 
     # perfbench's tracer reads n_window_steps and unitarity_drift of what
-    # evolve_true returns (this or a Trajectory) to count propagate.steps
+    # evolve_true returns (this or a Trajectory) to count propagate.steps;
+    # tests/test_gate.py::test_traced_pass_checks_and_counts pins them
     results: list
     n_window_steps: int
 
@@ -593,7 +594,8 @@ class WaveBlock:
 
 
 # perfbench's tracer reads n_steps (third argument or keyword) and the drift
-# result[2] to count propagate.wave_steps; keep both where they are
+# result[2] to count propagate.wave_steps; keep both where they are, as
+# tests/test_gate.py::test_traced_pass_checks_and_counts pins them
 def evolve_wave_operator(model: FriedrichsModel, tau: float, n_steps: int,
                          record_s: np.ndarray,
                          on_block: Callable[[WaveBlock], None] | None = None):

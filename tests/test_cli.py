@@ -51,14 +51,19 @@ def test_sweep_check_failure_exits_four(tmp_path, capsys):
 
 
 def test_first_order_dominant_alone_fails_tau_5(tmp_path, capsys):
-    # at tau = 5 the squared in-window amplitude is not subdominant
-    assert main(["sweep", "--tau", "5", "--check", "--out", str(tmp_path)]) == 4
+    # at tau = 5 the squared in-window amplitude is not subdominant; the
+    # failing run's manifest still re-emits its CSV
+    out_dir, again = tmp_path / "sweep", tmp_path / "report"
+    assert main(["sweep", "--tau", "5", "--check", "--out", str(out_dir)]) == 4
     out = capsys.readouterr().out
     assert _readme_sample("no slope checks") in out
     checks = [line for line in out.splitlines() if line.startswith("check ")]
     assert [line for line in checks if ": FAIL " in line] == [
         "check first_order_dominant: FAIL 0.6551375 (max 0.5)"]
     assert len(checks) == 3
+    assert main(["report", "--manifest", str(out_dir / "manifest.json"),
+                 "--out", str(again), "--format", "csv"]) == 0
+    assert (again / "sweep.csv").read_bytes() == (out_dir / "sweep.csv").read_bytes()
 
 
 def test_all_errored_sweep_reports_every_error(tmp_path, capsys):

@@ -477,7 +477,11 @@ class TestRunSweep:
     def test_jobs_changes_nothing(self, quick_result):
         # jobs is accepted for compatibility; every missing tau still runs
         # in one batch in this process
-        result = run_sweep(replace(quick_result.config, jobs=3))
+        cfg = quick_result.config
+        result = run_sweep(resolve_config({"output": {"jobs": "4"}},
+                                          tau_values=cfg.tau_values,
+                                          formats=cfg.formats))
+        assert result.config == replace(cfg, jobs=4)
         assert result.calibration["batches"] == [
             {"taus": list(QUICK_TAUS), "n_steps": 2048},
             {"taus": [QUICK_TAUS[0], QUICK_TAUS[-1]], "n_steps": 1024}]
